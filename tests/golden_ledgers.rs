@@ -8,6 +8,11 @@
 //! seeds. Arbitration may reorder and delay transfers but must never
 //! change a single charged byte.
 //!
+//! NMsort's phase schedule is pinned too: for blocking and DMA runs, the
+//! `(phase name, overlappable)` sequence and the simulated seconds on the
+//! Fig. 4 machine. A schedule refactor that keeps every charged byte but
+//! reorders phases or drops an overlap flag fails here.
+//!
 //! Regenerate after an *intentional* accounting change with:
 //! `TLMM_BLESS=1 cargo test --test golden_ledgers`
 
@@ -47,13 +52,11 @@ fn run_sorter(name: &str, exec: Option<tlmm_scratchpad::ExecConfig>) -> CostSnap
             assert_sorted(r.output.as_slice_uncharged());
         }
         "nmsort_dma" => {
-            // The DMA-pipelined NMsort golden is NEW with the staging
-            // arena (there was no overlapped engine to pin before it):
-            // its 3-buffer geometry stages smaller chunks, so its totals
-            // legitimately differ from "nmsort" — while the blocking
-            // goldens above stay byte-identical across the arena
-            // refactor, which is the invariant that pins the arena's
-            // exact-fit accounting.
+            // Pinned to 8,000-key chunks (4 chunks at N = 30k) so the run
+            // goes through the double-buffered DMA pipeline. The default
+            // DMA chunk (4M/15 = 34,952 keys on this 1 MiB scratchpad)
+            // would make it a single-chunk run that never overlaps an
+            // ingest.
             let r = two_level_mem::core::nmsort::nmsort(
                 &tl,
                 far,
@@ -61,6 +64,7 @@ fn run_sorter(name: &str, exec: Option<tlmm_scratchpad::ExecConfig>) -> CostSnap
                     sim_lanes: 8,
                     threads: 1,
                     use_dma: true,
+                    chunk_elems: Some(8_000),
                     ..Default::default()
                 },
             )
@@ -129,11 +133,14 @@ fn assert_sorted(v: &[u64]) {
     assert_eq!(v.len(), N);
 }
 
-/// Assert `snap` serializes byte-identically to the committed golden
+/// Assert `value` serializes byte-identically to the committed golden
 /// (or bless it when `TLMM_BLESS` is set), including the typed
 /// round-trip — see `tlmm_testkit::check_golden`.
-fn check_against_golden(name: &str, snap: &CostSnapshot, context: &str) {
-    tlmm_testkit::check_golden(&tlmm_testkit::golden_path(GOLDEN_DIR, name), snap, context);
+fn check_against_golden<T>(name: &str, value: &T, context: &str)
+where
+    T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    tlmm_testkit::check_golden(&tlmm_testkit::golden_path(GOLDEN_DIR, name), value, context);
 }
 
 const SORTERS: [&str; 7] = [
@@ -176,5 +183,63 @@ fn golden_ledgers_replay_under_fully_serialized_arbiter() {
         let exec = tlmm_scratchpad::ExecConfig::deterministic(8, 1, 7);
         let snap = run_sorter(name, Some(exec));
         check_against_golden(name, &snap, "p=8 p'=1");
+    }
+}
+
+/// One recorded phase: its name and whether it was marked overlappable.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct PhaseStep {
+    name: String,
+    overlappable: bool,
+}
+
+/// NMsort's whole phase schedule and its simulated time on the Fig. 4
+/// machine. Ledger goldens cannot see phase order or overlap flags; this
+/// pins both.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct PhaseSchedule {
+    phases: Vec<PhaseStep>,
+    sim_seconds: f64,
+}
+
+fn nmsort_schedule(use_dma: bool, chunk_elems: Option<usize>) -> PhaseSchedule {
+    let tl = tl();
+    let far = tl.far_from_vec(input());
+    let r = two_level_mem::core::nmsort::nmsort(
+        &tl,
+        far,
+        &NmSortConfig {
+            sim_lanes: 8,
+            threads: 1,
+            use_dma,
+            chunk_elems,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_sorted(r.output.as_slice_uncharged());
+    let trace = tl.take_trace();
+    PhaseSchedule {
+        phases: trace
+            .phases
+            .iter()
+            .map(|p| PhaseStep {
+                name: p.name.clone(),
+                overlappable: p.overlappable,
+            })
+            .collect(),
+        sim_seconds: simulate_flow(&trace, &MachineConfig::fig4(8, 4.0)).seconds,
+    }
+}
+
+#[test]
+fn nmsort_phase_schedules_match_their_goldens() {
+    for (name, use_dma, chunk_elems) in [
+        ("nmsort_phases_blocking", false, Some(8_000)),
+        ("nmsort_phases_dma", true, Some(8_000)),
+        ("nmsort_phases_dma_single", true, None),
+    ] {
+        let schedule = nmsort_schedule(use_dma, chunk_elems);
+        check_against_golden(name, &schedule, "no executor");
     }
 }
