@@ -29,7 +29,7 @@ use crate::quicksort::external_quicksort;
 use crate::sample::{draw_pivots, PivotSample};
 use crate::{SortElem, SortError};
 use serde::{Deserialize, Serialize};
-use tlmm_model::CostSnapshot;
+use tlmm_model::{CostSnapshot, NmSortGeometry};
 use tlmm_scratchpad::trace::with_lane;
 use tlmm_scratchpad::{
     with_faults_suppressed, ArenaBuf, Backoff, Dir, FarArray, FaultDecision, FaultOp, NearArray,
@@ -166,60 +166,29 @@ pub struct NmSortReport<T> {
     pub phase2_cost: CostSnapshot,
 }
 
-struct Geometry {
-    chunk: usize,
-    /// Chunk-sized staging buffers Phase 1 needs: 2 in blocking mode
-    /// (current + sort scratch), 3 in DMA mode on multi-chunk inputs
-    /// (current + sort scratch + the next chunk being gathered in the
-    /// background — the double buffer).
-    n_bufs: usize,
-}
-
-/// Chunk-derived counts: `(n_chunks, n_pivots)` for a given chunk size.
-/// Factored out so the shrink ladder can recompute them after the chunk is
-/// reduced under allocation pressure.
-fn chunk_counts(tl: &TwoLevel, n: usize, chunk: usize, cfg: &NmSortConfig) -> (usize, usize) {
-    let n_chunks = n.div_ceil(chunk.max(1)).max(1);
-    let n_pivots = if n_chunks <= 1 {
-        0
-    } else {
-        cfg.n_pivots
-            .unwrap_or_else(|| {
-                let by_blocks = (tl.params().scratchpad_blocks() / 4) as usize;
-                by_blocks.min(chunk / 8).min(65_536)
-            })
-            .max(1)
-    };
-    (n_chunks, n_pivots)
-}
-
+/// The run's scratchpad geometry ([`NmSortGeometry`], shared with the
+/// admission estimator), rejected up front when its buffers, pivots and
+/// totals cannot fit the scratchpad.
 fn geometry<T: SortElem>(
     tl: &TwoLevel,
     n: usize,
     cfg: &NmSortConfig,
-) -> Result<Geometry, SortError> {
+) -> Result<NmSortGeometry, SortError> {
     let elem = std::mem::size_of::<T>();
-    let m_elems = tl.params().scratchpad_capacity_elems(elem);
-    // Both modes budget 4/5 of M for chunk buffers; DMA mode splits it
-    // three ways (the third buffer is the double-buffered next chunk).
-    let default_chunk = if cfg.use_dma {
-        (m_elems * 4 / 15).max(2)
-    } else {
-        (m_elems * 2 / 5).max(2)
-    };
-    let chunk = cfg.chunk_elems.unwrap_or(default_chunk).clamp(1, n.max(1));
-    let n_chunks = n.div_ceil(chunk.max(1)).max(1);
-    let n_bufs = if cfg.use_dma && n_chunks > 1 { 3 } else { 2 };
-    let (_n_chunks, n_pivots) = chunk_counts(tl, n, chunk, cfg);
-    // Feasibility: the chunk buffers + pivots + totals must fit in M.
-    let needed = (n_bufs * chunk * elem + n_pivots * elem + (n_pivots + 1) * 8) as u64;
-    if needed > tl.params().scratchpad_bytes {
+    let p = tl.params();
+    let chunk = cfg
+        .chunk_elems
+        .unwrap_or_else(|| NmSortGeometry::default_chunk(p, n, elem, cfg.use_dma))
+        .clamp(1, n.max(1));
+    let geo = NmSortGeometry::new(p, n, chunk, cfg.use_dma, cfg.n_pivots);
+    let needed = geo.near_peak_bytes(elem);
+    if needed > p.scratchpad_bytes {
         return Err(SortError::ScratchpadTooSmall {
             needed,
-            available: tl.params().scratchpad_bytes,
+            available: p.scratchpad_bytes,
         });
     }
-    Ok(Geometry { chunk, n_bufs })
+    Ok(geo)
 }
 
 /// Charge the full traffic of a far↔near copy of `bytes` without moving
@@ -239,17 +208,17 @@ fn charge_copy_volume(tl: &TwoLevel, kind: CopyKind, bytes: u64, lanes: usize) {
     }
 }
 
-/// A [`charged_copy`] that consults the fault injector first and re-stages
-/// on injected aborts: every aborted attempt is charged in full, bounded by
-/// the [`Backoff`] policy's `Stage` budget before the copy is forced through.
-#[allow(clippy::too_many_arguments)]
-fn staged_copy_with_retry<T: SortElem>(
+/// Consult the fault injector before a far↔near staging transfer of
+/// `bytes` and re-stage on injected aborts: every aborted attempt is
+/// charged in full, bounded by the [`Backoff`] policy's `Stage` budget
+/// before the transfer is forced through. The caller charges the transfer
+/// itself afterwards. Both Phase-1 ingests run this ladder: the blocking
+/// copy and the overlapped issue.
+fn stage_with_retry(
     tl: &TwoLevel,
     kind: CopyKind,
-    src: &[T],
-    dst: &mut [T],
+    bytes: u64,
     lanes: usize,
-    threads: usize,
     stats: &mut DegradationStats,
 ) {
     let op = match kind {
@@ -257,7 +226,6 @@ fn staged_copy_with_retry<T: SortElem>(
         CopyKind::NearToFar => FaultOp::NearToFar,
         _ => unreachable!("staged copies move between far and near"),
     };
-    let bytes = std::mem::size_of_val(src) as u64;
     let mut bo = Backoff::for_memory(tl, RetryClass::Stage);
     loop {
         match tl.preflight(op) {
@@ -280,7 +248,41 @@ fn staged_copy_with_retry<T: SortElem>(
             FaultDecision::Proceed => break,
         }
     }
+}
+
+/// A [`charged_copy`] behind the [`stage_with_retry`] fault ladder.
+fn staged_copy_with_retry<T: SortElem>(
+    tl: &TwoLevel,
+    kind: CopyKind,
+    src: &[T],
+    dst: &mut [T],
+    lanes: usize,
+    threads: usize,
+    stats: &mut DegradationStats,
+) {
+    stage_with_retry(tl, kind, std::mem::size_of_val(src) as u64, lanes, stats);
     charged_copy(tl, kind, src, dst, lanes, threads);
+}
+
+/// A blocking Phase-1 ingest of `src` into the front of `dst`.
+fn ingest_sync<T: SortElem>(
+    tl: &TwoLevel,
+    src: &[T],
+    dst: &mut ArenaBuf<T>,
+    lanes: usize,
+    threads: usize,
+    stats: &mut DegradationStats,
+) {
+    staged_copy_with_retry(
+        tl,
+        CopyKind::FarToNear,
+        src,
+        &mut dst.as_mut_slice_uncharged()[..src.len()],
+        lanes,
+        threads,
+        stats,
+    );
+    dst.arena().note_sync_transfer();
 }
 
 /// Consult the injector's [`FaultOp::DmaIssue`] class before overlapping a
@@ -379,50 +381,15 @@ fn alloc_chunk_buffers<T: SortElem>(
     }
 }
 
-/// The preflight-and-charge half of a Phase-1 ingest, executed on the
-/// issuing thread at issue time: the full [`staged_copy_with_retry`]
-/// fault ladder plus the transfer's own charge. After this returns, the
-/// ledger, trace, and fault log are settled; the raw byte copy may run on
-/// a background worker that touches nothing but memory — which is what
-/// keeps overlapped runs byte-identical to blocking ones.
-fn ingest_issue_charges(tl: &TwoLevel, bytes: u64, lanes: usize, stats: &mut DegradationStats) {
-    let mut bo = Backoff::for_memory(tl, RetryClass::Stage);
-    loop {
-        match tl.preflight(FaultOp::FarToNear) {
-            FaultDecision::Fail(_) => {
-                charge_copy_volume(tl, CopyKind::FarToNear, bytes, lanes);
-                if bo.again() {
-                    stats.transfer_retries += 1;
-                } else {
-                    bo.give_up();
-                    stats.forced_ops += 1;
-                    break;
-                }
-            }
-            FaultDecision::Delay(_) => {
-                charge_copy_volume(tl, CopyKind::FarToNear, bytes, lanes);
-                stats.transfer_delays += 1;
-                tlmm_telemetry::counter!("degradation.transfer_delay").incr();
-                break;
-            }
-            FaultDecision::Proceed => break,
-        }
-    }
-    // The transfer itself (same totals and lane striping as the
-    // charge-half of `charged_copy`).
-    charge_copy_volume(tl, CopyKind::FarToNear, bytes, lanes);
-}
-
-/// The sort → writeback → bounds tail of one Phase-1 chunk iteration,
-/// shared by the blocking schedule and the DMA pipeline (where it runs
-/// while the next chunk's gather is in flight on a background worker).
-/// The caller owns the enclosing phase bracket and calls `end_phase`.
+/// The sort → writeback → bounds tail of one Phase-1 chunk iteration.
+/// In the DMA pipeline it runs while the next chunk's ingest is in flight
+/// on a background worker. The caller owns the enclosing phase bracket
+/// and calls `end_phase`.
 #[allow(clippy::too_many_arguments)]
 fn p1_sort_writeback_bounds<T: SortElem>(
     tl: &TwoLevel,
     cfg: &NmSortConfig,
     ext_cfg: &ExtSortConfig,
-    arena: &StagingArena,
     sample: &PivotSample<T>,
     chunk_buf: &mut ArenaBuf<T>,
     scratch_buf: &mut ArenaBuf<T>,
@@ -435,7 +402,6 @@ fn p1_sort_writeback_bounds<T: SortElem>(
     lanes: usize,
 ) {
     let len = hi - lo;
-    let elem_sz = std::mem::size_of::<T>();
 
     tl.begin_phase("nmsort.p1.sort");
     let sorted: &[T] = match cfg.chunk_sorter {
@@ -477,7 +443,7 @@ fn p1_sort_writeback_bounds<T: SortElem>(
         cfg.threads,
         degradations,
     );
-    arena.note_sync_transfer(Dir::Write, (len * elem_sz) as u64);
+    scratch_buf.arena().note_sync_transfer();
 
     if n_chunks > 1 {
         tl.begin_phase("nmsort.p1.bounds");
@@ -577,8 +543,7 @@ pub fn nmsort<T: SortElem>(
     let n_pivots = if n_chunks <= 1 {
         0
     } else {
-        let (_, p) = chunk_counts(tl, n, geo.chunk, cfg);
-        p.max(1)
+        geo.n_pivots.max(1)
     };
 
     // ---- Pivot sample (kept resident in the scratchpad) ---------------
@@ -607,139 +572,95 @@ pub fn nmsort<T: SortElem>(
         ..Default::default()
     };
     let elem_sz = std::mem::size_of::<T>();
-    // The double-buffered DMA pipeline needs a third buffer and at least
-    // two chunks (the shrink ladder may have consumed the third buffer's
-    // headroom — then the run degrades to the blocking schedule).
-    let pipelined = cfg.use_dma && n_chunks > 1 && next_buf.is_some();
-
-    if pipelined {
+    // Chunks in flight. At depth 2 (DMA double buffering) the ingest of
+    // chunk k+1 is issued into next_buf before chunk k is sorted. That
+    // needs a third buffer and at least two chunks; when the shrink
+    // ladder consumed the third buffer's headroom, the run degrades to
+    // depth 1, the blocking schedule.
+    let depth = if cfg.use_dma && n_chunks > 1 && next_buf.is_some() {
+        2
+    } else {
+        1
+    };
+    let bounds = |k: usize| (k * chunk, ((k + 1) * chunk).min(n));
+    let src = input.as_slice_uncharged();
+    if depth > 1 {
         // Prime the pipeline: the first chunk has nothing to hide behind,
         // so its ingest is synchronous and not overlappable.
         tl.begin_phase("nmsort.p1.ingest");
-        let hi0 = chunk.min(n);
-        staged_copy_with_retry(
+        let (lo, hi) = bounds(0);
+        ingest_sync(
             tl,
-            CopyKind::FarToNear,
-            &input.as_slice_uncharged()[..hi0],
-            &mut chunk_buf.as_mut_slice_uncharged()[..hi0],
+            &src[lo..hi],
+            &mut chunk_buf,
             lanes,
             cfg.threads,
             &mut degradations,
         );
-        arena.note_sync_transfer(Dir::Read, (hi0 * elem_sz) as u64);
     }
     for k in 0..n_chunks {
         // Phase boundary: cooperative cancellation / deadline check.
         tl.checkpoint()?;
-        let lo = k * chunk;
-        let hi = ((k + 1) * chunk).min(n);
-        let len = hi - lo;
-
-        if !pipelined {
-            tl.begin_phase("nmsort.p1.ingest");
-            staged_copy_with_retry(
-                tl,
-                CopyKind::FarToNear,
-                &input.as_slice_uncharged()[lo..hi],
-                &mut chunk_buf.as_mut_slice_uncharged()[..len],
-                lanes,
-                cfg.threads,
-                &mut degradations,
-            );
-            arena.note_sync_transfer(Dir::Read, (len * elem_sz) as u64);
-            p1_sort_writeback_bounds(
-                tl,
-                cfg,
-                &ext_cfg,
-                &arena,
-                &sample,
-                &mut chunk_buf,
-                &mut scratch_buf,
-                &mut sorted_chunks,
-                &mut totals_buf,
-                &mut all_positions,
-                &mut degradations,
-                (lo, hi),
-                n_chunks,
-                lanes,
-            );
-            tl.end_phase();
-            continue;
-        }
-
-        // Issue the gather of chunk k+1 *before* sorting chunk k. Every
-        // preflight and ledger charge lands on the issuing thread right
-        // here, at issue time; the background worker below only moves
-        // bytes — which is what keeps overlapped runs byte-identical to
-        // blocking ones. The phase is overlappable, so the flow engine
-        // charges max(ingest(k+1), sort(k)) instead of their sum.
+        // Ingest chunk k + depth - 1: into chunk_buf at depth 1, into
+        // next_buf (overlapping chunk k's sort) at depth 2.
+        let ahead = k + depth - 1;
         let mut pending = None;
-        if k + 1 < n_chunks {
-            let nlo = (k + 1) * chunk;
-            let nhi = ((k + 2) * chunk).min(n);
-            let nbytes = ((nhi - nlo) * elem_sz) as u64;
-            let nb = next_buf.as_mut().expect("pipelined mode has a next buffer");
+        if ahead < n_chunks {
             tl.begin_phase("nmsort.p1.ingest");
-            if dma_issue_allowed(tl, &mut degradations) {
-                tl.mark_phase_overlappable();
-                ingest_issue_charges(tl, nbytes, lanes, &mut degradations);
-                let id = nb.issue(Dir::Read, nbytes).map_err(SortError::from)?;
-                if cfg.threads > 1 {
-                    pending = Some((id, nlo, nhi));
-                } else {
-                    // One host thread: the copy runs inline at issue time.
-                    // Identical charges; the overlap is simulated only.
-                    nb.transfer_fill(&input.as_slice_uncharged()[nlo..nhi], 0);
-                    arena.retire(id).map_err(SortError::from)?;
-                }
-            } else {
-                // Injected DmaIssue abort: demoted to a blocking copy in
-                // the same phase slot — same bytes move, overlap lost.
-                staged_copy_with_retry(
+            let (alo, ahi) = bounds(ahead);
+            if depth == 1 {
+                ingest_sync(
                     tl,
-                    CopyKind::FarToNear,
-                    &input.as_slice_uncharged()[nlo..nhi],
-                    &mut nb.as_mut_slice_uncharged()[..nhi - nlo],
+                    &src[alo..ahi],
+                    &mut chunk_buf,
                     lanes,
                     cfg.threads,
                     &mut degradations,
                 );
-                arena.note_sync_transfer(Dir::Read, nbytes);
+            } else {
+                let nb = next_buf.as_mut().expect("depth 2 has a next buffer");
+                if dma_issue_allowed(tl, &mut degradations) {
+                    // Every preflight and ledger charge lands on this
+                    // thread, at issue time; the background worker below
+                    // only moves bytes, which keeps overlapped runs
+                    // byte-identical to blocking ones. The phase is
+                    // overlappable, so the flow engine charges
+                    // max(ingest(k+1), sort(k)) instead of their sum.
+                    tl.mark_phase_overlappable();
+                    let bytes = ((ahi - alo) * elem_sz) as u64;
+                    stage_with_retry(tl, CopyKind::FarToNear, bytes, lanes, &mut degradations);
+                    charge_copy_volume(tl, CopyKind::FarToNear, bytes, lanes);
+                    let id = nb.issue(Dir::Read, bytes).map_err(SortError::from)?;
+                    if cfg.threads > 1 {
+                        pending = Some((id, alo, ahi));
+                    } else {
+                        // One host thread: the copy runs inline at issue
+                        // time. Identical charges; the overlap is
+                        // simulated only.
+                        nb.transfer_fill(&src[alo..ahi], 0);
+                        arena.retire(id).map_err(SortError::from)?;
+                    }
+                } else {
+                    // Injected DmaIssue abort: demoted to a blocking copy
+                    // in the same phase slot — same bytes move, overlap
+                    // lost.
+                    ingest_sync(
+                        tl,
+                        &src[alo..ahi],
+                        nb,
+                        lanes,
+                        cfg.threads,
+                        &mut degradations,
+                    );
+                }
             }
         }
 
-        if let Some((id, nlo, nhi)) = pending {
-            // Sort chunk k while the gather of chunk k+1 is in flight.
-            // The read-before-retire guard on next_buf stays armed the
-            // whole time; the worker writes through the transfer path.
-            let nb = next_buf.as_mut().expect("pipelined mode has a next buffer");
-            let src = input.as_slice_uncharged();
-            std::thread::scope(|s| {
-                s.spawn(move || nb.transfer_fill(&src[nlo..nhi], 0));
-                p1_sort_writeback_bounds(
-                    tl,
-                    cfg,
-                    &ext_cfg,
-                    &arena,
-                    &sample,
-                    &mut chunk_buf,
-                    &mut scratch_buf,
-                    &mut sorted_chunks,
-                    &mut totals_buf,
-                    &mut all_positions,
-                    &mut degradations,
-                    (lo, hi),
-                    n_chunks,
-                    lanes,
-                );
-            });
-            arena.retire(id).map_err(SortError::from)?;
-        } else {
+        let mut sort_writeback_bounds = || {
             p1_sort_writeback_bounds(
                 tl,
                 cfg,
                 &ext_cfg,
-                &arena,
                 &sample,
                 &mut chunk_buf,
                 &mut scratch_buf,
@@ -747,16 +668,29 @@ pub fn nmsort<T: SortElem>(
                 &mut totals_buf,
                 &mut all_positions,
                 &mut degradations,
-                (lo, hi),
+                bounds(k),
                 n_chunks,
                 lanes,
-            );
+            )
+        };
+        if let Some((id, alo, ahi)) = pending {
+            // Sort chunk k while the ingest of chunk k+1 is in flight. The
+            // read-before-retire guard on next_buf stays armed the whole
+            // time; the worker writes through the transfer path.
+            let nb = next_buf.as_mut().expect("depth 2 has a next buffer");
+            std::thread::scope(|s| {
+                s.spawn(move || nb.transfer_fill(&src[alo..ahi], 0));
+                sort_writeback_bounds();
+            });
+            arena.retire(id).map_err(SortError::from)?;
+        } else {
+            sort_writeback_bounds();
         }
         tl.end_phase();
-        if k + 1 < n_chunks {
+        if depth > 1 && ahead < n_chunks {
             std::mem::swap(
                 &mut chunk_buf,
-                next_buf.as_mut().expect("pipelined mode has a next buffer"),
+                next_buf.as_mut().expect("depth 2 has a next buffer"),
             );
         }
     }
@@ -952,9 +886,7 @@ fn merge_batch_via_scratchpad<T: SortElem>(
 
     // -- Gather: one parallel transfer per chunk segment ----------------
     tl.begin_phase("nmsort.p2.gather");
-    gather_buf
-        .arena()
-        .note_sync_transfer(Dir::Read, total as u64 * elem);
+    gather_buf.arena().note_sync_transfer();
     let src = sorted_chunks.as_slice_uncharged();
     let gather = gather_buf.as_mut_slice_uncharged();
     {
@@ -1035,9 +967,7 @@ fn merge_batch_via_scratchpad<T: SortElem>(
 
     // -- Stream the merged batch to its final DRAM position -------------
     tl.begin_phase("nmsort.p2.writeout");
-    merge_buf
-        .arena()
-        .note_sync_transfer(Dir::Write, total as u64 * elem);
+    merge_buf.arena().note_sync_transfer();
     charged_copy(
         tl,
         CopyKind::NearToFar,
@@ -1181,9 +1111,7 @@ fn merge_part_via_scratchpad<T: SortElem>(
 ) {
     let elem = std::mem::size_of::<T>() as u64;
     tl.begin_phase("nmsort.p2.gather");
-    gather_buf
-        .arena()
-        .note_sync_transfer(Dir::Read, total as u64 * elem);
+    gather_buf.arena().note_sync_transfer();
     {
         let gather = &mut gather_buf.as_mut_slice_uncharged()[..total];
         let mut cursor = 0usize;
@@ -1222,9 +1150,7 @@ fn merge_part_via_scratchpad<T: SortElem>(
         charge_compute_striped(tl, cmps, lanes);
     }
     tl.begin_phase("nmsort.p2.writeout");
-    merge_buf
-        .arena()
-        .note_sync_transfer(Dir::Write, total as u64 * elem);
+    merge_buf.arena().note_sync_transfer();
     charged_copy(
         tl,
         CopyKind::NearToFar,

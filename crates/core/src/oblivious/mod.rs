@@ -199,7 +199,7 @@ impl<'a> Ctx<'a> {
                 self.tl.charge_near_io(Dir::Write, r.len() as u64);
             });
         }
-        self.arena.note_sync_transfer(Dir::Read, bytes);
+        self.arena.note_sync_transfer();
         self.resident_subtrees.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -221,7 +221,7 @@ impl<'a> Ctx<'a> {
                 self.tl.charge_far_io(Dir::Write, r.len() as u64);
             });
         }
-        self.arena.note_sync_transfer(Dir::Write, bytes);
+        self.arena.note_sync_transfer();
     }
 
     /// Sort a base-case segment: one fault-gated read pass, the in-cache

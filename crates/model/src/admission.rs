@@ -9,9 +9,10 @@
 //! already maintains for the theory plots — [`crate::oblivious::spms_cost`],
 //! [`crate::oblivious::squaresort_cost`],
 //! [`crate::oblivious::nmsort_aware_cost`] and
-//! [`crate::theorems::baseline_sort_cost`] — plus a byte-exact mirror of
-//! NMsort's scratchpad geometry (`geometry()` in `tlmm-core`): two chunk
-//! buffers, the resident pivot sample, and the `BucketTot` array.
+//! [`crate::theorems::baseline_sort_cost`] — plus NMsort's scratchpad
+//! geometry ([`NmSortGeometry`], which `tlmm-core`'s NMsort sizes its
+//! buffers with): the chunk buffers, the resident pivot sample, and the
+//! `BucketTot` array.
 //!
 //! [`shrink_to_fit`] additionally runs NMsort's chunk-shrinking ladder
 //! *proactively*: when the clean-geometry footprint exceeds the budget, it
@@ -42,47 +43,74 @@ pub struct AdmissionEstimate {
     pub shrinks: u32,
 }
 
-/// Mirror of NMsort's default chunk: both modes budget 4/5 of the
-/// scratchpad for chunk buffers — the blocking schedule splits it two
-/// ways (40 % each), the DMA pipeline three ways (the third buffer is
-/// the double-buffered next chunk).
-fn default_chunk(p: &ScratchpadParams, n: u64, elem_bytes: usize, dma: bool) -> usize {
-    let m_elems = p.scratchpad_capacity_elems(elem_bytes);
-    let chunk = if dma {
-        m_elems * 4 / 15
-    } else {
-        m_elems * 2 / 5
-    };
-    chunk.max(2).clamp(1, (n as usize).max(1))
+/// NMsort's scratchpad geometry for one chunk size: the single owner of
+/// the rule that both the `tlmm-core` sorter and this estimator use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NmSortGeometry {
+    /// Elements per Phase-1 chunk.
+    pub chunk: usize,
+    /// Phase-1 chunks.
+    pub n_chunks: usize,
+    /// Chunk-sized staging buffers: 2 blocking (current + sort scratch),
+    /// 3 when the DMA pipeline double-buffers a multi-chunk input.
+    pub n_bufs: usize,
+    /// Pivots sampled (0 for a single-chunk run).
+    pub n_pivots: usize,
 }
 
-/// Mirror of NMsort's default pivot count: `min(M/4B, chunk/8, 65536)`.
-fn default_pivots(p: &ScratchpadParams, chunk: usize) -> usize {
-    (p.scratchpad_blocks() as usize / 4)
-        .min(chunk / 8)
-        .clamp(1, 65_536)
-}
+impl NmSortGeometry {
+    /// NMsort's default Phase-1 chunk (elements), clamped to `n`: both
+    /// modes budget 4/5 of the scratchpad for chunk buffers — the blocking
+    /// schedule splits it two ways (40 % each), the DMA pipeline three
+    /// ways (the third buffer is the double-buffered next chunk).
+    pub fn default_chunk(p: &ScratchpadParams, n: usize, elem_bytes: usize, dma: bool) -> usize {
+        let m_elems = p.scratchpad_capacity_elems(elem_bytes);
+        let chunk = if dma {
+            m_elems * 4 / 15
+        } else {
+            m_elems * 2 / 5
+        };
+        chunk.max(2).clamp(1, n.max(1))
+    }
 
-/// NMsort's scratchpad working set for a given chunk: the chunk buffers
-/// (two blocking, three when the DMA pipeline double-buffers a multi-chunk
-/// input), the resident pivots, and the `(pivots+1)`-entry `BucketTot`
-/// array — byte-for-byte the feasibility check in `tlmm-core`'s
-/// `geometry()`.
-fn nmsort_near_peak(
-    p: &ScratchpadParams,
-    n: u64,
-    elem_bytes: usize,
-    chunk: usize,
-    dma: bool,
-) -> u64 {
-    let n_chunks = (n as usize).div_ceil(chunk.max(1)).max(1);
-    let n_bufs = if dma && n_chunks > 1 { 3 } else { 2 };
-    let n_pivots = if n_chunks <= 1 {
-        0
-    } else {
-        default_pivots(p, chunk)
-    };
-    (n_bufs * chunk * elem_bytes + n_pivots * elem_bytes + (n_pivots + 1) * 8) as u64
+    /// The geometry of sorting `n` elements in `chunk`-element chunks.
+    /// `n_pivots` overrides the default pivot count
+    /// `min(M/4B, chunk/8, 65536)`; either is raised to at least 1.
+    pub fn new(
+        p: &ScratchpadParams,
+        n: usize,
+        chunk: usize,
+        dma: bool,
+        n_pivots: Option<usize>,
+    ) -> Self {
+        let n_chunks = n.div_ceil(chunk.max(1)).max(1);
+        let n_bufs = if dma && n_chunks > 1 { 3 } else { 2 };
+        let n_pivots = if n_chunks <= 1 {
+            0
+        } else {
+            n_pivots
+                .unwrap_or_else(|| {
+                    (p.scratchpad_blocks() as usize / 4)
+                        .min(chunk / 8)
+                        .min(65_536)
+                })
+                .max(1)
+        };
+        Self {
+            chunk,
+            n_chunks,
+            n_bufs,
+            n_pivots,
+        }
+    }
+
+    /// Peak scratchpad bytes: the chunk buffers, the resident pivots, and
+    /// the `(pivots+1)`-entry `BucketTot` array of `u64` totals.
+    pub fn near_peak_bytes(&self, elem_bytes: usize) -> u64 {
+        (self.n_bufs * self.chunk * elem_bytes
+            + self.n_pivots * elem_bytes
+            + (self.n_pivots + 1) * 8) as u64
+    }
 }
 
 /// Convert a predicted block split into charged bytes (`far_blocks·B +
@@ -107,9 +135,10 @@ pub fn estimate(
     let (near_peak_bytes, est_units, chunk) = match engine {
         Engine::NmSort | Engine::NmSortDma => {
             let dma = engine == Engine::NmSortDma;
-            let chunk = chunk_elems.unwrap_or_else(|| default_chunk(p, n, elem_bytes, dma));
+            let chunk = chunk_elems
+                .unwrap_or_else(|| NmSortGeometry::default_chunk(p, n as usize, elem_bytes, dma));
             (
-                nmsort_near_peak(p, n, elem_bytes, chunk, dma),
+                NmSortGeometry::new(p, n as usize, chunk, dma, None).near_peak_bytes(elem_bytes),
                 units(p, crate::oblivious::nmsort_aware_cost(p, n, elem_bytes)),
                 chunk,
             )
@@ -171,7 +200,7 @@ pub fn shrink_to_fit(
             break;
         }
         chunk = (chunk / 2).max(2);
-        let peak = nmsort_near_peak(p, n, elem_bytes, chunk, dma);
+        let peak = NmSortGeometry::new(p, n as usize, chunk, dma, None).near_peak_bytes(elem_bytes);
         if peak <= near_budget_bytes {
             est.near_peak_bytes = peak;
             est.chunk_elems = chunk;

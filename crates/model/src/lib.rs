@@ -32,7 +32,9 @@ pub mod params;
 pub mod recursion;
 pub mod theorems;
 
-pub use admission::{estimate as admission_estimate, shrink_to_fit, AdmissionEstimate};
+pub use admission::{
+    estimate as admission_estimate, shrink_to_fit, AdmissionEstimate, NmSortGeometry,
+};
 pub use bounds::{BandwidthBoundVerdict, MachineRates};
 pub use engine::Engine;
 pub use ledger::{CostLedger, CostSnapshot};

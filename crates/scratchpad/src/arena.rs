@@ -178,7 +178,7 @@ struct LiveSlot {
 
 #[derive(Debug, Clone, Copy)]
 struct Pending {
-    generation: Option<u64>,
+    generation: u64,
     dir: Dir,
     bytes: u64,
 }
@@ -195,7 +195,7 @@ pub struct ArenaStats {
     pub frees: u64,
     /// Slots whose free was deferred behind an in-flight transfer.
     pub deferred_frees: u64,
-    /// Pending transfers issued (slot-bound and external).
+    /// Pending transfers issued.
     pub issued: u64,
     /// Pending transfers retired.
     pub retired: u64,
@@ -377,23 +377,10 @@ impl StagingArena {
             Some(slot) if !slot.free_deferred => slot.inflight += 1,
             _ => return Err(SpError::StaleGeneration { generation }),
         }
-        Ok(Self::record_issue(&mut st, Some(generation), dir, bytes))
+        Ok(Self::record_issue(&mut st, generation, dir, bytes))
     }
 
-    /// Issue a slot-less pending transfer (the [`crate::dma::DmaEngine`]
-    /// path, where the destination is an exclusive array rather than an
-    /// arena slot).
-    pub fn issue_external(&self, dir: Dir, bytes: u64) -> TransferId {
-        let mut st = self.inner.state.lock();
-        Self::record_issue(&mut st, None, dir, bytes)
-    }
-
-    fn record_issue(
-        st: &mut ArenaState,
-        generation: Option<u64>,
-        dir: Dir,
-        bytes: u64,
-    ) -> TransferId {
+    fn record_issue(st: &mut ArenaState, generation: u64, dir: Dir, bytes: u64) -> TransferId {
         st.next_transfer += 1;
         let id = st.next_transfer;
         st.pending.insert(
@@ -418,17 +405,15 @@ impl StagingArena {
         let Some(p) = st.pending.remove(&id.0) else {
             return Err(SpError::TransferNotPending { id: id.0 });
         };
-        if let Some(generation) = p.generation {
-            let slot = st
-                .live
-                .get_mut(&generation)
-                .expect("live slot outlives its pending transfers");
-            slot.inflight -= 1;
-            if slot.free_deferred && slot.inflight == 0 {
-                let slot = st.live.remove(&generation).expect("just looked up");
-                st.alloc.free(slot.offset, slot.bytes);
-                st.stats.frees += 1;
-            }
+        let slot = st
+            .live
+            .get_mut(&p.generation)
+            .expect("live slot outlives its pending transfers");
+        slot.inflight -= 1;
+        if slot.free_deferred && slot.inflight == 0 {
+            let slot = st.live.remove(&p.generation).expect("just looked up");
+            st.alloc.free(slot.offset, slot.bytes);
+            st.stats.frees += 1;
         }
         st.stats.retired += 1;
         tlmm_telemetry::counter!("arena.transfer_retired").incr();
@@ -447,13 +432,9 @@ impl StagingArena {
     /// copied inline): issued and retired in one step. Keeps the arena's
     /// transfer ledger complete for paths that cannot overlap — Phase 2
     /// gathers, oblivious ingest/writeback, DMA sync fallbacks.
-    pub fn note_sync_transfer(&self, dir: Dir, bytes: u64) {
-        let _ = dir;
-        let mut st = self.inner.state.lock();
-        st.stats.sync_transfers += 1;
-        let _ = bytes;
+    pub fn note_sync_transfer(&self) {
+        self.inner.state.lock().stats.sync_transfers += 1;
         tlmm_telemetry::counter!("arena.sync_transfer").incr();
-        drop(st);
     }
 
     /// Bytes of scratchpad capacity this arena has reserved.
@@ -794,8 +775,8 @@ mod tests {
         let buf = arena.alloc_array::<u64>(8).unwrap();
         let id = buf.issue(Dir::Read, 64).unwrap();
         arena.retire(id).unwrap();
-        arena.note_sync_transfer(Dir::Write, 64);
-        arena.note_sync_transfer(Dir::Read, 64);
+        arena.note_sync_transfer();
+        arena.note_sync_transfer();
         let s = arena.stats();
         assert_eq!(s.issued, 1);
         assert_eq!(s.retired, 1);
@@ -803,16 +784,6 @@ mod tests {
         assert!((s.overlap_fraction() - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.peak_used, 64);
         assert_eq!(s.peak_capacity, 64);
-    }
-
-    #[test]
-    fn external_transfers_pend_without_a_slot() {
-        let tl = tl();
-        let arena = StagingArena::new(&tl);
-        let id = arena.issue_external(Dir::Read, 4096);
-        assert_eq!(arena.pending_transfers(), 1);
-        arena.retire(id).unwrap();
-        assert_eq!(arena.pending_transfers(), 0);
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! * Transfer and staging methods on [`TwoLevel`] ([`TwoLevel::far_to_near`],
 //!   [`TwoLevel::load_near`], …): algorithms *choreograph* data movement
 //!   explicitly, which is the whole point of a user-controlled hierarchy.
-//! * [`dma::DmaEngine`] — background-thread transfers (§VII future work).
+//! * [`StagingArena`] — the one staging path for far↔near movement:
+//!   generation-checked buffers carved from scratchpad capacity, with
+//!   pending transfers that a background copy retires. NMsort's DMA
+//!   pipeline (§VII future work) overlaps its chunk ingests through it.
 //! * [`executor::Executor`] — a worker-pool runtime arbitrating every
 //!   charged transfer over a bounded pool of `p′` transfer slots
 //!   (Theorem 10), with a seeded deterministic scheduler mode replayable
@@ -49,12 +52,10 @@ pub mod arena;
 pub mod array;
 pub mod backoff;
 pub mod cancel;
-pub mod dma;
 pub mod error;
 pub mod executor;
 pub mod fault;
 pub mod mem;
-pub mod stream;
 pub mod trace;
 
 pub use arena::{ArenaBuf, ArenaStats, OffsetAlloc, StagingArena, TransferId};
@@ -71,7 +72,6 @@ pub use fault::{
     FaultPlan, FAULT_SEED_ENV,
 };
 pub use mem::TwoLevel;
-pub use stream::{par_scan_far, scan_far, FarReader, FarWriter, NearReader};
 pub use trace::{with_lane, LaneWork, PhaseRecord, PhaseTrace};
 
 // Re-exported so algorithm crates can name transfer directions without

@@ -15,19 +15,29 @@
 use two_level_mem::analysis::table::{ratio, secs, Table};
 use two_level_mem::core::par::{charged_copy, CopyKind};
 use two_level_mem::prelude::*;
-use two_level_mem::scratchpad::{par_scan_far, with_lane, NearReader};
+use two_level_mem::scratchpad::with_lane;
 
-/// Per-lane histogram accumulator (newtype so `Default` gives zeroes).
-struct Hist([u64; 64]);
-impl Default for Hist {
-    fn default() -> Self {
-        Hist([0; 64])
-    }
-}
+/// Elements each lane streams through cache per charged load.
+const PIECE: usize = 1 << 14;
 
 fn histogram_of(piece: &[u64], hist: &mut [u64; 64]) {
     for &v in piece {
         hist[(v >> 58) as usize] += 1;
+    }
+}
+
+/// Split `0..n` into one contiguous stripe per lane, each cut into
+/// `PIECE`-element loads, and call `f(range)` once per load under its
+/// lane, so the simulator applies aggregate channel bandwidth.
+fn for_each_lane_piece(n: usize, lanes: usize, mut f: impl FnMut(std::ops::Range<usize>)) {
+    let per = n.div_ceil(lanes).max(1);
+    for (lane, lo) in (0..n).step_by(per).enumerate() {
+        let hi = (lo + per).min(n);
+        with_lane(lane, || {
+            for at in (lo..hi).step_by(PIECE) {
+                f(at..(at + PIECE).min(hi));
+            }
+        });
     }
 }
 
@@ -44,21 +54,15 @@ fn main() {
         let tl = TwoLevel::new(params);
         let far = tl.far_from_vec(data.clone());
         let mut hist = [0u64; 64];
+        let mut buf = Vec::new();
         for _ in 0..passes {
             tl.begin_phase("scan.dram");
-            let partials: Vec<Hist> =
-                par_scan_far(&tl, &far, 1 << 14, lanes, |mut h: Hist, piece| {
-                    histogram_of(piece, &mut h.0);
-                    // One op per element, charged to the scanning lane.
-                    tl.charge_compute(piece.len() as u64);
-                    h
-                })
-                .unwrap();
-            for p in partials {
-                for (a, b) in hist.iter_mut().zip(p.0) {
-                    *a += b;
-                }
-            }
+            for_each_lane_piece(n, lanes, |r| {
+                tl.load_far(&far, r, &mut buf).unwrap();
+                histogram_of(&buf, &mut hist);
+                // One op per element, charged to the scanning lane.
+                tl.charge_compute(buf.len() as u64);
+            });
             tl.end_phase();
         }
         let dram_time = simulate_flow(&tl.take_trace(), &machine).seconds;
@@ -81,18 +85,11 @@ fn main() {
         for _ in 0..passes {
             tl.begin_phase("scan.near");
             // Each lane scans its stripe of the staged copy.
-            let per = n.div_ceil(lanes);
-            for (lane, lo) in (0..n).step_by(per).enumerate() {
-                let hi = (lo + per).min(n);
-                with_lane(lane, || {
-                    let mut r = NearReader::with_range(&tl, &near, lo..hi, 1 << 14);
-                    let mut buf = Vec::new();
-                    while r.next_chunk(&mut buf).unwrap() > 0 {
-                        histogram_of(&buf, &mut hist2);
-                        tl.charge_compute(buf.len() as u64);
-                    }
-                });
-            }
+            for_each_lane_piece(n, lanes, |r| {
+                tl.load_near(&near, r, &mut buf).unwrap();
+                histogram_of(&buf, &mut hist2);
+                tl.charge_compute(buf.len() as u64);
+            });
             tl.end_phase();
         }
         // Results must agree regardless of placement.

@@ -8,7 +8,9 @@
 //! * [`model`] — the algorithmic scratchpad model (`B`, `ρB`, `M`, `Z`),
 //!   cost ledger, theorems, and the memory-bound inequality.
 //! * [`scratchpad`] — the user-controlled two-level memory runtime:
-//!   capacity-checked near allocation, charged transfers, DMA, phase traces.
+//!   capacity-checked near allocation, charged transfers, the staging
+//!   arena that NMsort's DMA pipeline overlaps its ingests through, phase
+//!   traces.
 //! * [`core`] — the sorting algorithms: NMsort, the sequential scratchpad
 //!   sample sort, the external mergesort engine, and the GNU-style
 //!   single-level baseline.

@@ -3,7 +3,6 @@
 //! transfers and compute are comparable.
 
 use two_level_mem::prelude::*;
-use two_level_mem::scratchpad::dma::DmaEngine;
 
 fn run(n: usize, use_dma: bool) -> f64 {
     let params = ScratchpadParams::new(64, 2.0, 2 << 20, 128 << 10).unwrap();
@@ -35,31 +34,4 @@ fn dma_never_hurts_and_usually_helps() {
         dma < plain * 0.98,
         "expected a visible overlap gain: {dma} vs {plain}"
     );
-}
-
-#[test]
-fn dma_engine_moves_data_concurrently_with_compute() {
-    let params = ScratchpadParams::new(64, 4.0, 1 << 20, 64 << 10).unwrap();
-    let tl = TwoLevel::new(params);
-    let dma = DmaEngine::new(&tl);
-    let far = tl.far_from_vec((0u64..50_000).collect::<Vec<_>>());
-    let near = tl.near_alloc::<u64>(50_000).unwrap();
-    tl.begin_phase("overlap");
-    let xfer = dma.far_to_near(far, 0..50_000, near, 0);
-    // "Compute" while the copy is in flight.
-    let mut acc = 0u64;
-    for i in 0..10_000u64 {
-        acc = acc.wrapping_add(i * i);
-    }
-    tl.charge_compute(10_000);
-    let (_far, near) = xfer.wait().unwrap();
-    tl.end_phase();
-    assert!(acc > 0);
-    assert_eq!(near.as_slice_uncharged()[49_999], 49_999);
-    let trace = tl.take_trace();
-    assert!(trace.phases[0].overlappable);
-    // The simulator credits the overlap.
-    let m = MachineConfig::fig4(4, 4.0);
-    let sim = simulate_flow(&trace, &m);
-    assert!(sim.seconds > 0.0);
 }
