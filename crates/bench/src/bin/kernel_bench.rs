@@ -1,13 +1,15 @@
 //! **Kernel bench** — host wall-clock before→after deltas for the kernel
 //! layer (DESIGN.md §10).
 //!
-//! Four cells × four workload shapes:
+//! Four cells × four workload shapes (plus one Phase-2-shaped merge):
 //!
 //! * `run_formation` — Phase-1 style chunk sorting: `sort_unstable` per run
 //!   (the pre-kernel reference) vs [`tlmm_core::kernels::sort_kernel`]
 //!   (MSD hybrid radix for `u64`).
 //! * `kway_merge` — k-way merge of sorted runs: the original branchy
-//!   loser tree vs the branchless rewrite.
+//!   loser tree vs `merge_into_slice` (the branchless loser tree, or the
+//!   two-way merge tree for long runs), over 16 runs of each shape plus a
+//!   `phase2` cell shaped like NMsort's Phase-2 merge parts (50 × 5k).
 //! * `bucketize` — `BucketPos` extraction over sorted chunks (no
 //!   before/after pair: the kernel layer doesn't change it; the median is
 //!   recorded to catch regressions).
@@ -46,6 +48,8 @@ use serde::Serialize;
 const RUN_ELEMS: usize = 32_768;
 /// Merge fan-in for the k-way cell (the experiments' typical fanout).
 const KWAY: usize = 16;
+/// Runs × keys per run of the k-way `phase2` cell, in both modes.
+const PHASE2_RUNS: (usize, usize) = (50, 5_000);
 
 #[derive(Serialize)]
 struct Cell {
@@ -184,47 +188,64 @@ fn run_formation_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<C
 
 fn kway_merge_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<Cell>) {
     for (name, w) in shapes() {
-        let mut data = generate(w, n, 0xF1);
-        let run_len = n.div_ceil(KWAY);
-        for run in data.chunks_mut(run_len) {
-            run.sort_unstable();
-        }
-        let runs: Vec<&[u64]> = data.chunks(run_len).collect();
-        if smoke {
-            let mut a = vec![0u64; n];
-            let mut b = vec![0u64; n];
-            let ca = merge_into_slice_ref(&runs, &mut a);
-            let cb = merge_into_slice(&runs, &mut b);
-            assert_eq!(a, b, "merge kernels disagree on {name}");
-            assert_eq!(ca, cb, "merge comparison counts diverge on {name}");
-            // And the SIMD pre-merge path must be invisible: same output,
-            // same comparison ledger, with vector dispatch forced off.
-            let prior = tlmm_core::kernels::simd::enabled();
-            tlmm_core::kernels::simd::set_enabled(false);
-            let mut c = vec![0u64; n];
-            let cc = merge_into_slice(&runs, &mut c);
-            tlmm_core::kernels::simd::set_enabled(prior);
-            assert_eq!(b, c, "merge output changed with SIMD disabled on {name}");
-            assert_eq!(cb, cc, "merge counts changed with SIMD disabled on {name}");
-        }
-        let (base, opt, speedup) = paired_medians_ms(
-            timing,
-            || vec![0u64; n],
-            |mut out| {
-                merge_into_slice_ref(&runs, &mut out);
-            },
-            |mut out| {
-                merge_into_slice(&runs, &mut out);
-            },
-        );
-        cells.push(Cell {
-            kernel: "kway_merge".into(),
-            workload: name.into(),
-            n,
-            baseline_ms: Some(base),
-            optimized_ms: opt,
-            speedup: Some(speedup),
-        });
+        let runs = sorted_runs(generate(w, n, 0xF1), n.div_ceil(KWAY));
+        cells.push(kway_merge_cell(name, &runs, timing, smoke));
+    }
+    // NMsort's Phase-2 shape on the benchmark's 100M-key run: each of the
+    // 8 merge parts of a batch holds 50 chunk segments of ~5k keys.
+    let (k, len) = PHASE2_RUNS;
+    let runs = sorted_runs(generate(Workload::UniformU64, k * len, 0xF4), len);
+    cells.push(kway_merge_cell("phase2", &runs, timing, smoke));
+}
+
+/// `data` cut into `run_len`-key runs, each sorted.
+fn sorted_runs(mut data: Vec<u64>, run_len: usize) -> Vec<Vec<u64>> {
+    for run in data.chunks_mut(run_len) {
+        run.sort_unstable();
+    }
+    data.chunks(run_len).map(<[u64]>::to_vec).collect()
+}
+
+/// Reference loser tree vs `merge_into_slice` on one run set. In smoke
+/// mode, first assert both emit the same output and comparison count,
+/// with SIMD dispatch on and off.
+fn kway_merge_cell(name: &str, runs: &[Vec<u64>], timing: &Timing, smoke: bool) -> Cell {
+    let runs: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
+    let n: usize = runs.iter().map(|r| r.len()).sum();
+    if smoke {
+        let mut a = vec![0u64; n];
+        let mut b = vec![0u64; n];
+        let ca = merge_into_slice_ref(&runs, &mut a);
+        let cb = merge_into_slice(&runs, &mut b);
+        assert_eq!(a, b, "merge kernels disagree on {name}");
+        assert_eq!(ca, cb, "merge comparison counts diverge on {name}");
+        // And the SIMD merge paths must be invisible: same output, same
+        // comparison ledger, with vector dispatch forced off.
+        let prior = tlmm_core::kernels::simd::enabled();
+        tlmm_core::kernels::simd::set_enabled(false);
+        let mut c = vec![0u64; n];
+        let cc = merge_into_slice(&runs, &mut c);
+        tlmm_core::kernels::simd::set_enabled(prior);
+        assert_eq!(b, c, "merge output changed with SIMD disabled on {name}");
+        assert_eq!(cb, cc, "merge counts changed with SIMD disabled on {name}");
+    }
+    let (base, opt, speedup) = paired_medians_ms(
+        timing,
+        || vec![0u64; n],
+        |mut out| {
+            merge_into_slice_ref(&runs, &mut out);
+        },
+        |mut out| {
+            merge_into_slice(&runs, &mut out);
+        },
+    );
+    Cell {
+        kernel: "kway_merge".into(),
+        workload: name.into(),
+        n,
+        baseline_ms: Some(base),
+        optimized_ms: opt,
+        speedup: Some(speedup),
     }
 }
 

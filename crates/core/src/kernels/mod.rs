@@ -20,12 +20,19 @@
 //!   equivalence tests and as the "before" side of `kernel_bench`.
 //!
 //! **Cost-ledger invariant.** Kernel selection must never change simulated
-//! results: callers keep charging the comparison-model cost
-//! (`n·⌈lg n⌉` compute for a formation sort, `⌈lg k⌉` per merged element)
-//! regardless of which kernel ran, because the machine being simulated
-//! executes the paper's comparison-based algorithm — the radix kernel is a
-//! host-side stand-in that produces the identical permutation faster. See
-//! DESIGN.md §10.
+//! results: callers keep charging the comparison-model cost regardless of
+//! which kernel ran, because the machine being simulated executes the
+//! paper's comparison-based algorithm. A formation sort is charged
+//! `n·⌈lg n⌉` compute; the radix kernel is a host-side stand-in that
+//! produces the identical permutation faster. A k-way merge is charged the
+//! loser tree's exact comparison count, [`crate::losertree::merge_cost`]:
+//! a sum over tree nodes of two-way merge costs, at most (not exactly)
+//! `⌈lg k⌉` per merged element. Merges of long runs (mean ≥ 32 keys) with
+//! no duplicate-heavy run execute on a binary tree of
+//! [`simd::merge_pair`] passes instead, the same output faster;
+//! duplicate-heavy merges stay on the loser tree, whose guarded-store
+//! streaks make them nearly free while the pair passes do fixed work per
+//! element. See DESIGN.md §10.
 
 pub mod radix;
 pub mod reference;

@@ -162,8 +162,9 @@ pub fn radix_scatter<T: super::RadixKey>(
 /// network; for the key types it routes (`u64`), equal keys are identical
 /// elements, so its output sequence matches the scalar merge exactly.
 ///
-/// Neither form counts comparisons — callers charge [`pair_merge_cost`],
-/// the analytic two-way merge model, keeping ledgers dispatch-independent.
+/// Neither form counts comparisons — callers charge [`pair_merge_cost`]
+/// (or, for a whole k-way merge, [`crate::losertree::merge_cost`]), the
+/// analytic merge model, keeping ledgers dispatch-independent.
 #[inline]
 pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) {
     #[cfg(target_arch = "x86_64")]

@@ -1,10 +1,14 @@
 //! Loser-tree (tournament) k-way merging.
 //!
-//! The workhorse of every merge in this crate: the external mergesort's
+//! The cost model of every merge in this crate: the external mergesort's
 //! merge passes, NMsort's Phase-2 multiway merge of sorted chunk segments,
 //! and the baseline's final merge. A loser tree merges `k` sorted runs with
-//! `⌈lg k⌉` comparisons per emitted element, independent of `k` — exactly
-//! the constant the multiway merge sort analysis (Theorem 1) assumes.
+//! at most `⌈lg k⌉` comparisons per emitted element (fewer once a subtree
+//! runs dry) — the constant the multiway merge sort analysis (Theorem 1)
+//! assumes. Every merge is charged the tree's exact count,
+//! [`merge_cost`], whichever kernel executes it: [`merge_into_slice`]
+//! sends long, duplicate-light merges to a binary tree of two-way merge
+//! passes ([`merge_pair_tree`]) and the rest to the loser tree.
 //!
 //! **Kernel engineering** (see `kernels` module docs and DESIGN.md §10):
 //! this is the branchless rewrite. Each internal node stores the loser's
@@ -52,7 +56,7 @@ const PIN_FLIPS: u32 = 4;
 /// vectorizable streaming kernel) before the loser tree builds, halving
 /// `k` where it is cheap. Long runs skip it — the pair buffer would
 /// rival the tree's own working set.
-const PREMERGE_MAX: usize = 1 << 16;
+pub const PREMERGE_MAX: usize = 1 << 16;
 
 /// A loser tree over `k` in-memory sorted runs.
 ///
@@ -330,74 +334,15 @@ impl<T> Drop for LoserTree<'_, T> {
     }
 }
 
-/// Merge `runs` into `out` (appended), returning the number of comparisons.
-pub fn merge_into<T: Ord + Copy>(runs: &[&[T]], out: &mut Vec<T>) -> u64 {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    out.reserve(total);
-    match runs.len() {
-        0 => 0,
-        1 => {
-            out.extend_from_slice(runs[0]);
-            0
-        }
-        2 => {
-            // Two-way fast path.
-            let (a, b) = (runs[0], runs[1]);
-            let (mut i, mut j) = (0, 0);
-            let mut cmps = 0;
-            while i < a.len() && j < b.len() {
-                cmps += 1;
-                if a[i] <= b[j] {
-                    out.push(a[i]);
-                    i += 1;
-                } else {
-                    out.push(b[j]);
-                    j += 1;
-                }
-            }
-            out.extend_from_slice(&a[i..]);
-            out.extend_from_slice(&b[j..]);
-            if cmps > 0 {
-                tlmm_telemetry::counter!("core.losertree.comparisons").add(cmps);
-            }
-            cmps
-        }
-        _ => {
-            let mut lt = LoserTree::new(runs.to_vec());
-            while let Some(v) = lt.next_element() {
-                out.push(v);
-            }
-            lt.comparisons()
-        }
-    }
-}
-
-/// Merge `runs` into the exactly-sized slice `out`, returning comparisons.
-/// The output is written in place — no per-element capacity checks, and a
-/// final-run tail is bulk-copied once its last competitor exhausts.
-///
-/// With four or more runs, adjacent runs no longer than [`PREMERGE_MAX`]
-/// (and not flagged [`duplicate_heavy`], where the tree's guarded-store
-/// streaks win) are first two-way merged by the streaming pair kernel (4-wide bitonic
-/// network when SIMD dispatch is active), and the loser tree plays over
-/// the halved run set. Pair merges are charged the *analytic* two-way
-/// merge comparison count ([`crate::kernels::simd::pair_merge_cost`]), so
-/// the returned total — and every ledger built from it — is identical
-/// whichever kernel executed. The emitted sequence is unchanged too:
-/// pair-merging adjacent runs with lower-index tie preference composes
-/// with the tree's leaf-order tie-breaking.
-///
-/// # Panics
-/// Panics if `out.len()` differs from the total run length.
 /// Plateau probe for the pair pre-merge: `true` when sampled positions of
 /// the sorted run sit inside equal-key plateaus at least [`PLATEAU_GAP`]
 /// long. Such runs feed the loser tree long winner streaks that its
 /// guarded store policy turns into near-free replay steps, while the pair
 /// kernel does fixed work per element regardless — so duplicate-heavy
-/// runs skip pre-merging. The decision reads only the data, so it is
-/// identical across SIMD dispatch and thread counts, and the charged
-/// comparison total is unchanged either way (the pair cost is the exact
-/// analytic tree-node equivalent).
+/// runs skip pre-merging, and a merge holding one stays on the loser tree.
+/// The decision reads only the data, so it is identical across SIMD
+/// dispatch and thread counts, and the charged comparison total is
+/// unchanged either way (see [`merge_cost`]).
 fn duplicate_heavy<T: Ord>(r: &[T]) -> bool {
     const PROBES: usize = 4;
     if r.len() < PLATEAU_GAP * PROBES {
@@ -417,6 +362,113 @@ fn duplicate_heavy<T: Ord>(r: &[T]) -> bool {
 /// the pair kernel's fixed per-element work (see [`duplicate_heavy`]).
 const PLATEAU_GAP: usize = 32;
 
+/// Mean run length from which [`merge_into_slice`] merges on the pair
+/// tree. On uniform `u64` the pair tree beat the loser tree at every shape
+/// measured (4–300 runs of 8–5,000 keys), so the gate is conservative: it
+/// keeps tiny merges, dominated by call overheads, on the loser tree.
+const PAIR_TREE_MIN_MEAN_RUN: usize = 32;
+
+/// The pair pre-merge plan: the loser tree's leaves in order, as run-index
+/// boundaries — leaf `j` covers `runs[b[j]..b[j + 1]]`, either one run or
+/// two adjacent runs the pair kernel merges first. With four or more runs,
+/// adjacent runs no longer than [`PREMERGE_MAX`] and not
+/// [`duplicate_heavy`] are paired left to right; otherwise every leaf is
+/// one run. [`merge_into_slice`]'s loser-tree path executes this plan and
+/// [`merge_cost`] charges it.
+fn premerge_plan<T: Ord>(runs: &[&[T]]) -> Vec<usize> {
+    let pairable: Vec<bool> = if runs.len() >= 4 {
+        runs.iter()
+            .map(|r| r.len() <= PREMERGE_MAX && !duplicate_heavy(r))
+            .collect()
+    } else {
+        vec![false; runs.len()]
+    };
+    let mut bounds = vec![0];
+    let mut i = 0;
+    while i < runs.len() {
+        i += if i + 1 < runs.len() && pairable[i] && pairable[i + 1] {
+            2
+        } else {
+            1
+        };
+        bounds.push(i);
+    }
+    bounds
+}
+
+/// Comparisons one loser-tree node plays merging the runs under its left
+/// subtree with those under its right: `|side that exhausts first|` plus
+/// the elements of the other side ordered before that side's last
+/// element. Ties go to the left side, so a right side counts its elements
+/// `<` the left's last and a left side counts its elements `≤` the
+/// right's last. Zero when either side is empty.
+fn node_cost<T: Ord>(left: &[&[T]], right: &[&[T]]) -> u64 {
+    let len = |side: &[&[T]]| side.iter().map(|r| r.len() as u64).sum::<u64>();
+    let l_last = left.iter().filter_map(|r| r.last()).max();
+    let r_last = right.iter().filter_map(|r| r.last()).max();
+    let (Some(l_last), Some(r_last)) = (l_last, r_last) else {
+        return 0;
+    };
+    let before = |side: &[&[T]], pred: &dyn Fn(&T) -> bool| {
+        side.iter()
+            .map(|r| r.partition_point(pred) as u64)
+            .sum::<u64>()
+    };
+    if l_last <= r_last {
+        len(left) + before(right, &|x| x < l_last)
+    } else {
+        len(right) + before(left, &|x| x <= r_last)
+    }
+}
+
+/// Comparisons [`merge_into_slice`] charges for merging `runs`: exactly
+/// the count its loser-tree path performs — the pair pre-merge plan
+/// ([`crate::kernels::simd::pair_merge_cost`] per pair) plus the tree over
+/// the plan's leaves (`node_cost` per node) — computed from the runs
+/// alone in `O(k lg k)` binary searches. Charging this instead of a
+/// kernel's own count keeps every ledger identical whichever kernel
+/// merges. With two runs it is `pair_merge_cost`.
+pub fn merge_cost<T: Ord>(runs: &[&[T]]) -> u64 {
+    if runs.len() < 2 {
+        return 0;
+    }
+    let leaves = premerge_plan(runs);
+    let n_leaves = leaves.len() - 1;
+    let pairs: u64 = leaves
+        .windows(2)
+        .filter(|w| w[1] - w[0] == 2)
+        .map(|w| crate::kernels::simd::pair_merge_cost(runs[w[0]], runs[w[0] + 1]))
+        .sum();
+    // Leaves past the last run are the tree's empty padding.
+    let side = |lo: usize, hi: usize| &runs[leaves[lo.min(n_leaves)]..leaves[hi.min(n_leaves)]];
+    let mut tree = 0u64;
+    let mut width = 2;
+    while width <= n_leaves.next_power_of_two() {
+        for lo in (0..n_leaves).step_by(width) {
+            tree += node_cost(side(lo, lo + width / 2), side(lo + width / 2, lo + width));
+        }
+        width *= 2;
+    }
+    pairs + tree
+}
+
+/// Merge `runs` into the exactly-sized slice `out`, returning the
+/// comparisons to charge ([`merge_cost`]).
+///
+/// Two kernels, one result. Merges whose mean run length is at least
+/// `PAIR_TREE_MIN_MEAN_RUN` and that hold no duplicate-heavy run (the
+/// plateau probe) go to [`merge_pair_tree`], a balanced binary tree of
+/// streaming two-way merges (4-wide bitonic network when SIMD dispatch is
+/// active), charged [`merge_cost`]. All other merges run the loser tree
+/// over the pair pre-merge plan, which counts for itself: duplicate-heavy
+/// ones because the tree's guarded-store streaks make them nearly free
+/// while the pair tree does fixed work per element and allocates scratch,
+/// tiny ones because the gate is conservative. Both kernels keep run order
+/// on ties (lower run index first), so the emitted sequence is the same,
+/// and the count is the same by construction.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the total run length.
 pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     assert_eq!(out.len(), total, "output slice must fit the merge exactly");
@@ -426,83 +478,141 @@ pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64
             out.copy_from_slice(runs[0]);
             0
         }
-        _ => {
-            // Plan the pair pre-merge: walk left to right pairing adjacent
-            // short runs; `true` marks "paired with the next run".
-            let mut plan: Vec<(usize, bool)> = Vec::new();
-            let mut paired_total = 0usize;
-            if runs.len() >= 4 {
-                let dup: Vec<bool> = runs.iter().map(|r| duplicate_heavy(r)).collect();
-                let mut i = 0usize;
-                while i < runs.len() {
-                    if i + 1 < runs.len()
-                        && runs[i].len() <= PREMERGE_MAX
-                        && runs[i + 1].len() <= PREMERGE_MAX
-                        && !dup[i]
-                        && !dup[i + 1]
-                    {
-                        plan.push((i, true));
-                        paired_total += runs[i].len() + runs[i + 1].len();
-                        i += 2;
-                    } else {
-                        plan.push((i, false));
-                        i += 1;
-                    }
-                }
-            }
-            let mut cmps = 0u64;
-            let mut buf: Vec<T> = Vec::new();
-            let mut tree_runs: Vec<&[T]> = Vec::new();
-            if plan.iter().any(|&(_, paired)| paired) {
-                buf.resize(paired_total, T::default());
-                let mut rest: &mut [T] = &mut buf;
-                for &(i, paired) in &plan {
-                    if paired {
-                        let (a, b) = (runs[i], runs[i + 1]);
-                        let (dst, next) = rest.split_at_mut(a.len() + b.len());
-                        crate::kernels::simd::merge_pair(a, b, dst);
-                        cmps += crate::kernels::simd::pair_merge_cost(a, b);
-                        rest = next;
-                    }
-                }
-                let mut off = 0usize;
-                for &(i, paired) in &plan {
-                    if paired {
-                        let len = runs[i].len() + runs[i + 1].len();
-                        tree_runs.push(&buf[off..off + len]);
-                        off += len;
-                    } else {
-                        tree_runs.push(runs[i]);
-                    }
-                }
-            }
-            let tree_over: &[&[T]] = if tree_runs.is_empty() {
-                runs
-            } else {
-                &tree_runs
-            };
-            let mut lt = LoserTree::new(tree_over.to_vec());
-            let mut emitted = 0usize;
-            while emitted < total {
-                // Once a single run remains, stream its tail with one bulk
-                // copy instead of lg(k) tree replays per element. The check
-                // is O(1) via the live-leaf counter.
-                if lt.live == 1 {
-                    let r = lt.root.expect("live leaf must be the winner").1 as usize;
-                    let tail = &lt.runs[r][lt.pos[r]..];
-                    out[emitted..].copy_from_slice(tail);
-                    lt.pos[r] = lt.runs[r].len();
-                    lt.root = None;
-                    lt.live = 0;
-                    break;
-                }
-                let v = lt.next_element().expect("run length accounting broken");
-                out[emitted] = v;
-                emitted += 1;
-            }
-            cmps + lt.comparisons()
+        k if total >= PAIR_TREE_MIN_MEAN_RUN * k && !runs.iter().any(|r| duplicate_heavy(r)) => {
+            merge_pair_tree(runs, out);
+            tlmm_telemetry::counter!("core.kernels.pair_tree_merges").incr();
+            merge_cost(runs)
         }
+        _ => merge_with_loser_tree(runs, out),
     }
+}
+
+/// The loser-tree kernel of [`merge_into_slice`]: pair-merge the plan's
+/// paired runs into one buffer, then play the tree over the plan's leaves.
+/// Returns the comparisons both steps performed. Once a single run
+/// remains, its tail is bulk-copied instead of replayed. Public so tests
+/// and benches can run one kernel on any shape.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the total run length.
+pub fn merge_with_loser_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    assert_eq!(out.len(), total, "output slice must fit the merge exactly");
+    let leaves = premerge_plan(runs);
+    let paired = |w: &[usize]| w[1] - w[0] == 2;
+    let paired_total: usize = leaves
+        .windows(2)
+        .filter(|w| paired(w))
+        .map(|w| runs[w[0]].len() + runs[w[0] + 1].len())
+        .sum();
+    let mut cmps = 0u64;
+    let mut buf: Vec<T> = vec![T::default(); paired_total];
+    let mut rest: &mut [T] = &mut buf;
+    for w in leaves.windows(2).filter(|w| paired(w)) {
+        let (a, b) = (runs[w[0]], runs[w[0] + 1]);
+        let (dst, next) = rest.split_at_mut(a.len() + b.len());
+        crate::kernels::simd::merge_pair(a, b, dst);
+        cmps += crate::kernels::simd::pair_merge_cost(a, b);
+        rest = next;
+    }
+    let mut off = 0usize;
+    let tree_runs: Vec<&[T]> = leaves
+        .windows(2)
+        .map(|w| {
+            if paired(w) {
+                let len = runs[w[0]].len() + runs[w[0] + 1].len();
+                off += len;
+                &buf[off - len..off]
+            } else {
+                runs[w[0]]
+            }
+        })
+        .collect();
+    let mut lt = LoserTree::new(tree_runs);
+    let mut emitted = 0usize;
+    while emitted < out.len() {
+        // Once a single run remains, stream its tail with one bulk copy
+        // instead of lg(k) tree replays per element. The check is O(1) via
+        // the live-leaf counter.
+        if lt.live == 1 {
+            let r = lt.root.expect("live leaf must be the winner").1 as usize;
+            let tail = &lt.runs[r][lt.pos[r]..];
+            out[emitted..].copy_from_slice(tail);
+            lt.pos[r] = lt.runs[r].len();
+            lt.root = None;
+            lt.live = 0;
+            break;
+        }
+        out[emitted] = lt.next_element().expect("run length accounting broken");
+        emitted += 1;
+    }
+    cmps + lt.comparisons()
+}
+
+/// Merge `runs` by a balanced binary tree of
+/// [`crate::kernels::simd::merge_pair`] passes: each pass merges adjacent
+/// pairs of the previous pass's runs (an odd last run is copied). Passes
+/// ping-pong between `out` and one scratch buffer, starting on whichever
+/// makes the last pass write `out`. Ties keep run order, so the output
+/// equals the loser tree's. Counts nothing; the caller charges
+/// [`merge_cost`]. Public so tests and benches can run one kernel on any
+/// shape.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the total run length.
+pub fn merge_pair_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) {
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    assert_eq!(out.len(), total, "output slice must fit the merge exactly");
+    let live: Vec<&[T]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
+    if live.len() <= 1 {
+        if let Some(r) = live.first() {
+            out.copy_from_slice(r);
+        }
+        return;
+    }
+    // ⌈lg k⌉ passes for k ≥ 2 live runs.
+    let passes = (live.len() - 1).ilog2() + 1;
+    let mut scratch: Vec<T> = if passes > 1 {
+        vec![T::default(); out.len()]
+    } else {
+        Vec::new()
+    };
+    let into_out = |pass: u32| (passes - pass).is_multiple_of(2);
+    let mut bounds = if into_out(1) {
+        merge_adjacent_pairs(&live, out)
+    } else {
+        merge_adjacent_pairs(&live, &mut scratch)
+    };
+    for pass in 2..=passes {
+        let (src, dst): (&[T], &mut [T]) = if into_out(pass) {
+            (&scratch, &mut *out)
+        } else {
+            (&*out, &mut scratch)
+        };
+        let level: Vec<&[T]> = bounds.windows(2).map(|w| &src[w[0]..w[1]]).collect();
+        bounds = merge_adjacent_pairs(&level, dst);
+    }
+}
+
+/// One pass of [`merge_pair_tree`]: merge runs `(0, 1)`, `(2, 3)`, … into
+/// consecutive regions of `dst`, copying an odd last run. Returns the
+/// region boundaries.
+fn merge_adjacent_pairs<T: crate::SortElem>(runs: &[&[T]], dst: &mut [T]) -> Vec<usize> {
+    let mut bounds = Vec::with_capacity(runs.len() / 2 + 2);
+    bounds.push(0);
+    let mut off = 0usize;
+    for pair in runs.chunks(2) {
+        let len: usize = pair.iter().map(|r| r.len()).sum();
+        let d = &mut dst[off..off + len];
+        match pair {
+            [a, b] => crate::kernels::simd::merge_pair(a, b, d),
+            [a] => d.copy_from_slice(a),
+            _ => unreachable!("chunks(2) yields one or two runs"),
+        }
+        off += len;
+        bounds.push(off);
+    }
+    bounds
 }
 
 #[cfg(test)]
@@ -510,13 +620,22 @@ mod tests {
     use super::*;
     use crate::kernels::reference::ReferenceLoserTree;
 
+    /// Both kernels and `merge_into_slice` emit the sorted union, and all
+    /// three report (or charge) the loser tree's comparison count.
     fn check_merge(runs: Vec<Vec<u64>>) {
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut out = Vec::new();
-        merge_into(&refs, &mut out);
         let mut expect: Vec<u64> = runs.concat();
         expect.sort_unstable();
+        let mut out = vec![0; expect.len()];
+        let cmps = merge_into_slice(&refs, &mut out);
         assert_eq!(out, expect);
+        let mut lt_out = vec![0; expect.len()];
+        assert_eq!(merge_with_loser_tree(&refs, &mut lt_out), cmps);
+        assert_eq!(lt_out, expect);
+        let mut pt_out = vec![0; expect.len()];
+        merge_pair_tree(&refs, &mut pt_out);
+        assert_eq!(pt_out, expect);
+        assert_eq!(merge_cost(&refs), cmps);
     }
 
     #[test]
@@ -567,8 +686,8 @@ mod tests {
             .map(|i| (0..n_per).map(|j| (j * k + i) as u64).collect())
             .collect();
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut out = Vec::new();
-        let cmps = merge_into(&refs, &mut out);
+        let mut out = vec![0; k * n_per];
+        let cmps = merge_into_slice(&refs, &mut out);
         let n = (k * n_per) as u64;
         // lg 16 = 4 comparisons per element, plus lower-order build cost.
         assert!(cmps <= n * 4 + 64, "cmps={cmps}, n={n}");
@@ -600,14 +719,64 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_slice_matches_vec_variant() {
-        let runs = [vec![1u64, 5, 9], vec![2, 6], vec![0, 7, 8]];
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut v = Vec::new();
-        merge_into(&refs, &mut v);
-        let mut s = vec![0u64; 8];
-        merge_into_slice(&refs, &mut s);
-        assert_eq!(v, s);
+    fn merge_cost_of_two_runs_is_pair_merge_cost() {
+        let a: Vec<u64> = (0..300).map(|i| i * 3).collect();
+        let b: Vec<u64> = (0..200).map(|i| i * 5 + 1).collect();
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+            let cost = merge_cost(&[&x[..], &y[..]]);
+            assert_eq!(cost, crate::kernels::simd::pair_merge_cost(x, y));
+            check_merge(vec![x.clone(), y.clone()]);
+        }
+    }
+
+    #[test]
+    fn long_and_duplicate_heavy_runs_shift_the_plan() {
+        // A run past PREMERGE_MAX and a duplicate-heavy run stay unpaired,
+        // so later pairs sit off the tree's even boundaries: merge_cost
+        // must follow the plan, not assume a perfect pairing.
+        let long: Vec<u64> = (0..PREMERGE_MAX as u64 + 10).map(|i| i * 2).collect();
+        let plateau: Vec<u64> = (0..4_000u64).map(|i| i / 100 * 7).collect();
+        let short = |s: u64| (0..500u64).map(|i| i * 11 + s).collect::<Vec<u64>>();
+        check_merge(vec![short(1), long.clone(), short(2), short(3), short(4)]);
+        check_merge(vec![plateau, short(5), short(6), long, short(7), vec![]]);
+    }
+
+    #[test]
+    fn pair_tree_keeps_run_order_on_ties() {
+        // Key-only equality and ordering make ties observable through the
+        // run tag: both kernels must emit equal keys in run order.
+        #[derive(Clone, Copy, Default, Debug)]
+        struct E(u64, u8);
+        impl PartialEq for E {
+            fn eq(&self, o: &Self) -> bool {
+                self.0 == o.0
+            }
+        }
+        impl Eq for E {}
+        impl Ord for E {
+            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+                self.0.cmp(&o.0)
+            }
+        }
+        impl PartialOrd for E {
+            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(o))
+            }
+        }
+        let runs: Vec<Vec<E>> = (0..7u8)
+            .map(|r| (0..64u64).map(|i| E(i / (r as u64 + 1), r)).collect())
+            .collect();
+        let refs: Vec<&[E]> = runs.iter().map(|r| r.as_slice()).collect();
+        let mut lt_out = vec![E::default(); 7 * 64];
+        let cmps = merge_with_loser_tree(&refs, &mut lt_out);
+        let mut pt_out = vec![E::default(); 7 * 64];
+        merge_pair_tree(&refs, &mut pt_out);
+        let tagged = |v: &[E]| v.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>();
+        assert_eq!(tagged(&pt_out), tagged(&lt_out));
+        assert!(lt_out
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
+        assert_eq!(merge_cost(&refs), cmps);
     }
 
     #[test]

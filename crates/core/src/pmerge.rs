@@ -4,7 +4,7 @@
 //! merges `p` sorted runs. Both want the merge itself parallel. We split the
 //! output into near-equal parts by *sampling* splitter values from the
 //! segments, computing exact per-segment boundaries with binary searches,
-//! and merging each part independently with a loser tree — the same
+//! and merging each part independently with `merge_into_slice` — the same
 //! multiway splitting idea the MCSTL parallel merge uses, with sampling in
 //! place of exact multisequence selection.
 //!

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tlmm_core::baseline::{baseline_sort, BaselineConfig};
 use tlmm_core::extsort::{external_sort, ExtSortConfig, RegionLevel};
-use tlmm_core::losertree::{merge_into, merge_into_slice, LoserTree};
+use tlmm_core::losertree::{merge_into_slice, LoserTree};
 use tlmm_core::nmsort::{nmsort, ChunkSorter, NmSortConfig};
 use tlmm_core::pmerge::parallel_merge;
 use tlmm_core::quicksort::external_quicksort;
@@ -30,10 +30,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn loser_tree_merges_like_std(runs in arb_runs()) {
+    fn merge_into_slice_merges_like_std(runs in arb_runs()) {
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut out = Vec::new();
-        merge_into(&refs, &mut out);
+        let mut out = vec![0u64; runs.iter().map(|r| r.len()).sum()];
+        merge_into_slice(&refs, &mut out);
         let mut expect: Vec<u64> = runs.concat();
         expect.sort_unstable();
         prop_assert_eq!(out, expect);

@@ -8,11 +8,22 @@
 //! * The branchless [`LoserTree`] must be observationally identical to the
 //!   pre-rewrite [`ReferenceLoserTree`]: same emitted sequence *and* same
 //!   comparison count, on randomized run sets including empty runs.
+//! * `merge_cost` must equal the comparisons the loser-tree kernel counts,
+//!   and the pair-tree kernel must emit the loser tree's output, on run
+//!   sets shaped like every merge the sorters issue. NMsort's in-place
+//!   Phase 1 must sort under the DMA pipeline's fault ladders.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tlmm_core::kernels::reference::{merge_into_slice_ref, ReferenceLoserTree};
 use tlmm_core::kernels::{radix_sort, sort_kernel, RadixKey};
-use tlmm_core::losertree::{merge_into_slice, LoserTree};
+use tlmm_core::losertree::{
+    merge_cost, merge_into_slice, merge_pair_tree, merge_with_loser_tree, LoserTree, PREMERGE_MAX,
+};
+use tlmm_core::nmsort::{nmsort, NmSortConfig};
+use tlmm_model::ScratchpadParams;
+use tlmm_scratchpad::{FaultOp, FaultPlan, TwoLevel};
 use tlmm_testkit::KERNEL_SHAPES as SHAPES;
 use tlmm_workloads::generate;
 
@@ -33,8 +44,80 @@ fn arb_runs() -> impl Strategy<Value = Vec<Vec<u64>>> {
     )
 }
 
+/// One sorted run of `len` keys in one of five shapes: empty, all equal,
+/// Zipf-like plateaus (long equal-key stretches of varied length), dense
+/// keys from a small range, or sparse keys from the full range.
+fn shaped_run(rng: &mut StdRng, len: usize) -> Vec<u64> {
+    let mut v: Vec<u64> = match rng.gen_range(0..5) {
+        0 => Vec::new(),
+        1 => vec![rng.gen_range(0..8); len],
+        2 => {
+            let mut key = rng.gen_range(0..4u64);
+            let mut left = 0usize;
+            (0..len)
+                .map(|_| {
+                    if left == 0 {
+                        key += rng.gen_range(1..3);
+                        left = 1 << rng.gen_range(0..10);
+                    }
+                    left -= 1;
+                    key
+                })
+                .collect()
+        }
+        3 => (0..len).map(|_| rng.gen_range(0..64)).collect(),
+        _ => (0..len).map(|_| rng.gen()).collect(),
+    };
+    v.sort_unstable();
+    v
+}
+
+/// Up to `k_max` runs whose lengths reach `len_max` (so mean run lengths
+/// fall on both sides of the pair-tree gate), plus `long` runs just
+/// inside or just past [`PREMERGE_MAX`] at random positions.
+fn merge_shape(seed: u64, k_max: usize, len_max: usize, long: usize) -> Vec<Vec<u64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let k = rng.gen_range(1..=k_max);
+    let mut runs: Vec<Vec<u64>> = (0..k)
+        .map(|_| {
+            let len = rng.gen_range(0..=len_max);
+            shaped_run(&mut rng, len)
+        })
+        .collect();
+    for _ in 0..long {
+        let len = PREMERGE_MAX - 1 + rng.gen_range(0..3);
+        let at = rng.gen_range(0..=runs.len());
+        let run = shaped_run(&mut rng, len);
+        runs.insert(at, run);
+    }
+    runs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn merge_cost_and_both_kernels_agree_with_the_loser_tree(
+        seed in any::<u64>(),
+        k_max in 0usize..3,
+        len_max in 0usize..3,
+        long in 0usize..3,
+    ) {
+        let runs = merge_shape(seed, [6, 40, 300][k_max], [16, 96, 600][len_max], long);
+        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
+        let mut expect: Vec<u64> = runs.concat();
+        expect.sort_unstable();
+        let mut lt_out = vec![0u64; expect.len()];
+        let counted = merge_with_loser_tree(&refs, &mut lt_out);
+        prop_assert_eq!(&lt_out, &expect);
+        prop_assert_eq!(merge_cost(&refs), counted);
+        let mut pt_out = vec![0u64; expect.len()];
+        merge_pair_tree(&refs, &mut pt_out);
+        prop_assert_eq!(&pt_out, &expect);
+        let mut out = vec![0u64; expect.len()];
+        prop_assert_eq!(merge_into_slice(&refs, &mut out), counted);
+        prop_assert_eq!(out, expect);
+    }
 
     #[test]
     fn radix_matches_std_on_all_workload_shapes(
@@ -96,5 +179,39 @@ proptest! {
         let cmps_old = merge_into_slice_ref(&refs, &mut b);
         prop_assert_eq!(a, b);
         prop_assert_eq!(cmps_new, cmps_old);
+    }
+}
+
+/// NMsort sorts in place through the DMA pipeline (`use_dma`, two host
+/// threads, several chunks) while injected DMA-issue aborts demote
+/// ingests to blocking copies and near-allocation refusals drive the
+/// chunk-shrink ladder.
+#[test]
+fn in_place_phase1_sorts_under_dma_and_alloc_faults() {
+    for seed in 0..6u64 {
+        let tl = TwoLevel::new(ScratchpadParams::new(64, 4.0, 1 << 20, 16 << 10).unwrap());
+        let mut plan = FaultPlan::none(seed);
+        plan.dma_abort_permille = 400;
+        plan.near_alloc_fail_permille = 300;
+        plan.fail_nth = vec![(FaultOp::NearAlloc, 0), (FaultOp::DmaIssue, 1)];
+        plan.max_faults = Some(12);
+        tl.install_fault_plan(plan);
+        let v = generate(SHAPES[seed as usize % SHAPES.len()], 60_000, seed);
+        let mut expect = v.clone();
+        expect.sort_unstable();
+        let cfg = NmSortConfig {
+            use_dma: true,
+            threads: 2,
+            chunk_elems: Some(8_000),
+            ..Default::default()
+        };
+        let r = nmsort(&tl, tl.far_from_vec(v), &cfg).unwrap();
+        assert!(r.chunks >= 8, "seed {seed}: {} chunks", r.chunks);
+        let d = r.degradations;
+        assert!(
+            d.chunk_shrinks > 0 && d.dma_fallbacks > 0,
+            "seed {seed}: {d:?}"
+        );
+        assert_eq!(r.output.as_slice_uncharged(), &expect[..], "seed {seed}");
     }
 }

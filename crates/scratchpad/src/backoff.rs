@@ -1,10 +1,9 @@
 //! One deterministic retry policy behind every degradation ladder.
 //!
-//! Before this module, the runtime had three independently grown retry
-//! loops — the DMA engine's retry→sync fallback, NMsort's re-stage and
-//! alloc-retry ladders, and extsort's run-formation re-read — each with its
-//! own attempt counter and telemetry. [`Backoff`] centralizes the policy:
-//! bounded attempts per [`RetryClass`], per-class counters (both the
+//! Before this module, the runtime had independently grown retry loops —
+//! NMsort's re-stage, alloc-retry and chunk-shrink ladders, and extsort's
+//! run-formation re-read — each with its own attempt counter and
+//! telemetry. [`Backoff`] centralizes the policy: bounded attempts per [`RetryClass`], per-class counters (both the
 //! unified `backoff.*` family and the pre-existing `degradation.*` names,
 //! so dashboards keep working), and *advisory* seeded jitter derived from
 //! the same splitmix64 hash the fault injector rolls with.
@@ -14,8 +13,6 @@
 //! values) and is never charged to the cost ledger — retry behavior stays
 //! byte-identical to the pre-unification ladders.
 
-use crate::error::SpError;
-use crate::fault::with_faults_suppressed;
 use crate::mem::TwoLevel;
 
 /// The splitmix64 increment (golden-ratio gamma).
@@ -36,9 +33,6 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// Which degradation ladder a [`Backoff`] instance is pacing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetryClass {
-    /// DMA transfer retry before the engine forces the transfer through
-    /// with injection suppressed.
-    Dma,
     /// NMsort staged-copy re-stage (Phase-1 ingest / writeback).
     Stage,
     /// Small near-allocation retry (pivot residence, bucket totals).
@@ -51,8 +45,7 @@ pub enum RetryClass {
 
 impl RetryClass {
     /// Every class, for sweeps and counter registration.
-    pub const ALL: [RetryClass; 5] = [
-        RetryClass::Dma,
+    pub const ALL: [RetryClass; 4] = [
         RetryClass::Stage,
         RetryClass::Alloc,
         RetryClass::Shrink,
@@ -62,7 +55,6 @@ impl RetryClass {
     /// Stable short name (telemetry, artifacts).
     pub fn name(self) -> &'static str {
         match self {
-            RetryClass::Dma => "dma",
             RetryClass::Stage => "stage",
             RetryClass::Alloc => "alloc",
             RetryClass::Shrink => "shrink",
@@ -70,10 +62,10 @@ impl RetryClass {
         }
     }
 
-    /// Dense index (jitter salt).
+    /// Jitter salt. Index 0 belonged to a retired DMA class; the others
+    /// keep their values so advisory jitter stays put.
     pub fn index(self) -> usize {
         match self {
-            RetryClass::Dma => 0,
             RetryClass::Stage => 1,
             RetryClass::Alloc => 2,
             RetryClass::Shrink => 3,
@@ -85,7 +77,6 @@ impl RetryClass {
     /// used, so unification never changes ledger-visible behavior.
     pub fn default_attempts(self) -> u32 {
         match self {
-            RetryClass::Dma => 2,
             RetryClass::Stage => 3,
             RetryClass::Alloc => 3,
             RetryClass::Shrink => 3,
@@ -96,7 +87,6 @@ impl RetryClass {
     /// Pre-unification `degradation.*` counter incremented per retry.
     fn legacy_retry(self) {
         match self {
-            RetryClass::Dma => tlmm_telemetry::counter!("degradation.dma_retry").incr(),
             RetryClass::Stage => tlmm_telemetry::counter!("degradation.transfer_retry").incr(),
             RetryClass::Alloc => tlmm_telemetry::counter!("degradation.alloc_retry").incr(),
             RetryClass::Shrink => tlmm_telemetry::counter!("degradation.chunk_shrink").incr(),
@@ -108,7 +98,6 @@ impl RetryClass {
     /// gives up retrying and forces the operation through.
     fn legacy_forced(self) {
         match self {
-            RetryClass::Dma => tlmm_telemetry::counter!("degradation.dma_forced").incr(),
             RetryClass::Stage => tlmm_telemetry::counter!("degradation.transfer_forced").incr(),
             RetryClass::Alloc | RetryClass::Shrink => {
                 tlmm_telemetry::counter!("degradation.alloc_forced").incr()
@@ -119,7 +108,6 @@ impl RetryClass {
 
     fn unified_retry(self) {
         match self {
-            RetryClass::Dma => tlmm_telemetry::counter!("backoff.dma.retry").incr(),
             RetryClass::Stage => tlmm_telemetry::counter!("backoff.stage.retry").incr(),
             RetryClass::Alloc => tlmm_telemetry::counter!("backoff.alloc.retry").incr(),
             RetryClass::Shrink => tlmm_telemetry::counter!("backoff.shrink.retry").incr(),
@@ -129,7 +117,6 @@ impl RetryClass {
 
     fn unified_forced(self) {
         match self {
-            RetryClass::Dma => tlmm_telemetry::counter!("backoff.dma.forced").incr(),
             RetryClass::Stage => tlmm_telemetry::counter!("backoff.stage.forced").incr(),
             RetryClass::Alloc => tlmm_telemetry::counter!("backoff.alloc.forced").incr(),
             RetryClass::Shrink => tlmm_telemetry::counter!("backoff.shrink.forced").incr(),
@@ -144,8 +131,7 @@ impl RetryClass {
 /// failed with an *injected* error — `true` means "retry permitted" (the
 /// attempt is counted and the advisory jitter recorded), `false` means the
 /// budget is exhausted; then call [`Backoff::give_up`] before taking the
-/// final forced rung. [`Backoff::run_forced`] packages the whole ladder for
-/// result-shaped operations.
+/// final forced rung.
 #[derive(Debug, Clone)]
 pub struct Backoff {
     class: RetryClass,
@@ -223,40 +209,14 @@ impl Backoff {
         self.class.unified_forced();
         self.class.legacy_forced();
     }
-
-    /// Run `op` under the full ladder: injected failures are retried up to
-    /// the attempt bound, then the operation is forced through with fault
-    /// injection suppressed so progress is guaranteed. Genuine errors
-    /// (capacity, bounds) propagate immediately. Every failed attempt has
-    /// already been charged in full by the runtime, so retries stay
-    /// honestly visible in the ledger.
-    pub fn run_forced<R>(
-        mut self,
-        mut op: impl FnMut() -> Result<R, SpError>,
-    ) -> Result<R, SpError> {
-        loop {
-            match op() {
-                Err(e) if e.is_injected() => {
-                    if !self.again() {
-                        self.give_up();
-                        return with_faults_suppressed(&mut op);
-                    }
-                }
-                other => return other,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
-    use tlmm_model::ScratchpadParams;
 
     #[test]
     fn bounds_match_the_ladders_they_replaced() {
-        assert_eq!(RetryClass::Dma.default_attempts(), 2);
         assert_eq!(RetryClass::Stage.default_attempts(), 3);
         assert_eq!(RetryClass::Alloc.default_attempts(), 3);
         assert_eq!(RetryClass::Shrink.default_attempts(), 3);
@@ -277,7 +237,7 @@ mod tests {
     #[test]
     fn advice_is_deterministic_and_grows() {
         let mk = |attempt: u32| Backoff {
-            class: RetryClass::Dma,
+            class: RetryClass::Stage,
             max_attempts: 8,
             seed: 42,
             attempt,
@@ -292,29 +252,6 @@ mod tests {
         // Different seeds jitter differently (fixed seeds, deterministic).
         let other = Backoff { seed: 43, ..mk(0) };
         assert_ne!(other.advice_units(), mk(0).advice_units());
-    }
-
-    #[test]
-    fn run_forced_retries_then_forces() {
-        let tl = TwoLevel::new(ScratchpadParams::new(64, 4.0, 1 << 20, 16 << 10).unwrap());
-        // Every near-alloc preflight fails: the ladder must exhaust its
-        // retries and still succeed via the suppressed final rung.
-        let mut plan = FaultPlan::none(3);
-        plan.near_alloc_fail_permille = 1000;
-        tl.install_fault_plan(plan);
-        let res = Backoff::for_memory(&tl, RetryClass::Alloc)
-            .run_forced(|| tl.near_alloc::<u64>(16).map(|_| ()));
-        assert!(res.is_ok());
-        // 1 initial + 3 retries all hit injected failures.
-        assert_eq!(tl.faults_injected(), 4);
-    }
-
-    #[test]
-    fn run_forced_propagates_genuine_errors() {
-        let tl = TwoLevel::new(ScratchpadParams::new(64, 4.0, 1 << 20, 16 << 10).unwrap());
-        let res = Backoff::for_memory(&tl, RetryClass::Alloc)
-            .run_forced(|| tl.near_alloc::<u64>(1 << 30).map(|_| ()));
-        assert!(matches!(res, Err(SpError::NearCapacityExceeded { .. })));
     }
 
     #[test]
