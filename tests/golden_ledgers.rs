@@ -1,7 +1,9 @@
 //! Golden charge-ledger snapshots: nondeterminism regressions fail loudly.
 //!
-//! For each of the six sorters, a canonical small-N run's `CostSnapshot`
-//! is committed under `tests/golden/`. Every test run re-executes the
+//! For each of the seven sorters, a canonical small-N run's `CostSnapshot`
+//! is committed under `tests/golden/` — on uniform keys, and for the two
+//! oblivious engines also on Zipf(1.1) keys, whose duplicate-heavy
+//! buckets take merge paths uniform keys never reach. Every test run re-executes the
 //! sorter and asserts byte-identical serialization against the golden —
 //! first with no executor (the sequential oracle), then under the
 //! deterministic executor across `p ∈ {1, 2, 8}` workers and two scheduler
@@ -30,13 +32,22 @@ fn input() -> Vec<u64> {
     generate(Workload::UniformU64, N, DATA_SEED)
 }
 
+fn zipf_input() -> Vec<u64> {
+    generate(Workload::Zipf(1.1), N, DATA_SEED)
+}
+
 /// Run one canonical sorter configuration, optionally under an executor.
 fn run_sorter(name: &str, exec: Option<tlmm_scratchpad::ExecConfig>) -> CostSnapshot {
     let tl = tl();
     if let Some(cfg) = exec {
         tl.install_executor(cfg).unwrap();
     }
-    let far = tl.far_from_vec(input());
+    let keys = if name.ends_with("_zipf") {
+        zipf_input()
+    } else {
+        input()
+    };
+    let far = tl.far_from_vec(keys);
     match name {
         "nmsort" => {
             let r = two_level_mem::core::nmsort::nmsort(
@@ -110,13 +121,13 @@ fn run_sorter(name: &str, exec: Option<tlmm_scratchpad::ExecConfig>) -> CostSnap
             .unwrap();
             assert_sorted(r.output.as_slice_uncharged());
         }
-        "spms" | "squaresort" => {
+        "spms" | "squaresort" | "spms_zipf" | "squaresort_zipf" => {
             let cfg = ObliviousConfig {
                 lanes: 8,
                 threads: 1,
                 ..Default::default()
             };
-            let (out, _report) = if name == "spms" {
+            let (out, _report) = if name.starts_with("spms") {
                 spms_sort(&tl, far, &cfg).unwrap()
             } else {
                 squaresort_sort(&tl, far, &cfg).unwrap()
@@ -143,7 +154,7 @@ where
     tlmm_testkit::check_golden(&tlmm_testkit::golden_path(GOLDEN_DIR, name), value, context);
 }
 
-const SORTERS: [&str; 7] = [
+const SORTERS: [&str; 9] = [
     "nmsort",
     "nmsort_dma",
     "seqsort",
@@ -151,6 +162,8 @@ const SORTERS: [&str; 7] = [
     "baseline",
     "spms",
     "squaresort",
+    "spms_zipf",
+    "squaresort_zipf",
 ];
 
 #[test]
