@@ -9,7 +9,10 @@
 //! * `kway_merge` — k-way merge of sorted runs: the original branchy
 //!   loser tree vs `merge_into_slice` (the branchless loser tree, or the
 //!   two-way merge tree for long runs), over 16 runs of each shape plus a
-//!   `phase2` cell shaped like NMsort's Phase-2 merge parts (50 × 5k).
+//!   `phase2` cell shaped like NMsort's Phase-2 merge parts (50 × 5k) and
+//!   an `spms_bucket` cell shaped like SPMS's root bucket merges on Zipf
+//!   keys (one bucket of ~3k runs averaging one key, one single-key
+//!   bucket).
 //! * `bucketize` — `BucketPos` extraction over sorted chunks (no
 //!   before/after pair: the kernel layer doesn't change it; the median is
 //!   recorded to catch regressions).
@@ -41,6 +44,8 @@ use tlmm_scratchpad::TwoLevel;
 use tlmm_telemetry::RunReport;
 use tlmm_workloads::{generate, Workload};
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::Serialize;
 
 /// Sorted-run length for the formation cell: the external mergesort's
@@ -50,6 +55,9 @@ const RUN_ELEMS: usize = 32_768;
 const KWAY: usize = 16;
 /// Runs × keys per run of the k-way `phase2` cell, in both modes.
 const PHASE2_RUNS: (usize, usize) = (50, 5_000);
+/// Runs per bucket of the `spms_bucket` cell, in both modes: SPMS's
+/// fan-in at the root of a 10M-key sort (`⌈√10⁷⌉` groups).
+const SPMS_BUCKET_RUNS: usize = 3_163;
 
 #[derive(Serialize)]
 struct Cell {
@@ -189,13 +197,38 @@ fn run_formation_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<C
 fn kway_merge_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<Cell>) {
     for (name, w) in shapes() {
         let runs = sorted_runs(generate(w, n, 0xF1), n.div_ceil(KWAY));
-        cells.push(kway_merge_cell(name, &runs, timing, smoke));
+        cells.push(kway_merge_cell(name, &[runs], timing, smoke));
     }
     // NMsort's Phase-2 shape on the benchmark's 100M-key run: each of the
     // 8 merge parts of a batch holds 50 chunk segments of ~5k keys.
     let (k, len) = PHASE2_RUNS;
     let runs = sorted_runs(generate(Workload::UniformU64, k * len, 0xF4), len);
-    cells.push(kway_merge_cell("phase2", &runs, timing, smoke));
+    cells.push(kway_merge_cell("phase2", &[runs], timing, smoke));
+    cells.push(kway_merge_cell(
+        "spms_bucket",
+        &spms_buckets(),
+        timing,
+        smoke,
+    ));
+}
+
+/// Two of SPMS's root buckets on 10M Zipf keys: one whose runs hold 0–2
+/// distinct keys (one on average), merged on the loser tree, and one
+/// whose runs all hold the same key (0–12 copies each), which needs no
+/// tree.
+fn spms_buckets() -> Vec<Vec<Vec<u64>>> {
+    let mut rng = StdRng::seed_from_u64(0xF5);
+    let tiny = (0..SPMS_BUCKET_RUNS)
+        .map(|_| {
+            let mut run: Vec<u64> = (0..rng.gen_range(0..=2)).map(|_| rng.gen()).collect();
+            run.sort_unstable();
+            run
+        })
+        .collect();
+    let single = (0..SPMS_BUCKET_RUNS)
+        .map(|_| vec![42; rng.gen_range(0..=12)])
+        .collect();
+    vec![tiny, single]
 }
 
 /// `data` cut into `run_len`-key runs, each sorted.
@@ -206,47 +239,66 @@ fn sorted_runs(mut data: Vec<u64>, run_len: usize) -> Vec<Vec<u64>> {
     data.chunks(run_len).map(<[u64]>::to_vec).collect()
 }
 
-/// Reference loser tree vs `merge_into_slice` on one run set. In smoke
-/// mode, first assert both emit the same output and comparison count,
-/// with SIMD dispatch on and off.
-fn kway_merge_cell(name: &str, runs: &[Vec<u64>], timing: &Timing, smoke: bool) -> Cell {
-    let runs: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
-    let n: usize = runs.iter().map(|r| r.len()).sum();
+/// Reference loser tree vs `merge_into_slice` on a list of merges, each
+/// a run set merged into its own output. In smoke mode, first assert both
+/// emit the same output and comparison count, with SIMD dispatch on and
+/// off.
+fn kway_merge_cell(name: &str, merges: &[Vec<Vec<u64>>], timing: &Timing, smoke: bool) -> Cell {
+    let merges: Vec<Vec<&[u64]>> = merges
+        .iter()
+        .map(|runs| runs.iter().map(Vec::as_slice).collect())
+        .collect();
+    let len = |runs: &[&[u64]]| runs.iter().map(|r| r.len()).sum::<usize>();
+    let outputs = || -> Vec<Vec<u64>> { merges.iter().map(|runs| vec![0; len(runs)]).collect() };
     if smoke {
-        let mut a = vec![0u64; n];
-        let mut b = vec![0u64; n];
-        let ca = merge_into_slice_ref(&runs, &mut a);
-        let cb = merge_into_slice(&runs, &mut b);
-        assert_eq!(a, b, "merge kernels disagree on {name}");
-        assert_eq!(ca, cb, "merge comparison counts diverge on {name}");
-        // And the SIMD merge paths must be invisible: same output, same
-        // comparison ledger, with vector dispatch forced off.
-        let prior = tlmm_core::kernels::simd::enabled();
-        tlmm_core::kernels::simd::set_enabled(false);
-        let mut c = vec![0u64; n];
-        let cc = merge_into_slice(&runs, &mut c);
-        tlmm_core::kernels::simd::set_enabled(prior);
-        assert_eq!(b, c, "merge output changed with SIMD disabled on {name}");
-        assert_eq!(cb, cc, "merge counts changed with SIMD disabled on {name}");
+        for runs in &merges {
+            assert_kernels_agree(name, runs);
+        }
     }
+    let merges = &merges;
+    let merge_all = |merge: fn(&[&[u64]], &mut [u64]) -> u64| {
+        move |mut outs: Vec<Vec<u64>>| {
+            for (runs, out) in merges.iter().zip(&mut outs) {
+                merge(runs, out);
+            }
+        }
+    };
     let (base, opt, speedup) = paired_medians_ms(
         timing,
-        || vec![0u64; n],
-        |mut out| {
-            merge_into_slice_ref(&runs, &mut out);
-        },
-        |mut out| {
-            merge_into_slice(&runs, &mut out);
-        },
+        outputs,
+        merge_all(merge_into_slice_ref),
+        merge_all(merge_into_slice),
     );
     Cell {
         kernel: "kway_merge".into(),
         workload: name.into(),
-        n,
+        n: merges.iter().map(|runs| len(runs)).sum(),
         baseline_ms: Some(base),
         optimized_ms: opt,
         speedup: Some(speedup),
     }
+}
+
+/// Smoke-mode agreement on one run set: the reference tree and
+/// `merge_into_slice` emit the same output and count, with SIMD dispatch
+/// on and off.
+fn assert_kernels_agree(name: &str, runs: &[&[u64]]) {
+    let n: usize = runs.iter().map(|r| r.len()).sum();
+    let mut a = vec![0u64; n];
+    let mut b = vec![0u64; n];
+    let ca = merge_into_slice_ref(runs, &mut a);
+    let cb = merge_into_slice(runs, &mut b);
+    assert_eq!(a, b, "merge kernels disagree on {name}");
+    assert_eq!(ca, cb, "merge comparison counts diverge on {name}");
+    // And the SIMD merge paths must be invisible: same output, same
+    // comparison ledger, with vector dispatch forced off.
+    let prior = tlmm_core::kernels::simd::enabled();
+    tlmm_core::kernels::simd::set_enabled(false);
+    let mut c = vec![0u64; n];
+    let cc = merge_into_slice(runs, &mut c);
+    tlmm_core::kernels::simd::set_enabled(prior);
+    assert_eq!(b, c, "merge output changed with SIMD disabled on {name}");
+    assert_eq!(cb, cc, "merge counts changed with SIMD disabled on {name}");
 }
 
 fn bucketize_cells(n: usize, timing: &Timing, cells: &mut Vec<Cell>) {

@@ -455,7 +455,13 @@ pub fn merge_cost<T: Ord>(runs: &[&[T]]) -> u64 {
 /// Merge `runs` into the exactly-sized slice `out`, returning the
 /// comparisons to charge ([`merge_cost`]).
 ///
-/// Two kernels, one result. Merges whose mean run length is at least
+/// Two shapes need no kernel at all. A merge of empty runs writes nothing
+/// and costs nothing. A merge whose non-empty runs all hold one key value
+/// is the runs concatenated in run order — the order every kernel gives
+/// ties — charged [`merge_cost`]; SPMS's duplicate-heavy buckets are
+/// mostly of these two shapes.
+///
+/// Otherwise two kernels, one result. Merges whose mean run length is at least
 /// `PAIR_TREE_MIN_MEAN_RUN` and that hold no duplicate-heavy run (the
 /// plateau probe) go to [`merge_pair_tree`], a balanced binary tree of
 /// streaming two-way merges (4-wide bitonic network when SIMD dispatch is
@@ -478,6 +484,16 @@ pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64
             out.copy_from_slice(runs[0]);
             0
         }
+        _ if total == 0 => 0,
+        _ if single_key(runs) => {
+            let mut rest: &mut [T] = out;
+            for r in runs {
+                let (dst, next) = rest.split_at_mut(r.len());
+                dst.copy_from_slice(r);
+                rest = next;
+            }
+            merge_cost(runs)
+        }
         k if total >= PAIR_TREE_MIN_MEAN_RUN * k && !runs.iter().any(|r| duplicate_heavy(r)) => {
             merge_pair_tree(runs, out);
             tlmm_telemetry::counter!("core.kernels.pair_tree_merges").incr();
@@ -485,6 +501,16 @@ pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64
         }
         _ => merge_with_loser_tree(runs, out),
     }
+}
+
+/// `true` when every non-empty run of `runs` holds one and the same key
+/// value (by `Ord`).
+fn single_key<T: Ord>(runs: &[&[T]]) -> bool {
+    let Some(key) = runs.iter().find_map(|r| r.first()) else {
+        return true;
+    };
+    let is_key = |x: Option<&T>| x.is_none_or(|x| x.cmp(key).is_eq());
+    runs.iter().all(|r| is_key(r.first()) && is_key(r.last()))
 }
 
 /// The loser-tree kernel of [`merge_into_slice`]: pair-merge the plan's

@@ -3,9 +3,10 @@
 //! The deterministic resource-oblivious sort: split the input into ~√n
 //! groups, sort each recursively, draw a *strided* sample from every sorted
 //! group (deterministic — no RNG anywhere), merge the per-group sample runs
-//! into one sorted sample, pick √n−1 evenly spaced pivots from it, binary-
-//! search every group against the pivots, and finish each of the √n buckets
-//! with a single k-way loser-tree merge of its (already sorted) group
+//! into one sorted sample, pick √n−1 evenly spaced pivots from it,
+//! partition every group against the pivots (a merge scan, charged as the
+//! binary searches the analysis assumes), and finish each of the √n
+//! buckets with a single k-way merge of its (already sorted) group
 //! segments. Partitioning and merging interleave: the bucket merge *is* the
 //! completion step, so one recursion level costs exactly two streaming
 //! passes over the data (bucket merges into scratch, charged copy back)
@@ -99,23 +100,15 @@ fn node<T: SortElem>(
     // children share the lane budget).
     let child_lanes = (lanes / n_groups).max(1);
     let base = current_lane();
-    let sort_group = |(i, (d, s)): (usize, (&mut [T], &mut [T]))| {
+    let children: Vec<(&mut [T], &mut [T])> = data
+        .chunks_mut(group)
+        .zip(scratch.chunks_mut(group))
+        .collect();
+    crate::pool::run_indexed(cx.threads, children, |i, (d, s)| {
         with_lane(base + (i * child_lanes) % lanes, || {
             sort_rec(cx, d, s, child_lanes, child_far, depth + 1);
         })
-    };
-    if cx.threads > 1 {
-        let children: Vec<(&mut [T], &mut [T])> = data
-            .chunks_mut(group)
-            .zip(scratch.chunks_mut(group))
-            .collect();
-        crate::pool::run_indexed(cx.threads, children, |i, ds| sort_group((i, ds)));
-    } else {
-        data.chunks_mut(group)
-            .zip(scratch.chunks_mut(group))
-            .enumerate()
-            .for_each(sort_group);
-    }
+    });
 
     // ---- 2. Deterministic strided sample + pivots --------------------
     // Every ⌈√g⌉-th element of every sorted group: ~n^(3/4) elements in
@@ -151,28 +144,12 @@ fn node<T: SortElem>(
         .map(|j| sample[j * sample_len / n_groups])
         .collect();
 
-    // ---- 3. Partition: binary-search every group against the pivots --
-    // Boundary metadata is cache-resident (O(√n·√n) = O(n) usize, but each
-    // group's row is computed from its own sorted slice in cache); the
-    // search comparisons are charged as compute.
+    // ---- 3. Partition: merge-scan every group against the pivots -----
+    // The boundary table is host metadata (O(√n·√n) = O(n) u32); the
+    // search comparisons are charged as compute, by the binary-search
+    // formula.
     let groups: Vec<&[T]> = data.chunks(group).collect();
-    let mut bounds: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
-    for g in &groups {
-        let mut row = Vec::with_capacity(pivots.len() + 2);
-        row.push(0);
-        for p in &pivots {
-            row.push(g.partition_point(|x| x < p));
-        }
-        row.push(g.len());
-        // partition_point can regress across equal pivots; make the row
-        // monotone so segments never overlap.
-        for i in 1..row.len() {
-            if row[i] < row[i - 1] {
-                row[i] = row[i - 1];
-            }
-        }
-        bounds.push(row);
-    }
+    let (bounds, bucket_starts) = Boundaries::scan(&groups, &pivots, cx.threads);
     let search_cmps = (groups.len() * pivots.len()) as u64 * ceil_lg(group);
     charge_compute_striped(cx.tl, search_cmps, lanes);
     cx.add_comparisons(search_cmps);
@@ -180,32 +157,18 @@ fn node<T: SortElem>(
     // ---- 4. Bucket merges: one k-way merge per bucket into scratch ----
     // Reading the group segments and writing the merged buckets is one full
     // streaming pass over the node. Buckets round-robin over lanes.
-    let n_buckets = n_groups;
-    let bucket_len = |b: usize| -> usize {
-        groups
-            .iter()
-            .zip(&bounds)
-            .map(|(_, row)| row[b + 1] - row[b])
-            .sum()
-    };
-    let mut bucket_slices: Vec<&mut [T]> = Vec::with_capacity(n_buckets);
+    let mut bucket_slices: Vec<&mut [T]> = Vec::with_capacity(n_groups);
     {
         let mut rest: &mut [T] = scratch;
-        for b in 0..n_buckets {
-            let (out, tail) = rest.split_at_mut(bucket_len(b));
+        for w in bucket_starts.windows(2) {
+            let (out, tail) = rest.split_at_mut(w[1] - w[0]);
             bucket_slices.push(out);
             rest = tail;
         }
     }
-    let groups_ref = &groups;
-    let bounds_ref = &bounds;
-    let merge_bucket = |(b, out): (usize, &mut [T])| {
+    crate::pool::run_indexed(cx.threads, bucket_slices, |b, out| {
         with_lane(base + b % lanes, || {
-            let segs: Vec<&[T]> = groups_ref
-                .iter()
-                .zip(bounds_ref)
-                .map(|(g, row)| &g[row[b]..row[b + 1]])
-                .collect();
+            let segs = bounds.bucket(&groups, b);
             let bytes = std::mem::size_of_val(out) as u64;
             cx.preflight_stream(level, bytes, 1);
             charge_io_striped(cx.tl, level, Dir::Read, bytes, 1);
@@ -214,12 +177,7 @@ fn node<T: SortElem>(
             charge_io_striped(cx.tl, level, Dir::Write, bytes, 1);
             cx.add_comparisons(cmps);
         })
-    };
-    if cx.threads > 1 {
-        crate::pool::run_indexed(cx.threads, bucket_slices, |b, out| merge_bucket((b, out)));
-    } else {
-        bucket_slices.into_iter().enumerate().for_each(merge_bucket);
-    }
+    });
     cx.add_passes(1);
 
     // ---- 5. Copy the concatenated buckets back: the second pass -------
@@ -230,6 +188,86 @@ fn node<T: SortElem>(
     cx.preflight_stream(level, std::mem::size_of_val(data) as u64, lanes);
     charged_copy(cx.tl, kind, &scratch[..n], data, lanes, cx.threads);
     cx.add_passes(1);
+}
+
+/// Groups per block of the boundary table: one partition task's share of
+/// the scan, and the width of one table row.
+const BLOCK: usize = 64;
+
+/// Every group's bucket boundaries in one flat, block-major table:
+/// `[group block][boundary][BLOCK]`. Boundary `j` of group `g` is the
+/// number of its keys below pivot `j - 1` (`0` for `j = 0`, `|g|` for the
+/// last), so bucket `b` takes `g[boundary b .. boundary b + 1]` from every
+/// group — two contiguous rows per block. Entries are `u32`: a group holds
+/// ~√n keys.
+struct Boundaries {
+    /// Boundaries per group: `pivots + 2`.
+    rows: usize,
+    table: Vec<u32>,
+}
+
+impl Boundaries {
+    /// Scan every sorted group against the sorted `pivots` with one
+    /// merge-scan cursor per group, fanning blocks of [`BLOCK`] groups out
+    /// over `threads`. Each boundary equals `partition_point(|x| x < p)`,
+    /// and the rows are monotone because the pivots are sorted. Also
+    /// returns each bucket's start offset in the concatenated output (the
+    /// column sums of the table), with the total appended.
+    fn scan<T: Ord + Sync>(groups: &[&[T]], pivots: &[T], threads: usize) -> (Self, Vec<usize>) {
+        let rows = pivots.len() + 2;
+        assert!(
+            groups.iter().all(|g| u32::try_from(g.len()).is_ok()),
+            "SPMS group too long for a u32 boundary"
+        );
+        let mut table = vec![0u32; groups.len().div_ceil(BLOCK) * rows * BLOCK];
+        let blocks: Vec<(&[&[T]], &mut [u32])> = groups
+            .chunks(BLOCK)
+            .zip(table.chunks_mut(rows * BLOCK))
+            .collect();
+        let col_sums = crate::pool::map_indexed(threads, blocks, |_, (gs, slab)| {
+            for (lane, g) in gs.iter().enumerate() {
+                let mut i = 0;
+                for (j, p) in pivots.iter().enumerate() {
+                    while i < g.len() && g[i] < *p {
+                        i += 1;
+                    }
+                    slab[(j + 1) * BLOCK + lane] = i as u32;
+                }
+                slab[(rows - 1) * BLOCK + lane] = g.len() as u32;
+            }
+            slab.chunks(BLOCK)
+                .map(|row| row.iter().map(|&x| x as usize).sum::<usize>())
+                .collect::<Vec<_>>()
+        });
+        let mut starts = vec![0; rows];
+        for sums in &col_sums {
+            for (s, x) in starts.iter_mut().zip(sums) {
+                *s += x;
+            }
+        }
+        (Self { rows, table }, starts)
+    }
+
+    /// Boundary `j` of group `g`.
+    #[cfg(test)]
+    fn get(&self, g: usize, j: usize) -> usize {
+        self.table[((g / BLOCK) * self.rows + j) * BLOCK + g % BLOCK] as usize
+    }
+
+    /// Bucket `b`'s segment of every group, in group order.
+    fn bucket<'a, T>(&self, groups: &[&'a [T]], b: usize) -> Vec<&'a [T]> {
+        groups
+            .chunks(BLOCK)
+            .zip(self.table.chunks(self.rows * BLOCK))
+            .flat_map(|(gs, slab)| {
+                let lo = &slab[b * BLOCK..(b + 1) * BLOCK];
+                let hi = &slab[(b + 1) * BLOCK..(b + 2) * BLOCK];
+                gs.iter()
+                    .zip(lo.iter().zip(hi))
+                    .map(|(g, (&l, &h))| &g[l as usize..h as usize])
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -349,6 +387,65 @@ mod tests {
         assert!(faulted.far_bytes >= clean.far_bytes);
         assert!(faulted.near_bytes >= clean.near_bytes);
         assert!(rep.restreams > 0, "seed 11 must fire at least one fault");
+    }
+
+    #[test]
+    fn boundary_table_matches_binary_search_rows() {
+        use tlmm_workloads::{generate, Workload};
+        // (n, group): 130 groups with a short last one; 64 groups, 65
+        // with a 1-key last one, and a single short block.
+        let shapes = [(13_000, 101), (4_096, 64), (4_097, 64), (450, 20)];
+        for w in [
+            Workload::AllEqual,
+            Workload::FewDistinct(3),
+            Workload::Sawtooth(37),
+            Workload::Zipf(1.1),
+            Workload::UniformU64,
+        ] {
+            for (n, group) in shapes {
+                let mut data = generate(w, n, n as u64);
+                for g in data.chunks_mut(group) {
+                    g.sort_unstable();
+                }
+                let mut sorted = data.clone();
+                sorted.sort_unstable();
+                let n_groups = n.div_ceil(group);
+                let pivots: Vec<u64> = (1..n_groups).map(|j| sorted[j * n / n_groups]).collect();
+                let groups: Vec<&[u64]> = data.chunks(group).collect();
+                // The rows the binary-search partition produced.
+                let rows: Vec<Vec<usize>> = groups
+                    .iter()
+                    .map(|g| {
+                        let mut row = vec![0];
+                        row.extend(pivots.iter().map(|p| g.partition_point(|x| x < p)));
+                        row.push(g.len());
+                        // Sorted pivots make the rows monotone already.
+                        assert!(row.windows(2).all(|w| w[0] <= w[1]));
+                        row
+                    })
+                    .collect();
+                for threads in [1, 3] {
+                    let (table, starts) = Boundaries::scan(&groups, &pivots, threads);
+                    for (g, row) in rows.iter().enumerate() {
+                        for (j, &b) in row.iter().enumerate() {
+                            assert_eq!(table.get(g, j), b, "{w:?} n={n} g={g} j={j}");
+                        }
+                    }
+                    let mut at = 0;
+                    for b in 0..n_groups {
+                        assert_eq!(starts[b], at, "{w:?} n={n} bucket {b} start");
+                        let segs = table.bucket(&groups, b);
+                        assert_eq!(segs.len(), n_groups);
+                        for (g, seg) in segs.iter().enumerate() {
+                            assert_eq!(*seg, &groups[g][rows[g][b]..rows[g][b + 1]]);
+                            at += seg.len();
+                        }
+                    }
+                    assert_eq!(starts[n_groups], n);
+                    assert_eq!(at, n);
+                }
+            }
+        }
     }
 
     #[test]

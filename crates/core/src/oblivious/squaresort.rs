@@ -85,23 +85,15 @@ fn node<T: SortElem>(
     // ---- 1. Recursively sort each √n block ---------------------------
     let child_lanes = (lanes / n_blocks).max(1);
     let base = current_lane();
-    let sort_block = |(i, (d, s)): (usize, (&mut [T], &mut [T]))| {
+    let children: Vec<(&mut [T], &mut [T])> = data
+        .chunks_mut(block)
+        .zip(scratch.chunks_mut(block))
+        .collect();
+    crate::pool::run_indexed(cx.threads, children, |i, (d, s)| {
         with_lane(base + (i * child_lanes) % lanes, || {
             sort_rec(cx, d, s, child_lanes, child_far, depth + 1);
         })
-    };
-    if cx.threads > 1 {
-        let children: Vec<(&mut [T], &mut [T])> = data
-            .chunks_mut(block)
-            .zip(scratch.chunks_mut(block))
-            .collect();
-        crate::pool::run_indexed(cx.threads, children, |i, ds| sort_block((i, ds)));
-    } else {
-        data.chunks_mut(block)
-            .zip(scratch.chunks_mut(block))
-            .enumerate()
-            .for_each(sort_block);
-    }
+    });
 
     // ---- 2. Balanced binary merge tree over the sorted blocks --------
     // ⌈lg √n⌉ rounds, each a full fault-gated streaming pass ping-ponging

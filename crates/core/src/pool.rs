@@ -4,8 +4,14 @@
 //! to whatever global thread count the rayon stand-in picked. The paper's
 //! experimental regime (Table I) varies the core count explicitly, so the
 //! configs now carry `threads: usize` and every fan-out site routes through
-//! this module: a per-region [`std::thread::scope`] pool of exactly
+//! this module: a per-region [`std::thread::scope`] pool of
 //! `min(threads, tasks)` workers claiming tasks through an atomic cursor.
+//!
+//! Regions do not nest. A fan-out called from inside a pool worker (an
+//! SPMS group sort fanning out its own bucket merges, say) runs inline on
+//! that worker, so one region never holds more than `threads` live
+//! threads; the outer region's dynamic claiming already keeps every
+//! worker busy.
 //!
 //! Dynamic claiming (rather than static partitioning) keeps skewed task
 //! sets — oversized NMsort buckets, unbalanced oblivious recursions — from
@@ -17,9 +23,16 @@
 //! counts (asserted by every engine's `*_charge_identically` test and by
 //! `parallel_bench` in-binary).
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+thread_local! {
+    /// Set on pool workers: a nested fan-out runs inline instead of
+    /// spawning a second region.
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Host threads available to a default config: `available_parallelism()`,
 /// or 1 when the runtime cannot tell.
@@ -30,8 +43,9 @@ pub fn host_threads() -> usize {
 }
 
 /// Run `f(i, item)` for every item of `items`, fanning out over at most
-/// `threads` scoped host threads. `threads <= 1` (or fewer than two items)
-/// runs inline on the caller — bit-for-bit the sequential execution.
+/// `threads` scoped host threads. `threads <= 1`, fewer than two items, or
+/// a call from inside a pool worker runs inline on the caller — bit-for-bit
+/// the sequential execution.
 ///
 /// Panics in a worker propagate to the caller when the scope joins.
 pub fn run_indexed<T, F>(threads: usize, items: Vec<T>, f: F)
@@ -51,7 +65,7 @@ where
 {
     let n = items.len();
     let workers = threads.max(1).min(n);
-    if workers <= 1 {
+    if workers <= 1 || IN_POOL.with(Cell::get) {
         return items
             .into_iter()
             .enumerate()
@@ -67,17 +81,20 @@ where
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            s.spawn(|| {
+                IN_POOL.with(|p| p.set(true));
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item = slots[i]
+                        .lock()
+                        .expect("pool slot poisoned")
+                        .take()
+                        .expect("pool task claimed twice");
+                    *out[i].lock().expect("pool result slot poisoned") = Some(f(i, item));
                 }
-                let item = slots[i]
-                    .lock()
-                    .expect("pool slot poisoned")
-                    .take()
-                    .expect("pool task claimed twice");
-                *out[i].lock().expect("pool result slot poisoned") = Some(f(i, item));
             });
         }
     });
@@ -156,6 +173,39 @@ mod tests {
             ids.len()
         );
         assert!(ids.len() <= 4);
+    }
+
+    #[test]
+    fn nested_regions_run_inline_on_the_calling_worker() {
+        // Every nested task must run on the worker that called the inner
+        // region, so the whole region never exceeds `threads` host threads.
+        let threads = 3;
+        let all = Mutex::new(HashSet::new());
+        let mismatches = AtomicU64::new(0);
+        run_indexed(threads, (0..24).collect::<Vec<u32>>(), |_, _| {
+            let outer = std::thread::current().id();
+            all.lock().unwrap().insert(outer);
+            run_indexed(threads, (0..8).collect::<Vec<u32>>(), |_, _| {
+                let inner = std::thread::current().id();
+                all.lock().unwrap().insert(inner);
+                if inner != outer {
+                    mismatches.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        });
+        assert_eq!(mismatches.load(Ordering::Relaxed), 0);
+        let all = all.into_inner().unwrap();
+        assert!(all.len() <= threads, "saw {} threads", all.len());
+        assert!(!all.contains(&std::thread::current().id()));
+        // The caller itself is not a worker: its next region fans out again.
+        let ids = Mutex::new(HashSet::new());
+        run_indexed(threads, (0..32).collect::<Vec<u32>>(), |_, _| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        });
+        let ids = ids.into_inner().unwrap();
+        assert!(!ids.contains(&std::thread::current().id()));
     }
 
     #[test]

@@ -10,8 +10,11 @@
 //!   comparison count, on randomized run sets including empty runs.
 //! * `merge_cost` must equal the comparisons the loser-tree kernel counts,
 //!   and the pair-tree kernel must emit the loser tree's output, on run
-//!   sets shaped like every merge the sorters issue. NMsort's in-place
-//!   Phase 1 must sort under the DMA pipeline's fault ladders.
+//!   sets shaped like every merge the sorters issue. `merge_into_slice`'s
+//!   tree-free fast paths (all runs empty, one key value) must emit the
+//!   loser tree's exact sequence — payloads included — and charge its
+//!   count. NMsort's in-place Phase 1 must sort under the DMA pipeline's
+//!   fault ladders.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -179,6 +182,101 @@ proptest! {
         let cmps_old = merge_into_slice_ref(&refs, &mut b);
         prop_assert_eq!(a, b);
         prop_assert_eq!(cmps_new, cmps_old);
+    }
+}
+
+/// A key with a payload that `Ord` ignores: equal keys are ties, so the
+/// payloads show which run each output element came from.
+#[derive(Clone, Copy, Debug, Default)]
+struct Keyed {
+    key: u32,
+    payload: u32,
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Keyed {}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+/// `merge_into_slice` against the loser-tree kernel on `runs`: the same
+/// elements with the same payloads in the same order, and the same count,
+/// which is also `merge_cost`.
+fn assert_matches_loser_tree(runs: &[Vec<Keyed>]) {
+    let refs: Vec<&[Keyed]> = runs.iter().map(Vec::as_slice).collect();
+    let total = runs.iter().map(Vec::len).sum();
+    let mut expect = vec![Keyed::default(); total];
+    let counted = merge_with_loser_tree(&refs, &mut expect);
+    let mut out = vec![Keyed::default(); total];
+    assert_eq!(merge_into_slice(&refs, &mut out), counted);
+    assert_eq!(merge_cost(&refs), counted);
+    let pairs = |v: &[Keyed]| v.iter().map(|x| (x.key, x.payload)).collect::<Vec<_>>();
+    assert_eq!(pairs(&out), pairs(&expect));
+}
+
+#[test]
+fn all_empty_merges_cost_nothing_up_to_k_4096() {
+    for k in [2usize, 3, 64, 1_000, 4_096] {
+        let runs = vec![Vec::<Keyed>::new(); k];
+        assert_matches_loser_tree(&runs);
+        let refs: Vec<&[Keyed]> = runs.iter().map(Vec::as_slice).collect();
+        assert_eq!(merge_into_slice(&refs, &mut []), 0, "k={k}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Single-key run sets with empty runs in between, up to k = 4096, and
+    /// near misses where one key differs (no fast path).
+    #[test]
+    fn single_key_merges_match_the_loser_tree(
+        seed in any::<u64>(),
+        k_max in 0usize..3,
+        near_miss in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k = rng.gen_range(2..=[8, 300, 4_096][k_max]);
+        let key = rng.gen_range(1..u32::MAX - 1);
+        let mut runs: Vec<Vec<Keyed>> = (0..k)
+            .map(|r| {
+                let len = if rng.gen_bool(0.5) { 0 } else { rng.gen_range(1..40) };
+                (0..len)
+                    .map(|i| Keyed {
+                        key,
+                        payload: (r * 64 + i) as u32,
+                    })
+                    .collect()
+            })
+            .collect();
+        if near_miss {
+            let r = rng.gen_range(0..k);
+            let bump = rng.gen_bool(0.5);
+            let run = &mut runs[r];
+            let odd = Keyed {
+                key: if bump { key + 1 } else { key - 1 },
+                payload: u32::MAX,
+            };
+            if bump {
+                run.push(odd);
+            } else {
+                run.insert(0, odd);
+            }
+        }
+        assert_matches_loser_tree(&runs);
     }
 }
 
