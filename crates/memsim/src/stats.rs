@@ -25,7 +25,7 @@ pub enum Bottleneck {
 }
 
 /// Per-phase simulation outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PhaseStat {
     /// Phase name from the trace.
     pub name: String,
@@ -60,7 +60,7 @@ pub struct DesDetail {
 }
 
 /// Whole-run simulation outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Simulated wall-clock seconds.
     pub seconds: f64,

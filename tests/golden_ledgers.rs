@@ -15,9 +15,14 @@
 //! Fig. 4 machine. A schedule refactor that keeps every charged byte but
 //! reorders phases or drops an overlap flag fails here.
 //!
+//! The discrete-event engine's whole `SimReport` on the DMA trace is pinned
+//! on two machines, the Fig. 4 one and one whose channel, bank and row
+//! counts are off every power of two, with the makespan's exact bits.
+//!
 //! Regenerate after an *intentional* accounting change with:
 //! `TLMM_BLESS=1 cargo test --test golden_ledgers`
 
+use tlmm_scratchpad::PhaseTrace;
 use two_level_mem::prelude::*;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
@@ -215,7 +220,8 @@ struct PhaseSchedule {
     sim_seconds: f64,
 }
 
-fn nmsort_schedule(use_dma: bool, chunk_elems: Option<usize>) -> PhaseSchedule {
+/// NMsort's recorded phase trace on the canonical input.
+fn nmsort_trace(use_dma: bool, chunk_elems: Option<usize>) -> PhaseTrace {
     let tl = tl();
     let far = tl.far_from_vec(input());
     let r = two_level_mem::core::nmsort::nmsort(
@@ -231,7 +237,11 @@ fn nmsort_schedule(use_dma: bool, chunk_elems: Option<usize>) -> PhaseSchedule {
     )
     .unwrap();
     assert_sorted(r.output.as_slice_uncharged());
-    let trace = tl.take_trace();
+    tl.take_trace()
+}
+
+fn nmsort_schedule(use_dma: bool, chunk_elems: Option<usize>) -> PhaseSchedule {
+    let trace = nmsort_trace(use_dma, chunk_elems);
     PhaseSchedule {
         phases: trace
             .phases
@@ -254,5 +264,121 @@ fn nmsort_phase_schedules_match_their_goldens() {
     ] {
         let schedule = nmsort_schedule(use_dma, chunk_elems);
         check_against_golden(name, &schedule, "no executor");
+    }
+}
+
+/// The discrete-event engine's whole report on one trace, with the
+/// makespan's exact bits beside its decimal rendering.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct DesGolden {
+    seconds_bits: u64,
+    report: SimReport,
+}
+
+/// DES tests read process-global `memsim.des.*` counters; run them one
+/// at a time.
+static DES_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The pipelined DMA NMsort trace (4 chunks, so overlappable pairs).
+fn dma_trace() -> PhaseTrace {
+    nmsort_trace(true, Some(8_000))
+}
+
+/// A machine off every power of two: 3 far channels of 6 banks with
+/// 3 KiB rows, 12 near channels (ρ = 3) with 1,000-byte rows that lines
+/// straddle.
+fn odd_machine() -> MachineConfig {
+    let mut m = MachineConfig::fig4(8, 3.0);
+    m.far.channels = 3;
+    m.far.banks_per_channel = 6;
+    m.far.row_bytes = 3 << 10;
+    m.near.banks_per_channel = 12;
+    m.near.row_bytes = 1_000;
+    m
+}
+
+/// `(golden name, machine, options)`: 1 KiB requests on the Fig. 4
+/// machine (the Table I setting), 320-byte requests on the odd one, so
+/// requests span several lines, channels and rows.
+fn des_cases() -> [(&'static str, MachineConfig, DesOptions); 2] {
+    [
+        (
+            "des_nmsort_dma_fig4",
+            MachineConfig::fig4(8, 8.0),
+            DesOptions {
+                req_bytes: 1024,
+                mlp: 4,
+            },
+        ),
+        (
+            "des_nmsort_dma_odd",
+            odd_machine(),
+            DesOptions {
+                req_bytes: 320,
+                mlp: 4,
+            },
+        ),
+    ]
+}
+
+/// Run `f` and return its value with the `memsim.des.*` counter deltas
+/// it caused, sorted by name.
+fn with_des_counter_deltas<R>(f: impl FnOnce() -> R) -> (R, Vec<(String, u64)>) {
+    let des_counters = || -> std::collections::BTreeMap<String, u64> {
+        tlmm_telemetry::registry()
+            .counter_snapshots()
+            .into_iter()
+            .filter(|c| c.name.starts_with("memsim.des."))
+            .map(|c| (c.name, c.value))
+            .collect()
+    };
+    let before = des_counters();
+    let out = f();
+    let deltas = des_counters()
+        .into_iter()
+        .map(|(name, v)| {
+            let d = v - before.get(&name).copied().unwrap_or(0);
+            (name, d)
+        })
+        .filter(|(_, d)| *d > 0)
+        .collect();
+    (out, deltas)
+}
+
+#[test]
+fn des_reports_match_their_goldens() {
+    let _serial = tlmm_testkit::serial_guard(&DES_LOCK);
+    let trace = dma_trace();
+    for (name, machine, opt) in des_cases() {
+        let report = simulate_des(&trace, &machine, &opt);
+        assert!(report.overlapped_pairs > 0, "{name}: trace must overlap");
+        let golden = DesGolden {
+            seconds_bits: report.seconds.to_bits(),
+            report,
+        };
+        check_against_golden(name, &golden, machine.name.as_str());
+    }
+}
+
+#[test]
+fn des_inside_a_pool_worker_matches_a_top_level_call() {
+    let _serial = tlmm_testkit::serial_guard(&DES_LOCK);
+    let trace = dma_trace();
+    for (name, machine, opt) in des_cases() {
+        let (top, top_deltas) = with_des_counter_deltas(|| simulate_des(&trace, &machine, &opt));
+        assert!(!top_deltas.is_empty(), "{name}: DES must count");
+        // Two tasks on two threads: each DES call runs on a pool worker.
+        let (nested, nested_deltas) = with_des_counter_deltas(|| {
+            two_level_mem::core::pool::map_indexed(2, vec![(); 2], |_, ()| {
+                simulate_des(&trace, &machine, &opt)
+            })
+        });
+        for r in &nested {
+            assert_eq!(r.seconds.to_bits(), top.seconds.to_bits(), "{name}");
+            assert_eq!(r, &top, "{name}");
+        }
+        let doubled: Vec<(String, u64)> =
+            top_deltas.iter().map(|(n, d)| (n.clone(), 2 * d)).collect();
+        assert_eq!(nested_deltas, doubled, "{name}: counter deltas");
     }
 }
