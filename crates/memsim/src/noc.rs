@@ -62,13 +62,6 @@ impl Noc {
         let mean = self.total_bytes() as f64 / self.link_bytes.len().max(1) as f64;
         (max, mean)
     }
-
-    /// Reset busy state between phases (byte stats are kept).
-    pub fn reset_time(&mut self) {
-        for l in &mut self.link_free {
-            *l = 0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -116,17 +109,6 @@ mod tests {
         let (max, mean) = n.load_imbalance();
         assert_eq!(max, 200);
         assert!((mean - 250.0 / 64.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reset_time_keeps_stats() {
-        let mut n = noc();
-        n.traverse(0, 0, 64);
-        let busy_end = n.traverse(0, 0, 64);
-        n.reset_time();
-        let after = n.traverse(0, 0, 64);
-        assert!(after < busy_end);
-        assert_eq!(n.total_bytes(), 3 * 64);
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //!   256 cores of the paper's Fig. 4 machine) is expressed by charging work
 //!   to *virtual lanes* via [`trace::with_lane`], independent of how many
 //!   host threads actually execute.
+//! * [`pool`] — the scoped host worker pool every real fan-out uses (the
+//!   sorters and the discrete-event replay alike).
 //!
 //! # Example
 //!
@@ -56,6 +58,7 @@ pub mod error;
 pub mod executor;
 pub mod fault;
 pub mod mem;
+pub mod pool;
 pub mod trace;
 
 pub use arena::{ArenaBuf, ArenaStats, OffsetAlloc, StagingArena, TransferId};
