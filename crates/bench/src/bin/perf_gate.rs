@@ -17,10 +17,14 @@
 //!     [--baseline PATH] [--fresh PATH] [--tolerance FRAC]`
 //!
 //! Tolerance defaults to 0.15 (±15%); override with the flag or
-//! `TLMM_PERF_TOLERANCE`.
+//! `TLMM_PERF_TOLERANCE`. A malformed flag, tolerance or input file exits
+//! with code 2; a regression exits with 1.
 
 use serde::{Deserialize, Serialize};
+use tlmm_bench::cli::{flag_value, parse_or_exit, usage_error};
 use tlmm_bench::{artifact, outln};
+
+const BIN: &str = "perf_gate";
 use tlmm_telemetry::RunReport;
 
 /// Mirror of `kernel_bench`'s cell record (decode-only).
@@ -57,8 +61,22 @@ struct Delta {
 
 fn load(path: &str) -> BenchFile {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("perf_gate: cannot read {path}: {e}"));
-    serde::json::from_str(&text).unwrap_or_else(|e| panic!("perf_gate: cannot parse {path}: {e}"))
+        .unwrap_or_else(|e| usage_error(BIN, format_args!("cannot read {path}: {e}")));
+    serde::json::from_str(&text)
+        .unwrap_or_else(|e| usage_error(BIN, format_args!("cannot parse {path}: {e}")))
+}
+
+/// A tolerance from the flag or the environment: a finite fraction ≥ 0.
+/// (NaN would compare false against every delta and pass any regression.)
+fn parse_tolerance(what: &str, text: &str) -> f64 {
+    let t: f64 = parse_or_exit(BIN, what, text);
+    if !(t.is_finite() && t >= 0.0) {
+        usage_error(
+            BIN,
+            format_args!("bad {what} {text:?}: must be a finite fraction >= 0"),
+        );
+    }
+    t
 }
 
 fn main() {
@@ -67,22 +85,23 @@ fn main() {
         .join("BENCH_kernels_smoke.json")
         .display()
         .to_string();
-    let mut tolerance: f64 = std::env::var("TLMM_PERF_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.15);
+    let mut tolerance = match std::env::var("TLMM_PERF_TOLERANCE") {
+        Ok(text) => parse_tolerance("TLMM_PERF_TOLERANCE", &text),
+        Err(std::env::VarError::NotPresent) => 0.15,
+        Err(e) => usage_error(BIN, format_args!("bad TLMM_PERF_TOLERANCE: {e}")),
+    };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
-        let val = argv.get(i + 1).cloned().unwrap_or_default();
-        match argv[i].as_str() {
-            "--baseline" => baseline_path = val,
-            "--fresh" => fresh_path = val,
-            "--tolerance" => tolerance = val.parse().expect("--tolerance"),
-            other => {
-                eprintln!("perf_gate: unknown flag {other:?}");
-                std::process::exit(2);
-            }
+        let flag = argv[i].as_str();
+        if !matches!(flag, "--baseline" | "--fresh" | "--tolerance") {
+            usage_error(BIN, format_args!("unknown flag {flag:?}"));
+        }
+        let val = flag_value(BIN, &argv, i);
+        match flag {
+            "--baseline" => baseline_path = val.to_string(),
+            "--fresh" => fresh_path = val.to_string(),
+            _ => tolerance = parse_tolerance("--tolerance", val),
         }
         i += 2;
     }
@@ -90,12 +109,13 @@ fn main() {
     let committed = load(&baseline_path);
     let fresh = load(&fresh_path);
     if committed.mode != fresh.mode {
-        eprintln!(
-            "perf_gate: comparing mode {:?} against {:?} — cells are not \
-             size-matched, refusing",
-            fresh.mode, committed.mode
+        usage_error(
+            BIN,
+            format_args!(
+                "comparing mode {:?} against {:?} — cells are not size-matched, refusing",
+                fresh.mode, committed.mode
+            ),
         );
-        std::process::exit(2);
     }
 
     let mut text = String::new();

@@ -9,19 +9,24 @@
 //! (telemetry [`tlmm_telemetry::RunReport`]: wall-clock span tree, counters,
 //! histograms, and the simulator outputs as sections).
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin table1`
+//! Run: `cargo run --release -p tlmm-bench --bin table1 [-- N]` (N keys,
+//! default 10M; anything but one positive integer exits with code 2).
 
+use std::num::NonZeroUsize;
 use tlmm_analysis::compare_runs;
 use tlmm_analysis::table::{count, ratio, secs, Table};
+use tlmm_bench::cli::{parse_or_exit, usage_error};
 use tlmm_bench::{artifact, outln, run_baseline, run_nmsort, TABLE1_CHUNK, TABLE1_LANES, TABLE1_N};
 use tlmm_memsim::{simulate_flow, MachineConfig};
 use tlmm_telemetry::RunReport;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(TABLE1_N);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let n = match args.as_slice() {
+        [] => TABLE1_N,
+        [n] => parse_or_exit::<NonZeroUsize>("table1", "key count", n).get(),
+        _ => usage_error("table1", "usage: table1 [N]"),
+    };
     let chunk = TABLE1_CHUNK.min(n / 4 + 1);
     eprintln!("[table1] sorting {n} random u64 with {TABLE1_LANES} simulated cores...");
 

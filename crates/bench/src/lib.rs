@@ -7,7 +7,8 @@
 //! its phase trace, ledger and size so the binaries can replay the same run
 //! on many machine configurations, and the [`artifact`] module that writes
 //! each binary's text and [`tlmm_telemetry::RunReport`] JSON under
-//! `results/`.
+//! `results/`, and the [`cli`] helpers that turn malformed arguments into
+//! exit code 2.
 
 use serde::{Deserialize, Serialize};
 use tlmm_core::baseline::{baseline_sort, BaselineConfig};
@@ -19,6 +20,7 @@ use tlmm_scratchpad::{ExecConfig, ExecMode, ExecReport, FaultPlan, PhaseTrace, T
 use tlmm_workloads::{generate, Workload};
 
 pub mod artifact;
+pub mod cli;
 
 /// Experiment-scale model parameters.
 ///
