@@ -102,16 +102,25 @@ fn median_ms<S, P: FnMut() -> S, F: FnMut(S)>(timing: &Timing, mut prep: P, mut 
     median(samples)
 }
 
-/// Interleaved before/after medians: each measured iteration times the
+/// Shortest timed work per side of one paired sample. A cell faster than
+/// this repeats its kernels within the sample, so a scheduler tick or a
+/// timer-resolution step is a small share of every sample.
+const MIN_SAMPLE_MS: f64 = 10.0;
+
+/// Interleaved before/after medians: each measured sample times the
 /// baseline and the optimized kernel back to back, so slow load drift on a
 /// shared host hits both sides of the ratio equally (DESIGN.md §10).
 ///
-/// Returns `(median_base_ms, median_opt_ms, median_speedup)`. The speedup
-/// is the **median of the per-iteration ratios**, not the ratio of the
-/// medians: a transient stall (frequency throttle, scheduler migration)
-/// lands inside one iteration and skews both of that iteration's timings
-/// together, so its ratio stays sane while the ratio-of-medians can pair a
-/// stalled sample with a clean one. The perf gate compares these ratios.
+/// A sample runs `reps` baseline/optimized pairs (each on a fresh `prep`
+/// state) and sums each side's time, with `reps` sized from the warmup so
+/// each side's sum reaches [`MIN_SAMPLE_MS`]. Returns `(median_base_ms,
+/// median_opt_ms, median_speedup)`, the medians per run of the kernel.
+/// The speedup is the **median of the per-sample ratios**, not the ratio
+/// of the medians: a transient stall (frequency throttle, scheduler
+/// migration) lands inside one sample and skews both of that sample's
+/// timings together, so its ratio stays sane while the ratio-of-medians
+/// can pair a stalled sample with a clean one. The perf gate compares
+/// these ratios.
 fn paired_medians_ms<S, P, A, B>(
     timing: &Timing,
     mut prep: P,
@@ -123,24 +132,29 @@ where
     A: FnMut(S),
     B: FnMut(S),
 {
+    let timed = |f: &mut dyn FnMut(S), state: S| {
+        let t0 = Instant::now();
+        f(state);
+        t0.elapsed().as_secs_f64() * 1e3
+    };
+    let mut fastest = f64::INFINITY;
     for _ in 0..timing.warmup {
-        base(prep());
-        opt(prep());
+        let b = timed(&mut base, prep());
+        let o = timed(&mut opt, prep());
+        fastest = fastest.min(b).min(o);
     }
+    let reps = (MIN_SAMPLE_MS / fastest).ceil().clamp(1.0, 1e4) as usize;
     let mut bs = Vec::with_capacity(timing.measure);
     let mut os = Vec::with_capacity(timing.measure);
     let mut ratios = Vec::with_capacity(timing.measure);
     for _ in 0..timing.measure {
-        let state = prep();
-        let t0 = Instant::now();
-        base(state);
-        let b = t0.elapsed().as_secs_f64() * 1e3;
-        let state = prep();
-        let t0 = Instant::now();
-        opt(state);
-        let o = t0.elapsed().as_secs_f64() * 1e3;
-        bs.push(b);
-        os.push(o);
+        let (mut b, mut o) = (0.0, 0.0);
+        for _ in 0..reps {
+            b += timed(&mut base, prep());
+            o += timed(&mut opt, prep());
+        }
+        bs.push(b / reps as f64);
+        os.push(o / reps as f64);
         ratios.push(b / o);
     }
     (median(bs), median(os), median(ratios))
