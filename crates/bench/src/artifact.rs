@@ -1,17 +1,17 @@
-//! Result-file plumbing shared by every experiment binary.
+//! Result-file plumbing shared by every experiment.
 //!
-//! Each binary renders its tables into a `String`, collects the run's
+//! Each experiment renders its tables into a `String`, collects the run's
 //! telemetry into a [`RunReport`], and calls [`emit`]: the text goes to
 //! stdout (so interactive runs look unchanged) and both
 //! `<results>/<name>.txt` and `<results>/<name>.json` are written. The
-//! results directory is `TLMM_RESULTS_DIR` when set (the `all_experiments`
-//! driver sets it) and `results/` otherwise.
+//! results directory is `TLMM_RESULTS_DIR` when set (`experiments all`
+//! sets it) and `results/` otherwise.
 
 use std::path::{Path, PathBuf};
 use tlmm_telemetry::RunReport;
 
 /// `writeln!` into a `String` buffer without the infallible-`Result`
-/// boilerplate — the binaries build their rendered text with this.
+/// boilerplate — the experiments build their rendered text with this.
 #[macro_export]
 macro_rules! outln {
     ($buf:expr) => {{
@@ -69,7 +69,7 @@ fn write_file(path: &Path, contents: &str) -> std::io::Result<()> {
 /// Print `text` to stdout and persist both artifact files.
 ///
 /// `report` should come from [`RunReport::collect`] after the experiment's
-/// measured work, with the binary's parameters attached via
+/// measured work, with the experiment's parameters attached via
 /// [`RunReport::meta`] and its simulator outputs via
 /// [`RunReport::section`]; this function stamps the git commit on top.
 pub fn emit(name: &str, text: &str, report: RunReport) -> std::io::Result<Written> {

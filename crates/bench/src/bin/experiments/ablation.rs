@@ -8,9 +8,10 @@
 //!    variant is approximated by the per-bucket random-write cost model of
 //!    the sequential sort's scan.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin ablation`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- ablation`
 
 use tlmm_analysis::table::{count, secs, Table};
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, check_sorted, outln, run_nmsort, run_nmsort_dma};
 use tlmm_core::nmsort::{nmsort, ChunkSorter, NmSortConfig};
 use tlmm_memsim::{simulate_flow, MachineConfig};
@@ -39,7 +40,8 @@ fn nmsort_with(
     Ok((sim.seconds, sim.far_accesses, sim.near_accesses))
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run(args: Args) -> Outcome {
+    args.finish();
     let n = 4_000_000usize;
     let mut out = String::new();
 

@@ -12,10 +12,13 @@
 //! section per profile, so fault-matrix artifacts are diffable rather than
 //! pass/fail).
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fault_matrix -- [n] [n_seeds]`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fault_matrix [N [SEEDS]]`
+//! (defaults: 200000 keys, 3 seeds)
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use tlmm_analysis::table::Table;
-use tlmm_bench::{artifact, outln, run_sort_with_plan, RunDegradations, SortAlgo, SortSpec};
+use tlmm_bench::cli::{Args, Outcome};
+use tlmm_bench::{artifact, outln, run_sort, Engine, Overrides, RunDegradations, SortSpec};
 use tlmm_scratchpad::FaultPlan;
 use tlmm_telemetry::RunReport;
 
@@ -23,7 +26,7 @@ use tlmm_telemetry::RunReport;
 struct Profile {
     name: &'static str,
     /// DMA aborts only fire on the DMA-overlapped ingest path.
-    algo: SortAlgo,
+    algo: Engine,
     make: fn(u64) -> Option<FaultPlan>,
 }
 
@@ -52,27 +55,27 @@ fn dma_only(seed: u64) -> Option<FaultPlan> {
 const PROFILES: &[Profile] = &[
     Profile {
         name: "clean",
-        algo: SortAlgo::NmSort,
+        algo: Engine::NmSort,
         make: |_| None,
     },
     Profile {
         name: "alloc",
-        algo: SortAlgo::NmSort,
+        algo: Engine::NmSort,
         make: alloc_only,
     },
     Profile {
         name: "transfer",
-        algo: SortAlgo::NmSort,
+        algo: Engine::NmSort,
         make: transfer_only,
     },
     Profile {
         name: "dma",
-        algo: SortAlgo::NmSortDma,
+        algo: Engine::NmSortDma,
         make: dma_only,
     },
     Profile {
         name: "mixed",
-        algo: SortAlgo::NmSort,
+        algo: Engine::NmSort,
         make: |seed| Some(FaultPlan::seeded(seed)),
     },
     // The oblivious engines share the fault machinery with zero hooks of
@@ -80,12 +83,12 @@ const PROFILES: &[Profile] = &[
     // overhead-≥-0 invariant must hold on their rows.
     Profile {
         name: "spms-mixed",
-        algo: SortAlgo::Spms,
+        algo: Engine::Spms,
         make: |seed| Some(FaultPlan::seeded(seed)),
     },
     Profile {
         name: "squaresort-mixed",
-        algo: SortAlgo::SquareSort,
+        algo: Engine::SquareSort,
         make: |seed| Some(FaultPlan::seeded(seed)),
     },
 ];
@@ -101,10 +104,14 @@ struct ProfileAgg {
     last: RunDegradations,
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut args = std::env::args().skip(1);
-    let n: usize = args.and_next_parse().unwrap_or(200_000);
-    let n_seeds: u64 = args.and_next_parse().unwrap_or(3);
+pub fn run(mut args: Args) -> Outcome {
+    let n = args
+        .positional::<NonZeroUsize>("key count")
+        .map_or(200_000, NonZeroUsize::get);
+    let n_seeds = args
+        .positional::<NonZeroU64>("seed count")
+        .map_or(3, NonZeroU64::get);
+    args.finish();
     let lanes = 16;
     let chunk = (n / 5).max(1000);
     eprintln!(
@@ -112,19 +119,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PROFILES.len()
     );
 
+    // Same workload for every cell; only faults vary.
+    let spec = |algo| SortSpec::new(algo, n, lanes, 0xFA).chunked(chunk);
     let mut aggs: Vec<ProfileAgg> = PROFILES.iter().map(|_| ProfileAgg::default()).collect();
     for seed in 0..n_seeds {
         for (profile, agg) in PROFILES.iter().zip(aggs.iter_mut()) {
-            let spec = SortSpec {
-                threads: 1,
-                algo: profile.algo,
-                n,
-                lanes,
-                chunk_elems: Some(chunk),
-                seed: 0xFA, // same workload for every cell; only faults vary
-                fault_seed: None,
-            };
-            let run = run_sort_with_plan(&spec, (profile.make)(seed))
+            let plan = Overrides::plan((profile.make)(seed));
+            let run = run_sort(&spec(profile.algo), plan)
                 .map_err(|e| format!("{} seed {seed}: {e}", profile.name))?;
             agg.runs += 1;
             agg.faults_injected += run.degradations.faults_injected;
@@ -138,25 +139,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Clean baselines are deterministic (same workload, no plan): one per
     // engine, so every row's overhead is honest-accounting relative to
     // *its own* algorithm, not to NMsort's traffic profile.
-    let mut clean_far_by_algo: Vec<(SortAlgo, f64)> = Vec::new();
+    let mut clean_far_by_algo: Vec<(Engine, f64)> = Vec::new();
     for profile in PROFILES {
         if clean_far_by_algo.iter().any(|(a, _)| *a == profile.algo) {
             continue;
         }
-        let spec = SortSpec {
-            threads: 1,
-            algo: profile.algo,
-            n,
-            lanes,
-            chunk_elems: Some(chunk),
-            seed: 0xFA,
-            fault_seed: None,
-        };
-        let run = run_sort_with_plan(&spec, None)
+        let run = run_sort(&spec(profile.algo), Overrides::plan(None))
             .map_err(|e| format!("{} clean baseline: {e}", profile.name))?;
         clean_far_by_algo.push((profile.algo, run.ledger.far_bytes as f64));
     }
-    let clean_far_of = |algo: SortAlgo| -> f64 {
+    let clean_far_of = |algo: Engine| -> f64 {
         clean_far_by_algo
             .iter()
             .find(|(a, _)| *a == algo)
@@ -212,15 +204,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     artifact::emit("fault_matrix", &out, report)?;
     Ok(())
-}
-
-/// Tiny arg-parsing helper so `n` and `n_seeds` read cleanly above.
-trait NextParse {
-    fn and_next_parse<T: std::str::FromStr>(&mut self) -> Option<T>;
-}
-
-impl<I: Iterator<Item = String>> NextParse for I {
-    fn and_next_parse<T: std::str::FromStr>(&mut self) -> Option<T> {
-        self.next().and_then(|s| s.parse().ok())
-    }
 }

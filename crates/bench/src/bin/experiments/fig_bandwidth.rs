@@ -6,19 +6,21 @@
 //! once the scratchpad side stops being the bottleneck, the far-memory
 //! passes and the compute floor take over.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fig_bandwidth`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fig_bandwidth [N]`
 
+use std::num::NonZeroUsize;
 use tlmm_analysis::table::{ratio, secs, Table};
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln, run_baseline, run_nmsort, TABLE1_CHUNK, TABLE1_LANES, TABLE1_N};
 use tlmm_memsim::stats::Bottleneck;
 use tlmm_memsim::{simulate_flow, MachineConfig};
 use tlmm_telemetry::RunReport;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(TABLE1_N);
+pub fn run(mut args: Args) -> Outcome {
+    let n = args
+        .positional::<NonZeroUsize>("key count")
+        .map_or(TABLE1_N, NonZeroUsize::get);
+    args.finish();
     eprintln!("[fig_bandwidth] sorting {n} random u64 once, replaying across rho...");
     let base = run_baseline(n, TABLE1_LANES, 0xF1)?;
     let nm = run_nmsort(n, TABLE1_LANES, TABLE1_CHUNK.min(n / 4 + 1), 0xF1)?;

@@ -12,13 +12,15 @@
 //! at the bandwidth bound once `p > p′` — the same knee as the paper's
 //! 128-vs-256 observation, measured on the runtime instead of the replay.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fig_corescale`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fig_corescale [N]`
 
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroUsize;
 use tlmm_analysis::table::{secs, Table};
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{
-    artifact, outln, run_baseline, run_nmsort, run_sort_with_exec, SortAlgo, SortSpec,
-    TABLE1_CHUNK, TABLE1_LANES, TABLE1_N,
+    artifact, outln, run_baseline, run_nmsort, run_sort, Engine, Overrides, SortSpec, TABLE1_CHUNK,
+    TABLE1_LANES, TABLE1_N,
 };
 use tlmm_memsim::{simulate_flow, MachineConfig};
 use tlmm_model::bounds::bandwidth_bound_verdict;
@@ -53,17 +55,10 @@ fn contention_sweep(
     for &q in slots_axis {
         let mut row = Vec::new();
         for &p in ps {
-            let spec = SortSpec {
-                threads: 1,
-                algo: SortAlgo::NmSort,
-                n,
-                lanes: p,
-                chunk_elems: Some(n / 4 + 1),
-                seed: 0xEC,
-                fault_seed: None,
-            };
+            let spec = SortSpec::new(Engine::NmSort, n, p, 0xEC).chunked(n / 4 + 1);
             let p_prime = q.min(p);
-            let run = run_sort_with_exec(&spec, Some(ExecConfig::deterministic(p, p_prime, 9)))?;
+            let exec = Overrides::exec(ExecConfig::deterministic(p, p_prime, 9));
+            let run = run_sort(&spec, exec)?;
             let r = run.exec.expect("deterministic executor must report");
             row.push(ContentionCell {
                 p,
@@ -79,11 +74,11 @@ fn contention_sweep(
     Ok(rows)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(TABLE1_N);
+pub fn run(mut args: Args) -> Outcome {
+    let n = args
+        .positional::<NonZeroUsize>("key count")
+        .map_or(TABLE1_N, NonZeroUsize::get);
+    args.finish();
     eprintln!("[fig_corescale] sorting {n} random u64 once, replaying across core counts...");
     let base = run_baseline(n, TABLE1_LANES, 0xC0)?;
     let nm = run_nmsort(n, TABLE1_LANES, TABLE1_CHUNK.min(n / 4 + 1), 0xC0)?;

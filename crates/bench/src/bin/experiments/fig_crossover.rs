@@ -16,12 +16,13 @@
 //! * the simulated crossover exists and is monotone non-decreasing in M;
 //! * predicted and simulated crossovers land within one grid step.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fig_crossover [-- --smoke]`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fig_crossover [--smoke]`
 //! (`--smoke` shrinks the sweep to two small Ms for CI.)
 
 use serde::Serialize;
 use tlmm_analysis::table::Table;
-use tlmm_bench::{artifact, outln, run_sort_on, Engine, SortSpec};
+use tlmm_bench::cli::{Args, Outcome};
+use tlmm_bench::{artifact, outln, run_sort, Engine, Overrides, SortSpec};
 use tlmm_model::oblivious::{
     near_resident_cap_elems, nmsort_aware_cost, predicted_crossover, spms_cost, squaresort_cost,
 };
@@ -66,23 +67,18 @@ fn predictor(engine: Engine) -> fn(&ScratchpadParams, u64, usize) -> CostSplit {
 }
 
 fn measure_far_blocks(engine: Engine, n: u64, params: ScratchpadParams) -> (f64, f64) {
-    let spec = SortSpec {
-        threads: 1,
-        algo: engine,
-        n: n as usize,
-        lanes: 8,
-        chunk_elems: None,
-        seed: 0xC0, // same workload in every cell; only (M, engine) vary
-        fault_seed: None,
-    };
-    let run = run_sort_on(&spec, params).unwrap_or_else(|e| panic!("{} n={n}: {e}", engine.name()));
+    // Same workload in every cell; only (M, engine) vary.
+    let spec = SortSpec::new(engine, n as usize, 8, 0xC0);
+    let run = run_sort(&spec, Overrides::params(params))
+        .unwrap_or_else(|e| panic!("{} n={n}: {e}", engine.name()));
     let far = run.ledger.far_bytes as f64 / params.block_bytes as f64;
     let near = run.ledger.near_bytes as f64 / params.near_block_bytes() as f64;
     (far, near)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(mut args: Args) -> Outcome {
+    let smoke = args.flag("--smoke");
+    args.finish();
     let ms: &[u64] = if smoke {
         &[1 << 20, 4 << 20]
     } else {

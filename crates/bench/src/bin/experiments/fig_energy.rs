@@ -8,18 +8,20 @@
 //! DDR byte saved, so the energy win tracks how cheap the near byte really
 //! is — the sweep below varies that coefficient.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fig_energy`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fig_energy [N]`
 
+use std::num::NonZeroUsize;
 use tlmm_analysis::table::{ratio, Table};
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln, run_baseline, run_nmsort, TABLE1_CHUNK, TABLE1_LANES, TABLE1_N};
 use tlmm_memsim::energy::{estimate_energy, EnergyModel};
 use tlmm_telemetry::RunReport;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(TABLE1_N);
+pub fn run(mut args: Args) -> Outcome {
+    let n = args
+        .positional::<NonZeroUsize>("key count")
+        .map_or(TABLE1_N, NonZeroUsize::get);
+    args.finish();
     eprintln!("[fig_energy] sorting {n} random u64 once per algorithm...");
     let base = run_baseline(n, TABLE1_LANES, 0xE0)?;
     let nm = run_nmsort(n, TABLE1_LANES, TABLE1_CHUNK.min(n / 4 + 1), 0xE0)?;

@@ -9,9 +9,10 @@
 //! many-core regime where GEMM joins sorting on the bandwidth-bound side
 //! of the §V-A frontier.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fig_gemm`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fig_gemm`
 
 use tlmm_analysis::table::{count, ratio, secs, Table};
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln};
 use tlmm_memsim::{simulate_flow, MachineConfig};
 use tlmm_model::ScratchpadParams;
@@ -19,7 +20,8 @@ use tlmm_scratchpad::TwoLevel;
 use tlmm_telemetry::RunReport;
 use tlmm_tile::{gemm_far, gemm_near, GemmConfig, Matrix};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run(args: Args) -> Outcome {
+    args.finish();
     let n = 768usize; // square matrices, 4.5 MB each
     let mut out = String::new();
     outln!(

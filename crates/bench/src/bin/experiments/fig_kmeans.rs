@@ -7,9 +7,10 @@
 //! approaches ρ. The one-off seeding/staging passes dilute the end-to-end
 //! number, so both are reported.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fig_kmeans`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fig_kmeans`
 
 use tlmm_analysis::table::{ratio, secs, Table};
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln};
 use tlmm_kmeans::{generate_blobs, kmeans_far, kmeans_near, KMeansConfig};
 use tlmm_memsim::{simulate_flow, MachineConfig, SimReport};
@@ -33,7 +34,7 @@ struct Row {
     iters: u32,
 }
 
-fn run(n: usize, d: usize, k: usize, rho: f64) -> Row {
+fn measure(n: usize, d: usize, k: usize, rho: f64) -> Row {
     let params = ScratchpadParams::new(64, rho, 256 << 20, 36 << 20).unwrap();
     let pts = generate_blobs(n, d, k, 40.0, 7);
     let cfg = KMeansConfig {
@@ -66,7 +67,8 @@ fn run(n: usize, d: usize, k: usize, rho: f64) -> Row {
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run(args: Args) -> Outcome {
+    args.finish();
     let mut out = String::new();
     outln!(
         out,
@@ -90,7 +92,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (4_000_000, 2, 4),
     ] {
         for &rho in &[2.0, 4.0, 8.0] {
-            let r = run(n, d, k, rho);
+            let r = measure(n, d, k, rho);
             t.row(vec![
                 n.to_string(),
                 d.to_string(),

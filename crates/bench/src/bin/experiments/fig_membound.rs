@@ -5,14 +5,16 @@
 //! ("we observe that sorting is memory bound if the number of cores is 256
 //! and not memory bound when that number is reduced to 128").
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fig_membound`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fig_membound`
 
 use tlmm_analysis::frontier::{fig4_crossover_cores, frontier_for_cores};
 use tlmm_analysis::table::Table;
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln};
 use tlmm_telemetry::RunReport;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run(args: Args) -> Outcome {
+    args.finish();
     let cores = [16u32, 32, 64, 128, 192, 256, 384, 512, 1024];
     let scales = [0.5, 1.0, 2.0, 4.0, 8.0];
 

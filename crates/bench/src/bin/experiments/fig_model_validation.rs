@@ -6,10 +6,11 @@
 //! sweep; the hidden Θ-constants should stay flat if the implementation
 //! has the predicted asymptotics.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fig_model_validation`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fig_model_validation`
 
 use tlmm_analysis::table::{count, Table};
 use tlmm_analysis::validation::{constants_stable, ValidationRow};
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, check_sorted, outln};
 use tlmm_core::nmsort::{nmsort, NmSortConfig};
 use tlmm_model::ScratchpadParams;
@@ -17,7 +18,8 @@ use tlmm_scratchpad::TwoLevel;
 use tlmm_telemetry::RunReport;
 use tlmm_workloads::{generate, Workload};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run(args: Args) -> Outcome {
+    args.finish();
     // A smaller scratchpad (4 MiB) so every N in the sweep is multi-chunk.
     let mut rows = Vec::new();
     let mut t = Table::new([

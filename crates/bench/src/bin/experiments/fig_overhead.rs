@@ -5,9 +5,10 @@
 //! The auxiliary array per chunk has `Θ(M/B)` entries against `Θ(M)` chunk
 //! elements, so the fraction scales as `1/B` (in entries per element).
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fig_overhead`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fig_overhead`
 
 use tlmm_analysis::table::{count, Table};
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, check_sorted, outln};
 use tlmm_core::nmsort::{nmsort, NmSortConfig};
 use tlmm_model::ScratchpadParams;
@@ -15,7 +16,8 @@ use tlmm_scratchpad::TwoLevel;
 use tlmm_telemetry::RunReport;
 use tlmm_workloads::{generate, Workload};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run(args: Args) -> Outcome {
+    args.finish();
     let n = 2_000_000usize;
     let mut t = Table::new([
         "B (bytes)",

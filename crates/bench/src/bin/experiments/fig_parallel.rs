@@ -12,10 +12,13 @@
 //!   1 and 8 simulated cores so the lane-scaling each engine actually
 //!   achieves sits next to the theorem's idealized division.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin fig_parallel [-- --engines nmsort,spms]`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- fig_parallel [--engines nmsort,spms]`
 
 use tlmm_analysis::table::{count, secs, Table};
-use tlmm_bench::{artifact, check_sorted, outln, run_sort, Engine, SortSpec};
+use tlmm_bench::cli::{Args, Outcome};
+use tlmm_bench::{
+    artifact, check_sorted, outln, parse_engine, run_sort, Engine, Overrides, SortSpec,
+};
 use tlmm_core::parsort::{par_scratchpad_sort, ParSortConfig};
 use tlmm_core::pool::host_threads;
 use tlmm_memsim::{simulate_flow, MachineConfig};
@@ -38,15 +41,11 @@ fn engine_sweep(
 ) -> Result<Vec<SweepRow>, Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     for &engine in engines {
-        let run = run_sort(&SortSpec {
-            algo: engine,
-            n,
-            lanes: 8,
+        let spec = SortSpec {
             threads,
-            chunk_elems: None,
-            seed: 4,
-            fault_seed: None,
-        })?;
+            ..SortSpec::new(engine, n, 8, 4)
+        };
+        let run = run_sort(&spec, Overrides::default())?;
         let s1 = simulate_flow(&run.trace, &MachineConfig::fig4(1, 4.0)).seconds;
         let s8 = simulate_flow(&run.trace, &MachineConfig::fig4(8, 4.0)).seconds;
         rows.push((engine, s1, s8));
@@ -54,26 +53,18 @@ fn engine_sweep(
     Ok(rows)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run(mut args: Args) -> Outcome {
+    // `--engines a,b,c` filters the registry sweep; names must parse.
+    let engines = args
+        .value_with("--engines", |list| {
+            list.split(',')
+                .map(|s| parse_engine(s.trim()))
+                .collect::<Result<Vec<_>, _>>()
+        })
+        .unwrap_or_else(|| Engine::ALL.to_vec());
+    args.finish();
     let n = 2_000_000usize;
     let params = ScratchpadParams::new(64, 4.0, 16 << 20, 2 << 20).unwrap();
-
-    // `--engines a,b,c` filters the registry sweep; names must parse.
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let engines: Vec<Engine> = match argv.iter().position(|a| a == "--engines") {
-        Some(i) => argv
-            .get(i + 1)
-            .map(|list| {
-                list.split(',')
-                    .map(|s| {
-                        Engine::parse(s.trim())
-                            .unwrap_or_else(|| panic!("fig_parallel: unknown engine {s:?}"))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default(),
-        None => Engine::ALL.to_vec(),
-    };
 
     let mut out = String::new();
     outln!(

@@ -28,13 +28,15 @@
 //! committed before→after record) and `results/kernel_bench.{txt,json}`
 //! via the artifact plumbing.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin kernel_bench [-- --smoke | --full10m]`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- kernel_bench [--smoke | --full10m]`
 //!
 //! `--smoke` shrinks sizes for CI and additionally asserts the optimized
 //! kernels agree element-for-element with the reference implementations.
 
 use std::time::Instant;
-use tlmm_bench::{artifact, outln, run_sort, SortAlgo, SortSpec};
+use tlmm_bench::bench_file::{median, BenchFile, Cell};
+use tlmm_bench::cli::{Args, Outcome};
+use tlmm_bench::{artifact, outln, run_sort, Engine, Overrides, SortSpec};
 use tlmm_core::kernels::reference::{form_runs_ref, merge_into_slice_ref};
 use tlmm_core::kernels::sort_kernel;
 use tlmm_core::losertree::merge_into_slice;
@@ -46,7 +48,6 @@ use tlmm_workloads::{generate, Workload};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// Sorted-run length for the formation cell: the external mergesort's
 /// default at experiment scale (`Z / (2·elem·lanes)` = 4 MiB / 128).
@@ -58,28 +59,6 @@ const PHASE2_RUNS: (usize, usize) = (50, 5_000);
 /// Runs per bucket of the `spms_bucket` cell, in both modes: SPMS's
 /// fan-in at the root of a 10M-key sort (`⌈√10⁷⌉` groups).
 const SPMS_BUCKET_RUNS: usize = 3_163;
-
-#[derive(Serialize)]
-struct Cell {
-    kernel: String,
-    workload: String,
-    n: usize,
-    /// Median ms of the pre-kernel implementation (absent for cells with
-    /// no before/after pair).
-    baseline_ms: Option<f64>,
-    optimized_ms: f64,
-    /// `baseline_ms / optimized_ms` when a baseline exists.
-    speedup: Option<f64>,
-}
-
-#[derive(Serialize)]
-struct BenchFile {
-    git_sha: String,
-    mode: String,
-    warmup_iters: usize,
-    measured_iters: usize,
-    cells: Vec<Cell>,
-}
 
 struct Timing {
     warmup: usize,
@@ -158,11 +137,6 @@ where
         ratios.push(b / o);
     }
     (median(bs), median(os), median(ratios))
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
 }
 
 fn shapes() -> [(&'static str, Workload); 4] {
@@ -353,16 +327,8 @@ fn nmsort_cells(sizes: &[usize], timing: &Timing, cells: &mut Vec<Cell>) {
                 timing,
                 || (),
                 |()| {
-                    run_sort(&SortSpec {
-                        threads: 1,
-                        algo: SortAlgo::NmSort,
-                        n,
-                        lanes: 8,
-                        chunk_elems: None,
-                        seed: 0xF3,
-                        fault_seed: None,
-                    })
-                    .expect("nmsort e2e cell failed");
+                    let spec = SortSpec::new(Engine::NmSort, n, 8, 0xF3);
+                    run_sort(&spec, Overrides::default()).expect("nmsort e2e cell failed");
                 },
             );
             cells.push(Cell {
@@ -377,10 +343,13 @@ fn nmsort_cells(sizes: &[usize], timing: &Timing, cells: &mut Vec<Cell>) {
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let full10m = args.iter().any(|a| a == "--full10m");
+pub fn run(mut args: Args) -> Outcome {
+    let smoke = args.flag("--smoke");
+    let full10m = args.flag("--full10m");
+    if smoke && full10m {
+        args.fail("--smoke and --full10m exclude each other");
+    }
+    args.finish();
     let mode = if smoke { "smoke" } else { "full" };
 
     let (n, nmsort_sizes, timing) = if smoke {
@@ -464,20 +433,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mode: mode.into(),
         warmup_iters: timing.warmup,
         measured_iters: timing.measure,
+        sweep: None,
         cells,
     };
     // Full mode refreshes the committed trajectory file; smoke mode writes
     // its (smaller-n) cells next to the other CI artifacts so the perf
     // gate can diff them against the committed smoke baseline without
     // ever clobbering the full-mode record.
-    let bench_path = if smoke {
-        let dir = artifact::results_dir();
-        std::fs::create_dir_all(&dir)?;
-        dir.join("BENCH_kernels_smoke.json")
-    } else {
-        std::path::PathBuf::from("BENCH_kernels.json")
-    };
-    std::fs::write(&bench_path, serde::json::to_string_pretty(&file)? + "\n")?;
+    let bench_path = file.write(smoke, "kernels")?;
     outln!(text, "wrote {}", bench_path.display());
 
     let report = RunReport::collect("kernel_bench")

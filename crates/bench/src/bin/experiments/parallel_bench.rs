@@ -33,16 +33,16 @@
 //! mode, diffed by `perf_gate --baseline BENCH_parallel_smoke.json`),
 //! plus `results/parallel_bench.{txt,json}` via the artifact plumbing.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin parallel_bench [-- --smoke]`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- parallel_bench [--smoke]`
 
 use std::time::Instant;
-use tlmm_bench::{artifact, outln, run_sort, Engine, SortSpec};
+use tlmm_bench::bench_file::{median, BenchFile, Cell, SweepInfo};
+use tlmm_bench::cli::{Args, Outcome};
+use tlmm_bench::{artifact, outln, run_sort, Engine, Overrides, SortSpec};
 use tlmm_core::kernels::simd;
 use tlmm_core::pool::host_threads;
 use tlmm_memsim::{simulate_flow, MachineConfig};
 use tlmm_telemetry::RunReport;
-
-use serde::Serialize;
 
 /// Virtual lanes for every cell: fixed so the recorded trace (and hence
 /// the ledger) is identical along the whole thread axis.
@@ -55,50 +55,10 @@ const RHO: f64 = 8.0;
 /// competitor running under the same ledger.
 const ENGINES: [Engine; 2] = [Engine::NmSort, Engine::Spms];
 
-/// `perf_gate`-compatible cell: `kernel` is the measurement axis
-/// (`sim_flow` / `wall`), `workload` is `<engine>/t=<threads>`. Only
-/// `sim_flow` cells carry a `speedup` — they are deterministic; wall
-/// medians are recorded for the eyeball but never gate.
-#[derive(Serialize)]
-struct Cell {
-    kernel: String,
-    workload: String,
-    n: usize,
-    baseline_ms: Option<f64>,
-    optimized_ms: f64,
-    speedup: Option<f64>,
-}
-
-#[derive(Serialize)]
-struct BenchFile {
-    git_sha: String,
-    mode: String,
-    warmup_iters: usize,
-    measured_iters: usize,
-    /// Host cores the wall-clock cells ran on (wall speedups are only
-    /// meaningful when this reaches the thread axis).
-    host_cores: usize,
-    lanes: usize,
-    rho: f64,
-    /// Ledger invariance checks that passed in-binary this run.
-    asserted: Vec<String>,
-    cells: Vec<Cell>,
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
 fn spec(engine: Engine, n: usize, threads: usize) -> SortSpec {
     SortSpec {
-        algo: engine,
-        n,
-        lanes: LANES,
         threads,
-        chunk_elems: None,
-        seed: 0xBA11,
-        fault_seed: None,
+        ..SortSpec::new(engine, n, LANES, 0xBA11)
     }
 }
 
@@ -122,7 +82,8 @@ fn run_group(engine: Engine, n: usize, iters: usize, asserted: &mut Vec<String>)
         let mut wall_1t = f64::NAN;
         for (ti, &t) in THREADS.iter().enumerate() {
             let t0 = Instant::now();
-            let run = run_sort(&spec(engine, n, t)).expect("parallel_bench sort failed");
+            let run = run_sort(&spec(engine, n, t), Overrides::default())
+                .expect("parallel_bench sort failed");
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             walls[ti].push(ms);
             if ti == 0 {
@@ -149,7 +110,7 @@ fn run_group(engine: Engine, n: usize, iters: usize, asserted: &mut Vec<String>)
     // run with the vector path forced off.
     let prior = simd::enabled();
     simd::set_enabled(false);
-    let off = run_sort(&spec(engine, n, 1)).expect("SIMD-off run failed");
+    let off = run_sort(&spec(engine, n, 1), Overrides::default()).expect("SIMD-off run failed");
     simd::set_enabled(prior);
     let off_json = serde::json::to_string(&off.ledger).expect("ledger serializes");
     assert_eq!(
@@ -200,23 +161,20 @@ fn run_overlap_group(
 ) {
     // ≥ 4 chunks at every size, 3-buffer-feasible (3 × 16 MB ≪ M).
     let chunk_elems = (n / 4).min(2_000_000);
-    let chunk = Some(chunk_elems);
     let t_wall = if host >= 2 { 2 } else { 1 };
-    let spec_of = |engine: Engine| SortSpec {
-        chunk_elems: chunk,
-        threads: t_wall,
-        ..spec(engine, n, t_wall)
-    };
+    let spec_of = |engine: Engine| spec(engine, n, t_wall).chunked(chunk_elems);
 
     let mut blk_walls = Vec::new();
     let mut dma_walls = Vec::new();
     let mut first = None;
     for _ in 0..iters {
         let t0 = Instant::now();
-        let blk = run_sort(&spec_of(Engine::NmSort)).expect("blocking run failed");
+        let blk =
+            run_sort(&spec_of(Engine::NmSort), Overrides::default()).expect("blocking run failed");
         blk_walls.push(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
-        let dma = run_sort(&spec_of(Engine::NmSortDma)).expect("dma run failed");
+        let dma =
+            run_sort(&spec_of(Engine::NmSortDma), Overrides::default()).expect("dma run failed");
         dma_walls.push(t0.elapsed().as_secs_f64() * 1e3);
 
         let blk_json = serde::json::to_string(&blk.ledger).expect("ledger serializes");
@@ -303,8 +261,9 @@ fn run_overlap_group(
     });
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(mut args: Args) -> Outcome {
+    let smoke = args.flag("--smoke");
+    args.finish();
     let mode = if smoke {
         "parallel_smoke"
     } else {
@@ -342,6 +301,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "sim x"
     );
 
+    // Cells are `perf_gate`-compatible: `kernel` is the measurement axis
+    // (`sim_flow` / `wall`), `workload` is `<engine>/t=<threads>`. Only
+    // `sim_flow` cells carry a `speedup` — they are deterministic; wall
+    // medians are recorded for the eyeball but never gate.
     for engine in ENGINES {
         for &n in &sizes {
             eprintln!("[parallel_bench] {} n={n}...", engine.name());
@@ -430,22 +393,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mode: mode.into(),
         warmup_iters: 0,
         measured_iters: iters,
-        host_cores: host,
-        lanes: LANES,
-        rho: RHO,
-        asserted,
+        sweep: Some(SweepInfo {
+            host_cores: host,
+            lanes: LANES,
+            rho: RHO,
+            asserted,
+        }),
         cells,
     };
     // Full mode refreshes the committed record at the repo root; smoke
     // writes next to the CI artifacts for the perf gate to diff.
-    let path = if smoke {
-        let dir = artifact::results_dir();
-        std::fs::create_dir_all(&dir)?;
-        dir.join("BENCH_parallel_smoke.json")
-    } else {
-        std::path::PathBuf::from("BENCH_parallel.json")
-    };
-    std::fs::write(&path, serde::json::to_string_pretty(&file)? + "\n")?;
+    let path = file.write(smoke, "parallel")?;
     outln!(text, "wrote {}", path.display());
 
     let report = RunReport::collect("parallel_bench")

@@ -13,41 +13,20 @@
 //! of the unpaired cells (`bucketize`, `nmsort_e2e`) are reported for the
 //! eyeball but never fail the gate.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin perf_gate -- \
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- perf_gate \
 //!     [--baseline PATH] [--fresh PATH] [--tolerance FRAC]`
 //!
 //! Tolerance defaults to 0.15 (±15%); override with the flag or
 //! `TLMM_PERF_TOLERANCE`. A malformed flag, tolerance or input file exits
 //! with code 2; a regression exits with 1.
 
-use serde::{Deserialize, Serialize};
-use tlmm_bench::cli::{flag_value, parse_or_exit, usage_error};
+use serde::Serialize;
+use tlmm_bench::bench_file::BenchFile;
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln};
-
-const BIN: &str = "perf_gate";
 use tlmm_telemetry::RunReport;
 
-/// Mirror of `kernel_bench`'s cell record (decode-only).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Cell {
-    kernel: String,
-    workload: String,
-    n: usize,
-    baseline_ms: Option<f64>,
-    optimized_ms: f64,
-    speedup: Option<f64>,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct BenchFile {
-    git_sha: String,
-    mode: String,
-    warmup_iters: usize,
-    measured_iters: usize,
-    cells: Vec<Cell>,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct Delta {
     kernel: String,
     workload: String,
@@ -59,65 +38,55 @@ struct Delta {
     verdict: String,
 }
 
-fn load(path: &str) -> BenchFile {
+fn load(args: &Args, path: &str) -> BenchFile {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| usage_error(BIN, format_args!("cannot read {path}: {e}")));
+        .unwrap_or_else(|e| args.fail(format_args!("cannot read {path}: {e}")));
     serde::json::from_str(&text)
-        .unwrap_or_else(|e| usage_error(BIN, format_args!("cannot parse {path}: {e}")))
+        .unwrap_or_else(|e| args.fail(format_args!("cannot parse {path}: {e}")))
 }
 
 /// A tolerance from the flag or the environment: a finite fraction ≥ 0.
 /// (NaN would compare false against every delta and pass any regression.)
-fn parse_tolerance(what: &str, text: &str) -> f64 {
-    let t: f64 = parse_or_exit(BIN, what, text);
-    if !(t.is_finite() && t >= 0.0) {
-        usage_error(
-            BIN,
-            format_args!("bad {what} {text:?}: must be a finite fraction >= 0"),
-        );
+fn tolerance(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        Ok(_) => Err("must be a finite fraction >= 0".to_string()),
+        Err(e) => Err(e.to_string()),
     }
-    t
 }
 
-fn main() {
-    let mut baseline_path = "BENCH_kernels_smoke.json".to_string();
-    let mut fresh_path = artifact::results_dir()
-        .join("BENCH_kernels_smoke.json")
-        .display()
-        .to_string();
-    let mut tolerance = match std::env::var("TLMM_PERF_TOLERANCE") {
-        Ok(text) => parse_tolerance("TLMM_PERF_TOLERANCE", &text),
-        Err(std::env::VarError::NotPresent) => 0.15,
-        Err(e) => usage_error(BIN, format_args!("bad TLMM_PERF_TOLERANCE: {e}")),
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        if !matches!(flag, "--baseline" | "--fresh" | "--tolerance") {
-            usage_error(BIN, format_args!("unknown flag {flag:?}"));
-        }
-        let val = flag_value(BIN, &argv, i);
-        match flag {
-            "--baseline" => baseline_path = val.to_string(),
-            "--fresh" => fresh_path = val.to_string(),
-            _ => tolerance = parse_tolerance("--tolerance", val),
-        }
-        i += 2;
-    }
+pub fn run(mut args: Args) -> Outcome {
+    let env_tolerance =
+        match std::env::var("TLMM_PERF_TOLERANCE") {
+            Ok(text) => Some(tolerance(&text).unwrap_or_else(|e| {
+                args.fail(format_args!("bad TLMM_PERF_TOLERANCE {text:?}: {e}"))
+            })),
+            Err(std::env::VarError::NotPresent) => None,
+            Err(e) => args.fail(format_args!("bad TLMM_PERF_TOLERANCE: {e}")),
+        };
+    let baseline_path = args
+        .value("--baseline")
+        .unwrap_or_else(|| "BENCH_kernels_smoke.json".to_string());
+    let fresh_path = args.value("--fresh").unwrap_or_else(|| {
+        artifact::results_dir()
+            .join("BENCH_kernels_smoke.json")
+            .display()
+            .to_string()
+    });
+    let tolerance = args
+        .value_with("--tolerance", tolerance)
+        .or(env_tolerance)
+        .unwrap_or(0.15);
+    args.finish();
 
-    let committed = load(&baseline_path);
-    let fresh = load(&fresh_path);
+    let committed = load(&args, &baseline_path);
+    let fresh = load(&args, &fresh_path);
     if committed.mode != fresh.mode {
-        usage_error(
-            BIN,
-            format_args!(
-                "comparing mode {:?} against {:?} — cells are not size-matched, refusing",
-                fresh.mode, committed.mode
-            ),
-        );
+        args.fail(format_args!(
+            "comparing mode {:?} against {:?} — cells are not size-matched, refusing",
+            fresh.mode, committed.mode
+        ));
     }
-
     let mut text = String::new();
     outln!(
         text,
@@ -235,8 +204,9 @@ fn main() {
         .meta("fresh", &fresh_path)
         .meta("regressions", regressions)
         .section("deltas", &deltas);
-    artifact::emit("perf_gate", &text, report).expect("emit perf_gate artifacts");
+    artifact::emit("perf_gate", &text, report)?;
     if regressions > 0 {
         std::process::exit(1);
     }
+    Ok(())
 }

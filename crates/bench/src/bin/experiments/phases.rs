@@ -1,18 +1,20 @@
 //! Diagnostic: per-phase simulated time breakdown for one NMsort run,
 //! plus the run's own wall-clock telemetry span tree.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin phases [N]`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- phases [N]`
 
+use std::num::NonZeroUsize;
 use tlmm_analysis::table::{secs, Table};
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln, run_baseline, run_nmsort, TABLE1_LANES};
 use tlmm_memsim::{simulate_flow, MachineConfig};
 use tlmm_telemetry::RunReport;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000_000);
+pub fn run(mut args: Args) -> Outcome {
+    let n = args
+        .positional::<NonZeroUsize>("key count")
+        .map_or(2_000_000, NonZeroUsize::get);
+    args.finish();
     let nm = run_nmsort(n, TABLE1_LANES, n / 4 + 1, 0xD1)?;
     let m = MachineConfig::fig4(256, 8.0);
     let sim = simulate_flow(&nm.trace, &m);

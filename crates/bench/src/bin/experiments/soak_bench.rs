@@ -19,11 +19,12 @@
 //!
 //! Writes `results/soak.txt` and `results/soak.json`.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin soak_bench [-- --smoke]`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- soak_bench [--smoke]`
 //! (`--smoke` runs hundreds of jobs per level instead of thousands.)
 
 use serde::Serialize;
 use tlmm_analysis::table::Table;
+use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln};
 use tlmm_model::{Engine, ScratchpadParams};
 use tlmm_scratchpad::splitmix64;
@@ -161,8 +162,9 @@ fn goodput_rate(s: &LevelSummary) -> f64 {
     s.goodput_units as f64 / s.makespan as f64
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+pub fn run(mut args: Args) -> Outcome {
+    let smoke = args.flag("--smoke");
+    args.finish();
     let jobs_per_level = if smoke { 200 } else { 1_200 };
     let cfg = service_config(smoke);
 
@@ -308,5 +310,6 @@ fn main() {
         .meta("slots", cfg.slots)
         .meta("scratchpad_bytes", cfg.params.scratchpad_bytes)
         .section("levels", &levels);
-    artifact::emit("soak", &text, report).expect("write soak artifacts");
+    artifact::emit("soak", &text, report)?;
+    Ok(())
 }

@@ -12,11 +12,12 @@
 //! and again at `threads > 1`, so the <5% bound holds with multiple host
 //! workers pushing ring events concurrently.
 //!
-//! Run: `cargo run --release -p tlmm-bench --bin telemetry_overhead`
+//! Run: `cargo run --release -p tlmm-bench --bin experiments -- telemetry_overhead`
 
 use std::hint::black_box;
 use std::time::Instant;
-use tlmm_bench::{artifact, outln, run_sort, SortAlgo, SortSpec};
+use tlmm_bench::cli::{Args, Outcome};
+use tlmm_bench::{artifact, outln, run_sort, Engine, Overrides, SortSpec};
 use tlmm_telemetry::RunReport;
 
 const N: usize = 1_000_000;
@@ -32,16 +33,11 @@ fn time_workload_threads(reps: usize, threads: usize) -> f64 {
     let mut best = f64::INFINITY;
     for rep in 0..reps {
         let t0 = Instant::now();
-        run_sort(&SortSpec {
-            algo: SortAlgo::NmSort,
-            n: N,
-            lanes: LANES,
+        let spec = SortSpec {
             threads,
-            chunk_elems: Some(CHUNK),
-            seed: 0x7E + rep as u64,
-            fault_seed: None,
-        })
-        .expect("nmsort run");
+            ..SortSpec::new(Engine::NmSort, N, LANES, 0x7E + rep as u64).chunked(CHUNK)
+        };
+        run_sort(&spec, Overrides::default()).expect("nmsort run");
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
@@ -61,10 +57,12 @@ fn ns_per_op(iters: u64, f: impl Fn(u64)) -> f64 {
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+pub fn run(mut args: Args) -> Outcome {
     // Child mode: run the workload once with whatever sink the environment
     // configured and print the wall seconds (parsed by the parent).
-    if std::env::args().nth(1).as_deref() == Some("--measure-child") {
+    let child = args.flag("--measure-child");
+    args.finish();
+    if child {
         println!("{}", time_workload(2));
         return Ok(());
     }
@@ -139,7 +137,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sink_path.display()
     );
     let child = std::process::Command::new(std::env::current_exe()?)
-        .arg("--measure-child")
+        .args(["telemetry_overhead", "--measure-child"])
         .env("TLMM_TELEMETRY", &sink_path)
         .output()?;
     let sink_wall: f64 = if child.status.success() {

@@ -1,7 +1,7 @@
 //! `tlmm_profile` — run one sort under the flight recorder and emit a
 //! Perfetto-loadable trace plus a critical-path attribution summary.
 //!
-//! This is the observability companion to the experiment binaries: where
+//! This is the observability companion to the other experiments: where
 //! `table1` asks *how much* a run costs, this asks *where the time went* —
 //! which worker lane carried the makespan, how much of it was far/near
 //! occupancy vs. waiting on a p′ transfer slot, and whether that verdict
@@ -11,9 +11,9 @@
 //! transfer slots, so `slot_wait` shows up on the path):
 //!
 //! ```text
-//! cargo run --release -p tlmm-bench --bin tlmm_profile -- \
-//!     [--algo nmsort|dma|baseline|spms|squaresort] [--n N] [--lanes L] [--chunk C]
-//!     [--seed S] [--workers P] [--slots P'] [--exec-seed E]
+//! cargo run --release -p tlmm-bench --bin experiments -- tlmm_profile \
+//!     [--algo nmsort|dma|baseline|spms|squaresort] [--n N] [--lanes L]
+//!     [--chunk C] [--seed S] [--workers P] [--slots P'] [--exec-seed E]
 //!     [--fault-seed F] [--name NAME]
 //! ```
 //!
@@ -26,7 +26,9 @@
 //!
 //! [`Bottleneck`]: tlmm_memsim::stats::Bottleneck
 
-use tlmm_bench::{artifact, outln, run_sort_with_exec, Engine, SortAlgo, SortSpec};
+use std::num::NonZeroUsize;
+use tlmm_bench::cli::{Args, Outcome};
+use tlmm_bench::{artifact, outln, parse_engine, run_sort, Engine, Overrides, SortSpec};
 use tlmm_memsim::crosscheck::cross_check;
 use tlmm_memsim::{simulate_flow, MachineConfig};
 use tlmm_scratchpad::ExecConfig;
@@ -34,11 +36,15 @@ use tlmm_telemetry::critical::critical_path;
 use tlmm_telemetry::flight::{self, FlightConfig};
 use tlmm_telemetry::{perfetto, RunReport};
 
-struct Args {
-    algo: SortAlgo,
+/// The experiment's arguments, as printed on a usage error.
+pub const USAGE: &str = "[--algo ENGINE] [--n N] [--lanes L] [--chunk C] [--seed S] \
+                         [--workers P] [--slots P'] [--exec-seed E] [--fault-seed F] [--name NAME]";
+
+struct Opts {
+    algo: Engine,
     n: usize,
     lanes: usize,
-    chunk: Option<usize>,
+    chunk: usize,
     seed: u64,
     workers: usize,
     slots: usize,
@@ -47,94 +53,62 @@ struct Args {
     name: String,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            algo: SortAlgo::NmSort,
-            n: 200_000,
-            lanes: 8,
-            chunk: Some(40_000),
-            seed: 42,
-            workers: 8,
-            slots: 2,
-            exec_seed: 7,
-            fault_seed: None,
-            name: "tlmm_profile".to_string(),
-        }
-    }
-}
-
-fn parse_args() -> Args {
-    let mut a = Args::default();
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        let val = argv.get(i + 1).unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            std::process::exit(2);
-        });
-        match flag {
-            "--algo" => {
-                a.algo = Engine::parse(val).unwrap_or_else(|| {
-                    let names: Vec<&str> = Engine::ALL.iter().map(|e| e.name()).collect();
-                    eprintln!("unknown algo {val:?} ({})", names.join("|"));
-                    std::process::exit(2);
-                })
-            }
-            "--n" => a.n = val.parse().expect("--n"),
-            "--lanes" => a.lanes = val.parse().expect("--lanes"),
-            "--chunk" => a.chunk = Some(val.parse().expect("--chunk")),
-            "--seed" => a.seed = val.parse().expect("--seed"),
-            "--workers" => a.workers = val.parse().expect("--workers"),
-            "--slots" => a.slots = val.parse().expect("--slots"),
-            "--exec-seed" => a.exec_seed = val.parse().expect("--exec-seed"),
-            "--fault-seed" => a.fault_seed = Some(val.parse().expect("--fault-seed")),
-            "--name" => a.name = val.clone(),
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 2;
-    }
-    a
-}
-
-fn main() {
-    let args = parse_args();
-    let spec = SortSpec {
-        threads: 1,
-        algo: args.algo,
-        n: args.n,
-        lanes: args.lanes,
-        chunk_elems: if args.algo.uses_chunks() {
-            args.chunk
-        } else {
-            None
-        },
-        seed: args.seed,
-        fault_seed: args.fault_seed,
+/// Parse the flags; each one absent keeps the default run.
+fn parse_opts(args: &mut Args) -> Opts {
+    let count = |args: &mut Args, flag: &str, default: usize| {
+        args.value::<NonZeroUsize>(flag)
+            .map_or(default, NonZeroUsize::get)
     };
-    let exec = ExecConfig::deterministic(args.workers, args.slots, args.exec_seed);
+    let opts = Opts {
+        algo: args
+            .value_with("--algo", parse_engine)
+            .unwrap_or(Engine::NmSort),
+        n: count(args, "--n", 200_000),
+        lanes: count(args, "--lanes", 8),
+        chunk: count(args, "--chunk", 40_000),
+        seed: args.value("--seed").unwrap_or(42),
+        workers: count(args, "--workers", 8),
+        slots: count(args, "--slots", 2),
+        exec_seed: args.value("--exec-seed").unwrap_or(7),
+        fault_seed: args.value("--fault-seed"),
+        name: args
+            .value("--name")
+            .unwrap_or_else(|| "tlmm_profile".to_string()),
+    };
+    args.finish();
+    opts
+}
+
+pub fn run(mut args: Args) -> Outcome {
+    let opts = parse_opts(&mut args);
+    let exec = ExecConfig::deterministic(opts.workers, opts.slots, opts.exec_seed);
+    if let Err(e) = exec.validate() {
+        args.fail(format_args!("bad executor: {e}"));
+    }
+
+    let spec = SortSpec {
+        chunk_elems: opts.algo.uses_chunks().then_some(opts.chunk),
+        fault_seed: opts.fault_seed,
+        ..SortSpec::new(opts.algo, opts.n, opts.lanes, opts.seed)
+    };
 
     // The recorder mirrors the executor's (p, p′, seed) so the trace is a
     // self-describing replay key. Capacity is sized generously: a dropped
     // event would make the byte cross-check report a false mismatch.
     flight::install(
-        FlightConfig::virtual_time(args.workers as u32, args.slots as u32, args.exec_seed)
+        FlightConfig::virtual_time(opts.workers as u32, opts.slots as u32, opts.exec_seed)
             .with_capacity(1 << 20),
     );
-    let run = run_sort_with_exec(&spec, Some(exec)).unwrap_or_else(|e| {
+    let run = run_sort(&spec, Overrides::exec(exec)).unwrap_or_else(|e| {
         flight::uninstall();
-        eprintln!("[{}] run failed: {e}", args.name);
+        eprintln!("[{}] run failed: {e}", opts.name);
         std::process::exit(1);
     });
     let trace = flight::uninstall().expect("recorder was installed");
 
     // --- Invariant gates (deterministic mode makes these exact). ---
     if let Err(errors) = trace.validate() {
-        eprintln!("[{}] trace validation FAILED:", args.name);
+        eprintln!("[{}] trace validation FAILED:", opts.name);
         for e in &errors {
             eprintln!("  - {e}");
         }
@@ -160,14 +134,14 @@ fn main() {
     }
 
     // --- Cross-check against the flow engine's analytic labels. ---
-    let sim = simulate_flow(&run.trace, &MachineConfig::fig4(args.lanes as u32, 4.0));
+    let sim = simulate_flow(&run.trace, &MachineConfig::fig4(opts.lanes as u32, 4.0));
     let xc = cross_check(&cp, &sim);
 
     // --- Perfetto trace artifact. ---
     let chrome = perfetto::to_chrome_json(&trace);
     let dir = artifact::results_dir();
     std::fs::create_dir_all(&dir).expect("create results dir");
-    let trace_path = dir.join(format!("{}.trace.json", args.name));
+    let trace_path = dir.join(format!("{}.trace.json", opts.name));
     std::fs::write(&trace_path, &chrome).expect("write trace.json");
 
     // --- Human summary. ---
@@ -175,16 +149,16 @@ fn main() {
     outln!(
         text,
         "tlmm_profile: {:?} n={} lanes={}",
-        args.algo,
-        args.n,
-        args.lanes
+        opts.algo,
+        opts.n,
+        opts.lanes
     );
     outln!(
         text,
         "executor: p={} workers, p'={} slots, seed={} (deterministic)",
-        args.workers,
-        args.slots,
-        args.exec_seed
+        opts.workers,
+        opts.slots,
+        opts.exec_seed
     );
     outln!(
         text,
@@ -199,17 +173,18 @@ fn main() {
     outln!(text, "cross-check: {}", xc.render());
     outln!(text, "perfetto trace: {}", trace_path.display());
 
-    let report = RunReport::collect(&args.name)
-        .meta("algo", format!("{:?}", args.algo))
-        .meta("n", args.n)
-        .meta("lanes", args.lanes)
-        .meta("workers", args.workers)
-        .meta("slots", args.slots)
-        .meta("exec_seed", args.exec_seed)
+    let report = RunReport::collect(&opts.name)
+        .meta("algo", format!("{:?}", opts.algo))
+        .meta("n", opts.n)
+        .meta("lanes", opts.lanes)
+        .meta("workers", opts.workers)
+        .meta("slots", opts.slots)
+        .meta("exec_seed", opts.exec_seed)
         .meta("trace_file", trace_path.display())
         .section("critical_path", &cp)
         .section("cross_check", &xc)
         .section("ledger", &run.ledger)
         .section("degradations", &run.degradations);
-    artifact::emit(&args.name, &text, report).expect("emit artifacts");
+    artifact::emit(&opts.name, &text, report)?;
+    Ok(())
 }

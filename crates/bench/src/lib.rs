@@ -1,14 +1,15 @@
-//! Shared experiment harness for the table/figure binaries.
+//! Shared experiment harness behind the `experiments` binary.
 //!
-//! Every binary in `src/bin/` regenerates one artifact of the paper's
-//! evaluation (see DESIGN.md §4 for the index). This library holds the
-//! common plumbing: the experiment-scale memory parameters, one
+//! Each experiment in `src/bin/experiments/` regenerates one artifact of
+//! the paper's evaluation (see DESIGN.md §4 for the index). This library
+//! holds the common plumbing: the experiment-scale memory parameters, one
 //! parameterized runner ([`run_sort`]) that executes a sort and hands back
-//! its phase trace, ledger and size so the binaries can replay the same run
-//! on many machine configurations, and the [`artifact`] module that writes
-//! each binary's text and [`tlmm_telemetry::RunReport`] JSON under
-//! `results/`, and the [`cli`] helpers that turn malformed arguments into
-//! exit code 2.
+//! its phase trace, ledger and size so an experiment can replay the same
+//! run on many machine configurations, the [`artifact`] module that writes
+//! each experiment's text and [`tlmm_telemetry::RunReport`] JSON under
+//! `results/`, the [`bench_file`] schema of the `BENCH_*.json` records,
+//! and the [`cli`] argument type that turns malformed arguments into exit
+//! code 2.
 
 use serde::{Deserialize, Serialize};
 use tlmm_core::baseline::{baseline_sort, BaselineConfig};
@@ -20,6 +21,7 @@ use tlmm_scratchpad::{ExecConfig, ExecMode, ExecReport, FaultPlan, PhaseTrace, T
 use tlmm_workloads::{generate, Workload};
 
 pub mod artifact;
+pub mod bench_file;
 pub mod cli;
 
 /// Experiment-scale model parameters.
@@ -157,7 +159,7 @@ impl core::fmt::Display for HarnessError {
 impl std::error::Error for HarnessError {}
 
 /// Verify `v` is non-decreasing; report the first violation instead of
-/// panicking so binaries can surface the failure with context.
+/// panicking so experiments can surface the failure with context.
 pub fn check_sorted(v: &[u64]) -> Result<(), HarnessError> {
     match v.windows(2).position(|w| w[0] > w[1]) {
         None => Ok(()),
@@ -167,19 +169,23 @@ pub fn check_sorted(v: &[u64]) -> Result<(), HarnessError> {
 
 /// The engine registry [`run_sort`] dispatches over. The enum itself lives
 /// in `tlmm-model` (the dependency root) so the service layer can share it;
-/// re-exported here so every bench binary keeps its `tlmm_bench::Engine`
+/// re-exported here so every experiment keeps its `tlmm_bench::Engine`
 /// path.
 pub use tlmm_model::Engine;
 
-/// Former name of [`Engine`]; kept so existing call sites (and muscle
-/// memory) keep compiling — type-alias enum variants are path-compatible.
-pub type SortAlgo = Engine;
+/// `name` as a registry engine, or an error listing every engine name.
+pub fn parse_engine(name: &str) -> Result<Engine, String> {
+    Engine::parse(name).ok_or_else(|| {
+        let names: Vec<&str> = Engine::ALL.iter().map(|e| e.name()).collect();
+        format!("unknown engine {name:?} (one of {})", names.join(", "))
+    })
+}
 
 /// Parameters for one measured sort run.
 #[derive(Debug, Clone, Copy)]
 pub struct SortSpec {
     /// Algorithm variant.
-    pub algo: SortAlgo,
+    pub algo: Engine,
     /// Elements to sort (random u64).
     pub n: usize,
     /// Virtual lanes (simulated cores).
@@ -198,67 +204,89 @@ pub struct SortSpec {
     pub fault_seed: Option<u64>,
 }
 
-/// Run one sort per `spec` on a fresh experiment-scale [`TwoLevel`],
-/// verify the output, and return the recorded trace and ledger.
+impl SortSpec {
+    /// Sort `n` keys of workload `seed` with `algo` on `lanes` virtual
+    /// lanes: one host thread, no chunk bound, no fault seed.
+    pub fn new(algo: Engine, n: usize, lanes: usize, seed: u64) -> Self {
+        SortSpec {
+            algo,
+            n,
+            lanes,
+            threads: 1,
+            chunk_elems: None,
+            seed,
+            fault_seed: None,
+        }
+    }
+
+    /// The same run with NMsort chunks bounded to `chunk_elems`.
+    pub fn chunked(self, chunk_elems: usize) -> Self {
+        SortSpec {
+            chunk_elems: Some(chunk_elems),
+            ..self
+        }
+    }
+}
+
+/// What [`run_sort`] takes from its caller instead of its defaults
+/// ([`Overrides::default`] takes nothing). Each explicit value beats the
+/// environment variable it replaces.
+#[derive(Debug, Clone, Default)]
+pub struct Overrides {
+    plan: Option<Option<FaultPlan>>,
+    exec: Option<ExecConfig>,
+    params: Option<ScratchpadParams>,
+}
+
+impl Overrides {
+    /// Install `plan` (`None`: run clean) in place of `spec.fault_seed` and
+    /// `TLMM_FAULT_SEED`; the plan's own seed is recorded. The
+    /// `fault_matrix` experiment sweeps targeted profiles (alloc-only,
+    /// transfer-only, DMA-only, …) through this.
+    pub fn plan(plan: Option<FaultPlan>) -> Self {
+        Overrides {
+            plan: Some(plan),
+            ..Self::default()
+        }
+    }
+
+    /// Install `exec` in place of `TLMM_EXEC_SEED` (+
+    /// `TLMM_EXEC_WORKERS`/`TLMM_EXEC_SLOTS`) — the `fig_corescale`
+    /// contention sweep drives `p × p′` cells through this.
+    pub fn exec(exec: ExecConfig) -> Self {
+        Overrides {
+            exec: Some(exec),
+            ..Self::default()
+        }
+    }
+
+    /// Sort on a `TwoLevel` built from `params` instead of
+    /// [`experiment_params`]`(4.0)` — the `fig_crossover` sweep varies the
+    /// near-memory size per cell.
+    pub fn params(params: ScratchpadParams) -> Self {
+        Overrides {
+            params: Some(params),
+            ..Self::default()
+        }
+    }
+}
+
+/// Run one sort per `spec` on a fresh [`TwoLevel`], verify the output, and
+/// return the recorded trace and ledger.
 ///
 /// This is the single runner behind [`run_nmsort`], [`run_nmsort_dma`] and
 /// [`run_baseline`]; the setup (params, workload, verification, trace
-/// harvest) lives only here.
-pub fn run_sort(spec: &SortSpec) -> Result<SortRun, HarnessError> {
-    // `TLMM_FAULT_SEED` turns any harness binary into a degraded run;
-    // an explicit `fault_seed` on the spec wins over the environment.
-    let plan = spec
-        .fault_seed
-        .map(FaultPlan::seeded)
-        .or_else(FaultPlan::from_env);
-    run_sort_with_plan(spec, plan)
-}
-
-/// Like [`run_sort`] but with an explicit [`FaultPlan`] instead of the
-/// standard seeded profile — the `fault_matrix` binary sweeps targeted
-/// profiles (alloc-only, transfer-only, DMA-only, …) through this.
-/// `spec.fault_seed` is ignored; the plan's own seed is recorded.
-///
-/// `TLMM_EXEC_SEED` (+ `TLMM_EXEC_WORKERS`/`TLMM_EXEC_SLOTS`) turns the run
-/// into a deterministic-executor run, exactly as the fault-seed variable
-/// turns it into a degraded one.
-pub fn run_sort_with_plan(
-    spec: &SortSpec,
-    plan: Option<FaultPlan>,
-) -> Result<SortRun, HarnessError> {
-    run_sort_full(spec, plan, ExecConfig::from_env(), experiment_params(4.0))
-}
-
-/// Like [`run_sort`] but under an explicit executor configuration — the
-/// `fig_corescale` contention sweep drives `p × p′` cells through this.
-pub fn run_sort_with_exec(
-    spec: &SortSpec,
-    exec: Option<ExecConfig>,
-) -> Result<SortRun, HarnessError> {
-    let plan = spec
-        .fault_seed
-        .map(FaultPlan::seeded)
-        .or_else(FaultPlan::from_env);
-    run_sort_full(spec, plan, exec, experiment_params(4.0))
-}
-
-/// Like [`run_sort`] but on an explicitly sized [`TwoLevel`] — the
-/// `fig_crossover` sweep varies the near-memory size per cell through this
-/// (every other runner pins the paper's experiment-scale parameters).
-pub fn run_sort_on(spec: &SortSpec, params: ScratchpadParams) -> Result<SortRun, HarnessError> {
-    let plan = spec
-        .fault_seed
-        .map(FaultPlan::seeded)
-        .or_else(FaultPlan::from_env);
-    run_sort_full(spec, plan, ExecConfig::from_env(), params)
-}
-
-fn run_sort_full(
-    spec: &SortSpec,
-    plan: Option<FaultPlan>,
-    exec: Option<ExecConfig>,
-    params: ScratchpadParams,
-) -> Result<SortRun, HarnessError> {
+/// harvest) lives only here. `TLMM_FAULT_SEED` turns any run into a
+/// degraded one and `TLMM_EXEC_SEED` into a deterministic-executor one,
+/// unless `spec` or `with` says otherwise.
+pub fn run_sort(spec: &SortSpec, with: Overrides) -> Result<SortRun, HarnessError> {
+    let plan = with.plan.unwrap_or_else(|| {
+        spec.fault_seed
+            .map(FaultPlan::seeded)
+            .or_else(FaultPlan::from_env)
+    });
+    let exec = with.exec.or_else(ExecConfig::from_env);
+    let params = with.params.unwrap_or_else(|| experiment_params(4.0));
     let tl = TwoLevel::new(params);
     // A deterministic executor owns the schedule: host threads racing the
     // virtual arbiter would make the recorded waits order-dependent, so
@@ -277,18 +305,18 @@ fn run_sort_full(
     }
     let input = tl.far_from_vec(generate(Workload::UniformU64, spec.n, spec.seed));
     let (output, stats) = match spec.algo {
-        SortAlgo::NmSort | SortAlgo::NmSortDma => {
+        Engine::NmSort | Engine::NmSortDma => {
             let cfg = NmSortConfig {
                 sim_lanes: spec.lanes,
                 chunk_elems: spec.chunk_elems,
                 threads: if deterministic_exec { 1 } else { spec.threads },
-                use_dma: spec.algo == SortAlgo::NmSortDma,
+                use_dma: spec.algo == Engine::NmSortDma,
                 ..Default::default()
             };
             let report = nmsort(&tl, input, &cfg)?;
             (report.output, report.degradations)
         }
-        SortAlgo::Baseline => {
+        Engine::Baseline => {
             let cfg = BaselineConfig {
                 sim_lanes: spec.lanes,
                 threads: if deterministic_exec { 1 } else { spec.threads },
@@ -301,7 +329,7 @@ fn run_sort_full(
                 DegradationStats::default(),
             )
         }
-        SortAlgo::Spms | SortAlgo::SquareSort => {
+        Engine::Spms | Engine::SquareSort => {
             // The oblivious engines take no chunk bound — their recursion
             // shape depends only on n. Fault resilience is re-streaming
             // (charged in full), not a ladder, so degradation stats stay
@@ -312,7 +340,7 @@ fn run_sort_full(
                 ..Default::default()
             };
             let (output, _report) = match spec.algo {
-                SortAlgo::Spms => spms_sort(&tl, input, &cfg)?,
+                Engine::Spms => spms_sort(&tl, input, &cfg)?,
                 _ => squaresort_sort(&tl, input, &cfg)?,
             };
             (output, DegradationStats::default())
@@ -338,15 +366,8 @@ pub fn run_nmsort(
     chunk_elems: usize,
     seed: u64,
 ) -> Result<SortRun, HarnessError> {
-    run_sort(&SortSpec {
-        threads: 1,
-        algo: SortAlgo::NmSort,
-        n,
-        lanes,
-        chunk_elems: Some(chunk_elems),
-        seed,
-        fault_seed: None,
-    })
+    let spec = SortSpec::new(Engine::NmSort, n, lanes, seed);
+    run_sort(&spec.chunked(chunk_elems), Overrides::default())
 }
 
 /// Run NMsort with DMA-overlapped ingest (the §VII improvement).
@@ -356,28 +377,14 @@ pub fn run_nmsort_dma(
     chunk_elems: usize,
     seed: u64,
 ) -> Result<SortRun, HarnessError> {
-    run_sort(&SortSpec {
-        threads: 1,
-        algo: SortAlgo::NmSortDma,
-        n,
-        lanes,
-        chunk_elems: Some(chunk_elems),
-        seed,
-        fault_seed: None,
-    })
+    let spec = SortSpec::new(Engine::NmSortDma, n, lanes, seed);
+    run_sort(&spec.chunked(chunk_elems), Overrides::default())
 }
 
 /// Run the GNU-style far-memory baseline.
 pub fn run_baseline(n: usize, lanes: usize, seed: u64) -> Result<SortRun, HarnessError> {
-    run_sort(&SortSpec {
-        threads: 1,
-        algo: SortAlgo::Baseline,
-        n,
-        lanes,
-        chunk_elems: None,
-        seed,
-        fault_seed: None,
-    })
+    let spec = SortSpec::new(Engine::Baseline, n, lanes, seed);
+    run_sort(&spec, Overrides::default())
 }
 
 /// The Table-I scale: 10 M random 64-bit integers on a 256-core node, with
@@ -428,15 +435,18 @@ mod tests {
                 seed: 2,
                 fault_seed: None,
             };
-            let run = run_sort(&spec).expect("oblivious run");
+            let run = run_sort(&spec, Overrides::default()).expect("oblivious run");
             assert!(run.ledger.far_bytes >= 2 * 50_000 * 8, "{algo:?}");
             assert!(run.trace.phases.iter().any(|p| p.name.contains("sort")));
             // Same spec under a fault plan still sorts, never cheaper.
-            let faulted = run_sort(&SortSpec {
-                threads: 1,
-                fault_seed: Some(5),
-                ..spec
-            })
+            let faulted = run_sort(
+                &SortSpec {
+                    threads: 1,
+                    fault_seed: Some(5),
+                    ..spec
+                },
+                Overrides::default(),
+            )
             .expect("faulted oblivious run degrades, not fails");
             assert!(faulted.ledger.far_bytes >= run.ledger.far_bytes, "{algo:?}");
         }
@@ -462,7 +472,7 @@ mod tests {
     fn exec_spec_arbitrates_without_changing_charges() {
         let spec = SortSpec {
             threads: 1,
-            algo: SortAlgo::NmSort,
+            algo: Engine::NmSort,
             n: 60_000,
             lanes: 8,
             chunk_elems: Some(15_000),
@@ -470,9 +480,9 @@ mod tests {
             fault_seed: None,
         };
         let free =
-            run_sort_with_exec(&spec, Some(ExecConfig::deterministic(8, 8, 3))).expect("p'=p run");
+            run_sort(&spec, Overrides::exec(ExecConfig::deterministic(8, 8, 3))).expect("p'=p run");
         let starved =
-            run_sort_with_exec(&spec, Some(ExecConfig::deterministic(8, 1, 3))).expect("p'=1 run");
+            run_sort(&spec, Overrides::exec(ExecConfig::deterministic(8, 1, 3))).expect("p'=1 run");
         let free_r = free.exec.as_ref().expect("executor report");
         let starved_r = starved.exec.as_ref().expect("executor report");
         // Private slots never wait; one slot under eight lanes must.
@@ -489,7 +499,7 @@ mod tests {
     fn faulted_spec_sorts_and_surfaces_degradations() {
         let spec = SortSpec {
             threads: 1,
-            algo: SortAlgo::NmSort,
+            algo: Engine::NmSort,
             n: 100_000,
             lanes: 8,
             chunk_elems: Some(20_000),
@@ -499,15 +509,18 @@ mod tests {
         // run_sort already verified the output; a degraded run must still
         // return Ok. The summary must be serializable (it feeds the
         // results/<name>.json section) and carry the seed.
-        let run = run_sort(&spec).expect("faulted run degrades, not fails");
+        let run = run_sort(&spec, Overrides::default()).expect("faulted run degrades, not fails");
         assert_eq!(run.degradations.fault_seed, 7);
         let json = serde::json::to_string(&run.degradations).expect("summary serializes");
         assert!(json.contains("\"fault_seed\""));
-        let clean = run_sort(&SortSpec {
-            threads: 1,
-            fault_seed: None,
-            ..spec
-        })
+        let clean = run_sort(
+            &SortSpec {
+                threads: 1,
+                fault_seed: None,
+                ..spec
+            },
+            Overrides::default(),
+        )
         .expect("clean run");
         assert_eq!(clean.degradations.fault_seed, 0);
         assert_eq!(clean.degradations.faults_injected, 0);

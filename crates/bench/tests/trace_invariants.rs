@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
-use tlmm_bench::{run_sort_with_exec, SortAlgo, SortRun, SortSpec};
+use tlmm_bench::{run_sort, Engine, Overrides, SortRun, SortSpec};
 use tlmm_scratchpad::ExecConfig;
 use tlmm_telemetry::critical::critical_path;
 use tlmm_telemetry::flight::{self, EventKind, FlightConfig, FlightTrace};
@@ -32,9 +32,9 @@ fn traced_run(
     flight::install(
         FlightConfig::virtual_time(workers as u32, slots as u32, exec_seed).with_capacity(1 << 17),
     );
-    let run = run_sort_with_exec(
+    let run = run_sort(
         spec,
-        Some(ExecConfig::deterministic(workers, slots, exec_seed)),
+        Overrides::exec(ExecConfig::deterministic(workers, slots, exec_seed)),
     );
     let trace = flight::uninstall().expect("recorder installed");
     (run.expect("traced run"), trace)
@@ -58,11 +58,11 @@ fn arb_spec() -> impl Strategy<Value = (SortSpec, usize, usize, u64)> {
         .prop_map(
             |((algo, n, lanes, seed), (fault, workers, slots, exec_seed))| {
                 let algo = match algo {
-                    0 => SortAlgo::NmSort,
-                    1 => SortAlgo::NmSortDma,
-                    2 => SortAlgo::Baseline,
-                    3 => SortAlgo::Spms,
-                    _ => SortAlgo::SquareSort,
+                    0 => Engine::NmSort,
+                    1 => Engine::NmSortDma,
+                    2 => Engine::Baseline,
+                    3 => Engine::Spms,
+                    _ => Engine::SquareSort,
                 };
                 let n = n as usize;
                 (
@@ -168,7 +168,7 @@ proptest! {
 #[test]
 fn oblivious_trace_bytes_equal_ledger() {
     let _g = guard();
-    for algo in [SortAlgo::Spms, SortAlgo::SquareSort] {
+    for algo in [Engine::Spms, Engine::SquareSort] {
         for fault_seed in [None, Some(23u64)] {
             let spec = SortSpec {
                 threads: 1,
@@ -204,7 +204,7 @@ fn contended_run_attributes_slot_wait() {
     let _g = guard();
     let spec = SortSpec {
         threads: 1,
-        algo: SortAlgo::NmSort,
+        algo: Engine::NmSort,
         n: 60_000,
         lanes: 8,
         chunk_elems: Some(15_000),

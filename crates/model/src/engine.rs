@@ -3,8 +3,8 @@
 //! The enum lives in `tlmm-model` (the dependency root) so that *both* the
 //! bench harness and the service layer can dispatch over the same registry
 //! without depending on each other: `tlmm-bench` re-exports it as its
-//! `Engine`/`SortAlgo`, and `tlmm-service` keys admission estimates and job
-//! specs on it.
+//! `Engine`, and `tlmm-service` keys admission estimates and job specs on
+//! it.
 
 use serde::{Deserialize, Serialize};
 
