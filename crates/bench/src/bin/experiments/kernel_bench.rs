@@ -1,18 +1,21 @@
 //! **Kernel bench** — host wall-clock before→after deltas for the kernel
 //! layer (DESIGN.md §10).
 //!
-//! Four cells × four workload shapes (plus one Phase-2-shaped merge):
+//! Four kernels × four workload shapes, plus three merge cells shaped like
+//! the sorters' own merges:
 //!
 //! * `run_formation` — Phase-1 style chunk sorting: `sort_unstable` per run
 //!   (the pre-kernel reference) vs [`tlmm_core::kernels::sort_kernel`]
 //!   (MSD hybrid radix for `u64`).
 //! * `kway_merge` — k-way merge of sorted runs: the original branchy
-//!   loser tree vs `merge_into_slice` (the branchless loser tree, or the
-//!   two-way merge tree for long runs), over 16 runs of each shape plus a
-//!   `phase2` cell shaped like NMsort's Phase-2 merge parts (50 × 5k) and
-//!   an `spms_bucket` cell shaped like SPMS's root bucket merges on Zipf
-//!   keys (one bucket of ~3k runs averaging one key, one single-key
-//!   bucket).
+//!   loser tree vs `merge_into_slice` (the counted merge tree, or the
+//!   branchless loser tree for merges holding a duplicate-heavy run), over
+//!   16 runs of each shape, plus a `phase2` cell shaped like NMsort's
+//!   Phase-2 merge parts (50 × 5k), an `spms_bucket` cell shaped like
+//!   SPMS's root bucket merges on Zipf keys (one bucket of ~3k runs
+//!   averaging one key, one single-key bucket) and an `spms_leaf_bucket`
+//!   cell shaped like its bucket merges one level down (1,000 merges of
+//!   57 runs averaging one key).
 //! * `bucketize` — `BucketPos` extraction over sorted chunks (no
 //!   before/after pair: the kernel layer doesn't change it; the median is
 //!   recorded to catch regressions).
@@ -59,6 +62,10 @@ const PHASE2_RUNS: (usize, usize) = (50, 5_000);
 /// Runs per bucket of the `spms_bucket` cell, in both modes: SPMS's
 /// fan-in at the root of a 10M-key sort (`⌈√10⁷⌉` groups).
 const SPMS_BUCKET_RUNS: usize = 3_163;
+/// Runs per merge × merges of the `spms_leaf_bucket` cell, in both modes:
+/// SPMS's fan-in one level below the root of a 10M-key sort (`⌈√3163⌉`
+/// groups), where its ~180k bucket merges are.
+const SPMS_LEAF_BUCKETS: (usize, usize) = (57, 1_000);
 
 struct Timing {
     warmup: usize,
@@ -198,25 +205,38 @@ fn kway_merge_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<Cell
         timing,
         smoke,
     ));
+    let mut rng = StdRng::seed_from_u64(0xF6);
+    let (k, merges) = SPMS_LEAF_BUCKETS;
+    let leaf_buckets: Vec<_> = (0..merges).map(|_| tiny_runs(&mut rng, k)).collect();
+    cells.push(kway_merge_cell(
+        "spms_leaf_bucket",
+        &leaf_buckets,
+        timing,
+        smoke,
+    ));
 }
 
 /// Two of SPMS's root buckets on 10M Zipf keys: one whose runs hold 0–2
-/// distinct keys (one on average), merged on the loser tree, and one
-/// whose runs all hold the same key (0–12 copies each), which needs no
-/// tree.
+/// distinct keys (one on average), and one whose runs all hold the same
+/// key (0–12 copies each), which needs no merge.
 fn spms_buckets() -> Vec<Vec<Vec<u64>>> {
     let mut rng = StdRng::seed_from_u64(0xF5);
-    let tiny = (0..SPMS_BUCKET_RUNS)
+    let tiny = tiny_runs(&mut rng, SPMS_BUCKET_RUNS);
+    let single = (0..SPMS_BUCKET_RUNS)
+        .map(|_| vec![42; rng.gen_range(0..=12)])
+        .collect();
+    vec![tiny, single]
+}
+
+/// `k` sorted runs of 0–2 random keys each, one on average.
+fn tiny_runs(rng: &mut StdRng, k: usize) -> Vec<Vec<u64>> {
+    (0..k)
         .map(|_| {
             let mut run: Vec<u64> = (0..rng.gen_range(0..=2)).map(|_| rng.gen()).collect();
             run.sort_unstable();
             run
         })
-        .collect();
-    let single = (0..SPMS_BUCKET_RUNS)
-        .map(|_| vec![42; rng.gen_range(0..=12)])
-        .collect();
-    vec![tiny, single]
+        .collect()
 }
 
 /// `data` cut into `run_len`-key runs, each sorted.

@@ -25,14 +25,19 @@
 //! paper's comparison-based algorithm. A formation sort is charged
 //! `n·⌈lg n⌉` compute; the radix kernel is a host-side stand-in that
 //! produces the identical permutation faster. A k-way merge is charged the
-//! loser tree's exact comparison count, [`crate::losertree::merge_cost`]:
-//! a sum over tree nodes of two-way merge costs, at most (not exactly)
-//! `⌈lg k⌉` per merged element. Merges of long runs (mean ≥ 32 keys) with
-//! no duplicate-heavy run execute on a binary tree of
-//! [`simd::merge_pair`] passes instead, the same output faster;
+//! loser tree's exact comparison count: a sum over tree nodes of two-way
+//! merge costs, at most (not exactly) `⌈lg k⌉` per merged element.
+//! Merges with no duplicate-heavy run execute on
+//! [`crate::losertree::merge_counted_tree`] instead, a bottom-up two-way
+//! merge on the loser tree's shape that counts each node as it merges it
+//! (long nodes on [`simd::merge_pair`]; runs of a few keys are counted
+//! over their concatenation and sorted once), the same output and count
+//! faster;
 //! duplicate-heavy merges stay on the loser tree, whose guarded-store
-//! streaks make them nearly free while the pair passes do fixed work per
-//! element. See DESIGN.md §10.
+//! streaks make them nearly free while two-way merges do fixed work per
+//! element. [`crate::losertree::merge_cost`] computes the count from the
+//! runs alone, the oracle the tests hold both kernels to. See DESIGN.md
+//! §10.
 
 pub mod radix;
 pub mod reference;

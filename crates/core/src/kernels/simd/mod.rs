@@ -162,9 +162,10 @@ pub fn radix_scatter<T: super::RadixKey>(
 /// network; for the key types it routes (`u64`), equal keys are identical
 /// elements, so its output sequence matches the scalar merge exactly.
 ///
-/// Neither form counts comparisons — callers charge [`pair_merge_cost`]
-/// (or, for a whole k-way merge, [`crate::losertree::merge_cost`]), the
-/// analytic merge model, keeping ledgers dispatch-independent.
+/// Neither form counts comparisons — callers charge [`pair_merge_cost`],
+/// the analytic merge model, keeping ledgers dispatch-independent (the
+/// counted merge tree, [`crate::losertree::merge_counted_tree`], makes
+/// that one search per node it runs here).
 #[inline]
 pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) {
     #[cfg(target_arch = "x86_64")]

@@ -7,8 +7,11 @@
 //! runs dry) — the constant the multiway merge sort analysis (Theorem 1)
 //! assumes. Every merge is charged the tree's exact count,
 //! [`merge_cost`], whichever kernel executes it: [`merge_into_slice`]
-//! sends long, duplicate-light merges to a binary tree of two-way merge
-//! passes ([`merge_pair_tree`]) and the rest to the loser tree.
+//! sends merges holding a duplicate-heavy run to the loser tree and the
+//! rest to a counted merge tree ([`merge_counted_tree`]), a bottom-up
+//! two-way merge on the loser tree's own shape that counts each node's
+//! comparisons as it merges (or, for runs of a few keys, counts each node
+//! over the concatenated runs and sorts them once).
 //!
 //! **Kernel engineering** (see `kernels` module docs and DESIGN.md §10):
 //! this is the branchless rewrite. Each internal node stores the loser's
@@ -32,6 +35,8 @@
 //! implementation survives as [`crate::kernels::reference`], and the
 //! equivalence tests assert both emit the identical element sequence and
 //! comparison count.
+
+use std::ops::Range;
 
 /// Low 31 bits of a node's meta word: the leaf index. Bit 31 is the alive
 /// flag.
@@ -337,9 +342,9 @@ impl<T> Drop for LoserTree<'_, T> {
 /// Plateau probe for the pair pre-merge: `true` when sampled positions of
 /// the sorted run sit inside equal-key plateaus at least [`PLATEAU_GAP`]
 /// long. Such runs feed the loser tree long winner streaks that its
-/// guarded store policy turns into near-free replay steps, while the pair
-/// kernel does fixed work per element regardless — so duplicate-heavy
-/// runs skip pre-merging, and a merge holding one stays on the loser tree.
+/// guarded store policy turns into near-free replay steps, while a two-way
+/// merge does fixed work per element regardless — so duplicate-heavy runs
+/// skip pre-merging, and a merge holding one stays on the loser tree.
 /// The decision reads only the data, so it is identical across SIMD
 /// dispatch and thread counts, and the charged comparison total is
 /// unchanged either way (see [`merge_cost`]).
@@ -359,41 +364,82 @@ fn duplicate_heavy<T: Ord>(r: &[T]) -> bool {
 }
 
 /// Plateau length at which the loser tree's guarded-store streaks beat
-/// the pair kernel's fixed per-element work (see [`duplicate_heavy`]).
+/// the two-way merge's fixed per-element work (see [`duplicate_heavy`]).
 const PLATEAU_GAP: usize = 32;
 
-/// Mean run length from which [`merge_into_slice`] merges on the pair
-/// tree. On uniform `u64` the pair tree beat the loser tree at every shape
-/// measured (4–300 runs of 8–5,000 keys), so the gate is conservative: it
-/// keeps tiny merges, dominated by call overheads, on the loser tree.
-const PAIR_TREE_MIN_MEAN_RUN: usize = 32;
+/// Merged length from which a counted-tree node runs
+/// [`crate::kernels::simd::merge_pair`] (the 4-wide bitonic network when
+/// SIMD dispatch is active) and charges one
+/// [`crate::kernels::simd::pair_merge_cost`] search. Shorter nodes count
+/// while they merge (see [`merge_counted`]). A data-shape constant: the
+/// count is the same either way.
+const VECTOR_NODE_MIN: usize = 64;
 
 /// The pair pre-merge plan: the loser tree's leaves in order, as run-index
-/// boundaries — leaf `j` covers `runs[b[j]..b[j + 1]]`, either one run or
-/// two adjacent runs the pair kernel merges first. With four or more runs,
-/// adjacent runs no longer than [`PREMERGE_MAX`] and not
-/// [`duplicate_heavy`] are paired left to right; otherwise every leaf is
-/// one run. [`merge_into_slice`]'s loser-tree path executes this plan and
-/// [`merge_cost`] charges it.
-fn premerge_plan<T: Ord>(runs: &[&[T]]) -> Vec<usize> {
-    let pairable: Vec<bool> = if runs.len() >= 4 {
-        runs.iter()
-            .map(|r| r.len() <= PREMERGE_MAX && !duplicate_heavy(r))
-            .collect()
-    } else {
-        vec![false; runs.len()]
-    };
-    let mut bounds = vec![0];
+/// ranges — each either one run or two adjacent runs merged first. With
+/// four or more runs, adjacent runs no longer than [`PREMERGE_MAX`] and
+/// not [`duplicate_heavy`] are paired left to right; otherwise every leaf
+/// is one run. Both merge kernels execute this plan and [`merge_cost`]
+/// charges it.
+fn premerge_plan<'r, T: Ord>(runs: &'r [&'r [T]]) -> impl Iterator<Item = Range<usize>> + 'r {
+    let pairs = runs.len() >= 4;
+    let pairable = |r: &[T]| r.len() <= PREMERGE_MAX && !duplicate_heavy(r);
     let mut i = 0;
-    while i < runs.len() {
-        i += if i + 1 < runs.len() && pairable[i] && pairable[i + 1] {
-            2
-        } else {
-            1
+    std::iter::from_fn(move || {
+        let lo = i;
+        i += match runs.get(lo..lo + 2) {
+            Some([a, b]) if pairs && pairable(a) && pairable(b) => 2,
+            _ if lo < runs.len() => 1,
+            _ => return None,
         };
-        bounds.push(i);
+        Some(lo..i)
+    })
+}
+
+/// Fold `runs` up the loser tree's shape: the [`premerge_plan`] leaves,
+/// padded with empty leaves to a power of two, so the node of height `h`
+/// at index `i` covers leaves `[i·2^h, (i+1)·2^h)`. `leaf(r, at)` makes
+/// the node of run `r`, which starts at offset `at` of the merged output;
+/// `join(left, right, h)` makes a node of height `h` from its two
+/// children, with `h = 0` for a planned pair. A node whose right half is
+/// all padding is its left child, carried up without a join. Returns the
+/// root, or `None` without runs.
+fn fold_plan<T: Ord, N: Copy>(
+    runs: &[&[T]],
+    leaf: impl Fn(usize, usize) -> N,
+    mut join: impl FnMut(N, N, u32) -> N,
+) -> Option<N> {
+    if runs.is_empty() {
+        return None;
     }
-    bounds
+    // Complete subtrees still waiting for their right sibling, as a binary
+    // counter: heights strictly decrease towards the top, so 64 slots
+    // hold any plan. Slots from `top` on are filler.
+    let mut stack = [(leaf(0, 0), 0u32); usize::BITS as usize];
+    let mut top = 0;
+    let mut at = 0;
+    for r in premerge_plan(runs) {
+        let mut node = leaf(r.start, at);
+        at += runs[r.start].len();
+        if r.len() == 2 {
+            node = join(node, leaf(r.start + 1, at), 0);
+            at += runs[r.start + 1].len();
+        }
+        let mut h = 0;
+        while top > 0 && stack[top - 1].1 == h {
+            top -= 1;
+            h += 1;
+            node = join(stack[top].0, node, h);
+        }
+        stack[top] = (node, h);
+        top += 1;
+    }
+    // The last subtree and the padding to its right join the ones before.
+    let (mut root, _) = stack[top - 1];
+    for &(left, h) in stack[..top - 1].iter().rev() {
+        root = join(left, root, h + 1);
+    }
+    Some(root)
 }
 
 /// Comparisons one loser-tree node plays merging the runs under its left
@@ -421,18 +467,21 @@ fn node_cost<T: Ord>(left: &[&[T]], right: &[&[T]]) -> u64 {
     }
 }
 
-/// Comparisons [`merge_into_slice`] charges for merging `runs`: exactly
-/// the count its loser-tree path performs — the pair pre-merge plan
-/// ([`crate::kernels::simd::pair_merge_cost`] per pair) plus the tree over
-/// the plan's leaves (`node_cost` per node) — computed from the runs
-/// alone in `O(k lg k)` binary searches. Charging this instead of a
-/// kernel's own count keeps every ledger identical whichever kernel
-/// merges. With two runs it is `pair_merge_cost`.
+/// Comparisons the loser tree plays merging `runs` over the pair
+/// pre-merge plan — the pairs ([`crate::kernels::simd::pair_merge_cost`]
+/// each) plus the tree over the plan's leaves (`node_cost` per node) —
+/// computed from the runs alone in `O(k lg k)` binary searches. Every
+/// kernel of [`merge_into_slice`] returns exactly this count; no hot path
+/// calls it, it is the oracle the tests hold them to. With two runs it is
+/// `pair_merge_cost`.
 pub fn merge_cost<T: Ord>(runs: &[&[T]]) -> u64 {
     if runs.len() < 2 {
         return 0;
     }
-    let leaves = premerge_plan(runs);
+    let leaves: Vec<usize> = premerge_plan(runs)
+        .map(|r| r.start)
+        .chain([runs.len()])
+        .collect();
     let n_leaves = leaves.len() - 1;
     let pairs: u64 = leaves
         .windows(2)
@@ -453,25 +502,22 @@ pub fn merge_cost<T: Ord>(runs: &[&[T]]) -> u64 {
 }
 
 /// Merge `runs` into the exactly-sized slice `out`, returning the
-/// comparisons to charge ([`merge_cost`]).
+/// comparisons to charge: the loser tree's count, [`merge_cost`],
+/// whichever path runs.
 ///
 /// Two shapes need no kernel at all. A merge of empty runs writes nothing
 /// and costs nothing. A merge whose non-empty runs all hold one key value
 /// is the runs concatenated in run order — the order every kernel gives
-/// ties — charged [`merge_cost`]; SPMS's duplicate-heavy buckets are
-/// mostly of these two shapes.
+/// ties — and its charge has a closed form (`single_key_cost`); SPMS's
+/// duplicate-heavy buckets are mostly of these two shapes.
 ///
-/// Otherwise two kernels, one result. Merges whose mean run length is at least
-/// `PAIR_TREE_MIN_MEAN_RUN` and that hold no duplicate-heavy run (the
-/// plateau probe) go to [`merge_pair_tree`], a balanced binary tree of
-/// streaming two-way merges (4-wide bitonic network when SIMD dispatch is
-/// active), charged [`merge_cost`]. All other merges run the loser tree
-/// over the pair pre-merge plan, which counts for itself: duplicate-heavy
-/// ones because the tree's guarded-store streaks make them nearly free
-/// while the pair tree does fixed work per element and allocates scratch,
-/// tiny ones because the gate is conservative. Both kernels keep run order
-/// on ties (lower run index first), so the emitted sequence is the same,
-/// and the count is the same by construction.
+/// Otherwise two kernels, one result. A merge holding a duplicate-heavy
+/// run (the plateau probe) runs the loser tree, whose guarded-store
+/// streaks make it nearly free while a two-way merge does fixed work per
+/// element. Every other merge, from SPMS's buckets of one-key runs to
+/// NMsort's Phase-2 parts, runs [`merge_counted_tree`], which counts as it
+/// merges. Both kernels keep run order on ties (lower run index first),
+/// so the emitted sequence is the same, and both count the same tree.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from the total run length.
@@ -492,14 +538,10 @@ pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64
                 dst.copy_from_slice(r);
                 rest = next;
             }
-            merge_cost(runs)
+            single_key_cost(runs)
         }
-        k if total >= PAIR_TREE_MIN_MEAN_RUN * k && !runs.iter().any(|r| duplicate_heavy(r)) => {
-            merge_pair_tree(runs, out);
-            tlmm_telemetry::counter!("core.kernels.pair_tree_merges").incr();
-            merge_cost(runs)
-        }
-        _ => merge_with_loser_tree(runs, out),
+        _ if runs.iter().any(|r| duplicate_heavy(r)) => merge_with_loser_tree(runs, out),
+        _ => merge_counted_tree(runs, out),
     }
 }
 
@@ -513,6 +555,25 @@ fn single_key<T: Ord>(runs: &[&[T]]) -> bool {
     runs.iter().all(|r| is_key(r.first()) && is_key(r.last()))
 }
 
+/// [`merge_cost`] of a merge whose non-empty runs all hold one key value,
+/// in `O(k)` adds: a pair or tree node whose sides are both non-empty
+/// plays `|left|` (ties go left, so the left side exhausts first with no
+/// right key ordered before it), and any other node plays nothing.
+fn single_key_cost<T: Ord>(runs: &[&[T]]) -> u64 {
+    let mut cost = 0u64;
+    fold_plan(
+        runs,
+        |r, _| runs[r].len(),
+        |l, r, _| {
+            if l > 0 && r > 0 {
+                cost += l as u64;
+            }
+            l + r
+        },
+    );
+    cost
+}
+
 /// The loser-tree kernel of [`merge_into_slice`]: pair-merge the plan's
 /// paired runs into one buffer, then play the tree over the plan's leaves.
 /// Returns the comparisons both steps performed. Once a single run
@@ -524,18 +585,14 @@ fn single_key<T: Ord>(runs: &[&[T]]) -> bool {
 pub fn merge_with_loser_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     assert_eq!(out.len(), total, "output slice must fit the merge exactly");
-    let leaves = premerge_plan(runs);
-    let paired = |w: &[usize]| w[1] - w[0] == 2;
-    let paired_total: usize = leaves
-        .windows(2)
-        .filter(|w| paired(w))
-        .map(|w| runs[w[0]].len() + runs[w[0] + 1].len())
-        .sum();
+    let leaves: Vec<Range<usize>> = premerge_plan(runs).collect();
+    let merged_len = |r: &Range<usize>| runs[r.clone()].iter().map(|x| x.len()).sum::<usize>();
+    let paired_total: usize = leaves.iter().filter(|r| r.len() == 2).map(merged_len).sum();
     let mut cmps = 0u64;
     let mut buf: Vec<T> = vec![T::default(); paired_total];
     let mut rest: &mut [T] = &mut buf;
-    for w in leaves.windows(2).filter(|w| paired(w)) {
-        let (a, b) = (runs[w[0]], runs[w[0] + 1]);
+    for r in leaves.iter().filter(|r| r.len() == 2) {
+        let (a, b) = (runs[r.start], runs[r.start + 1]);
         let (dst, next) = rest.split_at_mut(a.len() + b.len());
         crate::kernels::simd::merge_pair(a, b, dst);
         cmps += crate::kernels::simd::pair_merge_cost(a, b);
@@ -543,14 +600,14 @@ pub fn merge_with_loser_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -
     }
     let mut off = 0usize;
     let tree_runs: Vec<&[T]> = leaves
-        .windows(2)
-        .map(|w| {
-            if paired(w) {
-                let len = runs[w[0]].len() + runs[w[0] + 1].len();
+        .iter()
+        .map(|r| {
+            if r.len() == 2 {
+                let len = merged_len(r);
                 off += len;
                 &buf[off - len..off]
             } else {
-                runs[w[0]]
+                runs[r.start]
             }
         })
         .collect();
@@ -575,70 +632,174 @@ pub fn merge_with_loser_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -
     cmps + lt.comparisons()
 }
 
-/// Merge `runs` by a balanced binary tree of
-/// [`crate::kernels::simd::merge_pair`] passes: each pass merges adjacent
-/// pairs of the previous pass's runs (an odd last run is copied). Passes
-/// ping-pong between `out` and one scratch buffer, starting on whichever
-/// makes the last pass write `out`. Ties keep run order, so the output
-/// equals the loser tree's. Counts nothing; the caller charges
-/// [`merge_cost`]. Public so tests and benches can run one kernel on any
-/// shape.
-///
-/// # Panics
-/// Panics if `out.len()` differs from the total run length.
-pub fn merge_pair_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    assert_eq!(out.len(), total, "output slice must fit the merge exactly");
-    let live: Vec<&[T]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
-    if live.len() <= 1 {
-        if let Some(r) = live.first() {
-            out.copy_from_slice(r);
+/// Where a counted-tree node's keys are: still in one input run, or in
+/// one of the two merge buffers (`0` is the output, `1` the scratch).
+#[derive(Clone, Copy)]
+enum Held<'r, T> {
+    Run(&'r [T]),
+    Buf(usize),
+}
+
+/// A counted-tree node: `len` keys bound for `out[at..at + len]`.
+#[derive(Clone, Copy)]
+struct Node<'r, T> {
+    at: usize,
+    len: usize,
+    held: Held<'r, T>,
+}
+
+impl<'r, T> Node<'r, T> {
+    /// The node's keys: its run, or its range of `buf`, the buffer it is
+    /// held in.
+    fn keys<'a>(self, buf: &'a [T]) -> &'a [T]
+    where
+        'r: 'a,
+    {
+        match self.held {
+            Held::Run(s) => s,
+            Held::Buf(_) => &buf[self.at..self.at + self.len],
         }
-        return;
-    }
-    // ⌈lg k⌉ passes for k ≥ 2 live runs.
-    let passes = (live.len() - 1).ilog2() + 1;
-    let mut scratch: Vec<T> = if passes > 1 {
-        vec![T::default(); out.len()]
-    } else {
-        Vec::new()
-    };
-    let into_out = |pass: u32| (passes - pass).is_multiple_of(2);
-    let mut bounds = if into_out(1) {
-        merge_adjacent_pairs(&live, out)
-    } else {
-        merge_adjacent_pairs(&live, &mut scratch)
-    };
-    for pass in 2..=passes {
-        let (src, dst): (&[T], &mut [T]) = if into_out(pass) {
-            (&scratch, &mut *out)
-        } else {
-            (&*out, &mut scratch)
-        };
-        let level: Vec<&[T]> = bounds.windows(2).map(|w| &src[w[0]..w[1]]).collect();
-        bounds = merge_adjacent_pairs(&level, dst);
     }
 }
 
-/// One pass of [`merge_pair_tree`]: merge runs `(0, 1)`, `(2, 3)`, … into
-/// consecutive regions of `dst`, copying an odd last run. Returns the
-/// region boundaries.
-fn merge_adjacent_pairs<T: crate::SortElem>(runs: &[&[T]], dst: &mut [T]) -> Vec<usize> {
-    let mut bounds = Vec::with_capacity(runs.len() / 2 + 2);
-    bounds.push(0);
-    let mut off = 0usize;
-    for pair in runs.chunks(2) {
-        let len: usize = pair.iter().map(|r| r.len()).sum();
-        let d = &mut dst[off..off + len];
-        match pair {
-            [a, b] => crate::kernels::simd::merge_pair(a, b, d),
-            [a] => d.copy_from_slice(a),
-            _ => unreachable!("chunks(2) yields one or two runs"),
-        }
-        off += len;
-        bounds.push(off);
+/// The counted merge tree of [`merge_into_slice`]: a bottom-up two-way
+/// merge on the loser tree's own shape (`fold_plan`), returning the
+/// loser tree's comparison count, [`merge_cost`], without playing it.
+///
+/// A loser-tree node's comparisons are those of a two-way merge of its
+/// two sides, ties going left, so each node here merges its children's
+/// merged keys and counts as it goes (`merge_counted`). Empty runs keep
+/// their leaves, and a node with an empty side is its other child,
+/// carried up unmerged — the padding that makes the loser tree a power of
+/// two wide — so the tree, and every node's count, is the loser tree's.
+/// Nodes ping-pong between `out` and one scratch buffer by height, the
+/// root's height writing `out`; a node still in an input run is read in
+/// place, and a carried node whose next merge writes the buffer it sits
+/// in moves to the other one first.
+///
+/// Runs averaging fewer than [`SORT_MEAN_RUN`] keys, where merging node
+/// by node is mostly per-node overhead, are not merged: the same tree is
+/// counted over the runs concatenated into `out` (`count_and_sort`), and
+/// one stable sort orders them. Public so tests and benches can run one
+/// kernel on any shape.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the total run length.
+pub fn merge_counted_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    assert_eq!(out.len(), total, "output slice must fit the merge exactly");
+    if total < SORT_MEAN_RUN * runs.len() {
+        return count_and_sort(runs, out);
     }
-    bounds
+    let root_height = premerge_plan(runs)
+        .count()
+        .next_power_of_two()
+        .trailing_zeros();
+    let mut scratch = vec![T::default(); total];
+    let mut bufs: [&mut [T]; 2] = [out, &mut scratch];
+    let mut cmps = 0u64;
+    let leaf = |r: usize, at: usize| Node {
+        at,
+        len: runs[r].len(),
+        held: Held::Run(runs[r]),
+    };
+    let root = fold_plan(runs, leaf, |l, r, h| {
+        if r.len == 0 {
+            return l;
+        }
+        if l.len == 0 {
+            return r;
+        }
+        let d = ((root_height - h) % 2) as usize;
+        let [b0, b1] = &mut bufs;
+        let (dst, src) = if d == 0 { (b0, b1) } else { (b1, b0) };
+        for c in [l, r] {
+            if matches!(c.held, Held::Buf(b) if b == d) {
+                src[c.at..c.at + c.len].copy_from_slice(&dst[c.at..c.at + c.len]);
+            }
+        }
+        cmps += merge_counted(l.keys(src), r.keys(src), &mut dst[l.at..r.at + r.len]);
+        Node {
+            at: l.at,
+            len: l.len + r.len,
+            held: Held::Buf(d),
+        }
+    });
+    match root.map(|n| n.held) {
+        Some(Held::Run(s)) => bufs[0].copy_from_slice(s),
+        Some(Held::Buf(1)) => {
+            let [o, s] = &mut bufs;
+            o.copy_from_slice(s);
+        }
+        _ => {}
+    }
+    cmps
+}
+
+/// Mean run length below which [`merge_counted_tree`] counts and sorts
+/// instead of merging. With runs of about one key (SPMS's buckets), a
+/// merge per node costs a mispredicted loop exit and two tail copies per
+/// key or so; a scan per node and one sort cost less. On uniform `u64`
+/// sorting still won at 32 keys per run and lost from a few hundred, so
+/// the gate is conservative. A data-shape constant: the count is the same
+/// either way.
+const SORT_MEAN_RUN: usize = 8;
+
+/// [`merge_counted_tree`] for runs of a few keys: copy the runs into `out`
+/// in run order, count every node of the tree from its sides' maxima and
+/// one scan of the side that does not exhaust first (the `node_cost`
+/// formula, which needs no order within a side), then sort `out` stably,
+/// which keeps equal keys in run order as every kernel does.
+fn count_and_sort<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
+    let mut rest: &mut [T] = out;
+    for r in runs {
+        let (dst, next) = rest.split_at_mut(r.len());
+        dst.copy_from_slice(r);
+        rest = next;
+    }
+    let concat: &[T] = out;
+    let mut cmps = 0u64;
+    // A node: its keys' offset and length in `concat`, and their maximum.
+    let leaf = |r: usize, at: usize| (at, runs[r].len(), runs[r].last().copied());
+    fold_plan(runs, leaf, |(lat, llen, lmax), (rat, rlen, rmax), _| {
+        let (Some(lm), Some(rm)) = (lmax, rmax) else {
+            return (lat, llen + rlen, lmax.or(rmax));
+        };
+        cmps += if lm <= rm {
+            llen + concat[rat..rat + rlen].iter().filter(|&&x| x < lm).count()
+        } else {
+            rlen + concat[lat..lat + llen].iter().filter(|&&x| x <= rm).count()
+        } as u64;
+        (lat, llen + rlen, Some(lm.max(rm)))
+    });
+    out.sort();
+    cmps
+}
+
+/// Two-way merge of sorted `a` and `b` into `out`, ties taking `a` first,
+/// returning the comparisons the classic merge loop plays: one per output
+/// element until a side runs out, which is
+/// [`crate::kernels::simd::pair_merge_cost`]. Nodes of at least
+/// [`VECTOR_NODE_MIN`] keys run [`crate::kernels::simd::merge_pair`] and
+/// make that one search; shorter ones read the count off the loop.
+fn merge_counted<T: crate::SortElem>(a: &[T], b: &[T], out: &mut [T]) -> u64 {
+    if out.len() >= VECTOR_NODE_MIN {
+        crate::kernels::simd::merge_pair(a, b, out);
+        return crate::kernels::simd::pair_merge_cost(a, b);
+    }
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let take_a = a[i] <= b[j];
+        out[i + j] = if take_a { a[i] } else { b[j] };
+        i += usize::from(take_a);
+        j += usize::from(!take_a);
+    }
+    // One side is used up; the other's tail follows in order.
+    let played = i + j;
+    let (a_tail, b_tail) = (&a[i..], &b[j..]);
+    out[played..played + a_tail.len()].copy_from_slice(a_tail);
+    out[played + a_tail.len()..].copy_from_slice(b_tail);
+    played as u64
 }
 
 #[cfg(test)]
@@ -647,7 +808,7 @@ mod tests {
     use crate::kernels::reference::ReferenceLoserTree;
 
     /// Both kernels and `merge_into_slice` emit the sorted union, and all
-    /// three report (or charge) the loser tree's comparison count.
+    /// three count the loser tree's comparisons, `merge_cost`.
     fn check_merge(runs: Vec<Vec<u64>>) {
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
         let mut expect: Vec<u64> = runs.concat();
@@ -658,9 +819,9 @@ mod tests {
         let mut lt_out = vec![0; expect.len()];
         assert_eq!(merge_with_loser_tree(&refs, &mut lt_out), cmps);
         assert_eq!(lt_out, expect);
-        let mut pt_out = vec![0; expect.len()];
-        merge_pair_tree(&refs, &mut pt_out);
-        assert_eq!(pt_out, expect);
+        let mut ct_out = vec![0; expect.len()];
+        assert_eq!(merge_counted_tree(&refs, &mut ct_out), cmps);
+        assert_eq!(ct_out, expect);
         assert_eq!(merge_cost(&refs), cmps);
     }
 
@@ -768,11 +929,12 @@ mod tests {
     }
 
     #[test]
-    fn pair_tree_keeps_run_order_on_ties() {
+    fn counted_tree_keeps_run_order_on_ties() {
         // Key-only equality and ordering make ties observable through the
-        // run tag: both kernels must emit equal keys in run order.
+        // run tag: both kernels must emit equal keys in run order, whether
+        // the counted tree merges (runs of 64 keys) or sorts (runs of 0-2).
         #[derive(Clone, Copy, Default, Debug)]
-        struct E(u64, u8);
+        struct E(u64, u16);
         impl PartialEq for E {
             fn eq(&self, o: &Self) -> bool {
                 self.0 == o.0
@@ -789,20 +951,55 @@ mod tests {
                 Some(self.cmp(o))
             }
         }
-        let runs: Vec<Vec<E>> = (0..7u8)
+        let long: Vec<Vec<E>> = (0..7u16)
             .map(|r| (0..64u64).map(|i| E(i / (r as u64 + 1), r)).collect())
             .collect();
-        let refs: Vec<&[E]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut lt_out = vec![E::default(); 7 * 64];
-        let cmps = merge_with_loser_tree(&refs, &mut lt_out);
-        let mut pt_out = vec![E::default(); 7 * 64];
-        merge_pair_tree(&refs, &mut pt_out);
-        let tagged = |v: &[E]| v.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>();
-        assert_eq!(tagged(&pt_out), tagged(&lt_out));
-        assert!(lt_out
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
-        assert_eq!(merge_cost(&refs), cmps);
+        let tiny: Vec<Vec<E>> = (0..300u16)
+            .map(|r| {
+                (0..r % 3)
+                    .map(|i| E((u64::from(r) * 7 + u64::from(i)) % 5, r))
+                    .collect()
+            })
+            .map(|mut run: Vec<E>| {
+                run.sort();
+                run
+            })
+            .collect();
+        for runs in [long, tiny] {
+            let refs: Vec<&[E]> = runs.iter().map(|r| r.as_slice()).collect();
+            let total = refs.iter().map(|r| r.len()).sum();
+            let mut lt_out = vec![E::default(); total];
+            let cmps = merge_with_loser_tree(&refs, &mut lt_out);
+            let mut ct_out = vec![E::default(); total];
+            assert_eq!(merge_counted_tree(&refs, &mut ct_out), cmps);
+            let tagged = |v: &[E]| v.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>();
+            assert_eq!(tagged(&ct_out), tagged(&lt_out));
+            assert!(lt_out
+                .windows(2)
+                .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
+            assert_eq!(merge_cost(&refs), cmps);
+        }
+    }
+
+    #[test]
+    fn single_key_cost_matches_merge_cost_up_to_k_4096() {
+        // Runs of 0-3 copies of one key, empty runs at both ends, every k
+        // from 1 to 4,096 (powers of two and the rest).
+        let key = [9u64; 3];
+        for k in 1..=4_096usize {
+            let runs: Vec<&[u64]> = (0..k)
+                .map(|i| match i {
+                    0 => &key[..0],
+                    _ if i + 1 == k => &key[..0],
+                    _ => &key[..(i * 7 + k) % 4],
+                })
+                .collect();
+            assert_eq!(single_key_cost(&runs), merge_cost(&runs), "k={k}");
+        }
+        // Plateau runs long enough to stay out of the pair plan.
+        let long = [9u64; 200];
+        let runs = [&long[..], &key[..2], &key[..0], &long[..], &key[..1]];
+        assert_eq!(single_key_cost(&runs), merge_cost(&runs));
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! * The branchless [`LoserTree`] must be observationally identical to the
 //!   pre-rewrite [`ReferenceLoserTree`]: same emitted sequence *and* same
 //!   comparison count, on randomized run sets including empty runs.
-//! * `merge_cost` must equal the comparisons the loser-tree kernel counts,
-//!   and the pair-tree kernel must emit the loser tree's output, on run
-//!   sets shaped like every merge the sorters issue. `merge_into_slice`'s
+//! * `merge_cost` must equal the comparisons both merge kernels count, and
+//!   the counted merge tree must emit the loser tree's output with SIMD
+//!   dispatch on and off, on run sets shaped like every merge the sorters
+//!   issue, from thousands of runs of 0–2 keys to runs past the pair
+//!   pre-merge limit. `merge_into_slice`'s
 //!   tree-free fast paths (all runs empty, one key value) must emit the
 //!   loser tree's exact sequence — payloads included — and charge its
 //!   count. NMsort's in-place Phase 1 must sort under the DMA pipeline's
@@ -20,9 +22,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tlmm_core::kernels::reference::{merge_into_slice_ref, ReferenceLoserTree};
-use tlmm_core::kernels::{radix_sort, sort_kernel, RadixKey};
+use tlmm_core::kernels::{radix_sort, simd, sort_kernel, RadixKey};
 use tlmm_core::losertree::{
-    merge_cost, merge_into_slice, merge_pair_tree, merge_with_loser_tree, LoserTree, PREMERGE_MAX,
+    merge_cost, merge_counted_tree, merge_into_slice, merge_with_loser_tree, LoserTree,
+    PREMERGE_MAX,
 };
 use tlmm_core::nmsort::{nmsort, NmSortConfig};
 use tlmm_model::ScratchpadParams;
@@ -75,9 +78,9 @@ fn shaped_run(rng: &mut StdRng, len: usize) -> Vec<u64> {
     v
 }
 
-/// Up to `k_max` runs whose lengths reach `len_max` (so mean run lengths
-/// fall on both sides of the pair-tree gate), plus `long` runs just
-/// inside or just past [`PREMERGE_MAX`] at random positions.
+/// Up to `k_max` runs whose lengths reach `len_max` (so both short and
+/// vector-length nodes occur), plus `long` runs just inside or just past
+/// [`PREMERGE_MAX`] at random positions.
 fn merge_shape(seed: u64, k_max: usize, len_max: usize, long: usize) -> Vec<Vec<u64>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let k = rng.gen_range(1..=k_max);
@@ -102,11 +105,14 @@ proptest! {
     #[test]
     fn merge_cost_and_both_kernels_agree_with_the_loser_tree(
         seed in any::<u64>(),
-        k_max in 0usize..3,
-        len_max in 0usize..3,
+        k_max in 0usize..4,
+        len_max in 0usize..4,
         long in 0usize..3,
     ) {
-        let runs = merge_shape(seed, [6, 40, 300][k_max], [16, 96, 600][len_max], long);
+        // Up to 4,096 runs only of up to 16 keys, to keep a case small.
+        let k_max = [6, 40, 300, 4_096][k_max];
+        let len_max = [2, 16, 96, 600][if k_max > 300 { len_max.min(1) } else { len_max }];
+        let runs = merge_shape(seed, k_max, len_max, long);
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
         let mut expect: Vec<u64> = runs.concat();
         expect.sort_unstable();
@@ -114,12 +120,19 @@ proptest! {
         let counted = merge_with_loser_tree(&refs, &mut lt_out);
         prop_assert_eq!(&lt_out, &expect);
         prop_assert_eq!(merge_cost(&refs), counted);
-        let mut pt_out = vec![0u64; expect.len()];
-        merge_pair_tree(&refs, &mut pt_out);
-        prop_assert_eq!(&pt_out, &expect);
-        let mut out = vec![0u64; expect.len()];
-        prop_assert_eq!(merge_into_slice(&refs, &mut out), counted);
-        prop_assert_eq!(out, expect);
+        let prior = simd::enabled();
+        for vector in [true, false] {
+            simd::set_enabled(vector);
+            let mut ct_out = vec![0u64; expect.len()];
+            let ct = merge_counted_tree(&refs, &mut ct_out);
+            let mut out = vec![0u64; expect.len()];
+            let charged = merge_into_slice(&refs, &mut out);
+            simd::set_enabled(prior);
+            prop_assert_eq!(ct, counted, "counted tree, SIMD {}", vector);
+            prop_assert_eq!(&ct_out, &expect, "counted tree, SIMD {}", vector);
+            prop_assert_eq!(charged, counted, "merge_into_slice, SIMD {}", vector);
+            prop_assert_eq!(&out, &expect, "merge_into_slice, SIMD {}", vector);
+        }
     }
 
     #[test]
@@ -213,19 +226,21 @@ impl Ord for Keyed {
     }
 }
 
-/// `merge_into_slice` against the loser-tree kernel on `runs`: the same
-/// elements with the same payloads in the same order, and the same count,
-/// which is also `merge_cost`.
+/// `merge_into_slice` and the counted merge tree against the loser-tree
+/// kernel on `runs`: the same elements with the same payloads in the same
+/// order, and the same count, which is also `merge_cost`.
 fn assert_matches_loser_tree(runs: &[Vec<Keyed>]) {
     let refs: Vec<&[Keyed]> = runs.iter().map(Vec::as_slice).collect();
     let total = runs.iter().map(Vec::len).sum();
     let mut expect = vec![Keyed::default(); total];
     let counted = merge_with_loser_tree(&refs, &mut expect);
-    let mut out = vec![Keyed::default(); total];
-    assert_eq!(merge_into_slice(&refs, &mut out), counted);
     assert_eq!(merge_cost(&refs), counted);
     let pairs = |v: &[Keyed]| v.iter().map(|x| (x.key, x.payload)).collect::<Vec<_>>();
-    assert_eq!(pairs(&out), pairs(&expect));
+    for kernel in [merge_into_slice, merge_counted_tree] {
+        let mut out = vec![Keyed::default(); total];
+        assert_eq!(kernel(&refs, &mut out), counted);
+        assert_eq!(pairs(&out), pairs(&expect));
+    }
 }
 
 #[test]
