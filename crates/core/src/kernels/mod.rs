@@ -30,12 +30,11 @@
 //! Merges with no duplicate-heavy run execute on
 //! [`crate::losertree::merge_counted_tree`] instead, a bottom-up two-way
 //! merge on the loser tree's shape that counts each node as it merges it
-//! (long nodes on [`simd::merge_pair`]; runs of a few keys are counted
-//! over their concatenation and sorted once), the same output and count
-//! faster;
-//! duplicate-heavy merges stay on the loser tree, whose guarded-store
-//! streaks make them nearly free while two-way merges do fixed work per
-//! element. [`crate::losertree::merge_cost`] computes the count from the
+//! (each node on [`simd::merge_pair`], which returns the node's count;
+//! runs of a few keys are counted over their concatenation and sorted
+//! once), the same output and count faster; duplicate-heavy merges stay
+//! on the loser tree, whose guarded-store streaks make them nearly free
+//! while two-way merges do fixed work per element. [`crate::losertree::merge_cost`] computes the count from the
 //! runs alone, the oracle the tests hold both kernels to. See DESIGN.md
 //! §10.
 

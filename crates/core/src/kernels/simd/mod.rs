@@ -158,25 +158,23 @@ pub fn radix_scatter<T: super::RadixKey>(
 }
 
 /// Merge two sorted runs into `out` (`out.len() == a.len() + b.len()`),
-/// ties taking `a` first. The vector form runs a 4-wide bitonic merge
-/// network; for the key types it routes (`u64`), equal keys are identical
-/// elements, so its output sequence matches the scalar merge exactly.
-///
-/// Neither form counts comparisons — callers charge [`pair_merge_cost`],
-/// the analytic merge model, keeping ledgers dispatch-independent (the
-/// counted merge tree, [`crate::losertree::merge_counted_tree`], makes
-/// that one search per node it runs here).
+/// ties taking `a` first, and return the comparisons the classic merge
+/// loop plays, [`pair_merge_cost`]. The vector form runs a 4-wide bitonic
+/// merge network and makes that one search; for the key types it routes
+/// (`u64`), equal keys are identical elements, so its output sequence
+/// matches the scalar merge exactly. The scalar form reads the count off
+/// its loop. Either way the count comes from the data, so ledgers stay
+/// dispatch-independent.
 #[inline]
-pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) {
+pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) -> u64 {
     #[cfg(target_arch = "x86_64")]
     if enabled() {
-        let f: fn(&[u64], &[u64], &mut [u64]) = avx2::merge_pair_u64;
-        if let Some(f) = <dyn Any>::downcast_ref::<fn(&[T], &[T], &mut [T])>(&f).copied() {
-            f(a, b, out);
-            return;
+        let f: fn(&[u64], &[u64], &mut [u64]) -> u64 = avx2::merge_pair_u64;
+        if let Some(f) = <dyn Any>::downcast_ref::<fn(&[T], &[T], &mut [T]) -> u64>(&f).copied() {
+            return f(a, b, out);
         }
     }
-    scalar::merge_pair(a, b, out);
+    scalar::merge_pair(a, b, out)
 }
 
 /// Comparisons the classic two-way merge loop performs on sorted runs `a`
@@ -239,6 +237,12 @@ mod tests {
                 }
             }
             assert_eq!(pair_merge_cost(&a, &b), cmps, "a={a:?} b={b:?}");
+            let mut out = vec![0u64; la + lb];
+            assert_eq!(
+                scalar::merge_pair(&a, &b, &mut out),
+                cmps,
+                "a={a:?} b={b:?}"
+            );
         }
     }
 

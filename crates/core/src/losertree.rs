@@ -367,23 +367,25 @@ fn duplicate_heavy<T: Ord>(r: &[T]) -> bool {
 /// the two-way merge's fixed per-element work (see [`duplicate_heavy`]).
 const PLATEAU_GAP: usize = 32;
 
-/// Merged length from which a counted-tree node runs
-/// [`crate::kernels::simd::merge_pair`] (the 4-wide bitonic network when
-/// SIMD dispatch is active) and charges one
-/// [`crate::kernels::simd::pair_merge_cost`] search. Shorter nodes count
-/// while they merge (see [`merge_counted`]). A data-shape constant: the
-/// count is the same either way.
-const VECTOR_NODE_MIN: usize = 64;
-
 /// The pair pre-merge plan: the loser tree's leaves in order, as run-index
 /// ranges — each either one run or two adjacent runs merged first. With
 /// four or more runs, adjacent runs no longer than [`PREMERGE_MAX`] and
 /// not [`duplicate_heavy`] are paired left to right; otherwise every leaf
 /// is one run. Both merge kernels execute this plan and [`merge_cost`]
 /// charges it.
-fn premerge_plan<'r, T: Ord>(runs: &'r [&'r [T]]) -> impl Iterator<Item = Range<usize>> + 'r {
+fn premerge_plan<'r, T: Ord>(
+    runs: &'r [&'r [T]],
+) -> impl Iterator<Item = Range<usize>> + Clone + 'r {
+    pair_plan(runs, |r| r.len() <= PREMERGE_MAX && !duplicate_heavy(r))
+}
+
+/// [`premerge_plan`] with the test for a pairable run given: a caller that
+/// has already probed every run for plateaus passes the length test alone.
+fn pair_plan<'r, T: Ord>(
+    runs: &'r [&'r [T]],
+    pairable: impl Fn(&[T]) -> bool + Clone + 'r,
+) -> impl Iterator<Item = Range<usize>> + Clone + 'r {
     let pairs = runs.len() >= 4;
-    let pairable = |r: &[T]| r.len() <= PREMERGE_MAX && !duplicate_heavy(r);
     let mut i = 0;
     std::iter::from_fn(move || {
         let lo = i;
@@ -396,16 +398,17 @@ fn premerge_plan<'r, T: Ord>(runs: &'r [&'r [T]]) -> impl Iterator<Item = Range<
     })
 }
 
-/// Fold `runs` up the loser tree's shape: the [`premerge_plan`] leaves,
-/// padded with empty leaves to a power of two, so the node of height `h`
-/// at index `i` covers leaves `[i·2^h, (i+1)·2^h)`. `leaf(r, at)` makes
-/// the node of run `r`, which starts at offset `at` of the merged output;
-/// `join(left, right, h)` makes a node of height `h` from its two
-/// children, with `h = 0` for a planned pair. A node whose right half is
-/// all padding is its left child, carried up without a join. Returns the
-/// root, or `None` without runs.
+/// Fold `runs` up the loser tree's shape: the leaves of `plan` (a
+/// [`premerge_plan`] of `runs`), padded with empty leaves to a power of
+/// two, so the node of height `h` at index `i` covers leaves
+/// `[i·2^h, (i+1)·2^h)`. `leaf(r, at)` makes the node of run `r`, which
+/// starts at offset `at` of the merged output; `join(left, right, h)`
+/// makes a node of height `h` from its two children, with `h = 0` for a
+/// planned pair. A node whose right half is all padding is its left child,
+/// carried up without a join. Returns the root, or `None` without runs.
 fn fold_plan<T: Ord, N: Copy>(
     runs: &[&[T]],
+    plan: impl Iterator<Item = Range<usize>>,
     leaf: impl Fn(usize, usize) -> N,
     mut join: impl FnMut(N, N, u32) -> N,
 ) -> Option<N> {
@@ -418,7 +421,7 @@ fn fold_plan<T: Ord, N: Copy>(
     let mut stack = [(leaf(0, 0), 0u32); usize::BITS as usize];
     let mut top = 0;
     let mut at = 0;
-    for r in premerge_plan(runs) {
+    for r in plan {
         let mut node = leaf(r.start, at);
         at += runs[r.start].len();
         if r.len() == 2 {
@@ -541,7 +544,8 @@ pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64
             single_key_cost(runs)
         }
         _ if runs.iter().any(|r| duplicate_heavy(r)) => merge_with_loser_tree(runs, out),
-        _ => merge_counted_tree(runs, out),
+        // No run is duplicate-heavy, so the plan pairs by length alone.
+        _ => counted_tree(runs, out, pair_plan(runs, |r| r.len() <= PREMERGE_MAX)),
     }
 }
 
@@ -563,6 +567,7 @@ fn single_key_cost<T: Ord>(runs: &[&[T]]) -> u64 {
     let mut cost = 0u64;
     fold_plan(
         runs,
+        premerge_plan(runs),
         |r, _| runs[r].len(),
         |l, r, _| {
             if l > 0 && r > 0 {
@@ -594,8 +599,7 @@ pub fn merge_with_loser_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -
     for r in leaves.iter().filter(|r| r.len() == 2) {
         let (a, b) = (runs[r.start], runs[r.start + 1]);
         let (dst, next) = rest.split_at_mut(a.len() + b.len());
-        crate::kernels::simd::merge_pair(a, b, dst);
-        cmps += crate::kernels::simd::pair_merge_cost(a, b);
+        cmps += crate::kernels::simd::merge_pair(a, b, dst);
         rest = next;
     }
     let mut off = 0usize;
@@ -668,14 +672,14 @@ impl<'r, T> Node<'r, T> {
 ///
 /// A loser-tree node's comparisons are those of a two-way merge of its
 /// two sides, ties going left, so each node here merges its children's
-/// merged keys and counts as it goes (`merge_counted`). Empty runs keep
-/// their leaves, and a node with an empty side is its other child,
-/// carried up unmerged — the padding that makes the loser tree a power of
-/// two wide — so the tree, and every node's count, is the loser tree's.
-/// Nodes ping-pong between `out` and one scratch buffer by height, the
-/// root's height writing `out`; a node still in an input run is read in
-/// place, and a carried node whose next merge writes the buffer it sits
-/// in moves to the other one first.
+/// merged keys with [`crate::kernels::simd::merge_pair`], which returns
+/// that count. Empty runs keep their leaves, and a node with an empty side
+/// is its other child, carried up unmerged — the padding that makes the
+/// loser tree a power of two wide — so the tree, and every node's count,
+/// is the loser tree's. Nodes ping-pong between `out` and one scratch
+/// buffer by height, the root's height writing `out`; a node still in an
+/// input run is read in place, and a carried node whose next merge writes
+/// the buffer it sits in moves to the other one first.
 ///
 /// Runs averaging fewer than [`SORT_MEAN_RUN`] keys, where merging node
 /// by node is mostly per-node overhead, are not merged: the same tree is
@@ -688,22 +692,29 @@ impl<'r, T> Node<'r, T> {
 pub fn merge_counted_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     assert_eq!(out.len(), total, "output slice must fit the merge exactly");
+    counted_tree(runs, out, premerge_plan(runs))
+}
+
+/// [`merge_counted_tree`] over `plan`, a [`premerge_plan`] of `runs`.
+fn counted_tree<T: crate::SortElem>(
+    runs: &[&[T]],
+    out: &mut [T],
+    plan: impl Iterator<Item = Range<usize>> + Clone,
+) -> u64 {
+    let total = out.len();
     if total < SORT_MEAN_RUN * runs.len() {
-        return count_and_sort(runs, out);
+        return count_and_sort(runs, out, plan);
     }
-    let root_height = premerge_plan(runs)
-        .count()
-        .next_power_of_two()
-        .trailing_zeros();
-    let mut scratch = vec![T::default(); total];
-    let mut bufs: [&mut [T]; 2] = [out, &mut scratch];
+    let root_height = plan.clone().count().next_power_of_two().trailing_zeros();
+    // Allocated by the first join that writes it or moves a node into it.
+    let mut scratch: Vec<T> = Vec::new();
     let mut cmps = 0u64;
     let leaf = |r: usize, at: usize| Node {
         at,
         len: runs[r].len(),
         held: Held::Run(runs[r]),
     };
-    let root = fold_plan(runs, leaf, |l, r, h| {
+    let root = fold_plan(runs, plan, leaf, |l, r, h| {
         if r.len == 0 {
             return l;
         }
@@ -711,14 +722,23 @@ pub fn merge_counted_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u
             return r;
         }
         let d = ((root_height - h) % 2) as usize;
-        let [b0, b1] = &mut bufs;
-        let (dst, src) = if d == 0 { (b0, b1) } else { (b1, b0) };
-        for c in [l, r] {
-            if matches!(c.held, Held::Buf(b) if b == d) {
-                src[c.at..c.at + c.len].copy_from_slice(&dst[c.at..c.at + c.len]);
-            }
+        let moved = |c: Node<T>| matches!(c.held, Held::Buf(b) if b == d);
+        if scratch.is_empty() && (d == 1 || moved(l) || moved(r)) {
+            scratch = vec![T::default(); total];
         }
-        cmps += merge_counted(l.keys(src), r.keys(src), &mut dst[l.at..r.at + r.len]);
+        let (dst, src): (&mut [T], &mut [T]) = if d == 0 {
+            (out, &mut scratch)
+        } else {
+            (&mut scratch, out)
+        };
+        for c in [l, r].into_iter().filter(|&c| moved(c)) {
+            src[c.at..c.at + c.len].copy_from_slice(&dst[c.at..c.at + c.len]);
+        }
+        cmps += crate::kernels::simd::merge_pair(
+            l.keys(src),
+            r.keys(src),
+            &mut dst[l.at..r.at + r.len],
+        );
         Node {
             at: l.at,
             len: l.len + r.len,
@@ -726,11 +746,8 @@ pub fn merge_counted_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u
         }
     });
     match root.map(|n| n.held) {
-        Some(Held::Run(s)) => bufs[0].copy_from_slice(s),
-        Some(Held::Buf(1)) => {
-            let [o, s] = &mut bufs;
-            o.copy_from_slice(s);
-        }
+        Some(Held::Run(s)) => out.copy_from_slice(s),
+        Some(Held::Buf(1)) => out.copy_from_slice(&scratch),
         _ => {}
     }
     cmps
@@ -739,10 +756,11 @@ pub fn merge_counted_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u
 /// Mean run length below which [`merge_counted_tree`] counts and sorts
 /// instead of merging. With runs of about one key (SPMS's buckets), a
 /// merge per node costs a mispredicted loop exit and two tail copies per
-/// key or so; a scan per node and one sort cost less. On uniform `u64`
-/// sorting still won at 32 keys per run and lost from a few hundred, so
-/// the gate is conservative. A data-shape constant: the count is the same
-/// either way.
+/// key or so; a scan per node and one sort cost less, about a fifth of
+/// SPMS's wall time on Zipf keys against merging every node (DESIGN.md
+/// §10). On uniform `u64` sorting still won at 32 keys per run and lost
+/// from a few hundred, so 8 keeps well clear of the crossover. A
+/// data-shape constant: the count is the same either way.
 const SORT_MEAN_RUN: usize = 8;
 
 /// [`merge_counted_tree`] for runs of a few keys: copy the runs into `out`
@@ -750,7 +768,11 @@ const SORT_MEAN_RUN: usize = 8;
 /// one scan of the side that does not exhaust first (the `node_cost`
 /// formula, which needs no order within a side), then sort `out` stably,
 /// which keeps equal keys in run order as every kernel does.
-fn count_and_sort<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
+fn count_and_sort<T: crate::SortElem>(
+    runs: &[&[T]],
+    out: &mut [T],
+    plan: impl Iterator<Item = Range<usize>>,
+) -> u64 {
     let mut rest: &mut [T] = out;
     for r in runs {
         let (dst, next) = rest.split_at_mut(r.len());
@@ -761,45 +783,24 @@ fn count_and_sort<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
     let mut cmps = 0u64;
     // A node: its keys' offset and length in `concat`, and their maximum.
     let leaf = |r: usize, at: usize| (at, runs[r].len(), runs[r].last().copied());
-    fold_plan(runs, leaf, |(lat, llen, lmax), (rat, rlen, rmax), _| {
-        let (Some(lm), Some(rm)) = (lmax, rmax) else {
-            return (lat, llen + rlen, lmax.or(rmax));
-        };
-        cmps += if lm <= rm {
-            llen + concat[rat..rat + rlen].iter().filter(|&&x| x < lm).count()
-        } else {
-            rlen + concat[lat..lat + llen].iter().filter(|&&x| x <= rm).count()
-        } as u64;
-        (lat, llen + rlen, Some(lm.max(rm)))
-    });
+    fold_plan(
+        runs,
+        plan,
+        leaf,
+        |(lat, llen, lmax), (rat, rlen, rmax), _| {
+            let (Some(lm), Some(rm)) = (lmax, rmax) else {
+                return (lat, llen + rlen, lmax.or(rmax));
+            };
+            cmps += if lm <= rm {
+                llen + concat[rat..rat + rlen].iter().filter(|&&x| x < lm).count()
+            } else {
+                rlen + concat[lat..lat + llen].iter().filter(|&&x| x <= rm).count()
+            } as u64;
+            (lat, llen + rlen, Some(lm.max(rm)))
+        },
+    );
     out.sort();
     cmps
-}
-
-/// Two-way merge of sorted `a` and `b` into `out`, ties taking `a` first,
-/// returning the comparisons the classic merge loop plays: one per output
-/// element until a side runs out, which is
-/// [`crate::kernels::simd::pair_merge_cost`]. Nodes of at least
-/// [`VECTOR_NODE_MIN`] keys run [`crate::kernels::simd::merge_pair`] and
-/// make that one search; shorter ones read the count off the loop.
-fn merge_counted<T: crate::SortElem>(a: &[T], b: &[T], out: &mut [T]) -> u64 {
-    if out.len() >= VECTOR_NODE_MIN {
-        crate::kernels::simd::merge_pair(a, b, out);
-        return crate::kernels::simd::pair_merge_cost(a, b);
-    }
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let take_a = a[i] <= b[j];
-        out[i + j] = if take_a { a[i] } else { b[j] };
-        i += usize::from(take_a);
-        j += usize::from(!take_a);
-    }
-    // One side is used up; the other's tail follows in order.
-    let played = i + j;
-    let (a_tail, b_tail) = (&a[i..], &b[j..]);
-    out[played..played + a_tail.len()].copy_from_slice(a_tail);
-    out[played + a_tail.len()..].copy_from_slice(b_tail);
-    played as u64
 }
 
 #[cfg(test)]

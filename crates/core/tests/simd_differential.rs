@@ -138,13 +138,14 @@ proptest! {
         b.sort_unstable();
         let (off, on) = both_paths(|| {
             let mut out = vec![0u64; v.len()];
-            simd::merge_pair(&a, &b, &mut out);
-            out
+            let cmps = simd::merge_pair(&a, &b, &mut out);
+            (out, cmps)
         });
         let mut expect = v.clone();
         expect.sort_unstable();
-        prop_assert_eq!(&off, &expect);
-        prop_assert_eq!(&on, &expect);
+        let cost = simd::pair_merge_cost(&a, &b);
+        prop_assert_eq!(&off, &(expect.clone(), cost));
+        prop_assert_eq!(&on, &(expect, cost));
     }
 
     #[test]
