@@ -71,9 +71,10 @@ pub fn run(mut args: Args) -> Outcome {
     tlmm_telemetry::reset();
     let wall = time_workload(2);
     // Event volumes of one run: the transfer histograms count exactly the
-    // charge calls (each of which also does two counter adds), the DMA
-    // counter counts the DMA-issue hook, and the span store holds every
-    // phase span the run opened.
+    // contiguous charge calls (one record each is all the telemetry a
+    // charge writes; its cost goes to the phase trace's lane record), the
+    // loser-tree counters flush once per merge, and the span store holds
+    // every phase span the run opened.
     let report = RunReport::collect("telemetry_overhead_probe");
     // Transfer histograms use the per-sample record path; everything else
     // (bucket-size distributions) goes through the batched record_iter.
@@ -90,16 +91,10 @@ pub fn run(mut args: Args) -> Outcome {
         .map(|h| h.count)
         .sum();
     let counter_adds = report
-        .histograms
+        .counters
         .iter()
-        .filter(|h| h.name.contains("transfer_bytes"))
-        .map(|h| h.count * 2)
-        .sum::<u64>()
-        + report
-            .counters
-            .iter()
-            .filter(|c| c.name == "scratchpad.compute_ops" || c.name.contains("losertree"))
-            .count() as u64;
+        .filter(|c| c.name.contains("losertree"))
+        .count() as u64;
     let span_count: u64 = report.spans.iter().map(|s| s.count() as u64).sum();
 
     eprintln!("[telemetry_overhead] microbenchmarking primitives...");

@@ -1,13 +1,13 @@
-//! Thread-safe block-transfer cost ledger.
+//! Block-transfer cost snapshots.
 //!
-//! The runtime charges every data movement here, in exactly the units the
+//! The runtime books every data movement in exactly the units the
 //! algorithmic model uses: one far-block (`B` bytes) or one near-block
-//! (`ρB` bytes) per transfer. The ledger is the ground truth behind the
-//! "Scratchpad Accesses" / "DRAM Accesses" columns of Table I and behind the
-//! model-validation experiment (F-MODEL in DESIGN.md).
+//! (`ρB` bytes) per transfer. A [`CostSnapshot`] of those totals is the
+//! ground truth behind the "Scratchpad Accesses" / "DRAM Accesses" columns
+//! of Table I and behind the model-validation experiment (F-MODEL in
+//! DESIGN.md).
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Direction of a charged transfer, from the processor's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,88 +18,9 @@ pub enum Dir {
     Write,
 }
 
-/// Which memory a transfer touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Level {
-    /// Far memory (conventional DRAM), block size `B`.
-    Far,
-    /// Near memory (scratchpad), block size `ρB`.
-    Near,
-}
-
-/// A monotone, thread-safe ledger of model-unit costs.
-///
-/// All counters use relaxed atomics: they are statistics, not
-/// synchronization; totals are read after worker threads join.
-#[derive(Debug, Default)]
-pub struct CostLedger {
-    far_read_blocks: AtomicU64,
-    far_write_blocks: AtomicU64,
-    near_read_blocks: AtomicU64,
-    near_write_blocks: AtomicU64,
-    far_bytes: AtomicU64,
-    near_bytes: AtomicU64,
-    compute_ops: AtomicU64,
-}
-
-impl CostLedger {
-    /// A fresh, zeroed ledger.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Charge `blocks` block transfers (and `bytes` raw bytes) against one
-    /// memory level.
-    #[inline]
-    pub fn charge(&self, level: Level, dir: Dir, blocks: u64, bytes: u64) {
-        match (level, dir) {
-            (Level::Far, Dir::Read) => self.far_read_blocks.fetch_add(blocks, Ordering::Relaxed),
-            (Level::Far, Dir::Write) => self.far_write_blocks.fetch_add(blocks, Ordering::Relaxed),
-            (Level::Near, Dir::Read) => self.near_read_blocks.fetch_add(blocks, Ordering::Relaxed),
-            (Level::Near, Dir::Write) => {
-                self.near_write_blocks.fetch_add(blocks, Ordering::Relaxed)
-            }
-        };
-        match level {
-            Level::Far => self.far_bytes.fetch_add(bytes, Ordering::Relaxed),
-            Level::Near => self.near_bytes.fetch_add(bytes, Ordering::Relaxed),
-        };
-    }
-
-    /// Record `n` units of RAM-model work (comparisons, arithmetic). The
-    /// model treats computation as free, but the simulator and the
-    /// memory-bound analysis both need the operation count.
-    #[inline]
-    pub fn charge_compute(&self, n: u64) {
-        self.compute_ops.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Capture the current totals.
-    pub fn snapshot(&self) -> CostSnapshot {
-        CostSnapshot {
-            far_read_blocks: self.far_read_blocks.load(Ordering::Relaxed),
-            far_write_blocks: self.far_write_blocks.load(Ordering::Relaxed),
-            near_read_blocks: self.near_read_blocks.load(Ordering::Relaxed),
-            near_write_blocks: self.near_write_blocks.load(Ordering::Relaxed),
-            far_bytes: self.far_bytes.load(Ordering::Relaxed),
-            near_bytes: self.near_bytes.load(Ordering::Relaxed),
-            compute_ops: self.compute_ops.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset every counter to zero (between experiment repetitions).
-    pub fn reset(&self) {
-        self.far_read_blocks.store(0, Ordering::Relaxed);
-        self.far_write_blocks.store(0, Ordering::Relaxed);
-        self.near_read_blocks.store(0, Ordering::Relaxed);
-        self.near_write_blocks.store(0, Ordering::Relaxed);
-        self.far_bytes.store(0, Ordering::Relaxed);
-        self.near_bytes.store(0, Ordering::Relaxed);
-        self.compute_ops.store(0, Ordering::Relaxed);
-    }
-}
-
-/// An immutable snapshot of a [`CostLedger`].
+/// Model-unit cost totals: block transfers per level and direction, the
+/// payload bytes they booked, and RAM-model operations. The scratchpad
+/// runtime derives them from its per-lane phase records.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CostSnapshot {
     pub far_read_blocks: u64,
@@ -163,43 +84,6 @@ impl core::ops::Add for CostSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn charges_accumulate() {
-        let l = CostLedger::new();
-        l.charge(Level::Far, Dir::Read, 3, 192);
-        l.charge(Level::Far, Dir::Write, 2, 128);
-        l.charge(Level::Near, Dir::Read, 5, 1280);
-        l.charge_compute(10);
-        let s = l.snapshot();
-        assert_eq!(s.far_blocks(), 5);
-        assert_eq!(s.near_blocks(), 5);
-        assert_eq!(s.total_blocks(), 10);
-        assert_eq!(s.far_bytes, 320);
-        assert_eq!(s.near_bytes, 1280);
-        assert_eq!(s.compute_ops, 10);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let l = CostLedger::new();
-        l.charge(Level::Near, Dir::Write, 7, 7 * 256);
-        l.reset();
-        assert_eq!(l.snapshot(), CostSnapshot::default());
-    }
-
-    #[test]
-    fn since_subtracts() {
-        let l = CostLedger::new();
-        l.charge(Level::Far, Dir::Read, 10, 640);
-        let a = l.snapshot();
-        l.charge(Level::Far, Dir::Read, 4, 256);
-        let b = l.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.far_read_blocks, 4);
-        assert_eq!(d.far_bytes, 256);
-    }
 
     #[test]
     fn add_combines() {
@@ -217,26 +101,6 @@ mod tests {
         assert_eq!(c.far_read_blocks, 4);
         assert_eq!(c.near_write_blocks, 2);
         assert_eq!(c.compute_ops, 5);
-    }
-
-    #[test]
-    fn concurrent_charging_is_lossless() {
-        let l = Arc::new(CostLedger::new());
-        let threads = 8;
-        let per = 10_000;
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let l = Arc::clone(&l);
-                s.spawn(move || {
-                    for _ in 0..per {
-                        l.charge(Level::Far, Dir::Read, 1, 64);
-                        l.charge(Level::Near, Dir::Write, 2, 512);
-                    }
-                });
-            }
-        });
-        let s = l.snapshot();
-        assert_eq!(s.far_read_blocks, threads * per);
-        assert_eq!(s.near_write_blocks, 2 * threads * per);
+        assert_eq!(c.since(&b), a);
     }
 }

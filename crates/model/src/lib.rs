@@ -8,9 +8,10 @@
 //!   scratchpad size `M`, DRAM block size `B`, and the bandwidth expansion
 //!   factor `ρ` (the scratchpad moves blocks of size `ρB` at the same unit
 //!   cost as a DRAM block of size `B`).
-//! * [`ledger::CostLedger`] — a thread-safe block-transfer ledger used by the
-//!   runtime (`tlmm-scratchpad`) to charge every far/near transfer exactly
-//!   as the model prescribes.
+//! * [`ledger::CostSnapshot`] — block-transfer totals in model units; the
+//!   runtime (`tlmm-scratchpad`) derives them from its per-lane phase
+//!   records, where every far/near transfer is charged exactly as the model
+//!   prescribes.
 //! * [`theorems`] — the paper's Theorems 1, 2, 6, 8 and 10 and Corollaries 3
 //!   and 7 as closed-form cost predictors, plus the matching lower bound.
 //! * [`bounds`] — the §V-A back-of-envelope test for when sorting becomes
@@ -37,7 +38,7 @@ pub use admission::{
 };
 pub use bounds::{BandwidthBoundVerdict, MachineRates};
 pub use engine::Engine;
-pub use ledger::{CostLedger, CostSnapshot};
+pub use ledger::CostSnapshot;
 pub use params::ScratchpadParams;
 
 /// Binary logarithm clamped so that callers can feed it values `< 2`

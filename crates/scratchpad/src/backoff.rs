@@ -3,10 +3,10 @@
 //! Before this module, the runtime had independently grown retry loops —
 //! NMsort's re-stage, alloc-retry and chunk-shrink ladders, and extsort's
 //! run-formation re-read — each with its own attempt counter and
-//! telemetry. [`Backoff`] centralizes the policy: bounded attempts per [`RetryClass`], per-class counters (both the
-//! unified `backoff.*` family and the pre-existing `degradation.*` names,
-//! so dashboards keep working), and *advisory* seeded jitter derived from
-//! the same splitmix64 hash the fault injector rolls with.
+//! telemetry. [`Backoff`] centralizes the policy: bounded attempts per
+//! [`RetryClass`], one `backoff.<class>.{retry,forced}` counter pair per
+//! class, and *advisory* seeded jitter derived from the same splitmix64
+//! hash the fault injector rolls with.
 //!
 //! The jitter is advisory only: [`Backoff::advice_units`] is a virtual-time
 //! hint for schedulers (the service layer turns it into `retry_after`
@@ -84,29 +84,8 @@ impl RetryClass {
         }
     }
 
-    /// Pre-unification `degradation.*` counter incremented per retry.
-    fn legacy_retry(self) {
-        match self {
-            RetryClass::Stage => tlmm_telemetry::counter!("degradation.transfer_retry").incr(),
-            RetryClass::Alloc => tlmm_telemetry::counter!("degradation.alloc_retry").incr(),
-            RetryClass::Shrink => tlmm_telemetry::counter!("degradation.chunk_shrink").incr(),
-            RetryClass::Restage => tlmm_telemetry::counter!("degradation.extsort_restage").incr(),
-        }
-    }
-
-    /// Pre-unification `degradation.*` counter incremented when the ladder
-    /// gives up retrying and forces the operation through.
-    fn legacy_forced(self) {
-        match self {
-            RetryClass::Stage => tlmm_telemetry::counter!("degradation.transfer_forced").incr(),
-            RetryClass::Alloc | RetryClass::Shrink => {
-                tlmm_telemetry::counter!("degradation.alloc_forced").incr()
-            }
-            RetryClass::Restage => tlmm_telemetry::counter!("degradation.extsort_forced").incr(),
-        }
-    }
-
-    fn unified_retry(self) {
+    /// Count one retry in `backoff.<class>.retry`.
+    fn count_retry(self) {
         match self {
             RetryClass::Stage => tlmm_telemetry::counter!("backoff.stage.retry").incr(),
             RetryClass::Alloc => tlmm_telemetry::counter!("backoff.alloc.retry").incr(),
@@ -115,7 +94,8 @@ impl RetryClass {
         }
     }
 
-    fn unified_forced(self) {
+    /// Count one forced final rung in `backoff.<class>.forced`.
+    fn count_forced(self) {
         match self {
             RetryClass::Stage => tlmm_telemetry::counter!("backoff.stage.forced").incr(),
             RetryClass::Alloc => tlmm_telemetry::counter!("backoff.alloc.forced").incr(),
@@ -190,7 +170,7 @@ impl Backoff {
     }
 
     /// One attempt failed with an injected error: may the caller retry?
-    /// Counts the retry (unified + legacy counters, jitter histogram) when
+    /// Counts the retry (its class counter and the jitter histogram) when
     /// permitted.
     pub fn again(&mut self) -> bool {
         if self.attempt >= self.max_attempts {
@@ -198,16 +178,14 @@ impl Backoff {
         }
         tlmm_telemetry::histogram!("backoff.advice_units").record(self.advice_units());
         self.attempt += 1;
-        self.class.unified_retry();
-        self.class.legacy_retry();
+        self.class.count_retry();
         true
     }
 
     /// The ladder is giving up on retries and will force the operation
     /// through with injection suppressed — count the final rung.
     pub fn give_up(&self) {
-        self.class.unified_forced();
-        self.class.legacy_forced();
+        self.class.count_forced();
     }
 }
 

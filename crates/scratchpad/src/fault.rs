@@ -19,7 +19,7 @@
 //!
 //! Fault semantics are honest about traffic: an injected transfer failure
 //! models a payload that moved and was then discarded, so the aborted
-//! attempt is still charged to the [`tlmm_model::CostLedger`] — degraded
+//! attempt is still charged to the ledger ([`crate::TwoLevel::ledger`]) — degraded
 //! runs can only cost *more* than clean runs, never less. See DESIGN.md §9
 //! for the full degradation ladder.
 

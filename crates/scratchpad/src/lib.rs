@@ -8,17 +8,18 @@
 //! * [`TwoLevel`] — a handle to a two-level memory: a capacity-limited
 //!   **near** region (the scratchpad, size `M`) and an arbitrarily large
 //!   **far** region (DRAM). Both are host RAM; what makes them different is
-//!   the *accounting*: every transfer is charged to a
-//!   [`tlmm_model::CostLedger`] in exact model units (`⌈bytes/B⌉` far
-//!   blocks, `⌈bytes/ρB⌉` near blocks) and recorded in a [`trace::PhaseTrace`]
-//!   that the `tlmm-memsim` crate replays through an architectural timing
-//!   model.
+//!   the *accounting*: every transfer is charged once, to the current
+//!   virtual lane's record in a [`trace::PhaseTrace`], in exact model units
+//!   (`⌈bytes/B⌉` far blocks, `⌈bytes/ρB⌉` near blocks) next to the bytes
+//!   the `tlmm-memsim` crate replays through an architectural timing model.
+//!   The ledger ([`TwoLevel::ledger`]) is the sum of those records.
 //! * [`FarArray`] / [`NearArray`] — typed arrays living in one region.
 //!   Allocating a [`NearArray`] beyond the scratchpad capacity fails, exactly
 //!   like the modified `malloc` of §VI-B.2 would.
-//! * Transfer and staging methods on [`TwoLevel`] ([`TwoLevel::far_to_near`],
-//!   [`TwoLevel::load_near`], …): algorithms *choreograph* data movement
-//!   explicitly, which is the whole point of a user-controlled hierarchy.
+//! * Charging methods on [`TwoLevel`] ([`TwoLevel::charge_far_io`],
+//!   [`TwoLevel::charge_near_io`], …): algorithms *choreograph* data
+//!   movement explicitly, which is the whole point of a user-controlled
+//!   hierarchy, and charge each transfer they make.
 //! * [`StagingArena`] — the one staging path for far↔near movement:
 //!   generation-checked buffers carved from scratchpad capacity, with
 //!   pending transfers that a background copy retires. NMsort's DMA
@@ -37,14 +38,17 @@
 //! # Example
 //!
 //! ```
-//! use tlmm_scratchpad::TwoLevel;
+//! use tlmm_scratchpad::{Dir, TwoLevel};
 //! use tlmm_model::ScratchpadParams;
 //!
 //! let params = ScratchpadParams::new(64, 4.0, 1 << 20, 16 << 10).unwrap();
 //! let tl = TwoLevel::new(params);
 //! let far = tl.far_from_vec((0u64..1000).rev().collect::<Vec<_>>());
 //! let mut near = tl.near_alloc::<u64>(1000).unwrap();
-//! tl.far_to_near(&far, 0..1000, &mut near, 0).unwrap();
+//! // Move far → near through the cache, charging both sides.
+//! near.as_mut_slice_uncharged().copy_from_slice(far.as_slice_uncharged());
+//! tl.charge_far_io(Dir::Read, 8000);
+//! tl.charge_near_io(Dir::Write, 8000);
 //! let snap = tl.ledger().snapshot();
 //! assert_eq!(snap.far_read_blocks, 125); // ⌈8000 B / 64 B⌉
 //! assert_eq!(snap.near_write_blocks, 32); // ⌈8000 B / 256 B⌉ (ρB = 256)

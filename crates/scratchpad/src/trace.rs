@@ -9,12 +9,14 @@
 //! it.
 //!
 //! The resulting [`PhaseTrace`] contains, per phase and lane, the exact byte
-//! volumes moved against each memory and the RAM-model operation count. The
-//! `tlmm-memsim` crate turns this into simulated wall-clock time under a
-//! machine configuration (Fig. 4 of the paper).
+//! volumes moved against each memory, their model-unit block counts and the
+//! RAM-model operation count. The `tlmm-memsim` crate turns this into
+//! simulated wall-clock time under a machine configuration (Fig. 4 of the
+//! paper); the [`TraceRecorder`]'s [`CostSnapshot`] is their sum.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use tlmm_model::ledger::{CostSnapshot, Dir};
 
 /// Run `f` with all runtime charges on this thread attributed to virtual
 /// lane `lane`. Nestable; the previous lane is restored afterwards.
@@ -32,9 +34,15 @@ pub fn current_lane() -> usize {
     tlmm_telemetry::current_lane().unwrap_or(0)
 }
 
-/// Work attributed to one virtual lane within one phase. All byte fields are
-/// raw bytes moved (the model-unit block counts live in the
-/// [`tlmm_model::CostLedger`]; the simulator wants bytes).
+/// Work attributed to one virtual lane within one phase — the only tally a
+/// charge writes. It holds two byte figures per level. The *occupancy*
+/// bytes (`*_read_bytes`, `*_write_bytes`) are what the transfer occupies
+/// on the channels, and what the simulator replays. The *payload* bytes
+/// (`*_payload_bytes`) are what the model books. They differ only for
+/// random accesses, which occupy a whole block each but carry just their
+/// payload. The block counts are the model-unit cost (`⌈bytes/B⌉`,
+/// `⌈bytes/ρB⌉` per contiguous charge, one per random access); rounding
+/// happens per charge, so they cannot be derived from the byte totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LaneWork {
     /// Bytes read from far memory (DRAM → cache).
@@ -45,6 +53,18 @@ pub struct LaneWork {
     pub near_read_bytes: u64,
     /// Bytes written to near memory.
     pub near_write_bytes: u64,
+    /// Far-memory block transfers read (`B`-byte blocks).
+    pub far_read_blocks: u64,
+    /// Far-memory block transfers written.
+    pub far_write_blocks: u64,
+    /// Near-memory block transfers read (`ρB`-byte blocks).
+    pub near_read_blocks: u64,
+    /// Near-memory block transfers written.
+    pub near_write_blocks: u64,
+    /// Payload bytes booked against far memory, both directions.
+    pub far_payload_bytes: u64,
+    /// Payload bytes booked against near memory, both directions.
+    pub near_payload_bytes: u64,
     /// RAM-model operations (comparisons, arithmetic) executed.
     pub compute_ops: u64,
     /// Virtual byte-units this lane's worker spent waiting for a transfer
@@ -75,6 +95,50 @@ impl LaneWork {
         self.noc_bytes() == 0 && self.compute_ops == 0
     }
 
+    /// Book one charge: `blocks` model-unit transfers carrying `payload`
+    /// bytes and occupying `occupied` bytes of the far (`far`) or near
+    /// memory's channels in direction `dir`.
+    pub(crate) fn book(&mut self, far: bool, dir: Dir, blocks: u64, occupied: u64, payload: u64) {
+        let (bytes, blks, paid) = match (far, dir) {
+            (true, Dir::Read) => (
+                &mut self.far_read_bytes,
+                &mut self.far_read_blocks,
+                &mut self.far_payload_bytes,
+            ),
+            (true, Dir::Write) => (
+                &mut self.far_write_bytes,
+                &mut self.far_write_blocks,
+                &mut self.far_payload_bytes,
+            ),
+            (false, Dir::Read) => (
+                &mut self.near_read_bytes,
+                &mut self.near_read_blocks,
+                &mut self.near_payload_bytes,
+            ),
+            (false, Dir::Write) => (
+                &mut self.near_write_bytes,
+                &mut self.near_write_blocks,
+                &mut self.near_payload_bytes,
+            ),
+        };
+        *bytes += occupied;
+        *blks += blocks;
+        *paid += payload;
+    }
+
+    /// The model-unit cost this lane booked.
+    pub fn cost(&self) -> CostSnapshot {
+        CostSnapshot {
+            far_read_blocks: self.far_read_blocks,
+            far_write_blocks: self.far_write_blocks,
+            near_read_blocks: self.near_read_blocks,
+            near_write_blocks: self.near_write_blocks,
+            far_bytes: self.far_payload_bytes,
+            near_bytes: self.near_payload_bytes,
+            compute_ops: self.compute_ops,
+        }
+    }
+
     /// Element-wise sum.
     pub fn merged(&self, o: &LaneWork) -> LaneWork {
         LaneWork {
@@ -82,6 +146,12 @@ impl LaneWork {
             far_write_bytes: self.far_write_bytes + o.far_write_bytes,
             near_read_bytes: self.near_read_bytes + o.near_read_bytes,
             near_write_bytes: self.near_write_bytes + o.near_write_bytes,
+            far_read_blocks: self.far_read_blocks + o.far_read_blocks,
+            far_write_blocks: self.far_write_blocks + o.far_write_blocks,
+            near_read_blocks: self.near_read_blocks + o.near_read_blocks,
+            near_write_blocks: self.near_write_blocks + o.near_write_blocks,
+            far_payload_bytes: self.far_payload_bytes + o.far_payload_bytes,
+            near_payload_bytes: self.near_payload_bytes + o.near_payload_bytes,
             compute_ops: self.compute_ops + o.compute_ops,
             slot_wait_units: self.slot_wait_units + o.slot_wait_units,
         }
@@ -166,10 +236,12 @@ impl PhaseTrace {
     }
 }
 
-/// Thread-safe trace recorder. One per [`crate::TwoLevel`].
+/// Thread-safe trace recorder and cost ledger. One per [`crate::TwoLevel`].
 ///
 /// Charging is coarse (one call per chunk transfer or buffer refill, not per
-/// element), so a mutex is plenty; see DESIGN.md §5.1.
+/// element), so a mutex is plenty; see DESIGN.md §5.1. The ledger is
+/// derived from the lane records: each phase's cost is added to a running
+/// total when it closes, so [`Self::snapshot`] costs O(lanes).
 #[derive(Debug, Default)]
 pub struct TraceRecorder {
     inner: Mutex<RecorderInner>,
@@ -179,6 +251,8 @@ pub struct TraceRecorder {
 struct RecorderInner {
     finished: Vec<PhaseRecord>,
     open: Option<PhaseRecord>,
+    /// Cost of every phase closed since the last reset, taken or not.
+    closed_cost: CostSnapshot,
     /// Wall-clock telemetry span covering the open phase. Detached: phase
     /// begin/end may happen on different frames (or threads) than the
     /// charges inside it.
@@ -200,6 +274,7 @@ impl RecorderInner {
     fn close_open(&mut self) {
         if let Some(p) = self.open.take() {
             tlmm_telemetry::flight::phase_event(false, &p.name);
+            self.closed_cost = self.closed_cost + p.total().cost();
             self.finished.push(p);
         }
         if let Some(span) = self.open_span.take() {
@@ -267,7 +342,18 @@ impl TraceRecorder {
         PhaseTrace { phases }
     }
 
-    /// Take the trace and reset the recorder.
+    /// The cost ledger: every phase closed since the last [`Self::reset`]
+    /// plus the open phase's lanes. Taking the trace leaves it alone.
+    pub fn snapshot(&self) -> CostSnapshot {
+        let g = self.inner.lock();
+        match &g.open {
+            Some(p) => g.closed_cost + p.total().cost(),
+            None => g.closed_cost,
+        }
+    }
+
+    /// Take the trace (closing the open phase) and clear the recorded
+    /// phases; the cost ledger keeps counting.
     pub fn take_trace(&self) -> PhaseTrace {
         let mut g = self.inner.lock();
         g.close_open();
@@ -276,10 +362,11 @@ impl TraceRecorder {
         }
     }
 
-    /// Drop everything recorded so far.
+    /// Drop everything recorded so far, cost ledger included.
     pub fn reset(&self) {
         let mut g = self.inner.lock();
         g.finished.clear();
+        g.closed_cost = CostSnapshot::default();
         if let Some(p) = g.open.take() {
             // Keep the flight recorder's phase events balanced even when
             // the phase record itself is discarded.
@@ -391,6 +478,71 @@ mod tests {
         let t = r.take_trace();
         assert_eq!(t.total().compute_ops, 16_000);
         assert_eq!(t.phases[0].active_lanes(), 16);
+    }
+
+    #[test]
+    fn ledger_accumulates_per_level_and_direction() {
+        let r = TraceRecorder::new();
+        r.charge(|w| w.book(true, Dir::Read, 3, 192, 192));
+        r.charge(|w| w.book(true, Dir::Write, 2, 128, 128));
+        r.charge(|w| w.book(false, Dir::Read, 5, 1280, 1280));
+        r.charge(|w| w.compute_ops += 10);
+        let s = r.snapshot();
+        assert_eq!((s.far_read_blocks, s.far_write_blocks), (3, 2));
+        assert_eq!((s.near_read_blocks, s.near_write_blocks), (5, 0));
+        assert_eq!(s.total_blocks(), 10);
+        assert_eq!(s.far_bytes, 320);
+        assert_eq!(s.near_bytes, 1280);
+        assert_eq!(s.compute_ops, 10);
+    }
+
+    #[test]
+    fn reset_zeroes_the_ledger() {
+        let r = TraceRecorder::new();
+        r.charge(|w| w.book(false, Dir::Write, 7, 7 * 256, 7 * 256));
+        r.end_phase();
+        r.charge(|w| w.compute_ops += 1);
+        r.reset();
+        assert_eq!(r.snapshot(), CostSnapshot::default());
+    }
+
+    #[test]
+    fn snapshots_subtract_and_add_across_phases() {
+        let r = TraceRecorder::new();
+        r.begin_phase("a");
+        r.charge(|w| w.book(true, Dir::Read, 10, 640, 640));
+        let a = r.snapshot();
+        r.begin_phase("b");
+        r.charge(|w| w.book(true, Dir::Read, 4, 256, 256));
+        let b = r.snapshot();
+        let d = b.since(&a);
+        assert_eq!(d.far_read_blocks, 4);
+        assert_eq!(d.far_bytes, 256);
+        assert_eq!(a + d, b);
+    }
+
+    #[test]
+    fn concurrent_charging_is_lossless() {
+        let r = std::sync::Arc::new(TraceRecorder::new());
+        let threads = 8;
+        let per = 10_000;
+        std::thread::scope(|s| {
+            for lane in 0..threads {
+                let r = std::sync::Arc::clone(&r);
+                s.spawn(move || {
+                    with_lane(lane as usize % 3, || {
+                        for _ in 0..per {
+                            r.charge(|w| w.book(true, Dir::Read, 1, 64, 64));
+                            r.charge(|w| w.book(false, Dir::Write, 2, 512, 512));
+                        }
+                    })
+                });
+            }
+        });
+        let s = r.snapshot();
+        assert_eq!(s.far_read_blocks, threads * per);
+        assert_eq!(s.near_write_blocks, 2 * threads * per);
+        assert_eq!(s.near_bytes, 512 * threads * per);
     }
 
     #[test]

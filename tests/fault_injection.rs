@@ -345,3 +345,48 @@ fn injection_is_deterministic() {
     assert_eq!(a.1, b.1);
     assert_eq!(a.2, b.2);
 }
+
+/// The ledger is the sum of the phase trace's lane records: a snapshot
+/// sees charges in the open phase, survives `take_trace`, equals the taken
+/// trace's lane costs summed on a degraded NMsort run, and
+/// `reset_accounting` clears it.
+#[test]
+fn ledger_snapshot_is_the_sum_of_the_lane_records() {
+    let tl = TwoLevel::new(sweep_params());
+    tl.install_fault_plan(FaultPlan::seeded(3).fail_kth(FaultOp::FarToNear, 0));
+    let input = tl.far_from_vec(generate(Workload::UniformU64, 60_000, 11));
+    let cfg = NmSortConfig {
+        sim_lanes: 8,
+        chunk_elems: Some(12_000),
+        ..Default::default()
+    };
+    nmsort(&tl, input, &cfg).expect("nmsort degrades, never fails");
+    assert!(tl.faults_injected() > 0, "the run must be fault-injected");
+
+    let ledger = tl.ledger().snapshot();
+    let trace = tl.take_trace();
+    let summed = trace
+        .phases
+        .iter()
+        .flat_map(|p| &p.lanes)
+        .fold(CostSnapshot::default(), |acc, lane| acc + lane.cost());
+    assert_eq!(ledger, summed);
+    assert!(ledger.far_read_blocks > 0 && ledger.near_write_blocks > 0);
+    assert_eq!(
+        tl.ledger().snapshot(),
+        ledger,
+        "take_trace leaves the ledger alone"
+    );
+
+    tl.begin_phase("open");
+    tl.charge_far_io(two_level_mem::scratchpad::Dir::Read, 640);
+    tl.charge_compute(7);
+    let open = tl.ledger().snapshot().since(&ledger);
+    assert_eq!(
+        (open.far_read_blocks, open.far_bytes, open.compute_ops),
+        (10, 640, 7)
+    );
+
+    tl.reset_accounting();
+    assert_eq!(tl.ledger().snapshot(), CostSnapshot::default());
+}
