@@ -50,6 +50,7 @@
 pub mod baseline;
 pub mod bucketize;
 pub mod extsort;
+mod inplace;
 pub mod kernels;
 pub mod losertree;
 pub mod nmsort;

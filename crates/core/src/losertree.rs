@@ -766,8 +766,10 @@ const SORT_MEAN_RUN: usize = 8;
 /// [`merge_counted_tree`] for runs of a few keys: copy the runs into `out`
 /// in run order, count every node of the tree from its sides' maxima and
 /// one scan of the side that does not exhaust first (the `node_cost`
-/// formula, which needs no order within a side), then sort `out` stably,
-/// which keeps equal keys in run order as every kernel does.
+/// formula, which needs no order within a side), then sort `out`. Stably
+/// in general, which keeps equal keys in run order as every kernel does;
+/// with the host sort kernel for [`crate::kernels::RadixKey`] types, whose
+/// equal keys are identical, so any order of them is the same output.
 fn count_and_sort<T: crate::SortElem>(
     runs: &[&[T]],
     out: &mut [T],
@@ -799,7 +801,11 @@ fn count_and_sort<T: crate::SortElem>(
             (lat, llen + rlen, Some(lm.max(rm)))
         },
     );
-    out.sort();
+    if crate::kernels::radix_kernel::<T>().is_some() {
+        crate::kernels::sort_kernel(out);
+    } else {
+        out.sort();
+    }
     cmps
 }
 

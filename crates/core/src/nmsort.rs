@@ -15,7 +15,9 @@
 //! total size fits the scratchpad ("we batched thousands of buckets into one
 //! transfer"); gather the corresponding segment of every sorted chunk into
 //! the scratchpad; multiway-merge the segments (they are sorted); and stream
-//! the merged batch to its final position in DRAM.
+//! the merged batch back to DRAM, over the chunk prefixes Phase 2 has
+//! already read (`crate::inplace`), so the sorted output is the input's
+//! own far array.
 //!
 //! Inputs with heavy duplication can produce single buckets larger than the
 //! scratchpad; those are split by sampled sub-splitters and, in the limit
@@ -25,7 +27,10 @@
 
 use crate::bucketize::{accumulate_totals, bucket_positions, BucketPositions};
 use crate::extsort::{external_sort, ExtSortConfig, RegionLevel};
-use crate::par::{charge_compute_striped, charge_io_striped, charged_copy, CopyKind};
+use crate::inplace::InPlaceOutput;
+use crate::par::{
+    charge_compute_striped, charge_io_striped, charged_copy, charged_scatter, CopyKind, Pieces,
+};
 use crate::pmerge::parallel_merge;
 use crate::quicksort::external_quicksort;
 use crate::sample::{draw_pivots, PivotSample};
@@ -147,7 +152,8 @@ impl DegradationStats {
 /// Result of an [`nmsort`] run.
 #[derive(Debug)]
 pub struct NmSortReport<T> {
-    /// The sorted output, resident in far memory.
+    /// The sorted output, resident in far memory: the input's own array,
+    /// sorted in place.
     pub output: FarArray<T>,
     /// Phase-1 chunks processed.
     pub chunks: usize,
@@ -708,11 +714,11 @@ pub fn nmsort<T: SortElem>(
     let mut batches_run = 0usize;
     let mut oversized = 0usize;
     let elem = std::mem::size_of::<T>() as u64;
-    let output = if n_chunks == 1 {
-        // The single sorted chunk already is the final list.
-        sorted_chunks
-    } else {
-        let mut output = tl.far_alloc::<T>(n);
+    if n_chunks > 1 {
+        // The merged batches are written over the chunk prefixes already
+        // read, and the last write moves the blocks into order: the sorted
+        // chunks become the output in place (crate::inplace).
+        let mut out = InPlaceOutput::new(n, chunk);
         // Read BucketTot (resident in near) to plan batches (Fig. 3(a)).
         tl.begin_phase("nmsort.p2.plan");
         let totals: Vec<u64> = totals_buf.as_slice_uncharged().to_vec();
@@ -728,7 +734,6 @@ pub fn nmsort<T: SortElem>(
         batches_run = batches.len();
 
         let chunk_starts: Vec<usize> = (0..n_chunks).map(|k| k * chunk).collect();
-        let mut out_off = 0usize;
         for (blo, bhi) in batches {
             // Phase boundary: cooperative cancellation / deadline check.
             tl.checkpoint()?;
@@ -736,6 +741,7 @@ pub fn nmsort<T: SortElem>(
             if total == 0 {
                 continue;
             }
+            let segs = batch_segments(&all_positions, &chunk_starts, (blo, bhi));
             if total <= cap {
                 // Can this batch be staged into the scratchpad right now?
                 tl.begin_phase("nmsort.p2.gather");
@@ -752,30 +758,18 @@ pub fn nmsort<T: SortElem>(
                     charge_copy_volume(tl, CopyKind::FarToNear, total * elem, lanes);
                     degradations.batch_fallbacks += 1;
                     tlmm_telemetry::counter!("degradation.p2_dram_direct").incr();
-                    merge_batch_from_far(
-                        tl,
-                        &sorted_chunks,
-                        &all_positions,
-                        &chunk_starts,
-                        (blo, bhi),
-                        &mut output,
-                        out_off,
-                        total as usize,
-                        lanes,
-                        cfg.threads,
-                    );
+                    tl.begin_phase("nmsort.p2.stream_far");
+                    // Reading each chunk's BucketPos boundary pair from DRAM.
+                    tl.charge_far_random(Dir::Read, 2 * segs.len() as u64, 16 * segs.len() as u64);
+                    merge_from_far(tl, &mut sorted_chunks, &mut out, &segs, lanes, cfg.threads);
                 } else {
                     merge_batch_via_scratchpad(
                         tl,
-                        &sorted_chunks,
-                        &all_positions,
-                        &chunk_starts,
-                        (blo, bhi),
+                        &mut sorted_chunks,
+                        &mut out,
+                        &segs,
                         &mut chunk_buf,
                         &mut scratch_buf,
-                        &mut output,
-                        out_off,
-                        total as usize,
                         lanes,
                         cfg.threads,
                     );
@@ -785,25 +779,19 @@ pub fn nmsort<T: SortElem>(
                 tlmm_telemetry::counter!("nmsort.oversized_bucket").incr();
                 let direct_parts = merge_oversized_bucket(
                     tl,
-                    &sorted_chunks,
-                    &all_positions,
-                    &chunk_starts,
-                    (blo, bhi),
+                    &mut sorted_chunks,
+                    &mut out,
+                    &segs,
                     &mut chunk_buf,
                     &mut scratch_buf,
-                    &mut output,
-                    out_off,
-                    total as usize,
                     lanes,
                     cfg.threads,
                 );
                 degradations.dram_direct_parts += direct_parts as u64;
             }
-            out_off += total as usize;
         }
-        debug_assert_eq!(out_off, n, "batches must cover the input exactly");
-        output
-    };
+        debug_assert!(out.is_complete(), "batches must cover the input exactly");
+    }
 
     let after_p2 = tl.ledger().snapshot();
     degradations.stage_restages = stage_event_count(tl) - stage_events_base;
@@ -811,7 +799,7 @@ pub fn nmsort<T: SortElem>(
         tlmm_telemetry::counter!("degradation.runs").incr();
     }
     Ok(NmSortReport {
-        output,
+        output: sorted_chunks,
         chunks: n_chunks,
         n_pivots: sample.pivots.len(),
         batches: batches_run,
@@ -823,35 +811,60 @@ pub fn nmsort<T: SortElem>(
     })
 }
 
-/// Phase-2 fallback when a batch cannot be staged: merge its segments
-/// straight from DRAM into the output, never touching the scratchpad. Far
-/// traffic matches the staged path (one read + one write of the batch);
-/// what is lost is the near-memory acceleration, not correctness.
-#[allow(clippy::too_many_arguments)]
-fn merge_batch_from_far<T: SortElem>(
+/// Phase 2's one output path: `merged`, the next run of the output, goes
+/// over dead slots of the sorted chunks ([`InPlaceOutput`]). A staged
+/// batch streams out of the scratchpad and is charged here; a DRAM-direct
+/// merge has charged its far traffic already. The write that completes
+/// the output also moves the blocks into order: uncharged host work inside
+/// the open phase, like Phase 1's writeback over the input.
+fn write_output<T: SortElem>(
     tl: &TwoLevel,
-    sorted_chunks: &FarArray<T>,
-    all_positions: &[BucketPositions],
-    chunk_starts: &[usize],
-    bucket_range: (usize, usize),
-    output: &mut FarArray<T>,
-    out_off: usize,
-    total: usize,
+    far: &mut FarArray<T>,
+    out: &mut InPlaceOutput<T>,
+    merged: &[T],
+    staged: bool,
+    lanes: usize,
+    threads: usize,
+) {
+    let far = far.as_mut_slice_uncharged();
+    let dests = out.dests(far, merged.len());
+    if staged {
+        charged_scatter(tl, CopyKind::NearToFar, merged, dests, lanes, threads);
+    } else {
+        Pieces::new(dests).fill(merged);
+    }
+    if out.is_complete() {
+        out.finish(far);
+    }
+}
+
+/// Merge `segs` straight from DRAM, never touching the scratchpad: the
+/// Phase-2 fallback for a batch whose gather could not be staged, and for
+/// oversized-bucket parts too duplicate-heavy to split. Far traffic
+/// matches the staged path (one read + one write of the merged keys); what
+/// is lost is the near-memory acceleration, not correctness. The merge
+/// reads the very segments the output may overwrite, so it merges into a
+/// host buffer of the part's size first. Runs in the caller's open phase
+/// (`nmsort.p2.stream_far`) and ends it.
+fn merge_from_far<T: SortElem>(
+    tl: &TwoLevel,
+    far: &mut FarArray<T>,
+    out: &mut InPlaceOutput<T>,
+    segs: &[(usize, usize)],
     lanes: usize,
     threads: usize,
 ) {
     let elem = std::mem::size_of::<T>() as u64;
-    let segs = batch_segments(all_positions, chunk_starts, bucket_range);
-    tl.begin_phase("nmsort.p2.stream_far");
-    let src = sorted_chunks.as_slice_uncharged();
-    // Reading each chunk's BucketPos boundary pair from DRAM.
-    tl.charge_far_random(Dir::Read, 2 * segs.len() as u64, 16 * segs.len() as u64);
+    let total: usize = segs.iter().map(|&(a, b)| b - a).sum();
+    let src = far.as_slice_uncharged();
     let seg_slices: Vec<&[T]> = segs.iter().map(|&(a, b)| &src[a..b]).collect();
-    let out = &mut output.as_mut_slice_uncharged()[out_off..out_off + total];
-    let cmps = parallel_merge(&seg_slices, out, lanes, threads);
+    let mut merged = vec![T::default(); total];
+    let cmps = parallel_merge(&seg_slices, &mut merged, lanes, threads);
+    out.consume(segs);
     charge_io_striped(tl, RegionLevel::Far, Dir::Read, total as u64 * elem, lanes);
     charge_io_striped(tl, RegionLevel::Far, Dir::Write, total as u64 * elem, lanes);
     charge_compute_striped(tl, cmps, lanes);
+    write_output(tl, far, out, &merged, false, lanes, threads);
     tl.end_phase();
 }
 
@@ -874,31 +887,27 @@ fn batch_segments(
 #[allow(clippy::too_many_arguments)]
 fn merge_batch_via_scratchpad<T: SortElem>(
     tl: &TwoLevel,
-    sorted_chunks: &FarArray<T>,
-    all_positions: &[BucketPositions],
-    chunk_starts: &[usize],
-    bucket_range: (usize, usize),
+    far: &mut FarArray<T>,
+    out: &mut InPlaceOutput<T>,
+    segs: &[(usize, usize)],
     gather_buf: &mut ArenaBuf<T>,
     merge_buf: &mut ArenaBuf<T>,
-    output: &mut FarArray<T>,
-    out_off: usize,
-    total: usize,
     lanes: usize,
     threads: usize,
 ) {
     let elem = std::mem::size_of::<T>() as u64;
-    let segs = batch_segments(all_positions, chunk_starts, bucket_range);
+    let total: usize = segs.iter().map(|&(a, b)| b - a).sum();
 
     // -- Gather: one parallel transfer per chunk segment ----------------
     tl.begin_phase("nmsort.p2.gather");
     gather_buf.arena().note_sync_transfer();
-    let src = sorted_chunks.as_slice_uncharged();
+    let src = far.as_slice_uncharged();
     let gather = gather_buf.as_mut_slice_uncharged();
     {
         // Carve the gather buffer into per-segment destinations.
         let mut dsts: Vec<&mut [T]> = Vec::with_capacity(segs.len());
         let mut rest = &mut gather[..total];
-        for &(lo, hi) in &segs {
+        for &(lo, hi) in segs {
             let (a, b) = rest.split_at_mut(hi - lo);
             dsts.push(a);
             rest = b;
@@ -945,19 +954,37 @@ fn merge_batch_via_scratchpad<T: SortElem>(
             lanes,
         );
     }
+    out.consume(segs);
+    merge_gathered(tl, far, out, segs, gather_buf, merge_buf, lanes, threads);
+}
 
+/// The merge and writeout of a batch or part whose segments `segs` sit
+/// gathered, in order, at the front of `gather_buf`.
+#[allow(clippy::too_many_arguments)]
+fn merge_gathered<T: SortElem>(
+    tl: &TwoLevel,
+    far: &mut FarArray<T>,
+    out: &mut InPlaceOutput<T>,
+    segs: &[(usize, usize)],
+    gather_buf: &ArenaBuf<T>,
+    merge_buf: &mut ArenaBuf<T>,
+    lanes: usize,
+    threads: usize,
+) {
+    let elem = std::mem::size_of::<T>() as u64;
+    let total: usize = segs.iter().map(|&(a, b)| b - a).sum();
     // -- Merge inside the scratchpad -------------------------------------
     tl.begin_phase("nmsort.p2.merge");
     {
         let gather: &[T] = gather_buf.as_slice_uncharged();
         let mut seg_slices: Vec<&[T]> = Vec::with_capacity(segs.len());
         let mut cursor = 0usize;
-        for &(lo, hi) in &segs {
+        for &(lo, hi) in segs {
             seg_slices.push(&gather[cursor..cursor + (hi - lo)]);
             cursor += hi - lo;
         }
-        let out = &mut merge_buf.as_mut_slice_uncharged()[..total];
-        let cmps = parallel_merge(&seg_slices, out, lanes, threads);
+        let merged = &mut merge_buf.as_mut_slice_uncharged()[..total];
+        let cmps = parallel_merge(&seg_slices, merged, lanes, threads);
         // Merge streams the batch through cache once each way.
         charge_io_striped(tl, RegionLevel::Near, Dir::Read, total as u64 * elem, lanes);
         charge_io_striped(
@@ -970,14 +997,15 @@ fn merge_batch_via_scratchpad<T: SortElem>(
         charge_compute_striped(tl, cmps, lanes);
     }
 
-    // -- Stream the merged batch to its final DRAM position -------------
+    // -- Stream the merged batch out to DRAM ------------------------------
     tl.begin_phase("nmsort.p2.writeout");
     merge_buf.arena().note_sync_transfer();
-    charged_copy(
+    write_output(
         tl,
-        CopyKind::NearToFar,
+        far,
+        out,
         &merge_buf.as_slice_uncharged()[..total],
-        &mut output.as_mut_slice_uncharged()[out_off..out_off + total],
+        true,
         lanes,
         threads,
     );
@@ -992,28 +1020,24 @@ fn merge_batch_via_scratchpad<T: SortElem>(
 #[allow(clippy::too_many_arguments)]
 fn merge_oversized_bucket<T: SortElem>(
     tl: &TwoLevel,
-    sorted_chunks: &FarArray<T>,
-    all_positions: &[BucketPositions],
-    chunk_starts: &[usize],
-    bucket_range: (usize, usize),
+    far: &mut FarArray<T>,
+    out: &mut InPlaceOutput<T>,
+    segs: &[(usize, usize)],
     gather_buf: &mut ArenaBuf<T>,
     merge_buf: &mut ArenaBuf<T>,
-    output: &mut FarArray<T>,
-    out_off: usize,
-    total: usize,
     lanes: usize,
     threads: usize,
 ) -> usize {
     let elem = std::mem::size_of::<T>() as u64;
     let cap = gather_buf.len();
-    let segs = batch_segments(all_positions, chunk_starts, bucket_range);
-    let src = sorted_chunks.as_slice_uncharged();
+    let total: usize = segs.iter().map(|&(a, b)| b - a).sum();
+    let src = far.as_slice_uncharged();
 
     // Sample sub-splitters from the bucket's segments (random far reads).
     tl.begin_phase("nmsort.p2.subsplit");
     let n_parts = total.div_ceil(cap / 2) + 1;
     let mut sample: Vec<T> = Vec::new();
-    for &(lo, hi) in &segs {
+    for &(lo, hi) in segs {
         let len = hi - lo;
         if len == 0 {
             continue;
@@ -1050,7 +1074,6 @@ fn merge_oversized_bucket<T: SortElem>(
 
     // Run each part.
     let mut dram_direct = 0usize;
-    let mut part_off = out_off;
     let mut prev: Vec<usize> = segs.iter().map(|&(lo, _)| lo).collect();
     for row in cuts {
         let part_segs: Vec<(usize, usize)> = prev.iter().zip(&row).map(|(&a, &b)| (a, b)).collect();
@@ -1061,41 +1084,16 @@ fn merge_oversized_bucket<T: SortElem>(
         }
         if part_total <= cap {
             merge_part_via_scratchpad(
-                tl, src, &part_segs, gather_buf, merge_buf, output, part_off, part_total, lanes,
-                threads,
+                tl, far, out, &part_segs, gather_buf, merge_buf, lanes, threads,
             );
         } else {
             // Degenerate duplication: merge straight from DRAM.
             dram_direct += 1;
             tlmm_telemetry::counter!("nmsort.dram_direct_part").incr();
             tl.begin_phase("nmsort.p2.stream_far");
-            let seg_slices: Vec<&[T]> = part_segs.iter().map(|&(a, b)| &src[a..b]).collect();
-            let out = &mut output.as_mut_slice_uncharged()[part_off..part_off + part_total];
-            let cmps = parallel_merge(&seg_slices, out, lanes, threads);
-            charge_io_striped(
-                tl,
-                RegionLevel::Far,
-                Dir::Read,
-                part_total as u64 * elem,
-                lanes,
-            );
-            charge_io_striped(
-                tl,
-                RegionLevel::Far,
-                Dir::Write,
-                part_total as u64 * elem,
-                lanes,
-            );
-            charge_compute_striped(tl, cmps, lanes);
-            tl.end_phase();
+            merge_from_far(tl, far, out, &part_segs, lanes, threads);
         }
-        part_off += part_total;
     }
-    debug_assert_eq!(
-        part_off,
-        out_off + total,
-        "oversized parts must cover bucket"
-    );
     dram_direct
 }
 
@@ -1104,20 +1102,20 @@ fn merge_oversized_bucket<T: SortElem>(
 #[allow(clippy::too_many_arguments)]
 fn merge_part_via_scratchpad<T: SortElem>(
     tl: &TwoLevel,
-    src: &[T],
+    far: &mut FarArray<T>,
+    out: &mut InPlaceOutput<T>,
     part_segs: &[(usize, usize)],
     gather_buf: &mut ArenaBuf<T>,
     merge_buf: &mut ArenaBuf<T>,
-    output: &mut FarArray<T>,
-    out_off: usize,
-    total: usize,
     lanes: usize,
     threads: usize,
 ) {
     let elem = std::mem::size_of::<T>() as u64;
+    let total: usize = part_segs.iter().map(|&(a, b)| b - a).sum();
     tl.begin_phase("nmsort.p2.gather");
     gather_buf.arena().note_sync_transfer();
     {
+        let src = far.as_slice_uncharged();
         let gather = &mut gather_buf.as_mut_slice_uncharged()[..total];
         let mut cursor = 0usize;
         for &(lo, hi) in part_segs {
@@ -1133,38 +1131,10 @@ fn merge_part_via_scratchpad<T: SortElem>(
             lanes,
         );
     }
-    tl.begin_phase("nmsort.p2.merge");
-    {
-        let gather: &[T] = gather_buf.as_slice_uncharged();
-        let mut seg_slices: Vec<&[T]> = Vec::with_capacity(part_segs.len());
-        let mut cursor = 0usize;
-        for &(lo, hi) in part_segs {
-            seg_slices.push(&gather[cursor..cursor + (hi - lo)]);
-            cursor += hi - lo;
-        }
-        let out = &mut merge_buf.as_mut_slice_uncharged()[..total];
-        let cmps = parallel_merge(&seg_slices, out, lanes, threads);
-        charge_io_striped(tl, RegionLevel::Near, Dir::Read, total as u64 * elem, lanes);
-        charge_io_striped(
-            tl,
-            RegionLevel::Near,
-            Dir::Write,
-            total as u64 * elem,
-            lanes,
-        );
-        charge_compute_striped(tl, cmps, lanes);
-    }
-    tl.begin_phase("nmsort.p2.writeout");
-    merge_buf.arena().note_sync_transfer();
-    charged_copy(
-        tl,
-        CopyKind::NearToFar,
-        &merge_buf.as_slice_uncharged()[..total],
-        &mut output.as_mut_slice_uncharged()[out_off..out_off + total],
-        lanes,
-        threads,
+    out.consume(part_segs);
+    merge_gathered(
+        tl, far, out, part_segs, gather_buf, merge_buf, lanes, threads,
     );
-    tl.end_phase();
 }
 
 #[cfg(test)]
@@ -1505,6 +1475,35 @@ mod tests {
         let r = nmsort(&tl, input, &NmSortConfig::default()).unwrap();
         assert_sorted_matches(&r, v);
         assert_eq!(tl.take_trace().faults(), 2);
+    }
+
+    #[test]
+    fn multi_chunk_output_is_the_input_array() {
+        // Slots are chunk / 64 elements: 10_000 → 156, not a divisor.
+        let cases = [
+            (20_000, 10_000, 2),     // n a multiple of the chunk
+            (25_000, 10_000, 3),     // n not a multiple: a short last chunk
+            (20_003, 10_000, 3),     // a last chunk of three keys
+            (50 * 997 + 1, 997, 51), // 50 full chunks and one key
+            (50 * 997, 997, 50),     // 50 chunks, none short
+        ];
+        for (n, chunk, chunks) in cases {
+            for use_dma in [false, true] {
+                let tl = tl_small();
+                let v = random_vec(n, n as u64);
+                let input = tl.far_from_vec(v.clone());
+                let at = input.as_slice_uncharged().as_ptr();
+                let cfg = NmSortConfig {
+                    chunk_elems: Some(chunk),
+                    use_dma,
+                    ..Default::default()
+                };
+                let r = nmsort(&tl, input, &cfg).unwrap();
+                assert_eq!(r.chunks, chunks, "n {n} chunk {chunk}");
+                assert_eq!(r.output.as_slice_uncharged().as_ptr(), at, "n {n}");
+                assert_sorted_matches(&r, v);
+            }
+        }
     }
 
     #[test]

@@ -125,62 +125,120 @@ pub fn charged_copy<T: SortElem>(
     threads: usize,
 ) {
     assert_eq!(src.len(), dst.len(), "charged_copy length mismatch");
-    if src.is_empty() {
-        return;
-    }
+    charged_scatter(tl, kind, src, [dst], lanes, threads);
+}
+
+/// [`charged_copy`] into a destination in pieces: the slices of `dst`,
+/// laid end to end, take `src` (equal total lengths). The stripes, their
+/// lanes and their charges are those of a `charged_copy` of `src`; only
+/// where the bytes land differs.
+pub(crate) fn charged_scatter<'d, T: SortElem>(
+    tl: &TwoLevel,
+    kind: CopyKind,
+    src: &[T],
+    dst: impl IntoIterator<Item = &'d mut [T]>,
+    lanes: usize,
+    threads: usize,
+) {
+    let mut pieces = Pieces::new(dst);
     let base = current_lane();
-    let work = |(i, (r, d)): (usize, (Range<usize>, &mut [T]))| {
+    let work = |(i, (r, runs)): (usize, (Range<usize>, Vec<&mut [T]>))| {
         with_lane(base + i, || {
-            d.copy_from_slice(&src[r.clone()]);
+            Pieces::new(runs).fill(&src[r.clone()]);
             charge_stripe::<T>(tl, kind, r.len());
         })
     };
-    if let Some(ex) = tl.executor() {
-        // An installed executor owns the stage schedule: deterministic mode
-        // runs the stripes sequentially in a seeded-permutation order, host
-        // mode fans them out to its worker pool (contending for transfer
-        // slots either way). Lane attribution stays positional (base + i),
-        // so the trace is permutation-invariant.
-        let ranges: Vec<Range<usize>> = striped_ranges(src.len(), lanes).collect();
-        let mut dst_slices: Vec<&mut [T]> = Vec::with_capacity(ranges.len());
-        let mut rest = dst;
-        for r in &ranges {
-            let (a, b) = rest.split_at_mut(r.len());
-            dst_slices.push(a);
-            rest = b;
-        }
-        let work = &work;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = ranges
-            .into_iter()
-            .zip(dst_slices)
-            .enumerate()
-            .map(|(i, (r, d))| Box::new(move || work((i, (r, d)))) as Box<dyn FnOnce() + Send>)
-            .collect();
-        ex.run_tasks(tasks);
-        return;
-    }
-    if threads > 1 {
-        // The pool needs materialized stripes to fan out; this path is the
+    let executor = tl.executor().filter(|_| !src.is_empty());
+    if executor.is_some() || threads > 1 {
+        // Fan-out needs materialized stripes; this path is the
         // thread-spawning one, so a couple of small Vecs are in the noise.
-        let ranges: Vec<Range<usize>> = striped_ranges(src.len(), lanes).collect();
-        let mut dst_slices: Vec<&mut [T]> = Vec::with_capacity(ranges.len());
-        let mut rest = dst;
-        for r in &ranges {
-            let (a, b) = rest.split_at_mut(r.len());
-            dst_slices.push(a);
-            rest = b;
+        let items: Vec<(Range<usize>, Vec<&mut [T]>)> = striped_ranges(src.len(), lanes)
+            .map(|r| (r.clone(), pieces.take(r.len())))
+            .collect();
+        if let Some(ex) = executor {
+            // An installed executor owns the stage schedule: deterministic
+            // mode runs the stripes sequentially in a seeded-permutation
+            // order, host mode fans them out to its worker pool (contending
+            // for transfer slots either way). Lane attribution stays
+            // positional (base + i), so the trace is permutation-invariant.
+            let work = &work;
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
+                .into_iter()
+                .enumerate()
+                .map(|(i, rd)| Box::new(move || work((i, rd))) as Box<dyn FnOnce() + Send>)
+                .collect();
+            ex.run_tasks(tasks);
+        } else {
+            crate::pool::run_indexed(threads, items, |i, rd| work((i, rd)));
         }
-        let items: Vec<(Range<usize>, &mut [T])> = ranges.into_iter().zip(dst_slices).collect();
-        crate::pool::run_indexed(threads, items, |i, rd| work((i, rd)));
     } else {
-        // Sequential path: walk the stripe iterator and carve `dst` as we
-        // go — no allocation at all.
-        let mut rest = dst;
+        // Sequential path: walk the stripe iterator and fill the pieces as
+        // we go — no allocation at all.
         for (i, r) in striped_ranges(src.len(), lanes).enumerate() {
-            let (d, b) = rest.split_at_mut(r.len());
-            rest = b;
-            work((i, (r, d)));
+            with_lane(base + i, || {
+                pieces.fill(&src[r.clone()]);
+                charge_stripe::<T>(tl, kind, r.len());
+            })
         }
+    }
+    assert!(
+        pieces.is_spent(),
+        "charged_scatter: destination longer than source"
+    );
+}
+
+/// A destination in pieces, handed out front to back.
+pub(crate) struct Pieces<'d, T, I> {
+    rest: I,
+    cur: &'d mut [T],
+}
+
+impl<'d, T: Copy, I: Iterator<Item = &'d mut [T]>> Pieces<'d, T, I> {
+    pub(crate) fn new(dst: impl IntoIterator<IntoIter = I>) -> Self {
+        Self {
+            rest: dst.into_iter(),
+            cur: &mut [],
+        }
+    }
+
+    /// The next run of the destination: at most `max` (≥ 1) elements, all
+    /// in one piece.
+    fn next_run(&mut self, max: usize) -> &'d mut [T] {
+        while self.cur.is_empty() {
+            self.cur = self
+                .rest
+                .next()
+                .expect("charged_scatter: destination shorter than source");
+        }
+        let len = max.min(self.cur.len());
+        let (run, tail) = std::mem::take(&mut self.cur).split_at_mut(len);
+        self.cur = tail;
+        run
+    }
+
+    /// Copy `src` into the next `src.len()` elements.
+    pub(crate) fn fill(&mut self, mut src: &[T]) {
+        while !src.is_empty() {
+            let run = self.next_run(src.len());
+            let (head, tail) = src.split_at(run.len());
+            run.copy_from_slice(head);
+            src = tail;
+        }
+    }
+
+    /// The next `len` elements, as runs.
+    fn take(&mut self, mut len: usize) -> Vec<&'d mut [T]> {
+        let mut runs = Vec::new();
+        while len > 0 {
+            let run = self.next_run(len);
+            len -= run.len();
+            runs.push(run);
+        }
+        runs
+    }
+
+    fn is_spent(&mut self) -> bool {
+        self.cur.is_empty() && self.rest.all(|p| p.is_empty())
     }
 }
 
@@ -221,6 +279,27 @@ mod tests {
         assert_eq!(s.near_bytes, 80_000);
         // 8 stripes of 10 000 B each, ⌈10000/64⌉ = 157 blocks per stripe.
         assert_eq!(s.far_read_blocks, 8 * 157);
+    }
+
+    #[test]
+    fn scatter_charges_like_one_copy_wherever_the_bytes_land() {
+        let src: Vec<u64> = (0..10_000).collect();
+        let copy = {
+            let tl = tl();
+            charged_copy(&tl, CopyKind::NearToFar, &src, &mut vec![0; 10_000], 8, 1);
+            tl.ledger().snapshot()
+        };
+        for threads in [1, 4] {
+            let tl = tl();
+            let mut dst = vec![0u64; 10_000];
+            // Pieces of uneven length that cut across the 8 stripes.
+            let (a, rest) = dst.split_at_mut(1);
+            let (b, rest) = rest.split_at_mut(4_000);
+            let (c, d) = rest.split_at_mut(0);
+            charged_scatter(&tl, CopyKind::NearToFar, &src, [a, b, c, d], 8, threads);
+            assert_eq!(dst, src);
+            assert_eq!(tl.ledger().snapshot(), copy, "threads {threads}");
+        }
     }
 
     #[test]

@@ -238,8 +238,13 @@ impl PhaseTrace {
 
 /// Thread-safe trace recorder and cost ledger. One per [`crate::TwoLevel`].
 ///
-/// Charging is coarse (one call per chunk transfer or buffer refill, not per
-/// element), so a mutex is plenty; see DESIGN.md §5.1. The ledger is
+/// Every charge takes one mutex. That is cheap where charging is coarse
+/// (one call per chunk transfer or buffer refill, as in NMsort), but not
+/// everywhere: SPMS books ~640K near-transfer charges plus compute charges
+/// per 10M-key sort from every worker, and on a 2-vCPU VM a charge pair
+/// cost 110–115 ns on one thread against 846–910 ns on each of two
+/// contending threads. Per-thread charge shards are an open lead
+/// (DESIGN.md §5.1, ROADMAP item 3). The ledger is
 /// derived from the lane records: each phase's cost is added to a running
 /// total when it closes, so [`Self::snapshot`] costs O(lanes).
 #[derive(Debug, Default)]

@@ -140,3 +140,64 @@ fn pre_cancelled_token_stops_every_engine_before_work() {
         assert_eq!(tl.near_used_bytes(), 0, "{}", engine.name());
     }
 }
+
+/// A deadline that trips between Phase-2 batches, after part of the output
+/// has been written over the input, surfaces as the typed cancellation
+/// with zero leaked near bytes, and the next job on the same scratchpad
+/// sorts.
+#[test]
+fn deadline_between_phase2_batches_is_typed_and_leak_free() {
+    let n = 200_000;
+    let units = |c: CostSnapshot| c.far_bytes + c.near_bytes;
+    for use_dma in [false, true] {
+        let cfg = NmSortConfig {
+            sim_lanes: 4,
+            threads: 1,
+            use_dma,
+            ..Default::default()
+        };
+        let tl = TwoLevel::new(cancel_params());
+        let clean = nmsort(
+            &tl,
+            tl.far_from_vec(generate(Workload::UniformU64, n, 3)),
+            &cfg,
+        )
+        .expect("clean run succeeds");
+        assert!(clean.batches >= 3, "{} batches", clean.batches);
+        // Halfway through Phase 2's charges: past the first batch's
+        // checkpoint, before the last one's.
+        let budget = units(clean.sample_cost + clean.phase1_cost) + units(clean.phase2_cost) / 2;
+
+        let tl = TwoLevel::new(cancel_params());
+        tl.install_cancel(CancelToken::with_unit_budget(budget));
+        let err = nmsort(
+            &tl,
+            tl.far_from_vec(generate(Workload::UniformU64, n, 3)),
+            &cfg,
+        )
+        .expect_err("the budget runs out inside Phase 2");
+        tl.clear_cancel();
+        assert!(err.is_canceled(), "dma {use_dma}: {err}");
+        assert_eq!(tl.near_used_bytes(), 0, "dma {use_dma}: leaked near bytes");
+        let trace = tl.take_trace();
+        let last = trace.phases.last().expect("phases ran");
+        assert!(
+            last.name.starts_with("nmsort.p2."),
+            "dma {use_dma}: tripped after {}",
+            last.name
+        );
+        assert!(trace.phases.iter().any(|p| p.name == "nmsort.p2.writeout"));
+
+        let again = nmsort(
+            &tl,
+            tl.far_from_vec(generate(Workload::UniformU64, n, 3)),
+            &cfg,
+        )
+        .expect("follow-up job on the same arena succeeds");
+        assert_eq!(
+            again.output.as_slice_uncharged(),
+            clean.output.as_slice_uncharged()
+        );
+        assert_eq!(tl.near_used_bytes(), 0);
+    }
+}

@@ -390,3 +390,65 @@ fn ledger_snapshot_is_the_sum_of_the_lane_records() {
     tl.reset_accounting();
     assert_eq!(tl.ledger().snapshot(), CostSnapshot::default());
 }
+
+/// The ledger equals the phase trace's lane records summed.
+fn assert_ledger_is_the_lane_sum(tl: &TwoLevel, label: &str) {
+    let ledger = tl.ledger().snapshot();
+    let summed = tl
+        .take_trace()
+        .phases
+        .iter()
+        .flat_map(|p| &p.lanes)
+        .fold(CostSnapshot::default(), |acc, lane| acc + lane.cost());
+    assert_eq!(ledger, summed, "{label}");
+}
+
+/// Phase 2's DRAM-direct merges read the very segments the in-place
+/// output may overwrite. Forced batch fallbacks (failed gathers, in
+/// blocking and DMA mode) and duplicate-heavy parts too large to stage
+/// must still sort over the input's own array, and the ledger must stay
+/// the sum of the lane records.
+#[test]
+fn dram_direct_merges_sort_in_place_and_keep_the_ledger() {
+    let (n, chunk) = (60_000usize, 12_000usize);
+    for use_dma in [false, true] {
+        // Every Phase-1 ingest consults FarToNear once, so indices from
+        // `chunks` on are Phase-2 gathers: fail the first three.
+        let chunks = n.div_ceil(chunk) as u64;
+        let plan =
+            (chunks..chunks + 3).fold(FaultPlan::none(1), |p, k| p.fail_kth(FaultOp::FarToNear, k));
+        let runs = [
+            ("failed gathers", Workload::UniformU64, Some(plan)),
+            ("unsplittable buckets", Workload::FewDistinct(2), None),
+        ];
+        for (what, w, plan) in runs {
+            let label = format!("{what}, dma {use_dma}");
+            let tl = TwoLevel::new(sweep_params());
+            let plan_installed = plan.is_some();
+            if let Some(plan) = plan {
+                tl.install_fault_plan(plan);
+            }
+            let v = generate(w, n, 17);
+            let mut expect = v.clone();
+            expect.sort_unstable();
+            let input = tl.far_from_vec(v);
+            let at = input.as_slice_uncharged().as_ptr();
+            let cfg = NmSortConfig {
+                sim_lanes: 8,
+                chunk_elems: Some(chunk),
+                use_dma,
+                ..Default::default()
+            };
+            let r = nmsort(&tl, input, &cfg).expect("DRAM-direct merges degrade, never fail");
+            assert_eq!(r.output.as_slice_uncharged(), expect.as_slice(), "{label}");
+            assert_eq!(r.output.as_slice_uncharged().as_ptr(), at, "{label}");
+            let d = r.degradations;
+            if plan_installed {
+                assert_eq!(d.batch_fallbacks, 3, "{label}");
+            } else {
+                assert!(d.dram_direct_parts > 0, "{label}: no part merged from DRAM");
+            }
+            assert_ledger_is_the_lane_sum(&tl, &label);
+        }
+    }
+}

@@ -17,6 +17,7 @@ fn sorted_copy(v: &[u64]) -> Vec<u64> {
 }
 
 use tlmm_testkit::shaped_workload;
+use two_level_mem::core::kernels::simd;
 
 /// `Option<u64>` fault seed: half the cases run clean, half under the
 /// standard seeded mixed fault profile.
@@ -247,6 +248,42 @@ proptest! {
         }
     }
 
+    /// A multi-chunk NMsort writes Phase 2 over its input: the output is
+    /// the input's own far array, sorted, for every shape, chunk size,
+    /// mode, kernel dispatch and fault plan.
+    #[test]
+    fn nmsort_sorts_in_place_across_shapes_modes_and_faults(
+        w in shaped_workload(),
+        n in 2usize..40_000,
+        chunk_div in 2usize..60,
+        seed in any::<u64>(),
+        use_dma in any::<bool>(),
+        vector in any::<bool>(),
+        fault_seed in opt_fault_seed(),
+    ) {
+        let v = generate(w, n, seed);
+        let expect = sorted_copy(&v);
+        let tl = TwoLevel::new(tiny_params());
+        if let Some(fs) = fault_seed {
+            tl.install_fault_plan(FaultPlan::seeded(fs));
+        }
+        let input = tl.far_from_vec(v);
+        let at = input.as_slice_uncharged().as_ptr();
+        let cfg = NmSortConfig {
+            sim_lanes: 4,
+            chunk_elems: Some(n.div_ceil(chunk_div).clamp(1, 9_000)),
+            threads: 1,
+            use_dma,
+            ..Default::default()
+        };
+        let prior = simd::enabled();
+        simd::set_enabled(vector);
+        let r = nmsort(&tl, input, &cfg).unwrap();
+        simd::set_enabled(prior);
+        prop_assert_eq!(r.output.as_slice_uncharged(), expect.as_slice());
+        prop_assert_eq!(r.output.as_slice_uncharged().as_ptr(), at);
+    }
+
     #[test]
     fn quicksort_chunk_sorter_differential(
         w in shaped_workload(),
@@ -365,4 +402,37 @@ proptest! {
         prop_assert!(a.assignments.iter().all(|&c| (c as usize) < k));
         prop_assert!(a.inertia.is_finite());
     }
+}
+
+/// Duplicate-heavy inputs overflow buckets past the scratchpad batch, and
+/// their parts merge through the scratchpad or straight from DRAM; either
+/// way the output lands over the input's own array, in blocking and DMA
+/// mode, with the SIMD kernels on and off.
+#[test]
+fn nmsort_oversized_buckets_sort_in_place() {
+    let prior = simd::enabled();
+    for vector in [true, false] {
+        simd::set_enabled(vector);
+        for w in [Workload::Zipf(1.1), Workload::FewDistinct(3)] {
+            for use_dma in [false, true] {
+                let v = generate(w, 120_000, 5);
+                let expect = sorted_copy(&v);
+                let tl = TwoLevel::new(tiny_params());
+                let input = tl.far_from_vec(v);
+                let at = input.as_slice_uncharged().as_ptr();
+                let cfg = NmSortConfig {
+                    sim_lanes: 4,
+                    chunk_elems: Some(6_000),
+                    use_dma,
+                    ..Default::default()
+                };
+                let r = nmsort(&tl, input, &cfg).unwrap();
+                let label = format!("{w:?} dma {use_dma} simd {vector}");
+                assert!(r.oversized_buckets > 0, "{label}: no oversized bucket");
+                assert_eq!(r.output.as_slice_uncharged(), expect.as_slice(), "{label}");
+                assert_eq!(r.output.as_slice_uncharged().as_ptr(), at, "{label}");
+            }
+        }
+    }
+    simd::set_enabled(prior);
 }
