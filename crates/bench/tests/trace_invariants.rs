@@ -137,8 +137,7 @@ proptest! {
         let exec = run.exec.expect("executor report");
         prop_assert_eq!(cp.makespan, exec.makespan_units);
         let t = &cp.totals;
-        let sum = t.far_bandwidth + t.near_bandwidth + t.slot_wait
-            + t.compute + t.fault_retry + t.idle;
+        let sum = t.far_bandwidth + t.near_bandwidth + t.slot_wait + t.compute + t.idle;
         prop_assert_eq!(sum, cp.makespan, "segments must tile [0, makespan]");
         let mut cursor = cp.origin;
         for seg in &cp.segments {

@@ -8,9 +8,9 @@
 //!
 //! * [`radix`] — an MSD hybrid radix sort over [`RadixKey`] element types
 //!   (order-preserving bit transforms for `u64`/`u32`/`i64`): min/max
-//!   prefix skip, one wide counting scatter, cache-resident bucket
-//!   finishing. Used for Phase-1 run formation everywhere a chunk or run
-//!   is sorted in cache.
+//!   prefix skip, one wide counting scatter, then a second scatter per
+//!   bucket in cache. Used for Phase-1 run formation everywhere a chunk or
+//!   run is sorted in cache, and for the pieces of deep merges.
 //! * [`sort_kernel`] — the routing entry point: radix for key types at
 //!   run-formation sizes, `slice::sort_unstable` otherwise. All sorters
 //!   (`extsort`, `baseline`, `quicksort` base case, and through them
@@ -34,9 +34,13 @@
 //! runs of a few keys are counted over their concatenation and sorted
 //! once), the same output and count faster; duplicate-heavy merges stay
 //! on the loser tree, whose guarded-store streaks make them nearly free
-//! while two-way merges do fixed work per element. [`crate::losertree::merge_cost`] computes the count from the
-//! runs alone, the oracle the tests hold both kernels to. See DESIGN.md
-//! §10.
+//! while two-way merges do fixed work per element.
+//! [`crate::losertree::merge_cost`] computes the count from the runs
+//! alone: it is the oracle the tests hold both kernels to, and the charge
+//! of a deep merge of [`RadixKey`] elements, which
+//! [`crate::pmerge::parallel_merge`] executes by radix-sorting cache-sized
+//! pieces instead of merging (`⌈lg k⌉` two-way passes per key at 256
+//! runs). See DESIGN.md §10.
 
 pub mod radix;
 pub mod reference;

@@ -3,8 +3,8 @@
 //! Run formation is the compute-heaviest part of every sorter here: Phase 1
 //! of NMsort alone sorts the entire input in scratchpad-sized pieces. A
 //! comparison sort pays `Θ(n lg n)` branchy comparisons; this kernel pays
-//! one branch-free counting scatter plus small cache-resident finishing
-//! sorts — without touching the I/O-level analysis, which still charges the
+//! one branch-free counting scatter plus a second one per bucket in cache
+//! — without touching the I/O-level analysis, which still charges the
 //! comparison model's costs (see `kernels` module docs).
 //!
 //! Shape, chosen by microbenchmark on the dev host (DESIGN.md §10 records
@@ -21,19 +21,30 @@
 //!   to move at all. This is what fixed the zipf run-formation regression:
 //!   a scatter digit cannot separate a head-heavy distribution (the top
 //!   ranks share one bucket), but a per-value count is indifferent to skew;
-//! * **one wide MSD scatter** (digit width picked from `n` so buckets
-//!   average ~32 elements, capped at [`MAX_DIGIT_BITS`] to keep the
-//!   histogram + offset tables L1/L2-resident) moves every element to its
-//!   bucket in a single counting pass;
-//! * each bucket is then finished **in cache**: insertion sort up to
-//!   [`INSERTION_MAX`] elements, `slice::sort_unstable` above that, and
-//!   nothing at all when the scatter already consumed every differing key
-//!   bit (equal keys ⇒ identical elements for the primitive key types).
+//! * **two scatter levels**. The first is one wide MSD scatter from `data`
+//!   into a scratch buffer, its digit width picked from `n` so buckets
+//!   average ~256 elements and capped at [`MAX_DIGIT_BITS`] to keep the
+//!   histogram cache-resident. The second runs per bucket while it is
+//!   cache-hot: a scatter of up to [`SECOND_DIGIT_BITS`] bits from the
+//!   scratch bucket straight back into its range of `data`, counted in a
+//!   stack histogram, then one insertion pass over the nearly sorted
+//!   bucket (sub-buckets hold ~1 key). There is no copy back of the whole
+//!   array and no allocation per bucket;
+//! * buckets the second scatter does not suit finish otherwise: insertion
+//!   sort up to [`INSERTION_MAX`] elements, count-and-reconstruct when the
+//!   bits left below the first digit span few values next to the bucket's
+//!   length, a recursive call from [`RECURSE_MIN`] (skew), and a plain copy
+//!   when the first scatter already consumed every differing key bit
+//!   (equal keys ⇒ identical elements for the primitive key types).
 //!
 //! Earlier LSD (8-bit ping-pong passes) and recursive-MSD variants measured
-//! *slower* than `sort_unstable` on uniform `u64` on this host — multiple
+//! *slower* than `sort_unstable` on uniform `u64` on this host: multiple
 //! full-array scatter passes are memory-bound here, so the design spends
-//! exactly one.
+//! exactly one. The recursive MSD that lost ran the whole kernel again on
+//! every bucket — a min/max pre-pass and histogram and cursor tables
+//! allocated on the heap per bucket. The second level here is not a
+//! recursion: it reuses the first level's key range, so it needs no
+//! pre-pass, and its tables live on the stack.
 
 /// An element with a fixed-width integer sort key whose order is preserved
 /// by mapping into `u64` space.
@@ -92,19 +103,22 @@ impl RadixKey for i64 {
     }
 }
 
-/// Buckets at or below this length finish with insertion sort; above it,
-/// `sort_unstable`. Crossover measured on the dev host.
+/// Buckets (and second-level sub-buckets) at or below this length finish
+/// with insertion sort. Crossover measured on the dev host.
 const INSERTION_MAX: usize = 24;
 /// Cap on the scatter's digit width: 2^12 buckets keep the histogram and
 /// offset tables (2 × 16 KiB of `u32`) cache-resident during the scatter.
 const MAX_DIGIT_BITS: u32 = 12;
-/// Digit width targets buckets of ~2^5 elements: small enough to finish in
-/// L1, large enough that per-bucket fixed costs amortize.
-const TARGET_LG_BUCKET: u32 = 5;
+/// The first digit's width targets buckets of ~2^8 elements: 2 KiB of
+/// `u64`, finished in L1 by the second scatter.
+const TARGET_LG_BUCKET: u32 = 8;
+/// Cap on the second scatter's digit: its 2^8-entry histogram lives on the
+/// stack, and a bucket of ~2^8 keys spreads to ~1 key per sub-bucket.
+const SECOND_DIGIT_BITS: u32 = 8;
 /// Below this the setup passes can't pay for themselves.
 const MSD_MIN_LEN: usize = 64;
-/// Buckets at or above this recurse instead of `sort_unstable`: only
-/// genuinely skewed inputs (zipf, clustered) produce them, and the
+/// Buckets at or above this recurse instead of taking the second scatter:
+/// only genuinely skewed inputs (zipf, clustered) produce them, and the
 /// recursion's min/max pre-pass re-narrows the key range so the next
 /// scatter spreads them. Uniform inputs never hit this path.
 const RECURSE_MIN: usize = 1 << 12;
@@ -120,7 +134,8 @@ const HEAD_SPAN: u64 = 1 << 12;
 const HEAD_SAMPLES: usize = 32;
 
 /// Sort `data` in place with one wide MSD counting scatter on
-/// [`RadixKey::radix_key`] plus cache-resident bucket finishing.
+/// [`RadixKey::radix_key`] into a scratch buffer, then a cache-resident
+/// second scatter per bucket back into `data`.
 pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
     let n = data.len();
     if n < MSD_MIN_LEN {
@@ -148,7 +163,8 @@ pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
     // exact.
     let range = hi - lo;
     if range < COUNTING_MAX_KEYS && range / 4 < n as u64 {
-        counting_sort_span(data, lo, range as usize + 1);
+        let counts = key_counts(data, lo, range as usize + 1);
+        reconstruct(data, lo, &counts);
         return;
     }
     // Dense-head split: a wide range can still hide a head-heavy
@@ -177,94 +193,152 @@ pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
     let lg_n = usize::BITS - (n - 1).leading_zeros();
     let width = lg_n
         .saturating_sub(TARGET_LG_BUCKET)
-        .clamp(6, MAX_DIGIT_BITS)
+        .clamp(1, MAX_DIGIT_BITS)
         .min(bits);
     let shift = bits - width;
-    let buckets = 1usize << width;
-    let mask = (buckets - 1) as u64;
 
-    // Histogram and scatter have vectorized forms for identity-keyed `u64`
-    // (8-lane digit extraction); other key types — and `TLMM_NO_SIMD=1` —
-    // take the scalar loops. Identical counts and placements either way.
-    let mut hist = vec![0u32; buckets];
-    if !super::simd::radix_histogram(data, shift, mask, &mut hist) {
-        for &x in data.iter() {
-            hist[((x.radix_key() >> shift) & mask) as usize] += 1;
-        }
-    }
-    // Exclusive prefix sums -> per-bucket write cursors.
-    let mut cursors = vec![0u32; buckets];
-    let mut sum = 0u32;
-    for (c, &h) in cursors.iter_mut().zip(hist.iter()) {
-        *c = sum;
-        sum += h;
-    }
-    let mut scratch: Vec<T> = Vec::with_capacity(n);
-    scratch.extend_from_slice(data);
-    if !super::simd::radix_scatter(data, shift, mask, &mut cursors, &mut scratch) {
-        for &x in data.iter() {
-            let b = ((x.radix_key() >> shift) & mask) as usize;
-            scratch[cursors[b] as usize] = x;
-            cursors[b] += 1;
-        }
-    }
+    // First level: one wide scatter from `data` into `scratch`. Afterwards
+    // `ends[b]` is the end of bucket `b`.
+    let mut ends = vec![0u32; 1usize << width];
+    let mut scratch: Vec<T> = vec![data[0]; n];
+    scatter_by_digit(data, &mut scratch, shift, width, &mut ends);
 
-    // Finish each bucket while it is cache-hot; `cursors[b]` is now the end
-    // of bucket `b`.
+    // Second level: finish each bucket while it is cache-hot, writing it
+    // from `scratch` straight back into its own range of `data`.
     let mut start = 0usize;
-    for &end in cursors.iter() {
+    for &end in ends.iter() {
         let end = end as usize;
-        let bucket = &mut scratch[start..end];
-        // shift == 0 means the scatter consumed every differing key bit:
-        // the bucket holds one distinct key and is already in order.
-        if bucket.len() > 1 && shift > 0 {
-            if bucket.len() <= INSERTION_MAX {
-                insertion_sort(bucket);
-            } else if shift < 22 && (1usize << shift) / 4 <= bucket.len() {
-                // Adaptive skew handling: the scatter left only `shift`
-                // low bits unresolved, so every element here shares the
-                // key prefix above them. When that residual span is small
-                // relative to the bucket's occupancy, count-and-
-                // reconstruct directly — a skewed (zipf head) bucket that
-                // would previously re-pay min/max + histogram + scatter in
-                // a recursive call finishes in two cheap passes instead.
-                let base = (bucket[0].radix_key() >> shift) << shift;
-                counting_sort_span(bucket, base, 1usize << shift);
-            } else if bucket.len() >= RECURSE_MIN {
-                // Skew with a wide residual span: recurse — the nested
-                // min/max pre-pass confines the next scatter to the bits
-                // this level left (`< shift` of them), so depth is bounded
-                // by KEY_BITS / 6, and the recursion's own counting fast
-                // path catches clustered values once the range narrows.
-                radix_sort(bucket);
-            } else {
-                bucket.sort_unstable();
-            }
-        }
+        finish_bucket(&scratch[start..end], &mut data[start..end], shift);
         start = end;
     }
-    data.copy_from_slice(&scratch);
 }
 
-/// Counting sort by exact key over `span` consecutive key values starting
-/// at `base`: one counting pass, then the output is *reconstructed* as
-/// run-length-encoded values via [`RadixKey::from_radix_key`] — no element
-/// is moved, so no scratch buffer and no scatter. Correct because the key
-/// map is bijective (equal keys ⇒ identical elements).
-fn counting_sort_span<T: RadixKey>(data: &mut [T], base: u64, span: usize) {
+/// Counting scatter of `src` into `dst` by the `width`-bit digit above bit
+/// `shift`: a histogram into `ends`, exclusive prefix sums into write
+/// cursors, then one pass placing every element. On return `ends[b]` is
+/// the end of bucket `b` in `dst`; returns the largest bucket's length.
+///
+/// Histogram and scatter have vectorized forms for identity-keyed `u64`
+/// (8-lane digit extraction); other key types — and `TLMM_NO_SIMD=1` —
+/// take the scalar loops. Identical counts and placements either way.
+fn scatter_by_digit<T: RadixKey>(
+    src: &[T],
+    dst: &mut [T],
+    shift: u32,
+    width: u32,
+    ends: &mut [u32],
+) -> usize {
+    let mask = (1u64 << width) - 1;
+    ends.fill(0);
+    if !super::simd::radix_histogram(src, shift, mask, ends) {
+        for &x in src.iter() {
+            ends[((x.radix_key() >> shift) & mask) as usize] += 1;
+        }
+    }
+    let (mut sum, mut widest) = (0u32, 0u32);
+    for c in ends.iter_mut() {
+        let h = *c;
+        *c = sum;
+        sum += h;
+        widest = widest.max(h);
+    }
+    if !super::simd::radix_scatter(src, shift, mask, ends, dst) {
+        for &x in src.iter() {
+            let b = ((x.radix_key() >> shift) & mask) as usize;
+            dst[ends[b] as usize] = x;
+            ends[b] += 1;
+        }
+    }
+    widest as usize
+}
+
+/// Sort `src`, one first-level bucket whose keys agree above bit `shift`,
+/// into `dst`. A bucket of one key (`shift == 0`, or one element) is a
+/// copy; small buckets an insertion sort; buckets whose residual key span
+/// is small next to their length a count-and-reconstruct; genuinely
+/// skewed large buckets a recursive [`radix_sort`]. Everything else — the
+/// common case on spread keys — takes a second scatter of up to
+/// [`SECOND_DIGIT_BITS`] bits with a stack histogram, then one insertion
+/// pass over the nearly sorted result.
+fn finish_bucket<T: RadixKey>(src: &[T], dst: &mut [T], shift: u32) {
+    let len = src.len();
+    if len <= 1 || shift == 0 {
+        // shift == 0 means the scatter consumed every differing key bit:
+        // the bucket holds one distinct key and is already in order.
+        dst.copy_from_slice(src);
+    } else if len <= INSERTION_MAX {
+        dst.copy_from_slice(src);
+        insertion_sort(dst);
+    } else if shift < 22 && (1usize << shift) / 4 <= len {
+        // Adaptive skew handling: every element shares the key prefix
+        // above `shift`. When that residual span is small relative to
+        // the bucket's occupancy, count-and-reconstruct directly — a
+        // skewed (zipf head) bucket finishes in two cheap passes.
+        let base = (src[0].radix_key() >> shift) << shift;
+        reconstruct(dst, base, &key_counts(src, base, 1usize << shift));
+    } else if len >= RECURSE_MIN {
+        // Skew with a wide residual span: recurse — the nested min/max
+        // pre-pass confines the next scatter to the bits this level left
+        // (`< shift` of them), and the recursion's own counting fast path
+        // catches clustered values once the range narrows.
+        dst.copy_from_slice(src);
+        radix_sort(dst);
+    } else {
+        // Second digit: about lg(len) bits, so sub-buckets hold ~1 key.
+        let lg_len = usize::BITS - (len - 1).leading_zeros();
+        let width = lg_len.min(SECOND_DIGIT_BITS).min(shift);
+        let shift = shift - width;
+        let mut ends = [0u32; 1 << SECOND_DIGIT_BITS];
+        let ends = &mut ends[..1usize << width];
+        let widest = scatter_by_digit(src, dst, shift, width, ends);
+        if shift == 0 {
+            return;
+        }
+        // Sub-buckets are ordered; an insertion pass orders within them,
+        // moving each key only inside its own sub-bucket. A sub-bucket too
+        // large for that to stay cheap is sorted on its own.
+        if widest <= INSERTION_MAX {
+            insertion_sort(dst);
+        } else {
+            let mut begin = 0usize;
+            for &end in ends.iter() {
+                let sub = &mut dst[begin..end as usize];
+                if sub.len() <= INSERTION_MAX {
+                    insertion_sort(sub);
+                } else {
+                    sub.sort_unstable();
+                }
+                begin = end as usize;
+            }
+        }
+    }
+}
+
+/// Exact key counts of `src` over `span` consecutive key values starting
+/// at `base`: the counting half of a counting sort.
+fn key_counts<T: RadixKey>(src: &[T], base: u64, span: usize) -> Vec<u32> {
     let mut counts = vec![0u32; span];
-    for &x in data.iter() {
+    for &x in src.iter() {
         counts[(x.radix_key() - base) as usize] += 1;
     }
+    counts
+}
+
+/// The other half: write `counts[k]` copies of the element with key
+/// `base + k`, for every `k` in order, to the front of `dst`, and return
+/// how many were written. No element is moved, so no scatter; correct
+/// because the key map is bijective (equal keys ⇒ identical elements).
+fn reconstruct<T: RadixKey>(dst: &mut [T], base: u64, counts: &[u32]) -> usize {
     let mut i = 0usize;
     for (k, &c) in counts.iter().enumerate() {
         if c == 0 {
             continue;
         }
         let v = T::from_radix_key(base + k as u64);
-        data[i..i + c as usize].fill(v);
+        dst[i..i + c as usize].fill(v);
         i += c as usize;
     }
+    i
 }
 
 /// Partition the input into a dense head (keys within [`HEAD_SPAN`] of
@@ -284,15 +358,7 @@ fn dense_head_split<T: RadixKey>(data: &mut [T], lo: u64) {
         }
     }
     spill.sort_unstable();
-    let mut i = 0usize;
-    for (k, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        let v = T::from_radix_key(lo + k as u64);
-        data[i..i + c as usize].fill(v);
-        i += c as usize;
-    }
+    let i = reconstruct(data, lo, &counts);
     data[i..].copy_from_slice(&spill);
 }
 
@@ -313,6 +379,7 @@ fn insertion_sort<T: Copy + Ord>(v: &mut [T]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -432,11 +499,15 @@ mod tests {
     #[test]
     fn counting_span_reconstructs_exactly() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut v: Vec<u64> = (0..10_000).map(|_| rng.gen_range(100u64..612)).collect();
+        let v: Vec<u64> = (0..10_000).map(|_| rng.gen_range(100u64..612)).collect();
         let mut expect = v.clone();
         expect.sort_unstable();
-        counting_sort_span(&mut v, 100, 512);
-        assert_eq!(v, expect);
+        let mut out = vec![0u64; v.len()];
+        assert_eq!(
+            reconstruct(&mut out, 100, &key_counts(&v, 100, 512)),
+            v.len()
+        );
+        assert_eq!(out, expect);
     }
 
     #[test]
@@ -462,5 +533,94 @@ mod tests {
             .collect();
         v.extend((0..100).map(|_| rng.gen::<u64>()));
         check(v);
+    }
+
+    /// Lengths the second level must handle at either side of each of its
+    /// thresholds.
+    const EDGE_LENS: [usize; 9] = [
+        INSERTION_MAX - 1,
+        INSERTION_MAX,
+        INSERTION_MAX + 1,
+        255,
+        256,
+        257,
+        RECURSE_MIN - 1,
+        RECURSE_MIN,
+        RECURSE_MIN + 1,
+    ];
+
+    /// `n` keys of one shape for the second-level property.
+    fn second_level_keys(shape: usize, n: usize, seed: u64) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match shape {
+            // Clusters with distinct high prefixes, each of an edge length,
+            // so first-level buckets land on the second level's thresholds.
+            0 => {
+                let mut v = Vec::with_capacity(n);
+                let mut cluster = 0u64;
+                while v.len() < n {
+                    let len = EDGE_LENS[rng.gen_range(0..EDGE_LENS.len())].min(n - v.len());
+                    let prefix = cluster.wrapping_mul(0x9E37_79B9_7F4A_7C15) & !((1 << 40) - 1);
+                    v.extend((0..len).map(|_| prefix | rng.gen_range(0..1u64 << 40)));
+                    cluster += 1;
+                }
+                v
+            }
+            // A mass that differs only in its low `b` bits, held apart from
+            // a few far outliers: the first scatter leaves it one bucket
+            // whose keys differ only below `shift`.
+            1 => {
+                let b = rng.gen_range(1..48u32);
+                let base = rng.gen::<u64>() >> 2;
+                let mut v: Vec<u64> = (0..n).map(|_| base | rng.gen_range(0..1u64 << b)).collect();
+                for _ in 0..(n / 64).max(1) {
+                    let at = rng.gen_range(0..n);
+                    v[at] = if rng.gen() {
+                        u64::MAX - rng.gen_range(0..4)
+                    } else {
+                        rng.gen_range(0..4)
+                    };
+                }
+                v
+            }
+            // Spread keys: the common two-level path.
+            _ => (0..n).map(|_| rng.gen()).collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn second_level_matches_sort_unstable(
+            seed in any::<u64>(),
+            n in 0usize..6,
+            shape in 0usize..3,
+        ) {
+            let n = [64, 255, 256, 9_216, 39_062, 294_912][n];
+            let keys = second_level_keys(shape, n, seed);
+            let prior = super::super::simd::enabled();
+            for vector in [true, false] {
+                super::super::simd::set_enabled(vector);
+                let mut v = keys.clone();
+                radix_sort(&mut v);
+                let mut expect = keys.clone();
+                expect.sort_unstable();
+                // Sign-crossing i64: the u64 keys shifted by 2^63.
+                let mut s: Vec<i64> = keys.iter().map(|&k| k.wrapping_sub(1 << 63) as i64).collect();
+                let mut s_expect = s.clone();
+                radix_sort(&mut s);
+                s_expect.sort_unstable();
+                // u32: the low half, so low-bit-only shapes stay low-bit-only.
+                let mut w: Vec<u32> = keys.iter().map(|&k| k as u32).collect();
+                let mut w_expect = w.clone();
+                radix_sort(&mut w);
+                w_expect.sort_unstable();
+                super::super::simd::set_enabled(prior);
+                prop_assert!(v == expect, "u64 n={} shape={} SIMD {}", n, shape, vector);
+                prop_assert!(s == s_expect, "i64 n={} shape={} SIMD {}", n, shape, vector);
+                prop_assert!(w == w_expect, "u32 n={} shape={} SIMD {}", n, shape, vector);
+            }
+        }
     }
 }

@@ -11,7 +11,9 @@
 //! rest to a counted merge tree ([`merge_counted_tree`]), a bottom-up
 //! two-way merge on the loser tree's own shape that counts each node's
 //! comparisons as it merges (or, for runs of a few keys, counts each node
-//! over the concatenated runs and sorts them once).
+//! over the concatenated runs and sorts them once). A deep merge of
+//! radix-key elements skips both: [`crate::pmerge`] charges it
+//! [`merge_cost`] and sorts cache-sized pieces of it instead.
 //!
 //! **Kernel engineering** (see `kernels` module docs and DESIGN.md §10):
 //! this is the branchless rewrite. Each internal node stores the loser's
@@ -474,9 +476,11 @@ fn node_cost<T: Ord>(left: &[&[T]], right: &[&[T]]) -> u64 {
 /// pre-merge plan — the pairs ([`crate::kernels::simd::pair_merge_cost`]
 /// each) plus the tree over the plan's leaves (`node_cost` per node) —
 /// computed from the runs alone in `O(k lg k)` binary searches. Every
-/// kernel of [`merge_into_slice`] returns exactly this count; no hot path
-/// calls it, it is the oracle the tests hold them to. With two runs it is
-/// `pair_merge_cost`.
+/// kernel of [`merge_into_slice`] returns exactly this count, and the
+/// tests hold them to it. It is also a charge on its own: a deep merge of
+/// radix-key elements ([`crate::pmerge::parallel_merge`]) is charged this
+/// count per part and executed by sorting, without playing any tree. With
+/// two runs it is `pair_merge_cost`.
 pub fn merge_cost<T: Ord>(runs: &[&[T]]) -> u64 {
     if runs.len() < 2 {
         return 0;

@@ -2,24 +2,59 @@
 //!
 //! NMsort's Phase 2 merges `Θ(N/M)` sorted chunk segments; the baseline
 //! merges `p` sorted runs. Both want the merge itself parallel. We split the
-//! output into near-equal parts by *sampling* splitter values from the
-//! segments, computing exact per-segment boundaries with binary searches,
-//! and merging each part independently with `merge_into_slice` — the same
-//! multiway splitting idea the MCSTL parallel merge uses, with sampling in
-//! place of exact multisequence selection.
+//! output into parts by *sampling* splitter values from the segments,
+//! computing exact per-segment boundaries with searches, and treating each
+//! part as an independent merge — the same multiway splitting idea the
+//! MCSTL parallel merge uses, with sampling in place of exact
+//! multisequence selection. Splits are exact (parts are disjoint and
+//! ordered) but balance is only probabilistic; heavily duplicated keys
+//! degrade balance, never correctness.
 //!
-//! Splits are exact (parts are disjoint and ordered) but balance is only
-//! probabilistic; heavily duplicated keys degrade balance, never
-//! correctness.
+//! The parts fix the charge: a merge costs the sum over its parts of the
+//! loser tree's count. How the host produces the output is separate. A
+//! merge of few segments, or of a type without a radix key, merges each
+//! part on the counted kernels of [`merge_into_slice`]. A deep merge of
+//! [`crate::kernels::RadixKey`] elements is charged by search
+//! ([`merge_cost`] per part) and executed as cache-sized sorts: a second
+//! split cuts it into pieces of ~32Ki keys, and each piece is
+//! copied into place and radix-sorted.
+//!
+//! **Known imbalance.** The charge split's sample takes every segment's
+//! keys at the same quantiles, so on sorted segments of one distribution
+//! its parts are badly unbalanced (see `charge_parts`). Fixing it changes
+//! the charged counts, so it is left for a change that re-blesses the
+//! ledger goldens. The piece split samples with jitter and is balanced.
 
-use crate::losertree::merge_into_slice;
+use crate::kernels::{radix_kernel, sort_kernel};
+use crate::losertree::{merge_cost, merge_into_slice};
 use crate::SortElem;
 use tlmm_scratchpad::trace::with_lane;
+
+/// Non-empty segments from which a merge of [`crate::kernels::RadixKey`]
+/// elements is executed by sorting pieces rather than by merge trees: at
+/// this fan-in the counted tree plays `⌈lg k⌉ ≥ 3` two-way passes per key,
+/// while a piece is copied once and radix-sorted in cache.
+const SORT_MIN_FAN_IN: usize = 8;
+/// Keys per piece of the sort path: 256 KiB of `u64`, an L2-sized radix
+/// sort.
+const PIECE_KEYS: usize = 1 << 15;
+/// Sample keys drawn per part or piece when choosing splitters.
+const OVERSAMPLE: usize = 16;
 
 /// Merge `segments` (each sorted) into `out`, split into up to `ways`
 /// independent parts. Parts are charged to virtual lanes `0..ways`; with
 /// `threads` > 1 they fan out on the sized worker pool. Returns total
-/// comparisons.
+/// comparisons: the sum over parts of the loser tree's count,
+/// [`merge_cost`].
+///
+/// The parts define the charge. For [`crate::kernels::RadixKey`] element
+/// types with at least `SORT_MIN_FAN_IN` (8) non-empty segments they define
+/// nothing else: the count is [`merge_cost`] per part, computed on the
+/// pool, and the output comes from a second, finer split into pieces of
+/// ~`PIECE_KEYS` (32Ki) keys, each copied into place and sorted with
+/// [`sort_kernel`]. Equal keys are identical elements for those types, so
+/// the output is the merge's own. Any other merge runs
+/// [`merge_into_slice`] per part, which merges and counts at once.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from the total segment length.
@@ -31,85 +66,156 @@ pub fn parallel_merge<T: SortElem>(
 ) -> u64 {
     let total: usize = segments.iter().map(|s| s.len()).sum();
     assert_eq!(out.len(), total, "output must fit the merge exactly");
-    let ways = ways.max(1);
-    if ways == 1 || total < 4 * ways || segments.len() <= 1 {
+    let fan_in = segments.iter().filter(|s| !s.is_empty()).count();
+    if fan_in >= SORT_MIN_FAN_IN && radix_kernel::<T>().is_some() {
+        let parts = charge_parts(segments, ways, threads);
+        let cmps: u64 = crate::pool::map_indexed(threads, parts, |_, part| merge_cost(&part))
+            .into_iter()
+            .sum();
+        let pieces = total.div_ceil(PIECE_KEYS);
+        let cuts = split(segments, &splitters(segments, total, pieces, true), threads);
+        crate::pool::run_indexed(threads, carve(cuts, out), |i, (subs, out)| {
+            with_lane(i % ways.max(1), || {
+                let mut rest = &mut *out;
+                for sub in subs {
+                    let (dst, next) = rest.split_at_mut(sub.len());
+                    dst.copy_from_slice(sub);
+                    rest = next;
+                }
+                sort_kernel(out);
+            })
+        });
+        return cmps;
+    }
+    let parts = charge_parts(segments, ways, 1);
+    if parts.len() == 1 {
         return merge_into_slice(segments, out);
     }
+    let ways = ways.max(1);
+    let merge_part = |t: usize, (subs, out): (Vec<&[T]>, &mut [T])| -> u64 {
+        with_lane(t % ways, || merge_into_slice(&subs, out))
+    };
+    crate::pool::map_indexed(threads, carve(parts, out), merge_part)
+        .into_iter()
+        .sum()
+}
 
-    // --- Sample splitter values -------------------------------------
-    let mut sample: Vec<T> = Vec::with_capacity(16 * ways);
-    for seg in segments {
+/// The parts a merge is charged over: one part, the whole merge, when
+/// `ways` is 1, the merge is shorter than `4·ways` keys or there is at most
+/// one segment; otherwise the sampled split at `ways - 1` splitters (fewer
+/// when sampled keys repeat).
+///
+/// The sample takes every segment's keys at a fixed stride from its first
+/// key. On sorted segments drawn from one distribution this is degenerate:
+/// every segment contributes keys at the same quantiles, so the sorted
+/// sample bunches into ~[`OVERSAMPLE`] clusters of near-equal keys, and the
+/// splitters fall into them. `baseline_sort` at 10M keys and 256 ways gets
+/// ~16 parts of ~600K keys and ~240 near-empty ones. The charge is a sum
+/// over parts, so balancing the split changes every ledger that holds a
+/// sampled merge; it is kept as is here (DESIGN.md §10).
+fn charge_parts<'a, T: SortElem>(
+    segments: &[&'a [T]],
+    ways: usize,
+    threads: usize,
+) -> Vec<Vec<&'a [T]>> {
+    let total: usize = segments.iter().map(|s| s.len()).sum();
+    let ways = ways.max(1);
+    if ways == 1 || total < 4 * ways || segments.len() <= 1 {
+        return vec![segments.to_vec()];
+    }
+    split(segments, &splitters(segments, total, ways, false), threads)
+}
+
+/// Up to `count - 1` distinct splitters at evenly spaced ranks of a sample
+/// of ~[`OVERSAMPLE`]`·count` keys, drawn from each non-empty segment in
+/// proportion to its length at a fixed stride. Without `jitter` every
+/// segment's stride starts at its first key (the charge split's sample,
+/// see [`charge_parts`]); with it, segment `k` of `K` starts `k/K` of a
+/// stride in, so equal-length segments of one distribution sample
+/// interleaved quantiles and the splitters spread evenly.
+fn splitters<T: Ord + Copy>(segments: &[&[T]], total: usize, count: usize, jitter: bool) -> Vec<T> {
+    if count <= 1 || total == 0 {
+        return Vec::new();
+    }
+    let mut sample: Vec<T> = Vec::with_capacity(OVERSAMPLE * count);
+    for (k, seg) in segments.iter().enumerate() {
         if seg.is_empty() {
             continue;
         }
-        let want = (16 * ways * seg.len() / total).max(1);
+        let want = (OVERSAMPLE * count * seg.len() / total).max(1);
         let step = (seg.len() / want).max(1);
-        sample.extend(seg.iter().step_by(step).copied());
+        let first = if jitter { k * step / segments.len() } else { 0 };
+        sample.extend(seg[first..].iter().step_by(step).copied());
     }
     sample.sort_unstable();
     sample.dedup();
-    let mut splitters: Vec<T> = (1..ways)
-        .map(|t| sample[(t * sample.len() / ways).min(sample.len() - 1)])
+    let mut splitters: Vec<T> = (1..count)
+        .map(|t| sample[(t * sample.len() / count).min(sample.len() - 1)])
         .collect();
     splitters.dedup();
+    splitters
+}
 
-    // --- Exact boundaries per (splitter, segment) --------------------
-    // boundaries[t][k] = first index of segment k beyond part t.
-    let mut boundaries: Vec<Vec<usize>> = Vec::with_capacity(splitters.len() + 1);
-    for s in &splitters {
-        boundaries.push(
-            segments
-                .iter()
-                .map(|seg| seg.partition_point(|x| x <= s))
-                .collect(),
-        );
-    }
-    boundaries.push(segments.iter().map(|seg| seg.len()).collect());
-
-    // --- Build disjoint part descriptors -----------------------------
-    struct Part<'a, T> {
-        subs: Vec<&'a [T]>,
-        len: usize,
-    }
-    let mut parts: Vec<Part<'_, T>> = Vec::with_capacity(boundaries.len());
-    let mut prev: Vec<usize> = vec![0; segments.len()];
-    for b in &boundaries {
-        let subs: Vec<&[T]> = segments
-            .iter()
-            .zip(prev.iter().zip(b.iter()))
-            .map(|(seg, (&lo, &hi))| &seg[lo..hi])
-            .collect();
-        let len = subs.iter().map(|s| s.len()).sum();
-        parts.push(Part { subs, len });
-        prev.clone_from(b);
-    }
-
-    // --- Carve `out` and merge each part ------------------------------
-    let mut out_slices: Vec<&mut [T]> = Vec::with_capacity(parts.len());
-    let mut rest = out;
-    for p in &parts {
-        let (a, b) = rest.split_at_mut(p.len);
-        out_slices.push(a);
-        rest = b;
-    }
-
-    let merge_part = |(t, (part, out)): (usize, (&Part<'_, T>, &mut [T]))| -> u64 {
-        with_lane(t % ways, || merge_into_slice(&part.subs, out))
+/// Cut every sorted segment at the ascending `splitters`: part `t` takes
+/// each segment's keys above splitter `t - 1` and up to splitter `t`, and
+/// the last part the keys above the last splitter. The parts are disjoint
+/// and ordered, so their merges laid end to end are the whole merge.
+///
+/// Each segment is cut front to back on the pool, every cut found by
+/// [`gallop`] from the previous one, so a search reads memory next to the
+/// last instead of starting over in the middle of a large segment.
+fn split<'a, T: SortElem>(
+    segments: &[&'a [T]],
+    splitters: &[T],
+    threads: usize,
+) -> Vec<Vec<&'a [T]>> {
+    let cut = |_, seg: &'a [T]| -> Vec<&'a [T]> {
+        let mut rest = seg;
+        (0..=splitters.len())
+            .map(|t| {
+                let at = splitters.get(t).map_or(rest.len(), |s| gallop(rest, s));
+                let (sub, tail) = rest.split_at(at);
+                rest = tail;
+                sub
+            })
+            .collect()
     };
-
-    if threads > 1 {
-        let items: Vec<(&Part<'_, T>, &mut [T])> = parts.iter().zip(out_slices).collect();
-        crate::pool::map_indexed(threads, items, |t, po| merge_part((t, po)))
-            .into_iter()
-            .sum()
-    } else {
-        parts
-            .iter()
-            .zip(out_slices)
-            .enumerate()
-            .map(merge_part)
-            .sum()
+    let mut parts = vec![Vec::with_capacity(segments.len()); splitters.len() + 1];
+    for subs in crate::pool::map_indexed(threads, segments.to_vec(), cut) {
+        for (part, sub) in parts.iter_mut().zip(subs) {
+            part.push(sub);
+        }
     }
+    parts
+}
+
+/// `v.partition_point(|x| x <= s)` on sorted `v`, by doubling a bound from
+/// the front and then searching between the last two bounds: `O(lg p)`
+/// steps for an answer `p`, all within `v[..2p]`.
+fn gallop<T: Ord>(v: &[T], s: &T) -> usize {
+    let mut bound = 1;
+    while bound < v.len() && v[bound - 1] <= *s {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    lo + v[lo..bound.min(v.len())].partition_point(|x| x <= s)
+}
+
+/// Pair each part with its own slice of `out`, in order.
+fn carve<'a, 'o, T>(
+    parts: Vec<Vec<&'a [T]>>,
+    out: &'o mut [T],
+) -> Vec<(Vec<&'a [T]>, &'o mut [T])> {
+    let mut rest = out;
+    parts
+        .into_iter()
+        .map(|subs| {
+            let len = subs.iter().map(|s| s.len()).sum();
+            let (a, b) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = b;
+            (subs, a)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -189,5 +295,117 @@ mod tests {
         let cmps = parallel_merge(&refs, &mut out, 4, 1);
         assert!(cmps >= 20_000 / 2, "cmps={cmps}");
         assert!(cmps <= 20_000 * 4, "cmps={cmps}");
+    }
+
+    /// Sorted segments of one shape: `fan_in` segments of 0..=2·`len` keys
+    /// each, with an empty segment and a one-key segment mixed in.
+    fn shaped_segments(shape: &str, fan_in: usize, len: usize, seed: u64) -> Vec<Vec<u64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..fan_in)
+            .map(|i| {
+                let n = match i % 9 {
+                    3 => 0,
+                    7 => 1,
+                    _ => rng.gen_range(0..=2 * len),
+                };
+                let mut seg: Vec<u64> = (0..n)
+                    .map(|_| match shape {
+                        "uniform" => rng.gen::<u64>(),
+                        "single_key" => 42,
+                        "zipf" => {
+                            let r: f64 = rng.gen();
+                            (1.0 / (1.0 - r).powf(0.8)).min(1e6) as u64
+                        }
+                        _ => rng.gen_range(0..4u64),
+                    })
+                    .collect();
+                seg.sort_unstable();
+                seg
+            })
+            .collect()
+    }
+
+    /// `parallel_merge` charges the sum of `merge_into_slice` over its
+    /// sampled parts and outputs the sorted concatenation, whichever path
+    /// executes it.
+    fn check_charge<T: SortElem + std::fmt::Debug>(
+        segments: &[Vec<T>],
+        ways: usize,
+        threads: usize,
+    ) {
+        let refs: Vec<&[T]> = segments.iter().map(|s| s.as_slice()).collect();
+        let total: usize = refs.iter().map(|s| s.len()).sum();
+        let expect_cmps: u64 = charge_parts(&refs, ways, 1)
+            .iter()
+            .map(|part| {
+                let mut out = vec![T::default(); part.iter().map(|s| s.len()).sum()];
+                merge_into_slice(part, &mut out)
+            })
+            .sum();
+        let mut out = vec![T::default(); total];
+        let cmps = parallel_merge(&refs, &mut out, ways, threads);
+        let mut expect: Vec<T> = segments.concat();
+        expect.sort_unstable();
+        let at = format!(
+            "k={} total={total} ways={ways} threads={threads}",
+            refs.len()
+        );
+        assert_eq!(cmps, expect_cmps, "charge differs at {at}");
+        assert!(out == expect, "output differs at {at}");
+    }
+
+    /// `segments` mapped through `f`, each re-sorted.
+    fn convert<T: Ord>(segments: &[Vec<u64>], f: impl Fn(u64) -> T) -> Vec<Vec<T>> {
+        segments
+            .iter()
+            .map(|v| {
+                let mut seg: Vec<T> = v.iter().map(|&x| f(x)).collect();
+                seg.sort_unstable();
+                seg
+            })
+            .collect()
+    }
+
+    #[test]
+    fn charge_is_the_sum_over_sampled_parts_on_every_path() {
+        for fan_in in [1, 7, 8, 9, 218, 256] {
+            for (s, shape) in ["uniform", "single_key", "zipf", "duplicates"]
+                .iter()
+                .enumerate()
+            {
+                let segs = shaped_segments(shape, fan_in, 40, fan_in as u64 * 10 + s as u64);
+                let as_u32 = convert(&segs, |x| x as u32);
+                let as_i64 = convert(&segs, |x| (x as i64).wrapping_sub(1 << 62));
+                let as_pair = convert(&segs, |x| (x, x % 3));
+                for ways in [1, 8, 256] {
+                    for threads in [1, 2] {
+                        check_charge(&segs, ways, threads);
+                        check_charge(&as_u32, ways, threads);
+                        check_charge(&as_i64, ways, threads);
+                        check_charge(&as_pair, ways, threads);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn charge_holds_across_many_pieces() {
+        // Enough keys for the sort path to cut several pieces.
+        let segs = shaped_segments("uniform", 218, 4 * PIECE_KEYS / 218, 5);
+        assert!(segs.iter().map(|s| s.len()).sum::<usize>() > 2 * PIECE_KEYS);
+        for (ways, threads) in [(1, 1), (8, 2), (256, 2)] {
+            check_charge(&segs, ways, threads);
+        }
+        check_charge(&shaped_segments("zipf", 9, 4 * PIECE_KEYS / 9, 6), 8, 2);
+    }
+
+    #[test]
+    fn gallop_finds_the_partition_point() {
+        let v: Vec<u64> = (0..1000).map(|i| i / 3).collect();
+        for s in [0u64, 1, 5, 100, 332, 333, 1000] {
+            assert_eq!(gallop(&v, &s), v.partition_point(|x| *x <= s), "s={s}");
+        }
+        assert_eq!(gallop::<u64>(&[], &7), 0);
     }
 }

@@ -56,17 +56,13 @@ impl CrossCheck {
 /// treated as compatible (the flight trace has no counterpart for it).
 pub fn compatible(cat: PathCategory, b: Bottleneck) -> bool {
     match b {
-        Bottleneck::FarBandwidth => {
-            matches!(cat, PathCategory::FarBandwidth | PathCategory::FaultRetry)
-        }
-        Bottleneck::NearBandwidth => {
-            matches!(cat, PathCategory::NearBandwidth | PathCategory::FaultRetry)
-        }
+        Bottleneck::FarBandwidth => cat == PathCategory::FarBandwidth,
+        Bottleneck::NearBandwidth => cat == PathCategory::NearBandwidth,
         Bottleneck::SlotWait => cat == PathCategory::SlotWait,
         Bottleneck::Compute => matches!(cat, PathCategory::Compute | PathCategory::Idle),
         Bottleneck::Noc => matches!(
             cat,
-            PathCategory::FarBandwidth | PathCategory::NearBandwidth | PathCategory::FaultRetry
+            PathCategory::FarBandwidth | PathCategory::NearBandwidth
         ),
         Bottleneck::CoreIssue => cat != PathCategory::Idle,
         Bottleneck::Overhead => true,

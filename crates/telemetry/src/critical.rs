@@ -6,8 +6,8 @@
 //! previous one's retire (`worker_clock` only advances through
 //! transfers), so walking its transfer chain backward from the last
 //! retire decomposes `[0, makespan]` into disjoint segments —
-//! slot-occupancy time (split `far_bandwidth` / `near_bandwidth` /
-//! `fault_retry`), `slot_wait` time (grant − issue), and, in wall
+//! slot-occupancy time (split `far_bandwidth` / `near_bandwidth`),
+//! `slot_wait` time (grant − issue), and, in wall
 //! mode, inter-transfer gaps attributed to `compute`.
 //!
 //! Each wait segment is annotated with the transfer that *held the
@@ -22,7 +22,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::flight::{ClockDomain, FlightTrace, TransferRec, FLAG_FAR, FLAG_RETRY, NO_SLOT};
+use crate::flight::{ClockDomain, FlightTrace, TransferRec, FLAG_FAR, NO_SLOT};
 
 /// What a critical-path segment's time was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -36,8 +36,6 @@ pub enum PathCategory {
     /// No transfer in flight — host compute (wall mode) or pre-first
     /// -transfer lead-in.
     Compute,
-    /// Slot occupancy charged by a fault retry/abort penalty.
-    FaultRetry,
     /// Trace carried no transfers at all.
     Idle,
 }
@@ -51,7 +49,6 @@ impl PathCategory {
             PathCategory::NearBandwidth => "near_bandwidth",
             PathCategory::SlotWait => "slot_wait",
             PathCategory::Compute => "compute",
-            PathCategory::FaultRetry => "fault_retry",
             PathCategory::Idle => "idle",
         }
     }
@@ -83,8 +80,6 @@ pub struct CategoryTotals {
     pub slot_wait: u64,
     /// Unmetered gaps (host compute / lead-in).
     pub compute: u64,
-    /// Fault retry/abort occupancy.
-    pub fault_retry: u64,
     /// Transfer-free trace.
     pub idle: u64,
 }
@@ -96,7 +91,6 @@ impl CategoryTotals {
             PathCategory::NearBandwidth => self.near_bandwidth += units,
             PathCategory::SlotWait => self.slot_wait += units,
             PathCategory::Compute => self.compute += units,
-            PathCategory::FaultRetry => self.fault_retry += units,
             PathCategory::Idle => self.idle += units,
         }
     }
@@ -108,7 +102,6 @@ impl CategoryTotals {
             (PathCategory::NearBandwidth, self.near_bandwidth),
             (PathCategory::SlotWait, self.slot_wait),
             (PathCategory::Compute, self.compute),
-            (PathCategory::FaultRetry, self.fault_retry),
             (PathCategory::Idle, self.idle),
         ];
         rows.sort_by_key(|r| std::cmp::Reverse(r.1));
@@ -149,7 +142,6 @@ impl CriticalPathReport {
             PathCategory::NearBandwidth => self.totals.near_bandwidth,
             PathCategory::SlotWait => self.totals.slot_wait,
             PathCategory::Compute => self.totals.compute,
-            PathCategory::FaultRetry => self.totals.fault_retry,
             PathCategory::Idle => self.totals.idle,
         };
         units as f64 / self.makespan as f64
@@ -183,9 +175,7 @@ impl CriticalPathReport {
 }
 
 fn occupancy_category(t: &TransferRec) -> PathCategory {
-    if t.flags & FLAG_RETRY != 0 {
-        PathCategory::FaultRetry
-    } else if t.flags & FLAG_FAR != 0 {
+    if t.flags & FLAG_FAR != 0 {
         PathCategory::FarBandwidth
     } else {
         PathCategory::NearBandwidth

@@ -33,7 +33,7 @@
 //! recorder-local `id`, which is what makes the issue→grant→retire
 //! ordering and the slot timeline checkable after the fact.
 
-use std::cell::{Cell as StdCell, RefCell, UnsafeCell};
+use std::cell::{RefCell, UnsafeCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -58,8 +58,6 @@ pub const MAX_LANES: usize = 256;
 pub const FLAG_FAR: u32 = 1 << 0;
 /// Flag bit: the transfer wrote (near→far or far-write); unset = read.
 pub const FLAG_WRITE: u32 = 1 << 1;
-/// Flag bit: the charge was a fault-injected retry/abort penalty.
-pub const FLAG_RETRY: u32 = 1 << 2;
 /// Flag bit: the transfer was charged at random-access granularity
 /// (`bytes` is the touched-byte ledger charge, while the arbitrated
 /// occupancy was `accesses × block`).
@@ -373,11 +371,8 @@ impl FlightRecorder {
         self.emit(lane, ev);
     }
 
-    fn emit_transfer(&self, bytes: u64, mut flags: u32, timing: Option<TransferTiming>) {
+    fn emit_transfer(&self, bytes: u64, flags: u32, timing: Option<TransferTiming>) {
         let lane = current_lane().unwrap_or(0);
-        if fault_retry_active() {
-            flags |= FLAG_RETRY;
-        }
         let id = self.next_transfer.fetch_add(1, Ordering::Relaxed) + 1;
         let (slot, issue, grant, retire) = match timing {
             Some(t) => (t.slot, t.issue, t.grant, t.retire),
@@ -528,11 +523,6 @@ impl TransferRec {
     /// Did this transfer cross the far channel?
     pub fn far(&self) -> bool {
         self.flags & FLAG_FAR != 0
-    }
-
-    /// Was this charge a fault retry/abort penalty?
-    pub fn retry(&self) -> bool {
-        self.flags & FLAG_RETRY != 0
     }
 }
 
@@ -778,7 +768,6 @@ static RECORDER: Mutex<Option<Arc<FlightRecorder>>> = Mutex::new(None);
 thread_local! {
     static CACHED: RefCell<(u64, Option<Arc<FlightRecorder>>)> =
         const { RefCell::new((0, None)) };
-    static FAULT_RETRY: StdCell<bool> = const { StdCell::new(false) };
 }
 
 /// Is a flight recorder installed? Hot paths gate on this before
@@ -893,24 +882,6 @@ pub fn arena_retire_event(id: u64, bytes: u64, flags: u32) {
         };
         r.emit(lane, ev);
     });
-}
-
-/// Run `f` with charges flagged as fault-retry penalties; the runtime
-/// wraps the double-charge/abort paths of its fault branches in this so
-/// the analyzer can attribute that occupancy to `fault_retry`.
-pub fn with_fault_retry<R>(f: impl FnOnce() -> R) -> R {
-    FAULT_RETRY.with(|c| {
-        let prev = c.replace(true);
-        let out = f();
-        c.set(prev);
-        out
-    })
-}
-
-/// Is the current thread inside [`with_fault_retry`]?
-#[inline]
-pub fn fault_retry_active() -> bool {
-    FAULT_RETRY.with(|c| c.get())
 }
 
 /// Serialize tests that install/uninstall the global recorder (the
@@ -1029,17 +1000,5 @@ mod tests {
         let json = trace.to_json_pretty().expect("serialize");
         let back = FlightTrace::from_json(&json).expect("parse");
         assert_eq!(trace, back);
-    }
-
-    #[test]
-    fn fault_retry_flag_scopes_to_closure() {
-        let _g = test_guard();
-        let _ = install(FlightConfig::virtual_time(1, 1, 0));
-        with_fault_retry(|| transfer_event(64, FLAG_FAR, None));
-        transfer_event(64, FLAG_FAR, None);
-        let trace = take_quiet();
-        let ts = trace.transfers();
-        assert!(ts[0].retry());
-        assert!(!ts[1].retry());
     }
 }

@@ -160,8 +160,7 @@ pub fn to_chrome_json(trace: &FlightTrace) -> String {
         } else {
             "rd"
         };
-        let retry = if t.retry() { " !retry" } else { "" };
-        let label = format!("{channel} {rw} {}B #{}{retry}", t.bytes, t.id);
+        let label = format!("{channel} {rw} {}B #{}", t.bytes, t.id);
 
         // Issue→grant on the lane track (zero-length when ungated).
         events.push(obj(vec![
