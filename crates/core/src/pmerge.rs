@@ -110,7 +110,7 @@ pub fn parallel_merge<T: SortElem>(
 /// every segment contributes keys at the same quantiles, so the sorted
 /// sample bunches into ~[`OVERSAMPLE`] clusters of near-equal keys, and the
 /// splitters fall into them. `baseline_sort` at 10M keys and 256 ways gets
-/// ~16 parts of ~600K keys and ~240 near-empty ones. The charge is a sum
+/// 16 parts of 100K–605K keys and 240 of a median ~4K. The charge is a sum
 /// over parts, so balancing the split changes every ledger that holds a
 /// sampled merge; it is kept as is here (DESIGN.md §10).
 fn charge_parts<'a, T: SortElem>(
