@@ -1,19 +1,24 @@
-//! NMsort's Phase-2 output, written over the sorted chunks it consumes.
+//! A sample sort's merged output, written over the sorted chunks it
+//! consumes: NMsort's Phase 2 and SPMS's root.
 //!
-//! Phase 1 leaves the far array holding the sorted chunks, and Phase 2
-//! reads every chunk front to back, one bucket range at a time. Once a
-//! batch's segments are read, each chunk's prefix up to there is *dead*:
-//! no later batch reads it again. [`InPlaceOutput`] lays the output over
-//! those dead prefixes, so a multi-chunk sort returns its input's own
-//! allocation instead of a second `n`-element array.
+//! Both leave one array holding sorted chunks (NMsort's Phase-1 chunks,
+//! SPMS's root groups) and then read every chunk front to back, one
+//! bucket range at a time: an NMsort batch, an SPMS wave. Once a range's
+//! segments are read, each chunk's prefix up to there is *dead*: no later
+//! range reads it again. [`InPlaceOutput`] lays the output over those dead
+//! prefixes, so either sort returns its input's own allocation instead of
+//! a second `n`-element array.
 //!
 //! The array is cut into equal *slots* of `block` elements (the last may be
 //! shorter), and the output into blocks of the same grid, so block `j`'s
 //! final place is slot `j`. A block is stored when its first element is
 //! written: in its final slot if that slot is dead and unoccupied, else in
-//! the lowest such slot, else in a small overflow area. [`finish`] then
-//! moves every misplaced block home with one spare block, following each
-//! chain or cycle of the permutation once.
+//! the lowest such slot, else in a small overflow area. Output that is one
+//! value throughout ([`fill`]) stores only its partial first and last
+//! blocks; its whole blocks are *constant*, recorded with the value and
+//! stored nowhere. [`finish`] then moves every misplaced block home with
+//! one spare block, following each chain or cycle of the permutation
+//! once, and writes each constant block home from its value.
 //!
 //! **Overflow bound.** Writing never outruns what has been read, so the
 //! dead space holds at least as many elements as the output. Only whole
@@ -23,22 +28,28 @@
 //! `2·chunks − 1` blocks ever go to overflow; with chunks read about
 //! evenly, as sample-sort buckets are, it is about `chunks`.
 //!
+//! [`fill`]: InPlaceOutput::fill
 //! [`finish`]: InPlaceOutput::finish
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Blocks per chunk: slots shrink with the chunk, so the overflow area
-/// stays a fixed share of one chunk per chunk of input.
-const BLOCKS_PER_CHUNK: usize = 64;
+/// Least slot length, in elements, where the chunk allows it: below it the
+/// per-slot bookkeeping (a state, a location and a heap entry) costs more
+/// than the overflow it saves.
+const MIN_BLOCK: usize = 16;
 
 /// `loc` of a block that is stored nowhere (not yet written, or parked in
 /// the spare during [`InPlaceOutput::finish`]).
 const NOWHERE: usize = usize::MAX;
 
+/// `loc` of a block that holds one value throughout: it is recorded, not
+/// stored ([`InPlaceOutput::fill`]).
+const CONSTANT: usize = usize::MAX - 1;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
-    /// Still holds elements a later batch reads.
+    /// Still holds elements a later range reads.
     Live,
     /// Dead and unoccupied.
     Free,
@@ -64,9 +75,12 @@ pub(crate) struct InPlaceOutput<T> {
     /// block's final slot stays in the heap and is skipped when popped.
     free: BinaryHeap<Reverse<usize>>,
     /// Where each output block is stored: a slot, `slots.len() + i` for
-    /// overflow block `i`, or [`NOWHERE`].
+    /// overflow block `i`, [`CONSTANT`] or [`NOWHERE`].
     loc: Vec<usize>,
     overflow: Vec<T>,
+    /// The [`CONSTANT`] blocks: runs of them, in block order, with the
+    /// value each holds.
+    constant: Vec<(std::ops::Range<usize>, T)>,
     /// Elements read so far (the dead space) and written so far.
     consumed: usize,
     written: usize,
@@ -74,9 +88,14 @@ pub(crate) struct InPlaceOutput<T> {
 
 impl<T: Copy + Default> InPlaceOutput<T> {
     /// Bookkeeping for `n` elements in chunks of `chunk`, with slots of
-    /// `chunk / BLOCKS_PER_CHUNK` elements.
-    pub(crate) fn new(n: usize, chunk: usize) -> Self {
-        Self::with_block(n, chunk, (chunk / BLOCKS_PER_CHUNK).max(1))
+    /// `chunk / per_chunk` elements, but at least [`MIN_BLOCK`] (or the
+    /// whole chunk, if shorter). Slots shrink with the chunk, so the
+    /// overflow area stays a fixed share of one chunk per chunk of input:
+    /// more slots per chunk shrink it, fewer make [`Self::finish`] move
+    /// fewer, longer blocks.
+    pub(crate) fn new(n: usize, chunk: usize, per_chunk: usize) -> Self {
+        let block = (chunk / per_chunk).max(MIN_BLOCK.min(chunk));
+        Self::with_block(n, chunk, block)
     }
 
     /// As [`Self::new`] with an explicit slot length (`1..=chunk`).
@@ -104,6 +123,7 @@ impl<T: Copy + Default> InPlaceOutput<T> {
             free: BinaryHeap::new(),
             loc: vec![NOWHERE; n_slots],
             overflow: Vec::new(),
+            constant: Vec::new(),
             consumed: 0,
             written: 0,
         }
@@ -203,9 +223,10 @@ impl<T: Copy + Default> InPlaceOutput<T> {
                 "overflow exceeds 2·chunks − 1 blocks"
             );
             if self.overflow.capacity() == 0 {
-                // Reserved, not touched: pages fault in as blocks land.
-                let bound = (2 * self.chunks() - 1) * self.block;
-                self.overflow.reserve_exact(bound.min(self.n));
+                // Room for the usual `chunks` blocks; the rare run that
+                // strands more grows it towards the bound.
+                self.overflow
+                    .reserve_exact((self.chunks() * self.block).min(self.n));
             }
             self.overflow.resize((i + 1) * self.block, T::default());
             self.loc[j] = self.slots.len() + i;
@@ -279,9 +300,41 @@ impl<T: Copy + Default> InPlaceOutput<T> {
             .collect()
     }
 
+    /// Write `len` copies of `key` as the next output elements, like
+    /// [`Self::dests`] and a fill. The whole blocks among them are not
+    /// stored: they take no slot, and [`Self::finish`] writes them home.
+    pub(crate) fn fill(&mut self, far: &mut [T], len: usize, key: T) {
+        let (from, to) = (self.written, self.written + len);
+        let b = self.block;
+        // Whole blocks inside `from..to`; the array's short last block
+        // counts when the fill reaches the end.
+        let first = from.div_ceil(b);
+        let end = if to == self.n {
+            self.slots.len()
+        } else {
+            to / b
+        };
+        if first >= end {
+            self.dests(far, len).into_iter().for_each(|d| d.fill(key));
+            return;
+        }
+        // The rest of a started block, the whole blocks, then the start of
+        // the next block.
+        let head = first * b - from;
+        self.dests(far, head).into_iter().for_each(|d| d.fill(key));
+        assert!(to <= self.consumed, "output would overwrite unread input");
+        self.loc[first..end].fill(CONSTANT);
+        self.constant.push((first..end, key));
+        self.written = (end * b).min(self.n);
+        let tail = to - self.written;
+        self.dests(far, tail).into_iter().for_each(|d| d.fill(key));
+    }
+
     /// Once every element is written, move each block to its final slot:
     /// fill a slot with its own block, then refill the slot that block
-    /// left, until the chain ends in the overflow area. A slot on a cycle
+    /// left, until the chain ends in the overflow area or at a constant
+    /// block, which is written from its value. A constant block is stored
+    /// in no slot, so its slot is never on a cycle. A slot on a cycle
     /// first parks its block in the one spare block, which closes the
     /// cycle. Frees the overflow area.
     pub(crate) fn finish(&mut self, far: &mut [T]) {
@@ -317,6 +370,9 @@ impl<T: Copy + Default> InPlaceOutput<T> {
                         far.copy_within(from * b..from * b + len, dst);
                     } else if from == NOWHERE {
                         far[dst..dst + len].copy_from_slice(&spare[..len]);
+                    } else if from == CONSTANT {
+                        let run = self.constant.partition_point(|(r, _)| r.end <= cur);
+                        far[dst..dst + len].fill(self.constant[run].1);
                     } else {
                         let o = (from - n_slots) * b;
                         far[dst..dst + len].copy_from_slice(&self.overflow[o..o + len]);
@@ -332,6 +388,7 @@ impl<T: Copy + Default> InPlaceOutput<T> {
             }
         }
         self.overflow = Vec::new();
+        self.constant = Vec::new();
     }
 }
 
@@ -340,7 +397,7 @@ mod tests {
     use super::*;
     use crate::par::Pieces;
 
-    /// Drive the bookkeeping like Phase 2 does: sorted chunks laid end to
+    /// Drive the bookkeeping like NMsort's Phase 2 does: sorted chunks laid end to
     /// end, consumed in key ranges of at least `batch` elements (all copies
     /// of the last key join the range), each range's merged keys written
     /// in two calls to [`InPlaceOutput::dests`]; then check the finished
@@ -506,6 +563,124 @@ mod tests {
         // Everything home already; and everything in a single long cycle.
         finish_layout(8, 2, &[0, 1, 2, 3]);
         finish_layout(8, 2, &[1, 2, 3, 0]);
+    }
+
+    /// Drive the bookkeeping like SPMS's in-place root does: `n` keys in
+    /// sorted groups of `group`, cut into buckets by `groups − 1` evenly
+    /// spaced pivots of the sorted keys, merged in waves of `wave`
+    /// consecutive buckets. Each wave consumes every group's segment of
+    /// all its buckets at once, then writes the buckets one by one, a
+    /// bucket of one key by filling its places with it. Returns the
+    /// overflow blocks used.
+    fn drive_waves(n: usize, group: usize, wave: usize, key_of: impl Fn(usize) -> u64) -> usize {
+        let mut far: Vec<u64> = (0..n).map(&key_of).collect();
+        for g in far.chunks_mut(group) {
+            g.sort_unstable();
+        }
+        let mut expect = far.clone();
+        expect.sort_unstable();
+        let groups = n.div_ceil(group);
+        let pivots: Vec<u64> = (1..groups).map(|j| expect[j * n / groups]).collect();
+        // Boundary `j` of group `k`: its keys below pivot `j − 1`.
+        let bound = |far: &[u64], k: usize, j: usize| {
+            let g = &far[k * group..((k + 1) * group).min(n)];
+            match j {
+                0 => 0,
+                j if j == groups => g.len(),
+                j => g.partition_point(|&x| x < pivots[j - 1]),
+            }
+        };
+        let mut out = InPlaceOutput::new(n, group, 16);
+        for first in (0..groups).step_by(wave) {
+            let end = (first + wave).min(groups);
+            let buckets: Vec<Vec<u64>> = (first..end)
+                .map(|b| {
+                    let mut keys: Vec<u64> = (0..groups)
+                        .flat_map(|k| {
+                            far[k * group..][bound(&far, k, b)..bound(&far, k, b + 1)].to_vec()
+                        })
+                        .collect();
+                    keys.sort_unstable();
+                    keys
+                })
+                .collect();
+            let segs: Vec<(usize, usize)> = (0..groups)
+                .map(|k| {
+                    (
+                        k * group + bound(&far, k, first),
+                        k * group + bound(&far, k, end),
+                    )
+                })
+                .collect();
+            out.consume(&segs);
+            for keys in &buckets {
+                match keys.first() {
+                    Some(&key) if keys.iter().all(|&x| x == key) => {
+                        out.fill(&mut far, keys.len(), key);
+                    }
+                    _ => Pieces::new(out.dests(&mut far, keys.len())).fill(keys),
+                }
+            }
+        }
+        let used = out.overflow_blocks();
+        assert!(
+            used < 2 * groups,
+            "overflow {used} blocks over {groups} groups"
+        );
+        out.finish(&mut far);
+        assert_eq!(far, expect, "n {n} group {group} wave {wave}");
+        used
+    }
+
+    #[test]
+    fn waves_of_buckets_sort_in_place() {
+        // (n, group, wave): one group's segment of a wave spans several
+        // buckets; a short last group; a one-bucket wave; and a group
+        // shorter than the least slot, where a slot is a whole group.
+        for (n, group, wave) in [
+            (4_096, 64, 4),
+            (4_000, 63, 7),
+            (1_025, 33, 1),
+            (2_000, 45, 64),
+            (300, 10, 3),
+        ] {
+            drive_waves(n, group, wave, spread);
+            drive_waves(n, group, wave, |i| spread(i) % 7);
+        }
+    }
+
+    #[test]
+    fn random_waves_with_filled_buckets_sort_in_place() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        // Few distinct keys make most buckets one key: fills that start
+        // and end inside blocks, cover whole ones, or reach the array's
+        // short last block.
+        for _ in 0..if cfg!(miri) { 20 } else { 200 } {
+            let n: usize = rng.gen_range(2..3_000);
+            let group = rng.gen_range(1..=n);
+            let wave = rng.gen_range(1..=n.div_ceil(group));
+            let (salt, distinct) = (rng.gen::<u64>(), rng.gen_range(1..40));
+            drive_waves(n, group, wave, |i| spread(i ^ salt as usize) % distinct);
+        }
+    }
+
+    #[test]
+    fn a_bucket_larger_than_a_wave_fills_in_place() {
+        // Key 1 holds 40 % of the input: its bucket is 16 groups' worth,
+        // four times a wave of 4 buckets, and is filled with its key. The
+        // rest are spread over distinct keys.
+        let n = 40 * 100;
+        let key = |i: usize| {
+            if i % 5 < 2 {
+                1
+            } else {
+                2 + spread(i) % 1_000_000
+            }
+        };
+        drive_waves(n, 100, 4, key);
+        drive_waves(n + 37, 100, 4, key);
     }
 
     #[test]

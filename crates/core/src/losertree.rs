@@ -447,31 +447,6 @@ fn fold_plan<T: Ord, N: Copy>(
     Some(root)
 }
 
-/// Comparisons one loser-tree node plays merging the runs under its left
-/// subtree with those under its right: `|side that exhausts first|` plus
-/// the elements of the other side ordered before that side's last
-/// element. Ties go to the left side, so a right side counts its elements
-/// `<` the left's last and a left side counts its elements `≤` the
-/// right's last. Zero when either side is empty.
-fn node_cost<T: Ord>(left: &[&[T]], right: &[&[T]]) -> u64 {
-    let len = |side: &[&[T]]| side.iter().map(|r| r.len() as u64).sum::<u64>();
-    let l_last = left.iter().filter_map(|r| r.last()).max();
-    let r_last = right.iter().filter_map(|r| r.last()).max();
-    let (Some(l_last), Some(r_last)) = (l_last, r_last) else {
-        return 0;
-    };
-    let before = |side: &[&[T]], pred: &dyn Fn(&T) -> bool| {
-        side.iter()
-            .map(|r| r.partition_point(pred) as u64)
-            .sum::<u64>()
-    };
-    if l_last <= r_last {
-        len(left) + before(right, &|x| x < l_last)
-    } else {
-        len(right) + before(left, &|x| x <= r_last)
-    }
-}
-
 /// Comparisons the loser tree plays merging `runs` over the pair
 /// pre-merge plan — the pairs ([`crate::kernels::simd::pair_merge_cost`]
 /// each) plus the tree over the plan's leaves (`node_cost` per node) —
@@ -485,27 +460,67 @@ pub fn merge_cost<T: Ord>(runs: &[&[T]]) -> u64 {
     if runs.len() < 2 {
         return 0;
     }
-    let leaves: Vec<usize> = premerge_plan(runs)
-        .map(|r| r.start)
-        .chain([runs.len()])
+    // One level of the tree, built from the one below, so no node
+    // re-scans its runs for their length or maximum.
+    let mut level: Vec<CostNode<T>> = premerge_plan(runs)
+        .map(|r| {
+            let side = &runs[r.clone()];
+            let len = side.iter().map(|x| x.len() as u64).sum();
+            (
+                r.start,
+                r.end,
+                len,
+                side.iter().filter_map(|x| x.last()).max(),
+            )
+        })
         .collect();
-    let n_leaves = leaves.len() - 1;
-    let pairs: u64 = leaves
-        .windows(2)
-        .filter(|w| w[1] - w[0] == 2)
-        .map(|w| crate::kernels::simd::pair_merge_cost(runs[w[0]], runs[w[0] + 1]))
+    let pairs: u64 = level
+        .iter()
+        .filter(|&&(lo, hi, ..)| hi - lo == 2)
+        .map(|&(lo, ..)| crate::kernels::simd::pair_merge_cost(runs[lo], runs[lo + 1]))
         .sum();
-    // Leaves past the last run are the tree's empty padding.
-    let side = |lo: usize, hi: usize| &runs[leaves[lo.min(n_leaves)]..leaves[hi.min(n_leaves)]];
     let mut tree = 0u64;
-    let mut width = 2;
-    while width <= n_leaves.next_power_of_two() {
-        for lo in (0..n_leaves).step_by(width) {
-            tree += node_cost(side(lo, lo + width / 2), side(lo + width / 2, lo + width));
-        }
-        width *= 2;
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|c| match *c {
+                [l, r] => {
+                    tree += node_cost(runs, l, r);
+                    (l.0, r.1, l.2 + r.2, l.3.max(r.3))
+                }
+                // A right half of padding: the node is its left child.
+                _ => c[0],
+            })
+            .collect();
     }
     pairs + tree
+}
+
+/// A node of [`merge_cost`]'s tree: the runs under it (`lo..hi`), their
+/// total length and their maximum.
+type CostNode<'r, T> = (usize, usize, u64, Option<&'r T>);
+
+/// Comparisons one loser-tree node plays merging the runs under its left
+/// subtree with those under its right: `|side that exhausts first|` plus
+/// the elements of the other side ordered before that side's last
+/// element. Ties go to the left side, so a right side counts its elements
+/// `<` the left's last and a left side counts its elements `≤` the
+/// right's last. Zero when either side is empty.
+fn node_cost<T: Ord>(runs: &[&[T]], left: CostNode<T>, right: CostNode<T>) -> u64 {
+    let ((llo, lhi, l_len, l_max), (rlo, rhi, r_len, r_max)) = (left, right);
+    let (Some(l_max), Some(r_max)) = (l_max, r_max) else {
+        return 0;
+    };
+    let before = |side: &[&[T]], pred: &dyn Fn(&T) -> bool| {
+        side.iter()
+            .map(|r| r.partition_point(pred) as u64)
+            .sum::<u64>()
+    };
+    if l_max <= r_max {
+        l_len + before(&runs[rlo..rhi], &|x| x < l_max)
+    } else {
+        r_len + before(&runs[llo..lhi], &|x| x <= r_max)
+    }
 }
 
 /// Merge `runs` into the exactly-sized slice `out`, returning the
@@ -555,7 +570,7 @@ pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64
 
 /// `true` when every non-empty run of `runs` holds one and the same key
 /// value (by `Ord`).
-fn single_key<T: Ord>(runs: &[&[T]]) -> bool {
+pub(crate) fn single_key<T: Ord>(runs: &[&[T]]) -> bool {
     let Some(key) = runs.iter().find_map(|r| r.first()) else {
         return true;
     };
@@ -567,7 +582,7 @@ fn single_key<T: Ord>(runs: &[&[T]]) -> bool {
 /// in `O(k)` adds: a pair or tree node whose sides are both non-empty
 /// plays `|left|` (ties go left, so the left side exhausts first with no
 /// right key ordered before it), and any other node plays nothing.
-fn single_key_cost<T: Ord>(runs: &[&[T]]) -> u64 {
+pub(crate) fn single_key_cost<T: Ord>(runs: &[&[T]]) -> u64 {
     let mut cost = 0u64;
     fold_plan(
         runs,

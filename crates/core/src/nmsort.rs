@@ -718,7 +718,9 @@ pub fn nmsort<T: SortElem>(
         // The merged batches are written over the chunk prefixes already
         // read, and the last write moves the blocks into order: the sorted
         // chunks become the output in place (crate::inplace).
-        let mut out = InPlaceOutput::new(n, chunk);
+        // Slots of chunk / 64 keys keep the overflow area to ~1/64 of the
+        // input.
+        let mut out = InPlaceOutput::new(n, chunk, 64);
         // Read BucketTot (resident in near) to plan batches (Fig. 3(a)).
         tl.begin_phase("nmsort.p2.plan");
         let totals: Vec<u64> = totals_buf.as_slice_uncharged().to_vec();

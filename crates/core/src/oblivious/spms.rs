@@ -8,9 +8,16 @@
 //! binary searches the analysis assumes), and finish each of the √n
 //! buckets with a single k-way merge of its (already sorted) group
 //! segments. Partitioning and merging interleave: the bucket merge *is* the
-//! completion step, so one recursion level costs exactly two streaming
-//! passes over the data (bucket merges into scratch, charged copy back)
+//! completion step, so one recursion level is charged exactly two
+//! streaming passes over the data (the bucket merges and a copy back)
 //! plus the lower-order sample traffic.
+//!
+//! Below the root a node merges into a scratch as long as itself and
+//! copies back. The root holds no second `n`-element array: it merges its
+//! buckets in waves of consecutive buckets into one small buffer and
+//! writes each wave over the group prefixes already merged
+//! ([`crate::inplace`]), so the copy-back pass is charged but moves no
+//! bytes.
 //!
 //! Control flow depends only on `n`. The machine's [`super::Ctx`] decides
 //! which memory level each pass is charged against and charges the far
@@ -19,8 +26,13 @@
 
 use super::{ceil_sqrt, Ctx, ObliviousConfig, ObliviousReport};
 use crate::extsort::RegionLevel;
-use crate::par::{charge_compute_striped, charge_io_striped, charged_copy, CopyKind};
+use crate::inplace::InPlaceOutput;
+use crate::losertree::{merge_into_slice, single_key, single_key_cost};
+use crate::par::{
+    charge_compute_striped, charge_copy, charge_io_striped, charged_copy, CopyKind, Pieces,
+};
 use crate::{ceil_lg, SortElem, SortError};
+use std::ops::Range;
 use tlmm_scratchpad::trace::{current_lane, with_lane};
 use tlmm_scratchpad::{Dir, FarArray, TwoLevel};
 
@@ -39,21 +51,22 @@ pub fn spms_sort<T: SortElem>(
     tl.checkpoint()?;
     let _phase = tl.phase("spms.sort");
     let mut data = input.into_vec();
-    let mut scratch = vec![T::default(); data.len()];
     let cx = Ctx::new::<T>(tl, cfg);
-    sort_rec(&cx, &mut data, &mut scratch, cfg.lanes, true, 1);
+    sort_rec(&cx, &mut data, None, cfg.lanes, true, 1);
     tl.checkpoint()?;
     Ok((tl.far_from_vec(data), cx.report()))
 }
 
 /// One SPMS recursion node over `data` (result left in `data`, sorted).
-/// `parent_far` is true when the enclosing segment streams against far
-/// memory — the node charges the residency boundary if it is the topmost
-/// scratchpad-fitting segment on its root path.
+/// `scratch`, as long as `data`, takes the node's bucket merges; without
+/// one the node merges in place. `parent_far` is true when the enclosing
+/// segment streams against far memory — the node charges the residency
+/// boundary if it is the topmost scratchpad-fitting segment on its root
+/// path.
 fn sort_rec<T: SortElem>(
     cx: &Ctx<'_>,
     data: &mut [T],
-    scratch: &mut [T],
+    scratch: Option<&mut [T]>,
     lanes: usize,
     parent_far: bool,
     depth: u32,
@@ -81,7 +94,7 @@ fn sort_rec<T: SortElem>(
 fn node<T: SortElem>(
     cx: &Ctx<'_>,
     data: &mut [T],
-    scratch: &mut [T],
+    mut scratch: Option<&mut [T]>,
     lanes: usize,
     level: RegionLevel,
     depth: u32,
@@ -97,29 +110,47 @@ fn node<T: SortElem>(
     // ---- 1. Recursively sort each group ------------------------------
     // Groups distribute round-robin over the lanes (each child charges on
     // one lane when there are enough groups to go around, otherwise the
-    // children share the lane budget).
+    // children share the lane budget). Children merge into their share of
+    // this node's scratch. Under an in-place node, the children of one
+    // pool task share a scratch of a group's size, grown by the first
+    // child too long for a base case.
     let child_lanes = (lanes / n_groups).max(1);
     let base = current_lane();
-    let children: Vec<(&mut [T], &mut [T])> = data
+    let mut scratches = scratch.as_deref_mut().map(|s| s.chunks_mut(group));
+    let children = data
         .chunks_mut(group)
-        .zip(scratch.chunks_mut(group))
-        .collect();
-    crate::pool::run_indexed(cx.threads, children, |i, (d, s)| {
-        with_lane(base + (i * child_lanes) % lanes, || {
-            sort_rec(cx, d, s, child_lanes, child_far, depth + 1);
-        })
+        .map(|d| (d, scratches.as_mut().and_then(Iterator::next)));
+    crate::pool::run_indexed(cx.threads, in_tasks(children, CHILD_TASK), |t, kids| {
+        let mut own = Vec::new();
+        for (c, (d, s)) in kids.into_iter().enumerate() {
+            let s = match s {
+                None if d.len() > cx.base_elems => {
+                    own.resize(own.len().max(d.len()), T::default());
+                    Some(&mut own[..d.len()])
+                }
+                s => s,
+            };
+            let i = t * CHILD_TASK + c;
+            with_lane(base + (i * child_lanes) % lanes, || {
+                sort_rec(cx, d, s, child_lanes, child_far, depth + 1);
+            })
+        }
     });
 
     // ---- 2. Deterministic strided sample + pivots --------------------
     // Every ⌈√g⌉-th element of every sorted group: ~n^(3/4) elements in
-    // ~√n already-sorted runs. Gathering is strided, so it is charged as
-    // random block touches, not a streamed pass.
+    // ~√n already-sorted runs, gathered into one flat buffer. A full group
+    // gives `per_group` elements and the short last one no more, so the
+    // runs are the buffer's `per_group`-element chunks. Gathering is
+    // strided, so it is charged as random block touches, not a streamed
+    // pass.
     let stride = ceil_sqrt(group).max(1);
-    let sample_runs: Vec<Vec<T>> = data
-        .chunks(group)
-        .map(|g| g.iter().step_by(stride).copied().collect())
-        .collect();
-    let sample_len: usize = sample_runs.iter().map(Vec::len).sum();
+    let per_group = group.div_ceil(stride);
+    let mut flat = Vec::with_capacity(n_groups * per_group);
+    for g in data.chunks(group) {
+        flat.extend(g.iter().step_by(stride).copied());
+    }
+    let sample_len = flat.len();
     let sample_bytes = (sample_len * elem) as u64;
     match level {
         RegionLevel::Far => cx
@@ -132,10 +163,10 @@ fn node<T: SortElem>(
     // Merge the sorted sample runs into one sorted sample: one small
     // streaming pass over the sample.
     let mut sample = vec![T::default(); sample_len];
-    let run_refs: Vec<&[T]> = sample_runs.iter().map(Vec::as_slice).collect();
+    let run_refs: Vec<&[T]> = flat.chunks(per_group).collect();
     cx.preflight_stream(level, sample_bytes, lanes);
     charge_io_striped(cx.tl, level, Dir::Read, sample_bytes, lanes);
-    let sample_cmps = crate::losertree::merge_into_slice(&run_refs, &mut sample);
+    let sample_cmps = merge_into_slice(&run_refs, &mut sample);
     charge_compute_striped(cx.tl, sample_cmps, lanes);
     charge_io_striped(cx.tl, level, Dir::Write, sample_bytes, lanes);
     cx.add_comparisons(sample_cmps);
@@ -143,132 +174,463 @@ fn node<T: SortElem>(
     let pivots: Vec<T> = (1..n_groups)
         .map(|j| sample[j * sample_len / n_groups])
         .collect();
+    let waves = scratch.is_none().then(|| plan_waves(&sample, &pivots));
+    drop((flat, sample));
 
     // ---- 3. Partition: merge-scan every group against the pivots -----
-    // The boundary table is host metadata (O(√n·√n) = O(n) u32); the
-    // search comparisons are charged as compute, by the binary-search
-    // formula.
-    let groups: Vec<&[T]> = data.chunks(group).collect();
-    let (bounds, bucket_starts) = Boundaries::scan(&groups, &pivots, cx.threads);
-    let search_cmps = (groups.len() * pivots.len()) as u64 * ceil_lg(group);
-    charge_compute_striped(cx.tl, search_cmps, lanes);
-    cx.add_comparisons(search_cmps);
+    // The boundaries are host metadata; the search comparisons are
+    // charged as compute, by the binary-search formula.
+    let search_cmps = (n_groups * pivots.len()) as u64 * ceil_lg(group);
+    let charge_search = || {
+        charge_compute_striped(cx.tl, search_cmps, lanes);
+        cx.add_comparisons(search_cmps);
+    };
 
-    // ---- 4. Bucket merges: one k-way merge per bucket into scratch ----
+    // ---- 4. Bucket merges: one k-way merge per bucket -----------------
     // Reading the group segments and writing the merged buckets is one full
-    // streaming pass over the node. Buckets round-robin over lanes and go
-    // to the pool in tasks of `MERGE_TASK`.
-    let mut tasks: Vec<Vec<&mut [T]>> = Vec::with_capacity(n_groups.div_ceil(MERGE_TASK));
-    {
-        let mut rest: &mut [T] = scratch;
-        for (b, w) in bucket_starts.windows(2).enumerate() {
-            let (out, tail) = rest.split_at_mut(w[1] - w[0]);
-            if b % MERGE_TASK == 0 {
-                tasks.push(Vec::with_capacity(MERGE_TASK));
-            }
-            tasks.last_mut().expect("task pushed above").push(out);
-            rest = tail;
+    // streaming pass over the node.
+    let buckets = Buckets {
+        cx,
+        level,
+        lanes,
+        base,
+    };
+    match scratch.as_deref_mut() {
+        Some(scratch) => {
+            // Every group's boundaries in one table, and every bucket
+            // merged into its place in the scratch.
+            let groups: Vec<&[T]> = data.chunks(group).collect();
+            let mut bounds = Boundaries::default();
+            bounds.scan(&groups, &pivots, 0..n_groups, |_| 0, cx.threads);
+            charge_search();
+            let starts = bounds.column_sums();
+            let mut rest: &mut [T] = scratch;
+            let outs = starts.windows(2).map(|w| {
+                let (out, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+                rest = tail;
+                out
+            });
+            buckets.merge(
+                &groups,
+                &bounds,
+                0,
+                outs.collect(),
+                false,
+                Vec::new(),
+                |()| {},
+            );
+        }
+        None => {
+            charge_search();
+            let waves = waves.expect("an in-place node plans its waves");
+            merge_in_place(&buckets, data, group, &pivots, &waves);
         }
     }
-    crate::pool::run_indexed(cx.threads, tasks, |t, outs| {
-        let mut segs = Vec::with_capacity(groups.len());
-        for (i, out) in outs.into_iter().enumerate() {
-            let b = t * MERGE_TASK + i;
-            with_lane(base + b % lanes, || {
-                bounds.bucket_into(&groups, b, &mut segs);
-                let bytes = std::mem::size_of_val(out) as u64;
-                cx.preflight_stream(level, bytes, 1);
-                charge_io_striped(cx.tl, level, Dir::Read, bytes, 1);
-                let cmps = crate::losertree::merge_into_slice(&segs, out);
-                cx.tl.charge_compute(cmps);
-                charge_io_striped(cx.tl, level, Dir::Write, bytes, 1);
-                cx.add_comparisons(cmps);
-            })
-        }
-    });
     cx.add_passes(1);
 
     // ---- 5. Copy the concatenated buckets back: the second pass -------
+    // In place there are no bytes left to move, only the pass to charge.
     let kind = match level {
         RegionLevel::Near => CopyKind::NearToNear,
         RegionLevel::Far => CopyKind::FarToFar,
     };
     cx.preflight_stream(level, std::mem::size_of_val(data) as u64, lanes);
-    charged_copy(cx.tl, kind, &scratch[..n], data, lanes, cx.threads);
+    match scratch {
+        Some(scratch) => charged_copy(cx.tl, kind, scratch, data, lanes, cx.threads),
+        None => charge_copy::<T>(cx.tl, kind, n, lanes),
+    }
     cx.add_passes(1);
 }
 
+/// The root's bucket merges, written over the groups they consume. Each
+/// wave of `waves` merges into one reused buffer; then every group's
+/// segment in the wave is dead ([`InPlaceOutput::consume`]) and the
+/// wave's buckets are copied into dead slots in order. The last wave moves
+/// every block home.
+///
+/// A bucket whose segments hold one key of a [`crate::kernels::RadixKey`]
+/// type is that key `len` times: it is written with
+/// [`InPlaceOutput::fill`], whose whole blocks take no slot and are
+/// written home once, by the final permutation. One longer than a wave's
+/// worth of keys is not staged at all, so the heaviest keys of a skewed
+/// input never size the buffer.
+fn merge_in_place<T: SortElem>(
+    buckets: &Buckets<'_, '_>,
+    data: &mut [T],
+    group: usize,
+    pivots: &[T],
+    waves: &[Range<usize>],
+) {
+    let n_groups = pivots.len() + 1;
+    let fill = crate::kernels::radix_kernel::<T>().is_some();
+    let wave_keys = WAVE_BUCKETS * group;
+    let mut out = InPlaceOutput::new(data.len(), group, BLOCKS_PER_GROUP);
+    let threads = buckets.cx.threads;
+    // This wave's boundary rows, and the next wave's, which its walks
+    // fill on the pool alongside this wave's merges.
+    let (mut bounds, mut next) = (Boundaries::default(), Boundaries::default());
+    let groups: Vec<&[T]> = data.chunks(group).collect();
+    bounds.scan(&groups, pivots, waves[0].clone(), |_| 0, threads);
+    let mut buf: Vec<T> = Vec::new();
+    for (w, wave) in waves.iter().enumerate() {
+        let groups: Vec<&[T]> = data.chunks(group).collect();
+        let sums = bounds.column_sums();
+        let sizes: Vec<usize> = sums.windows(2).map(|w| w[1] - w[0]).collect();
+        // A bucket of one key longer than a wave is filled, not staged.
+        let mut segs = Vec::with_capacity(n_groups);
+        let staged: Vec<usize> = (0..wave.len())
+            .map(|i| {
+                let filled = fill && sizes[i] > wave_keys && {
+                    bounds.bucket_into(&groups, i, &mut segs);
+                    single_key(&segs)
+                };
+                if filled {
+                    0
+                } else {
+                    sizes[i]
+                }
+            })
+            .collect();
+        let total: usize = staged.iter().sum();
+        if buf.len() < total {
+            // Exactly sized, and the old one freed first: nothing in it
+            // survives a wave.
+            buf = Vec::new();
+            buf.resize(total, T::default());
+        }
+        let mut rest = &mut buf[..total];
+        let outs = staged.iter().map(|&len| {
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            out
+        });
+        // Each group's walk through the next wave starts where this
+        // wave's last row ends.
+        let last = wave.len();
+        let ahead = waves.get(w + 1).cloned().unwrap_or(0..0);
+        let side = if ahead.is_empty() {
+            Vec::new()
+        } else {
+            next.jobs(&groups, ahead.len())
+        };
+        let keys = buckets.merge(
+            &groups,
+            &bounds,
+            wave.start,
+            outs.collect(),
+            fill,
+            side,
+            |job| {
+                walk_block(job, pivots, ahead.clone(), |g| bounds.get(g, last));
+            },
+        );
+        let segs: Vec<(usize, usize)> = (0..n_groups)
+            .map(|g| {
+                (
+                    g * group + bounds.get(g, 0),
+                    g * group + bounds.get(g, last),
+                )
+            })
+            .collect();
+        out.consume(&segs);
+        let mut at = 0;
+        for ((key, &len), &staged) in keys.into_iter().zip(&sizes).zip(&staged) {
+            match key {
+                Some(key) => out.fill(data, len, key),
+                None => Pieces::new(out.dests(data, len)).fill(&buf[at..at + len]),
+            }
+            at += staged;
+        }
+        std::mem::swap(&mut bounds, &mut next);
+    }
+    drop((buf, bounds, next));
+    out.finish(data);
+}
+
+/// The root's merge waves: runs of consecutive buckets, each at most
+/// [`WAVE_BUCKETS`] buckets and about as many average buckets' worth of
+/// keys, judged by the sorted `sample`. Bucket `b` holds the sample
+/// elements in `[pivot b − 1, pivot b)`, so a bucket of an average share
+/// holds `sample.len() / buckets` of them. A bucket worth more than a wave
+/// is a wave alone.
+fn plan_waves<T: Ord>(sample: &[T], pivots: &[T]) -> Vec<Range<usize>> {
+    let n_buckets = pivots.len() + 1;
+    let budget = WAVE_BUCKETS * sample.len() / n_buckets;
+    let starts: Vec<usize> = std::iter::once(0)
+        .chain(pivots.iter().map(|p| sample.partition_point(|x| x < p)))
+        .chain([sample.len()])
+        .collect();
+    let mut waves = Vec::new();
+    let mut first = 0;
+    while first < n_buckets {
+        let mut end = first + 1;
+        while end < n_buckets
+            && end - first < WAVE_BUCKETS
+            && starts[end + 1] - starts[first] <= budget
+        {
+            end += 1;
+        }
+        waves.push(first..end);
+        first = end;
+    }
+    waves
+}
+
+/// Most buckets in one in-place merge wave, and a wave's budget in
+/// average buckets' worth of keys: the root's wave buffer holds about
+/// `WAVE_BUCKETS · group` keys (~48·√n), and each of its two boundary
+/// tables (this wave's and the next's) `groups · (WAVE_BUCKETS + 1)`
+/// entries however many buckets are empty. At 1M keys these and the slot
+/// bookkeeping peak at ~21 % of the input's bytes (`crates/core/tests/spms_memory.rs`
+/// holds them under 25 %).
+const WAVE_BUCKETS: usize = 48;
+
+/// Slots per group of the in-place root. Most output blocks land out of
+/// place, because a group's home slots die only as late waves reach them,
+/// so the final permutation moves nearly every block. On 10M Zipf keys
+/// (2-vCPU VM) it took ~30 ms with slots of √n/64 keys and ~15 ms with
+/// √n/16, and the wave copies 35 and 23 ms. The overflow area holds at
+/// most `2·groups − 1` blocks, `n/8` keys, and about half that when every
+/// wave reads every group.
+const BLOCKS_PER_GROUP: usize = 16;
+
+/// Groups per child-sort task: a task's children share one scratch under
+/// an in-place node, and ~400 tasks at the root of a 10M-key sort still
+/// spread over the pool.
+const CHILD_TASK: usize = 8;
+
 /// Buckets per bucket-merge task. A task lists its buckets' segments in
 /// one reused buffer instead of allocating a list per bucket, and the
-/// pool's dynamic claiming still spreads skewed buckets: ~200 tasks at
-/// the root of a 10M-key sort.
+/// pool's dynamic claiming still spreads skewed buckets.
 const MERGE_TASK: usize = 16;
+
+/// `items` in order, in tasks of `per`.
+fn in_tasks<X>(items: impl IntoIterator<Item = X>, per: usize) -> Vec<Vec<X>> {
+    let mut tasks: Vec<Vec<X>> = Vec::new();
+    for (i, x) in items.into_iter().enumerate() {
+        if i % per == 0 {
+            tasks.push(Vec::with_capacity(per));
+        }
+        tasks.last_mut().expect("task pushed above").push(x);
+    }
+    tasks
+}
+
+/// What a node's bucket merges charge against: its level, its lane budget
+/// and the lane it started on.
+struct Buckets<'c, 'a> {
+    cx: &'c Ctx<'a>,
+    level: RegionLevel,
+    lanes: usize,
+    base: usize,
+}
+
+impl Buckets<'_, '_> {
+    /// Merge buckets `first..first + outs.len()`, whose boundaries `bounds`
+    /// holds from `first` on, each into its exactly sized `outs` slice, on
+    /// the pool in tasks of up to [`MERGE_TASK`] buckets, at least four
+    /// tasks per thread so a wave's skewed buckets still spread. Bucket `b`
+    /// is charged on lane `base + b % lanes`: one fault-gated read of its
+    /// keys, the loser tree's comparisons and one write. With `fill`, a
+    /// bucket of one key value is not merged: its entry in the result is
+    /// that key, and its slice is left alone (the charges are the same).
+    /// The `side` jobs, which charge nothing, run on the same pool after
+    /// the merge tasks are claimed.
+    #[allow(clippy::too_many_arguments)]
+    fn merge<T: SortElem, S: Send>(
+        &self,
+        groups: &[&[T]],
+        bounds: &Boundaries,
+        first: usize,
+        outs: Vec<&mut [T]>,
+        fill: bool,
+        side: Vec<S>,
+        run_side: impl Fn(S) + Sync,
+    ) -> Vec<Option<T>> {
+        enum Job<M, S> {
+            Merge(M),
+            Side(S),
+        }
+        let (cx, level) = (self.cx, self.level);
+        let per = MERGE_TASK.min(outs.len().div_ceil(4 * cx.threads)).max(1);
+        let jobs: Vec<Job<_, S>> = in_tasks(outs, per)
+            .into_iter()
+            .map(Job::Merge)
+            .chain(side.into_iter().map(Job::Side))
+            .collect();
+        let keys = crate::pool::map_indexed(cx.threads, jobs, |t, job| {
+            let outs = match job {
+                Job::Merge(outs) => outs,
+                Job::Side(job) => {
+                    run_side(job);
+                    return Vec::new();
+                }
+            };
+            let mut segs = Vec::with_capacity(groups.len());
+            let mut keys = Vec::with_capacity(outs.len());
+            for (i, out) in outs.into_iter().enumerate() {
+                let b = t * per + i;
+                keys.push(with_lane(self.base + (first + b) % self.lanes, || {
+                    bounds.bucket_into(groups, b, &mut segs);
+                    let len: usize = segs.iter().map(|s| s.len()).sum();
+                    let key = if fill && single_key(&segs) {
+                        segs.iter().find_map(|s| s.first()).copied()
+                    } else {
+                        None
+                    };
+                    let cmps = match key {
+                        Some(_) => single_key_cost(&segs),
+                        None => merge_into_slice(&segs, out),
+                    };
+                    let bytes = (len * std::mem::size_of::<T>()) as u64;
+                    cx.preflight_stream(level, bytes, 1);
+                    charge_io_striped(cx.tl, level, Dir::Read, bytes, 1);
+                    cx.tl.charge_compute(cmps);
+                    charge_io_striped(cx.tl, level, Dir::Write, bytes, 1);
+                    cx.add_comparisons(cmps);
+                    key
+                }));
+            }
+            keys
+        });
+        keys.into_iter().flatten().collect()
+    }
+}
 
 /// Groups per block of the boundary table: one partition task's share of
 /// the scan, and the width of one table row.
 const BLOCK: usize = 64;
 
-/// Every group's bucket boundaries in one flat, block-major table:
-/// `[group block][boundary][BLOCK]`. Boundary `j` of group `g` is the
-/// number of its keys below pivot `j - 1` (`0` for `j = 0`, `|g|` for the
-/// last), so bucket `b` takes `g[boundary b .. boundary b + 1]` from every
-/// group — two contiguous rows per block. Entries are `u32`: a group holds
-/// ~√n keys.
+/// Walk sorted group `g` through its boundaries `buckets.start` to
+/// `buckets.end`, starting at offset `from`, its boundary `buckets.start`.
+/// Boundary `j` is the number of its keys below pivot `j - 1` (`0` for
+/// `j = 0`, `|g|` for the last), so bucket `b` takes
+/// `g[boundary b .. boundary b + 1]`. `emit(r, i)` sets boundary
+/// `buckets.start + r` to `i`; a later call for the same `r` overrides an
+/// earlier one.
+///
+/// The walk merges the keys with the sorted pivots without a branch per
+/// step: each step either passes a key below the current pivot or closes
+/// that pivot's boundary, and writes the boundary either way. At the root
+/// a bucket takes about one key of a group, so a loop that stopped on a
+/// data-dependent branch per boundary mispredicted about once per
+/// boundary.
+fn walk<T: Ord>(
+    g: &[T],
+    pivots: &[T],
+    buckets: Range<usize>,
+    from: usize,
+    mut emit: impl FnMut(usize, usize),
+) {
+    let rows = buckets.len() + 1;
+    // Rows 1.. up to here have a pivot; the rest (at most the last
+    // boundary) are `|g|`.
+    let searched = rows.min(pivots.len() + 1 - buckets.start);
+    let pivots = &pivots[buckets.start..buckets.start + searched - 1];
+    let mut i = from;
+    emit(0, i);
+    let mut r = 1;
+    while r < searched && i < g.len() {
+        let below = g[i] < pivots[r - 1];
+        i += usize::from(below);
+        emit(r, i);
+        r += usize::from(!below);
+    }
+    // Every key is passed, or every pivot closed.
+    for r in r..rows {
+        emit(r, g.len());
+    }
+}
+
+/// One block's share of a boundary scan: the index of its first group,
+/// its groups, and its slab of the table.
+type ScanJob<'s, T> = (usize, &'s [&'s [T]], &'s mut [u32]);
+
+/// Run a scan job: [`walk`] each of its groups through the boundaries of
+/// `buckets` from offset `from(g)`, into its slab.
+fn walk_block<T: Ord>(
+    (first, groups, slab): ScanJob<'_, T>,
+    pivots: &[T],
+    buckets: Range<usize>,
+    from: impl Fn(usize) -> usize,
+) {
+    for (lane, g) in groups.iter().enumerate() {
+        walk(g, pivots, buckets.clone(), from(first + lane), |r, i| {
+            slab[r * BLOCK + lane] = i as u32;
+        });
+    }
+}
+
+/// A run of consecutive buckets' boundaries in every group, in one flat,
+/// block-major table: `[group block][boundary][BLOCK]`. Bucket `b` of the
+/// run takes from every group the segment between its boundary rows `b`
+/// and `b + 1` — two contiguous rows per block. Entries are `u32`: a group
+/// holds ~√n keys.
+#[derive(Default)]
 struct Boundaries {
-    /// Boundaries per group: `pivots + 2`.
+    /// Boundaries per group: buckets in the run, plus one.
     rows: usize,
     table: Vec<u32>,
 }
 
 impl Boundaries {
-    /// Scan every sorted group against the sorted `pivots` with one
-    /// merge-scan cursor per group, fanning blocks of [`BLOCK`] groups out
-    /// over `threads`. Each boundary equals `partition_point(|x| x < p)`,
-    /// and the rows are monotone because the pivots are sorted. Also
-    /// returns each bucket's start offset in the concatenated output (the
-    /// column sums of the table), with the total appended.
-    fn scan<T: Ord + Sync>(groups: &[&[T]], pivots: &[T], threads: usize) -> (Self, Vec<usize>) {
-        let rows = pivots.len() + 2;
+    /// Fill the table with the boundaries of `buckets`: [`walk`] every
+    /// sorted group through them from offset `from(g)`, fanning blocks of
+    /// [`BLOCK`] groups out over `threads`. The rows are monotone because
+    /// the pivots are sorted.
+    fn scan<T: Ord + Sync>(
+        &mut self,
+        groups: &[&[T]],
+        pivots: &[T],
+        buckets: Range<usize>,
+        from: impl Fn(usize) -> usize + Sync,
+        threads: usize,
+    ) {
+        let jobs = self.jobs(groups, buckets.len());
+        crate::pool::run_indexed(threads, jobs, |_, job| {
+            walk_block(job, pivots, buckets.clone(), &from);
+        });
+    }
+
+    /// Size the table for a run of `buckets` buckets, reusing its
+    /// allocation, and split the scan that fills it into one job per
+    /// block of groups (see [`walk_block`]).
+    fn jobs<'s, T>(&'s mut self, groups: &'s [&'s [T]], buckets: usize) -> Vec<ScanJob<'s, T>> {
         assert!(
             groups.iter().all(|g| u32::try_from(g.len()).is_ok()),
             "SPMS group too long for a u32 boundary"
         );
-        let mut table = vec![0u32; groups.len().div_ceil(BLOCK) * rows * BLOCK];
-        let blocks: Vec<(&[&[T]], &mut [u32])> = groups
+        self.rows = buckets + 1;
+        self.table.clear();
+        self.table
+            .resize(groups.len().div_ceil(BLOCK) * self.rows * BLOCK, 0);
+        groups
             .chunks(BLOCK)
-            .zip(table.chunks_mut(rows * BLOCK))
-            .collect();
-        let col_sums = crate::pool::map_indexed(threads, blocks, |_, (gs, slab)| {
-            for (lane, g) in gs.iter().enumerate() {
-                let mut i = 0;
-                for (j, p) in pivots.iter().enumerate() {
-                    while i < g.len() && g[i] < *p {
-                        i += 1;
-                    }
-                    slab[(j + 1) * BLOCK + lane] = i as u32;
-                }
-                slab[(rows - 1) * BLOCK + lane] = g.len() as u32;
-            }
-            slab.chunks(BLOCK)
-                .map(|row| row.iter().map(|&x| x as usize).sum::<usize>())
-                .collect::<Vec<_>>()
-        });
-        let mut starts = vec![0; rows];
-        for sums in &col_sums {
-            for (s, x) in starts.iter_mut().zip(sums) {
-                *s += x;
+            .zip(self.table.chunks_mut(self.rows * BLOCK))
+            .enumerate()
+            .map(|(blk, (gs, slab))| (blk * BLOCK, gs, slab))
+            .collect()
+    }
+
+    /// Row `r` of group `g`.
+    fn get(&self, g: usize, r: usize) -> usize {
+        self.table[((g / BLOCK) * self.rows + r) * BLOCK + g % BLOCK] as usize
+    }
+
+    /// Each row's sum over the groups: with a run from bucket 0, each
+    /// bucket's start offset in the output, with the total appended.
+    fn column_sums(&self) -> Vec<usize> {
+        let mut sums = vec![0; self.rows];
+        for slab in self.table.chunks(self.rows * BLOCK) {
+            for (s, row) in sums.iter_mut().zip(slab.chunks(BLOCK)) {
+                *s += row.iter().map(|&x| x as usize).sum::<usize>();
             }
         }
-        (Self { rows, table }, starts)
+        sums
     }
 
-    /// Boundary `j` of group `g`.
-    #[cfg(test)]
-    fn get(&self, g: usize, j: usize) -> usize {
-        self.table[((g / BLOCK) * self.rows + j) * BLOCK + g % BLOCK] as usize
-    }
-
-    /// Bucket `b`'s segment of every group, in group order, into `segs`.
+    /// Bucket `b` of the run's segment of every group, in group order,
+    /// into `segs`.
     fn bucket_into<'a, T>(&self, groups: &[&'a [T]], b: usize, segs: &mut Vec<&'a [T]>) {
         segs.clear();
         for (gs, slab) in groups
@@ -451,12 +813,14 @@ mod tests {
                     })
                     .collect();
                 for threads in [1, 3] {
-                    let (table, starts) = Boundaries::scan(&groups, &pivots, threads);
+                    let mut table = Boundaries::default();
+                    table.scan(&groups, &pivots, 0..n_groups, |_| 0, threads);
                     for (g, row) in rows.iter().enumerate() {
                         for (j, &b) in row.iter().enumerate() {
                             assert_eq!(table.get(g, j), b, "{w:?} n={n} g={g} j={j}");
                         }
                     }
+                    let starts = table.column_sums();
                     let mut at = 0;
                     for b in 0..n_groups {
                         assert_eq!(starts[b], at, "{w:?} n={n} bucket {b} start");
@@ -470,7 +834,71 @@ mod tests {
                     }
                     assert_eq!(starts[n_groups], n);
                     assert_eq!(at, n);
+                    // Waves of 1, 2 and 7 buckets, in one reused table:
+                    // each continues every group's walk where the last
+                    // one stopped, and its column sums are its rows'.
+                    for wave in [1, 2, 7] {
+                        let mut from = vec![0; n_groups];
+                        for first in (0..n_groups).step_by(wave) {
+                            let end = (first + wave).min(n_groups);
+                            table.scan(&groups, &pivots, first..end, |g| from[g], threads);
+                            for (g, row) in rows.iter().enumerate() {
+                                for r in 0..=end - first {
+                                    assert_eq!(table.get(g, r), row[first + r], "{w:?} n={n}");
+                                }
+                                from[g] = row[end];
+                            }
+                            assert_eq!(table.column_sums(), starts[first..=end]);
+                        }
+                    }
                 }
+            }
+        }
+    }
+
+    /// The root writes its output over its input: the sorted keys come
+    /// back in the input's own allocation with one wave (300 keys) and
+    /// several (4,300 keys, 66 groups, a short last one), and at the
+    /// smallest size that recurses. A `u64` bucket of one key is filled
+    /// in place; a pair of `u32`s, not a radix key type, stages every
+    /// bucket, however long.
+    #[test]
+    fn in_place_root_sorts_over_its_input() {
+        use tlmm_workloads::{generate, Workload};
+        fn check<T: SortElem + std::fmt::Debug>(keys: Vec<T>, label: &str) {
+            let mut expect = keys.clone();
+            expect.sort_unstable();
+            for threads in [1, 2] {
+                let tl = tl();
+                let input = tl.far_from_vec(keys.clone());
+                let at = input.as_slice_uncharged().as_ptr();
+                let cfg = ObliviousConfig {
+                    lanes: 4,
+                    threads,
+                    base_elems: 16,
+                };
+                let (out, _) = spms_sort(&tl, input, &cfg).unwrap();
+                assert_eq!(out.as_slice_uncharged(), expect.as_slice(), "{label}");
+                assert_eq!(out.as_slice_uncharged().as_ptr(), at, "{label}");
+            }
+        }
+        let sizes: &[usize] = if cfg!(miri) {
+            &[17, 300, 4_300]
+        } else {
+            &[17, 300, 4_300, 9_001, 70_000]
+        };
+        for w in [
+            Workload::UniformU64,
+            Workload::Zipf(1.1),
+            Workload::AllEqual,
+            Workload::FewDistinct(3),
+        ] {
+            for &n in sizes {
+                let keys = generate(w, n, n as u64);
+                let label = format!("{w:?} n={n}");
+                let pairs = keys.iter().map(|&k| ((k >> 32) as u32, k as u32));
+                check(pairs.collect::<Vec<(u32, u32)>>(), &label);
+                check(keys, &label);
             }
         }
     }

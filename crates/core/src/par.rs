@@ -128,6 +128,30 @@ pub fn charged_copy<T: SortElem>(
     charged_scatter(tl, kind, src, [dst], lanes, threads);
 }
 
+/// The charges of a [`charged_copy`] of `elems` elements of `T`, with no
+/// bytes moved: the same stripes on the same lanes, and under an installed
+/// executor the same stage schedule. For a copy whose bytes the host
+/// never needs to move, as when SPMS's merges already land in place.
+pub(crate) fn charge_copy<T>(tl: &TwoLevel, kind: CopyKind, elems: usize, lanes: usize) {
+    let base = current_lane();
+    let work = |i: usize, len: usize| with_lane(base + i, || charge_stripe::<T>(tl, kind, len));
+    match tl.executor().filter(|_| elems > 0) {
+        Some(ex) => {
+            let work = &work;
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = striped_ranges(elems, lanes)
+                .enumerate()
+                .map(|(i, r)| Box::new(move || work(i, r.len())) as Box<dyn FnOnce() + Send>)
+                .collect();
+            ex.run_tasks(tasks);
+        }
+        None => {
+            for (i, r) in striped_ranges(elems, lanes).enumerate() {
+                work(i, r.len());
+            }
+        }
+    }
+}
+
 /// [`charged_copy`] into a destination in pieces: the slices of `dst`,
 /// laid end to end, take `src` (equal total lengths). The stripes, their
 /// lanes and their charges are those of a `charged_copy` of `src`; only
@@ -299,6 +323,32 @@ mod tests {
             charged_scatter(&tl, CopyKind::NearToFar, &src, [a, b, c, d], 8, threads);
             assert_eq!(dst, src);
             assert_eq!(tl.ledger().snapshot(), copy, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn charge_only_copy_charges_like_the_copy() {
+        use tlmm_scratchpad::ExecConfig;
+        let src: Vec<u64> = (0..10_000).collect();
+        for executor in [None, Some(ExecConfig::deterministic(4, 1, 7))] {
+            let run = |copy: bool| {
+                let tl = tl();
+                if let Some(cfg) = executor {
+                    tl.install_executor(cfg).unwrap();
+                }
+                tl.begin_phase("copy");
+                if copy {
+                    let mut dst = vec![0u64; src.len()];
+                    charged_copy(&tl, CopyKind::FarToFar, &src, &mut dst, 8, 1);
+                } else {
+                    charge_copy::<u64>(&tl, CopyKind::FarToFar, src.len(), 8);
+                }
+                tl.end_phase();
+                (tl.ledger().snapshot(), tl.take_trace())
+            };
+            let ((copied, copy_trace), (charged, charge_trace)) = (run(true), run(false));
+            assert_eq!(copied, charged, "{executor:?}");
+            assert_eq!(copy_trace.phases[0].lanes, charge_trace.phases[0].lanes);
         }
     }
 

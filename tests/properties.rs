@@ -373,6 +373,65 @@ proptest! {
         oblivious_differential(true, w, n, seed, lanes, key_kind, fault_seed);
     }
 
+    /// SPMS's root merges over its input: the output is the input's own
+    /// allocation, sorted, for every shape, size, thread count, kernel
+    /// dispatch and fault plan. A clean ledger does not depend on the
+    /// thread count. A faulted one does: the injector rolls per operation
+    /// in issue order, so with threads a fault can land on a different
+    /// bucket and restream its bytes; it is held to never undercutting
+    /// the clean run.
+    #[test]
+    fn spms_sorts_in_place_across_shapes_threads_and_faults(
+        w in (0u8..5, 2u64..500).prop_map(|(which, period)| match which {
+            0 => Workload::AllEqual,
+            1 => Workload::FewDistinct(3),
+            2 => Workload::Sawtooth(period),
+            3 => Workload::Zipf(1.1),
+            _ => Workload::UniformU64,
+        }),
+        // Most sizes leave the last group short; one in four is the
+        // smallest that recurses.
+        n in (0u8..4, 2usize..40_000).prop_map(|(edge, n)| match edge {
+            0 => ObliviousConfig::default().base_elems + 1,
+            _ => n,
+        }),
+        seed in any::<u64>(),
+        vector in any::<bool>(),
+        fault_seed in opt_fault_seed(),
+    ) {
+        let v = generate(w, n, seed);
+        let expect = sorted_copy(&v);
+        let prior = simd::enabled();
+        simd::set_enabled(vector);
+        let run = |threads: usize, fault_seed: Option<u64>| {
+            let tl = TwoLevel::new(tiny_params());
+            if let Some(fs) = fault_seed {
+                tl.install_fault_plan(FaultPlan::seeded(fs));
+            }
+            let input = tl.far_from_vec(v.clone());
+            let at = input.as_slice_uncharged().as_ptr();
+            let cfg = ObliviousConfig { lanes: 4, threads, ..Default::default() };
+            let (out, _) = spms_sort(&tl, input, &cfg).unwrap();
+            let out = out.as_slice_uncharged();
+            (out == expect.as_slice(), out.as_ptr() == at, tl.ledger().snapshot())
+        };
+        let clean: Vec<_> = [1, 2, 4].into_iter().map(|t| run(t, None)).collect();
+        let faulted: Vec<_> = match fault_seed {
+            Some(_) => [1, 2, 4].into_iter().map(|t| run(t, fault_seed)).collect(),
+            None => Vec::new(),
+        };
+        simd::set_enabled(prior);
+        for (i, (sorted, in_place, ledger)) in clean.iter().chain(&faulted).enumerate() {
+            let threads = [1, 2, 4][i % 3];
+            prop_assert!(*sorted, "{:?} n {} threads {}: not sorted", w, n, threads);
+            prop_assert!(*in_place, "{:?} n {} threads {}: output moved", w, n, threads);
+            prop_assert!(ledger.far_bytes >= clean[0].2.far_bytes);
+            prop_assert!(ledger.near_bytes >= clean[0].2.near_bytes);
+        }
+        prop_assert_eq!(&clean[0].2, &clean[1].2, "ledger at 1 thread differs from 2");
+        prop_assert_eq!(&clean[0].2, &clean[2].2, "ledger at 1 thread differs from 4");
+    }
+
     #[test]
     fn squaresort_differential_across_shapes_keys_and_faults(
         w in shaped_workload(),
