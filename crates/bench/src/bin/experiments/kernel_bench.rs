@@ -2,7 +2,7 @@
 //! layer (DESIGN.md §10).
 //!
 //! Four kernels × four workload shapes, plus three merge cells shaped like
-//! the sorters' own merges:
+//! the sorters' own merges and the radix sort's crossover:
 //!
 //! * `run_formation` — Phase-1 style chunk sorting: `sort_unstable` per run
 //!   (the pre-kernel reference) vs [`tlmm_core::kernels::sort_kernel`]
@@ -17,6 +17,9 @@
 //!   averaging one key, one single-key bucket) and an `spms_leaf_bucket`
 //!   cell shaped like its bucket merges one level down (1,000 merges of
 //!   57 runs averaging one key).
+//! * `radix_crossover` — `sort_unstable` vs `radix_sort` on the bench's
+//!   keys cut into pieces of 256–4,096 (the cell's `n`), uniform and
+//!   Zipf(1.1): where `RADIX_MIN_LEN` should sit (DESIGN.md §10).
 //! * `bucketize` — `BucketPos` extraction over sorted chunks (no
 //!   before/after pair: the kernel layer doesn't change it; the median is
 //!   recorded to catch regressions).
@@ -42,7 +45,7 @@ use tlmm_bench::bench_file::{median, BenchFile, Cell};
 use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln, run_sort, Engine, Overrides, SortSpec};
 use tlmm_core::kernels::reference::{form_runs_ref, merge_into_slice_ref};
-use tlmm_core::kernels::sort_kernel;
+use tlmm_core::kernels::{radix_sort, sort_kernel};
 use tlmm_core::losertree::{merge_into_slice, merge_with_loser_tree};
 use tlmm_core::{bucketize, extsort::RegionLevel};
 use tlmm_model::ScratchpadParams;
@@ -67,6 +70,9 @@ const SPMS_BUCKET_RUNS: usize = 3_163;
 /// SPMS's fan-in one level below the root of a 10M-key sort (`⌈√3163⌉`
 /// groups), where its ~180k bucket merges are.
 const SPMS_LEAF_BUCKETS: (usize, usize) = (57, 1_000);
+
+/// Piece lengths of the `radix_crossover` cells, around `RADIX_MIN_LEN`.
+const CROSSOVER_LENS: [usize; 5] = [256, 512, 1_024, 2_048, 4_096];
 
 struct Timing {
     warmup: usize,
@@ -187,6 +193,34 @@ fn run_formation_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<C
             optimized_ms: opt,
             speedup: Some(speedup),
         });
+    }
+}
+
+/// `sort_unstable` against `radix_sort` on `n` keys sorted in pieces of
+/// each of [`CROSSOVER_LENS`]: a cell's `n` is the piece length, and its
+/// times are for all `n` keys.
+fn radix_crossover_cells(n: usize, timing: &Timing, cells: &mut Vec<Cell>) {
+    for (name, w) in [
+        ("uniform", Workload::UniformU64),
+        ("zipf", Workload::Zipf(1.1)),
+    ] {
+        let input = generate(w, n, 0xF7);
+        for len in CROSSOVER_LENS {
+            let (base, opt, speedup) = paired_medians_ms(
+                timing,
+                || input.clone(),
+                |mut v| v.chunks_mut(len).for_each(<[u64]>::sort_unstable),
+                |mut v| v.chunks_mut(len).for_each(radix_sort),
+            );
+            cells.push(Cell {
+                kernel: "radix_crossover".into(),
+                workload: name.into(),
+                n: len,
+                baseline_ms: Some(base),
+                optimized_ms: opt,
+                speedup: Some(speedup),
+            });
+        }
     }
 }
 
@@ -415,6 +449,7 @@ pub fn run(mut args: Args) -> Outcome {
     let mut cells = Vec::new();
     run_formation_cells(n, &timing, smoke, &mut cells);
     kway_merge_cells(n, &timing, smoke, &mut cells);
+    radix_crossover_cells(n, &timing, &mut cells);
     bucketize_cells(n, &timing, &mut cells);
     nmsort_cells(&nmsort_sizes, &timing, &mut cells);
 

@@ -31,8 +31,8 @@
 //! [`crate::losertree::merge_counted_tree`] instead, a bottom-up two-way
 //! merge on the loser tree's shape that counts each node as it merges it
 //! (each node on [`simd::merge_pair`], which returns the node's count;
-//! runs of a few keys are counted over their concatenation and sorted
-//! once), the same output and count faster; duplicate-heavy merges stay
+//! runs of a few keys are counted over their non-empty runs alone and
+//! sorted once), the same output and count faster; duplicate-heavy merges stay
 //! on the loser tree, whose guarded-store streaks make them nearly free
 //! while two-way merges do fixed work per element.
 //! [`crate::losertree::merge_cost`] computes the count from the runs

@@ -10,8 +10,9 @@
 //! sends merges holding a duplicate-heavy run to the loser tree and the
 //! rest to a counted merge tree ([`merge_counted_tree`]), a bottom-up
 //! two-way merge on the loser tree's own shape that counts each node's
-//! comparisons as it merges (or, for runs of a few keys, counts each node
-//! over the concatenated runs and sorts them once). A deep merge of
+//! comparisons as it merges. Runs averaging a few keys are not merged at
+//! all: their non-empty runs are copied out, the tree is counted over them
+//! alone ([`leaf_cost`]), and one sort orders them. A deep merge of
 //! radix-key elements skips both: [`crate::pmerge`] charges it
 //! [`merge_cost`] and sorts cache-sized pieces of it instead.
 //!
@@ -351,8 +352,7 @@ impl<T> Drop for LoserTree<'_, T> {
 /// dispatch and thread counts, and the charged comparison total is
 /// unchanged either way (see [`merge_cost`]).
 fn duplicate_heavy<T: Ord>(r: &[T]) -> bool {
-    const PROBES: usize = 4;
-    if r.len() < PLATEAU_GAP * PROBES {
+    if r.len() < PROBE_MIN {
         return false;
     }
     let span = r.len() - PLATEAU_GAP;
@@ -368,6 +368,9 @@ fn duplicate_heavy<T: Ord>(r: &[T]) -> bool {
 /// Plateau length at which the loser tree's guarded-store streaks beat
 /// the two-way merge's fixed per-element work (see [`duplicate_heavy`]).
 const PLATEAU_GAP: usize = 32;
+
+/// Positions [`duplicate_heavy`] probes for a plateau.
+const PROBES: usize = 4;
 
 /// The pair pre-merge plan: the loser tree's leaves in order, as run-index
 /// ranges — each either one run or two adjacent runs merged first. With
@@ -450,13 +453,38 @@ fn fold_plan<T: Ord, N: Copy>(
 /// Comparisons the loser tree plays merging `runs` over the pair
 /// pre-merge plan — the pairs ([`crate::kernels::simd::pair_merge_cost`]
 /// each) plus the tree over the plan's leaves (`node_cost` per node) —
-/// computed from the runs alone in `O(k lg k)` binary searches. Every
-/// kernel of [`merge_into_slice`] returns exactly this count, and the
-/// tests hold them to it. It is also a charge on its own: a deep merge of
-/// radix-key elements ([`crate::pmerge::parallel_merge`]) is charged this
-/// count per part and executed by sorting, without playing any tree. With
-/// two runs it is `pair_merge_cost`.
-pub fn merge_cost<T: Ord>(runs: &[&[T]]) -> u64 {
+/// computed from the runs alone. Every kernel of [`merge_into_slice`]
+/// returns exactly this count, and the tests hold them to it. It is also a
+/// charge on its own: a deep merge of radix-key elements
+/// ([`crate::pmerge::parallel_merge`]) is charged this count per part and
+/// executed by sorting, without playing any tree. With two runs it is
+/// `pair_merge_cost`.
+///
+/// Runs averaging fewer than [`SORT_MEAN_RUN`] keys are counted over their
+/// non-empty runs alone ([`leaf_cost`], on a copy of them laid end to
+/// end); longer ones by `O(k lg k)` binary searches (`search_cost`).
+pub fn merge_cost<T: Ord + Copy>(runs: &[&[T]]) -> u64 {
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    if runs.len() >= 2 && total < SORT_MEAN_RUN * runs.len() {
+        let mut keys = Vec::with_capacity(total);
+        let mut leaves = Vec::with_capacity(runs.len().min(total));
+        for (i, r) in runs.iter().enumerate() {
+            if let Some(&max) = r.last() {
+                keys.extend_from_slice(r);
+                leaves.push(Leaf::new(i, r.len(), max));
+            }
+        }
+        if let Some(cost) = leaf_cost(&keys, &leaves, false) {
+            return cost;
+        }
+    }
+    search_cost(runs)
+}
+
+/// [`merge_cost`] by binary searches: each tree level is built from the
+/// one below, carrying every node's runs, length and maximum, and a node
+/// costs one search of each run of one side.
+fn search_cost<T: Ord>(runs: &[&[T]]) -> u64 {
     if runs.len() < 2 {
         return 0;
     }
@@ -533,11 +561,14 @@ fn node_cost<T: Ord>(runs: &[&[T]], left: CostNode<T>, right: CostNode<T>) -> u6
 /// ties — and its charge has a closed form (`single_key_cost`); SPMS's
 /// duplicate-heavy buckets are mostly of these two shapes.
 ///
-/// Otherwise two kernels, one result. A merge holding a duplicate-heavy
+/// Runs averaging fewer than [`SORT_MEAN_RUN`] keys, from SPMS's sample
+/// merges to a sparse part of a deep merge, are copied out, counted over
+/// their non-empty runs and sorted once (`count_and_sort`), whatever their
+/// keys. Otherwise two kernels, one result. A merge holding a duplicate-heavy
 /// run (the plateau probe) runs the loser tree, whose guarded-store
 /// streaks make it nearly free while a two-way merge does fixed work per
-/// element. Every other merge, from SPMS's buckets of one-key runs to
-/// NMsort's Phase-2 parts, runs [`merge_counted_tree`], which counts as it
+/// element. Every other merge, from SPMS's larger buckets to NMsort's
+/// Phase-2 parts, runs [`merge_counted_tree`], which counts as it
 /// merges. Both kernels keep run order on ties (lower run index first),
 /// so the emitted sequence is the same, and both count the same tree.
 ///
@@ -553,6 +584,7 @@ pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64
             0
         }
         _ if total == 0 => 0,
+        k if total < SORT_MEAN_RUN * k => count_and_sort(runs, out),
         _ if single_key(runs) => {
             let mut rest: &mut [T] = out;
             for r in runs {
@@ -702,8 +734,8 @@ impl<'r, T> Node<'r, T> {
 ///
 /// Runs averaging fewer than [`SORT_MEAN_RUN`] keys, where merging node
 /// by node is mostly per-node overhead, are not merged: the same tree is
-/// counted over the runs concatenated into `out` (`count_and_sort`), and
-/// one stable sort orders them. Public so tests and benches can run one
+/// counted over the non-empty runs copied into `out` (`count_and_sort`),
+/// and one sort orders them. Public so tests and benches can run one
 /// kernel on any shape.
 ///
 /// # Panics
@@ -722,7 +754,7 @@ fn counted_tree<T: crate::SortElem>(
 ) -> u64 {
     let total = out.len();
     if total < SORT_MEAN_RUN * runs.len() {
-        return count_and_sort(runs, out, plan);
+        return count_and_sort(runs, out);
     }
     let root_height = plan.clone().count().next_power_of_two().trailing_zeros();
     // Allocated by the first join that writes it or moves a node into it.
@@ -772,60 +804,189 @@ fn counted_tree<T: crate::SortElem>(
     cmps
 }
 
-/// Mean run length below which [`merge_counted_tree`] counts and sorts
-/// instead of merging. With runs of about one key (SPMS's buckets), a
+/// Mean run length below which a merge is counted over its non-empty runs
+/// ([`leaf_cost`]) and sorted instead of merged, by [`merge_into_slice`],
+/// [`merge_counted_tree`] and SPMS's bucket merges, and below which
+/// [`merge_cost`] counts the same way. With runs of about one key, a
 /// merge per node costs a mispredicted loop exit and two tail copies per
 /// key or so; a scan per node and one sort cost less, about a fifth of
 /// SPMS's wall time on Zipf keys against merging every node (DESIGN.md
 /// §10). On uniform `u64` sorting still won at 32 keys per run and lost
 /// from a few hundred, so 8 keeps well clear of the crossover. A
 /// data-shape constant: the count is the same either way.
-const SORT_MEAN_RUN: usize = 8;
+pub(crate) const SORT_MEAN_RUN: usize = 8;
 
-/// [`merge_counted_tree`] for runs of a few keys: copy the runs into `out`
-/// in run order, count every node of the tree from its sides' maxima and
-/// one scan of the side that does not exhaust first (the `node_cost`
-/// formula, which needs no order within a side), then sort `out`. Stably
+/// [`merge_counted_tree`] for runs of a few keys: copy the non-empty runs
+/// into `out` in run order, one [`Leaf`] each, count the tree over the
+/// leaves ([`leaf_cost`], or `search_cost` when a run is long enough for
+/// the plan to leave it unpaired), then sort `out` ([`sort_merged`]),
+/// unless it holds one key value and is already in order.
+fn count_and_sort<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
+    let Some(&key) = runs.iter().find_map(|r| r.first()) else {
+        return 0;
+    };
+    let mut leaves = Vec::with_capacity(runs.len().min(out.len()));
+    let mut single = true;
+    let mut at = 0;
+    for (i, r) in runs.iter().enumerate() {
+        let (Some(first), Some(&max)) = (r.first(), r.last()) else {
+            continue;
+        };
+        single &= (*first == key) & (max == key);
+        out[at..at + r.len()].copy_from_slice(r);
+        at += r.len();
+        leaves.push(Leaf::new(i, r.len(), max));
+    }
+    let cost = leaf_cost(out, &leaves, single).unwrap_or_else(|| search_cost(runs));
+    if !single {
+        sort_merged(out);
+    }
+    cost
+}
+
+/// Sort the concatenated runs of a merge into its output order: stably
 /// in general, which keeps equal keys in run order as every kernel does;
 /// with the host sort kernel for [`crate::kernels::RadixKey`] types, whose
 /// equal keys are identical, so any order of them is the same output.
-fn count_and_sort<T: crate::SortElem>(
-    runs: &[&[T]],
-    out: &mut [T],
-    plan: impl Iterator<Item = Range<usize>>,
-) -> u64 {
-    let mut rest: &mut [T] = out;
-    for r in runs {
-        let (dst, next) = rest.split_at_mut(r.len());
-        dst.copy_from_slice(r);
-        rest = next;
-    }
-    let concat: &[T] = out;
-    let mut cmps = 0u64;
-    // A node: its keys' offset and length in `concat`, and their maximum.
-    let leaf = |r: usize, at: usize| (at, runs[r].len(), runs[r].last().copied());
-    fold_plan(
-        runs,
-        plan,
-        leaf,
-        |(lat, llen, lmax), (rat, rlen, rmax), _| {
-            let (Some(lm), Some(rm)) = (lmax, rmax) else {
-                return (lat, llen + rlen, lmax.or(rmax));
-            };
-            cmps += if lm <= rm {
-                llen + concat[rat..rat + rlen].iter().filter(|&&x| x < lm).count()
-            } else {
-                rlen + concat[lat..lat + llen].iter().filter(|&&x| x <= rm).count()
-            } as u64;
-            (lat, llen + rlen, Some(lm.max(rm)))
-        },
-    );
+pub(crate) fn sort_merged<T: crate::SortElem>(out: &mut [T]) {
     if crate::kernels::radix_kernel::<T>().is_some() {
         crate::kernels::sort_kernel(out);
     } else {
         out.sort();
     }
-    cmps
+}
+
+/// A non-empty run of a merge, as [`leaf_cost`] takes it: the run's index
+/// among the merge's runs (empty ones included), its length and its last,
+/// largest key. The run's keys follow the previous leaf's in the keys
+/// `leaf_cost` is given.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Leaf<T> {
+    run: u32,
+    len: u32,
+    max: T,
+}
+
+impl<T> Leaf<T> {
+    /// Run `run` of `len` keys, the last `max`. Both fit a `u32`: leaves
+    /// come from merges of runs averaging under [`SORT_MEAN_RUN`] keys, and
+    /// 2³² runs would take 64 GiB of slices to list.
+    #[inline]
+    pub(crate) fn new(run: usize, len: usize, max: T) -> Self {
+        debug_assert!(u32::try_from(run.max(len)).is_ok());
+        Self {
+            run: run as u32,
+            len: len as u32,
+            max,
+        }
+    }
+}
+
+/// Runs shorter than this are never [`duplicate_heavy`] (its probes need
+/// `PROBES` plateau gaps), so a merge of them pairs every adjacent run.
+const PROBE_MIN: usize = PLATEAU_GAP * PROBES;
+
+/// [`merge_cost`] from a merge's non-empty runs alone: `keys` holds them
+/// end to end and `leaves` describes them in order. With `single_key`
+/// every key is the same value.
+///
+/// When the pair plan pairs every adjacent run (fewer than four runs, or
+/// every run pairable), the tree over the plan's leaves is the complete
+/// binary tree over the runs themselves, a pair being a node of height 1,
+/// so a run's leaf position is its run index. A node plays only when both
+/// of its sides hold keys, so the nodes that play are those where two
+/// non-empty runs first meet: runs `i < j` meet at the node of height
+/// `⌊lg(i ^ j)⌋ + 1`, their positions' lowest common ancestor, and
+/// neighbours in run order meet at strictly different heights. A stack of
+/// subtrees waiting for their right neighbour, each tagged with the height
+/// at which it joins the one below, gives every playing node once, in
+/// `O(leaves)` joins; each costs the `node_cost` formula, a scan of the
+/// side that does not exhaust first. Empty runs cost nothing.
+///
+/// Returns `None` when a run has [`PROBE_MIN`] keys or more: the plan may
+/// leave it unpaired, so positions need not be run indices.
+pub(crate) fn leaf_cost<T: Ord + Copy>(
+    keys: &[T],
+    leaves: &[Leaf<T>],
+    single_key: bool,
+) -> Option<u64> {
+    let Some(first) = leaves.first() else {
+        return Some(0);
+    };
+    // Subtrees from the bottom: their keys `keys[at..at + len]`, their
+    // maximum, and the height at which each joins the one below it
+    // (strictly decreasing upwards, so 33 slots hold any u32 run index).
+    let mut stack = [Sub {
+        at: 0,
+        len: first.len as usize,
+        max: first.max,
+        height: u32::MAX,
+    }; u32::BITS as usize + 1];
+    let mut top = 0;
+    let mut at = first.len as usize;
+    let mut long = first.len as usize >= PROBE_MIN;
+    let mut prev = first.run;
+    let mut cost = 0u64;
+    for leaf in &leaves[1..] {
+        let height = u32::BITS - (leaf.run ^ prev).leading_zeros();
+        prev = leaf.run;
+        long |= leaf.len as usize >= PROBE_MIN;
+        while stack[top].height < height {
+            let right = stack[top];
+            top -= 1;
+            cost += join(keys, &mut stack[top], right, single_key);
+        }
+        top += 1;
+        stack[top] = Sub {
+            at,
+            len: leaf.len as usize,
+            max: leaf.max,
+            height,
+        };
+        at += leaf.len as usize;
+    }
+    while top > 0 {
+        let right = stack[top];
+        top -= 1;
+        cost += join(keys, &mut stack[top], right, single_key);
+    }
+    (!long).then_some(cost)
+}
+
+/// A subtree of [`leaf_cost`]'s stack.
+#[derive(Clone, Copy)]
+struct Sub<T> {
+    at: usize,
+    len: usize,
+    max: T,
+    height: u32,
+}
+
+/// Join `right` into its left neighbour `left` and return the node's
+/// comparisons, the `node_cost` formula: when `left` exhausts first (its
+/// maximum is no greater), `|left|` plus the right keys `<` its maximum,
+/// else `|right|` plus the left keys `≤` the right maximum. With one key
+/// value throughout, the left side exhausts first and no right key is
+/// below its last.
+///
+/// The sides are a few keys long, so a join costs its branches more than
+/// its scan. A branch-free choice of side and a fixed-width masked scan
+/// were measured no faster than this plain form on 57- and 3,163-run
+/// buckets (DESIGN.md §10).
+#[inline]
+fn join<T: Ord + Copy>(keys: &[T], left: &mut Sub<T>, right: Sub<T>, single_key: bool) -> u64 {
+    let cost = if single_key {
+        left.len
+    } else if left.max <= right.max {
+        let side = &keys[right.at..right.at + right.len];
+        left.len + side.iter().filter(|&&x| x < left.max).count()
+    } else {
+        let side = &keys[left.at..left.at + left.len];
+        right.len + side.iter().filter(|&&x| x <= right.max).count()
+    };
+    left.len += right.len;
+    left.max = left.max.max(right.max);
+    cost as u64
 }
 
 #[cfg(test)]
@@ -1026,6 +1187,156 @@ mod tests {
         let long = [9u64; 200];
         let runs = [&long[..], &key[..2], &key[..0], &long[..], &key[..1]];
         assert_eq!(single_key_cost(&runs), merge_cost(&runs));
+    }
+
+    /// The loser tree's count over `runs` three ways that share no code:
+    /// [`leaf_cost`] over the non-empty runs, `search_cost` by binary
+    /// searches, and the reference tree played to the end. Returns
+    /// whether the leaf count applied (no run of [`PROBE_MIN`] keys).
+    /// Also holds `merge_cost`, and `merge_into_slice`'s count and output,
+    /// to them with SIMD dispatch on and off.
+    fn check_leaf_count<T: crate::SortElem + std::fmt::Debug>(runs: &[Vec<T>]) -> bool {
+        let refs: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
+        let keys: Vec<T> = runs.concat();
+        let leaves: Vec<Leaf<T>> = refs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| Some(Leaf::new(i, r.len(), *r.last()?)))
+            .collect();
+        let single = keys.iter().all(|k| k == &keys[0]);
+        let searched = search_cost(&refs);
+        let counted = leaf_cost(&keys, &leaves, false);
+        let long = runs.iter().any(|r| r.len() >= PROBE_MIN);
+        assert_eq!(counted.is_none(), long, "the leaf count declines long runs");
+        if let Some(counted) = counted {
+            assert_eq!(counted, searched, "leaf count against search");
+            let mut played = ReferenceLoserTree::new(refs.clone());
+            while played.next_element().is_some() {}
+            assert_eq!(counted, played.comparisons(), "leaf count against the tree");
+            if single {
+                assert_eq!(leaf_cost(&keys, &leaves, true), Some(counted));
+            }
+        }
+        assert_eq!(merge_cost(&refs), searched, "merge_cost");
+        let mut expect = keys.clone();
+        expect.sort();
+        let prior = crate::kernels::simd::enabled();
+        for vector in [true, false] {
+            crate::kernels::simd::set_enabled(vector);
+            let mut out = vec![T::default(); keys.len()];
+            let cmps = merge_into_slice(&refs, &mut out);
+            crate::kernels::simd::set_enabled(prior);
+            assert_eq!(cmps, searched, "merge_into_slice, SIMD {vector}");
+            assert_eq!(out, expect, "merge_into_slice, SIMD {vector}");
+        }
+        !long
+    }
+
+    /// `k` runs of `len(i)` keys each from `key(i, j)`, each run sorted.
+    fn runs_of<T: Ord>(
+        k: usize,
+        len: impl Fn(usize) -> usize,
+        key: impl Fn(usize, usize) -> T,
+    ) -> Vec<Vec<T>> {
+        (0..k)
+            .map(|i| {
+                let mut run: Vec<T> = (0..len(i)).map(|j| key(i, j)).collect();
+                run.sort();
+                run
+            })
+            .collect()
+    }
+
+    #[test]
+    fn leaf_count_on_empty_one_key_and_equal_runs() {
+        let ks: &[usize] = if cfg!(miri) {
+            &[2, 3, 4, 5, 57]
+        } else {
+            &[2, 3, 4, 5, 57, 3_163]
+        };
+        for &k in ks {
+            // Every run empty; every other run empty; runs of one key;
+            // empty runs at both ends with 0-3 keys between; all equal.
+            let mix = |i: usize, j: usize| (i * 7 + j * 13) as u64 % 11;
+            assert!(check_leaf_count(&runs_of(k, |_| 0, mix)));
+            assert!(check_leaf_count(&runs_of(k, |i| i % 2, mix)));
+            assert!(check_leaf_count(&runs_of(k, |_| 1, mix)));
+            let ends = |i: usize| if i == 0 || i + 1 == k { 0 } else { i % 4 };
+            assert!(check_leaf_count(&runs_of(k, ends, mix)));
+            assert!(check_leaf_count(&runs_of(k, |i| i % 3, |_, _| 5u64)));
+            assert!(check_leaf_count(&runs_of(
+                k,
+                |i| i % 4,
+                |i, j| (i * j) as u32 % 3
+            )));
+            assert!(check_leaf_count(&runs_of(
+                k,
+                |i| (i + 1) % 3,
+                |i, j| { ((j % 2) as u64, (i % 5) as u64) }
+            )));
+        }
+    }
+
+    #[test]
+    fn leaf_count_declines_a_run_long_enough_to_probe() {
+        // One run of PROBE_MIN keys among one-key runs: a plateau keeps it
+        // out of the pair plan, so run indices need not be leaf positions,
+        // and the leaf count declines it, plateau or not.
+        for k in [5usize, 57] {
+            for plateau in [true, false] {
+                let runs = runs_of(
+                    k,
+                    |i| if i == 2 { PROBE_MIN } else { 1 },
+                    |i, j| {
+                        if plateau {
+                            (i + j / 40) as u64
+                        } else {
+                            (i * 3 + j) as u64
+                        }
+                    },
+                );
+                assert!(!check_leaf_count(&runs));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// Runs of 0-3 keys, now and then a longer one, from a small key
+        /// range (ties) or the full one, as `u64`, `u32` and pairs.
+        #[test]
+        fn leaf_count_matches_search_and_the_tree(
+            seed in proptest::prelude::any::<u64>(),
+            k_at in 0usize..6,
+            range in proptest::prelude::any::<bool>(),
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let k = [2, 3, 4, 5, 57, 3_163][k_at];
+            let lens: Vec<usize> = (0..k)
+                .map(|_| match rng.gen_range(0..40) {
+                    0 => rng.gen_range(4..200),
+                    x => x % 4,
+                })
+                .collect();
+            let span = if range { 6 } else { u64::MAX };
+            let raw: Vec<Vec<u64>> = lens
+                .iter()
+                .map(|&n| (0..n).map(|_| rng.gen_range(0..=span)).collect())
+                .collect();
+            let sorted = |runs: Vec<Vec<u64>>| runs.into_iter().map(|mut r| { r.sort(); r }).collect::<Vec<_>>();
+            check_leaf_count(&sorted(raw.clone()));
+            check_leaf_count(&raw.iter().map(|r| {
+                let mut r: Vec<u32> = r.iter().map(|&x| x as u32).collect();
+                r.sort();
+                r
+            }).collect::<Vec<_>>());
+            check_leaf_count(&raw.iter().map(|r| {
+                let mut r: Vec<(u64, u64)> = r.iter().map(|&x| (x % 3, x)).collect();
+                r.sort();
+                r
+            }).collect::<Vec<_>>());
+        }
     }
 
     #[test]

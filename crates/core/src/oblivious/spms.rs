@@ -19,6 +19,12 @@
 //! ([`crate::inplace`]), so the copy-back pass is charged but moves no
 //! bytes.
 //!
+//! Most buckets hold about one key per group, and most groups none. Such a
+//! bucket is merged in one walk over its two boundary rows
+//! ([`Boundaries::merge_tiny`]): its non-empty segments are copied out,
+//! the loser tree is counted over them alone
+//! ([`crate::losertree::leaf_cost`]), and one sort orders them.
+//!
 //! Control flow depends only on `n`. The machine's [`super::Ctx`] decides
 //! which memory level each pass is charged against and charges the far
 //! ingest/writeback boundary when a subtree becomes scratchpad-resident —
@@ -27,7 +33,9 @@
 use super::{ceil_sqrt, Ctx, ObliviousConfig, ObliviousReport};
 use crate::extsort::RegionLevel;
 use crate::inplace::InPlaceOutput;
-use crate::losertree::{merge_into_slice, single_key, single_key_cost};
+use crate::losertree::{
+    leaf_cost, merge_into_slice, single_key, single_key_cost, sort_merged, Leaf, SORT_MEAN_RUN,
+};
 use crate::par::{
     charge_compute_striped, charge_copy, charge_io_striped, charged_copy, CopyKind, Pieces,
 };
@@ -203,10 +211,14 @@ fn node<T: SortElem>(
             let mut bounds = Boundaries::default();
             bounds.scan(&groups, &pivots, 0..n_groups, |_| 0, cx.threads);
             charge_search();
-            let starts = bounds.column_sums();
+            let sizes: Vec<usize> = bounds
+                .column_sums()
+                .windows(2)
+                .map(|w| w[1] - w[0])
+                .collect();
             let mut rest: &mut [T] = scratch;
-            let outs = starts.windows(2).map(|w| {
-                let (out, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+            let outs = sizes.iter().map(|&len| {
+                let (out, tail) = std::mem::take(&mut rest).split_at_mut(len);
                 rest = tail;
                 out
             });
@@ -214,6 +226,7 @@ fn node<T: SortElem>(
                 &groups,
                 &bounds,
                 0,
+                &sizes,
                 outs.collect(),
                 false,
                 Vec::new(),
@@ -317,6 +330,7 @@ fn merge_in_place<T: SortElem>(
             &groups,
             &bounds,
             wave.start,
+            &sizes,
             outs.collect(),
             fill,
             side,
@@ -427,21 +441,23 @@ struct Buckets<'c, 'a> {
 
 impl Buckets<'_, '_> {
     /// Merge buckets `first..first + outs.len()`, whose boundaries `bounds`
-    /// holds from `first` on, each into its exactly sized `outs` slice, on
-    /// the pool in tasks of up to [`MERGE_TASK`] buckets, at least four
-    /// tasks per thread so a wave's skewed buckets still spread. Bucket `b`
-    /// is charged on lane `base + b % lanes`: one fault-gated read of its
-    /// keys, the loser tree's comparisons and one write. With `fill`, a
-    /// bucket of one key value is not merged: its entry in the result is
-    /// that key, and its slice is left alone (the charges are the same).
-    /// The `side` jobs, which charge nothing, run on the same pool after
-    /// the merge tasks are claimed.
+    /// holds from `first` on and whose lengths are `sizes`, each into its
+    /// `outs` slice, on the pool in tasks of up to [`MERGE_TASK`] buckets,
+    /// at least four tasks per thread so a wave's skewed buckets still
+    /// spread. Bucket `b` is charged on lane `base + b % lanes`: one
+    /// fault-gated read of its keys, the loser tree's comparisons and one
+    /// write. With `fill`, a bucket of one key value is not merged: its
+    /// entry in the result is that key, and its slice, which may then be
+    /// empty, holds nothing in particular (the charges are the same). The
+    /// `side` jobs, which charge nothing, run on the same pool after the
+    /// merge tasks are claimed.
     #[allow(clippy::too_many_arguments)]
     fn merge<T: SortElem, S: Send>(
         &self,
         groups: &[&[T]],
         bounds: &Boundaries,
         first: usize,
+        sizes: &[usize],
         outs: Vec<&mut [T]>,
         fill: bool,
         side: Vec<S>,
@@ -466,22 +482,32 @@ impl Buckets<'_, '_> {
                     return Vec::new();
                 }
             };
-            let mut segs = Vec::with_capacity(groups.len());
+            let mut segs = Vec::new();
+            let mut leaves = Vec::new();
             let mut keys = Vec::with_capacity(outs.len());
             for (i, out) in outs.into_iter().enumerate() {
                 let b = t * per + i;
+                let len = sizes[b];
                 keys.push(with_lane(self.base + (first + b) % self.lanes, || {
-                    bounds.bucket_into(groups, b, &mut segs);
-                    let len: usize = segs.iter().map(|s| s.len()).sum();
-                    let key = if fill && single_key(&segs) {
-                        segs.iter().find_map(|s| s.first()).copied()
+                    let tiny = len < SORT_MEAN_RUN * groups.len() && out.len() == len;
+                    let (cmps, key) = if tiny {
+                        bounds.merge_tiny(groups, b, out, fill, &mut leaves)
                     } else {
                         None
-                    };
-                    let cmps = match key {
-                        Some(_) => single_key_cost(&segs),
-                        None => merge_into_slice(&segs, out),
-                    };
+                    }
+                    .unwrap_or_else(|| {
+                        bounds.bucket_into(groups, b, &mut segs);
+                        let key = if fill && single_key(&segs) {
+                            segs.iter().find_map(|s| s.first()).copied()
+                        } else {
+                            None
+                        };
+                        let cmps = match key {
+                            Some(_) => single_key_cost(&segs),
+                            None => merge_into_slice(&segs, out),
+                        };
+                        (cmps, key)
+                    });
                     let bytes = (len * std::mem::size_of::<T>()) as u64;
                     cx.preflight_stream(level, bytes, 1);
                     charge_io_striped(cx.tl, level, Dir::Read, bytes, 1);
@@ -497,8 +523,27 @@ impl Buckets<'_, '_> {
     }
 }
 
+/// Copy `src` into `dst`, as long. Segments of up to [`SHORT_COPY`] keys,
+/// nearly all of a tiny-run bucket's, are copied key by key without a
+/// branch on their length (the last key is written again to fill the
+/// width); `copy_from_slice` would call `memcpy` for each.
+#[inline]
+fn copy_short<T: Copy>(src: &[T], dst: &mut [T]) {
+    if src.len() > SHORT_COPY {
+        dst.copy_from_slice(src);
+        return;
+    }
+    let last = src.len() - 1;
+    for j in 0..SHORT_COPY {
+        dst[j.min(last)] = src[j.min(last)];
+    }
+}
+
+/// Widest segment [`copy_short`] copies key by key.
+const SHORT_COPY: usize = 4;
+
 /// Groups per block of the boundary table: one partition task's share of
-/// the scan, and the width of one table row.
+/// the scan, and the width of one table row (and of a `u64` mask).
 const BLOCK: usize = 64;
 
 /// Walk sorted group `g` through its boundaries `buckets.start` to
@@ -645,6 +690,60 @@ impl Boundaries {
                     .map(|(g, (&l, &h))| &g[l as usize..h as usize]),
             );
         }
+    }
+
+    /// Merge bucket `b` of the run, whose runs average fewer than
+    /// [`SORT_MEAN_RUN`] keys, into `out`, exactly its length, in one walk
+    /// over its two boundary rows: copy each non-empty segment into `out`
+    /// in group order, one [`Leaf`] each (into `leaves`), and count the
+    /// loser tree over the leaves alone ([`leaf_cost`]), so empty segments
+    /// cost nothing. Then sort `out`, unless the walk saw one key value;
+    /// with `fill`, that key is returned as well. Returns the count and
+    /// the key, or `None` when a segment is long enough for the count to
+    /// need every run ([`leaf_cost`]), with `out` then unspecified.
+    fn merge_tiny<T: SortElem>(
+        &self,
+        groups: &[&[T]],
+        b: usize,
+        out: &mut [T],
+        fill: bool,
+        leaves: &mut Vec<Leaf<T>>,
+    ) -> Option<(u64, Option<T>)> {
+        leaves.clear();
+        let mut at = 0;
+        let mut single = true;
+        for (blk, (gs, slab)) in groups
+            .chunks(BLOCK)
+            .zip(self.table.chunks(self.rows * BLOCK))
+            .enumerate()
+        {
+            let lo = &slab[b * BLOCK..(b + 1) * BLOCK];
+            let hi = &slab[(b + 1) * BLOCK..(b + 2) * BLOCK];
+            // The block's non-empty segments as a bit mask, compared
+            // without a branch per group: at the root most are empty.
+            let mut mask = u64::MAX >> (BLOCK - gs.len());
+            for (i, (l, h)) in lo.iter().zip(hi).enumerate() {
+                mask &= !(u64::from(h == l) << i);
+            }
+            while mask != 0 {
+                let i = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let seg = &gs[i][lo[i] as usize..hi[i] as usize];
+                let (first, max) = (seg[0], seg[seg.len() - 1]);
+                copy_short(seg, &mut out[at..at + seg.len()]);
+                at += seg.len();
+                single &= (first == out[0]) & (max == out[0]);
+                leaves.push(Leaf::new(blk * BLOCK + i, seg.len(), max));
+            }
+        }
+        let cmps = leaf_cost(out, leaves, single)?;
+        if !single {
+            sort_merged(out);
+        }
+        Some((
+            cmps,
+            (fill && single).then(|| out.first().copied()).flatten(),
+        ))
     }
 }
 
@@ -851,6 +950,80 @@ mod tests {
                             assert_eq!(table.column_sums(), starts[first..=end]);
                         }
                     }
+                }
+            }
+        }
+    }
+
+    /// The one-pass tiny-run merge against the general one: on the shapes
+    /// above, every bucket of the full table and of waves of 1, 2 and 7
+    /// buckets, [`Boundaries::merge_tiny`] writes what
+    /// [`Boundaries::bucket_into`] + `merge_into_slice` write and charges
+    /// the same count, the reference tree's played count (these groups are too short for it to decline a
+    /// bucket, as it does one holding a segment long enough to be probed
+    /// for plateaus). With `fill` it names the key of a
+    /// non-empty bucket of one key value, and no other.
+    #[test]
+    fn tiny_bucket_pass_matches_bucket_into_and_merge() {
+        use crate::kernels::reference::ReferenceLoserTree;
+        use tlmm_workloads::{generate, Workload};
+        let shapes: &[(usize, usize)] = if cfg!(miri) {
+            &[(4_097, 64), (450, 20)]
+        } else {
+            &[(13_000, 101), (4_096, 64), (4_097, 64), (450, 20)]
+        };
+        for w in [
+            Workload::AllEqual,
+            Workload::FewDistinct(3),
+            Workload::Sawtooth(37),
+            Workload::Zipf(1.1),
+            Workload::UniformU64,
+        ] {
+            for &(n, group) in shapes {
+                let mut data = generate(w, n, n as u64);
+                for g in data.chunks_mut(group) {
+                    g.sort_unstable();
+                }
+                let mut sorted = data.clone();
+                sorted.sort_unstable();
+                let n_groups = n.div_ceil(group);
+                let pivots: Vec<u64> = (1..n_groups).map(|j| sorted[j * n / n_groups]).collect();
+                let groups: Vec<&[u64]> = data.chunks(group).collect();
+                let mut from = vec![0; n_groups];
+                for wave in [n_groups, 1, 2, 7] {
+                    for first in (0..n_groups).step_by(wave) {
+                        let end = (first + wave).min(n_groups);
+                        let mut table = Boundaries::default();
+                        table.scan(&groups, &pivots, first..end, |g| from[g], 1);
+                        for (g, f) in from.iter_mut().enumerate() {
+                            *f = table.get(g, end - first);
+                        }
+                        let sizes = table.column_sums();
+                        let (mut segs, mut leaves) = (Vec::new(), Vec::new());
+                        for b in 0..end - first {
+                            table.bucket_into(&groups, b, &mut segs);
+                            let len = sizes[b + 1] - sizes[b];
+                            let mut expect = vec![0; len];
+                            let cmps = merge_into_slice(&segs, &mut expect);
+                            let mut out = vec![0; len];
+                            let label = format!("{w:?} n={n} wave {first}..{end} bucket {b}");
+                            let Some((got, key)) =
+                                table.merge_tiny(&groups, b, &mut out, true, &mut leaves)
+                            else {
+                                assert!(segs.iter().any(|s| s.len() >= 128), "{label}");
+                                continue;
+                            };
+                            assert_eq!(got, cmps, "{label}");
+                            assert_eq!(out, expect, "{label}");
+                            // The count shares no code with the tree.
+                            let mut tree = ReferenceLoserTree::new(segs.clone());
+                            while tree.next_element().is_some() {}
+                            assert_eq!(got, tree.comparisons(), "{label}");
+                            let one = len > 0 && single_key(&segs);
+                            assert_eq!(key, one.then(|| expect[0]), "{label}");
+                        }
+                    }
+                    from.fill(0);
                 }
             }
         }
