@@ -12,7 +12,7 @@
 //! two-way merge on the loser tree's own shape that counts each node's
 //! comparisons as it merges. Runs averaging a few keys are not merged at
 //! all: their non-empty runs are copied out, the tree is counted over them
-//! alone ([`leaf_cost`]), and one sort orders them. A deep merge of
+//! alone (`leaf_cost`), and one sort orders them. A deep merge of
 //! radix-key elements skips both: [`crate::pmerge`] charges it
 //! [`merge_cost`] and sorts cache-sized pieces of it instead.
 //!
@@ -460,8 +460,8 @@ fn fold_plan<T: Ord, N: Copy>(
 /// executed by sorting, without playing any tree. With two runs it is
 /// `pair_merge_cost`.
 ///
-/// Runs averaging fewer than [`SORT_MEAN_RUN`] keys are counted over their
-/// non-empty runs alone ([`leaf_cost`], on a copy of them laid end to
+/// Runs averaging fewer than 8 keys (`SORT_MEAN_RUN`) are counted over their
+/// non-empty runs alone (`leaf_cost`, on a copy of them laid end to
 /// end); longer ones by `O(k lg k)` binary searches (`search_cost`).
 pub fn merge_cost<T: Ord + Copy>(runs: &[&[T]]) -> u64 {
     let total: usize = runs.iter().map(|r| r.len()).sum();
@@ -561,7 +561,7 @@ fn node_cost<T: Ord>(runs: &[&[T]], left: CostNode<T>, right: CostNode<T>) -> u6
 /// ties — and its charge has a closed form (`single_key_cost`); SPMS's
 /// duplicate-heavy buckets are mostly of these two shapes.
 ///
-/// Runs averaging fewer than [`SORT_MEAN_RUN`] keys, from SPMS's sample
+/// Runs averaging fewer than 8 keys (`SORT_MEAN_RUN`), from SPMS's sample
 /// merges to a sparse part of a deep merge, are copied out, counted over
 /// their non-empty runs and sorted once (`count_and_sort`), whatever their
 /// keys. Otherwise two kernels, one result. A merge holding a duplicate-heavy

@@ -21,9 +21,9 @@
 //!
 //! Most buckets hold about one key per group, and most groups none. Such a
 //! bucket is merged in one walk over its two boundary rows
-//! ([`Boundaries::merge_tiny`]): its non-empty segments are copied out,
-//! the loser tree is counted over them alone
-//! ([`crate::losertree::leaf_cost`]), and one sort orders them.
+//! (`Boundaries::merge_tiny`): its non-empty segments are copied out, the
+//! loser tree is counted over them alone (`losertree::leaf_cost`), and
+//! one sort orders them.
 //!
 //! Control flow depends only on `n`. The machine's [`super::Ctx`] decides
 //! which memory level each pass is charged against and charges the far
@@ -959,10 +959,11 @@ mod tests {
     /// above, every bucket of the full table and of waves of 1, 2 and 7
     /// buckets, [`Boundaries::merge_tiny`] writes what
     /// [`Boundaries::bucket_into`] + `merge_into_slice` write and charges
-    /// the same count, the reference tree's played count (these groups are too short for it to decline a
-    /// bucket, as it does one holding a segment long enough to be probed
-    /// for plateaus). With `fill` it names the key of a
-    /// non-empty bucket of one key value, and no other.
+    /// the same count, which is also the reference tree's played count.
+    /// (These groups are too short for it to decline a bucket, as it does
+    /// one holding a segment long enough to be probed for plateaus.) With
+    /// `fill` it names the key of a non-empty bucket of one key value, and
+    /// no other.
     #[test]
     fn tiny_bucket_pass_matches_bucket_into_and_merge() {
         use crate::kernels::reference::ReferenceLoserTree;
