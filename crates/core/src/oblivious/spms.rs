@@ -546,26 +546,29 @@ const SHORT_COPY: usize = 4;
 /// the scan, and the width of one table row (and of a `u64` mask).
 const BLOCK: usize = 64;
 
-/// Walk sorted group `g` through its boundaries `buckets.start` to
-/// `buckets.end`, starting at offset `from`, its boundary `buckets.start`.
-/// Boundary `j` is the number of its keys below pivot `j - 1` (`0` for
-/// `j = 0`, `|g|` for the last), so bucket `b` takes
-/// `g[boundary b .. boundary b + 1]`. `emit(r, i)` sets boundary
-/// `buckets.start + r` to `i`; a later call for the same `r` overrides an
-/// earlier one.
+/// Walk `K` sorted groups `g` through their boundaries `buckets.start` to
+/// `buckets.end`, group `k` starting at offset `from[k]`, its boundary
+/// `buckets.start`. Boundary `j` of a group is the number of its keys
+/// below pivot `j - 1` (`0` for `j = 0`, `|g|` for the last), so bucket
+/// `b` takes `g[boundary b .. boundary b + 1]`. `emit(k, r, i)` sets
+/// boundary `buckets.start + r` of group `k` to `i`; a later call for the
+/// same `k` and `r` overrides an earlier one.
 ///
-/// The walk merges the keys with the sorted pivots without a branch per
-/// step: each step either passes a key below the current pivot or closes
-/// that pivot's boundary, and writes the boundary either way. At the root
-/// a bucket takes about one key of a group, so a loop that stopped on a
-/// data-dependent branch per boundary mispredicted about once per
-/// boundary.
-fn walk<T: Ord>(
-    g: &[T],
+/// A walk merges a group's keys with the sorted pivots without a branch
+/// per step: each step either passes a key below the current pivot or
+/// closes that pivot's boundary, and writes the boundary either way. At
+/// the root a bucket takes about one key of a group, so a loop that
+/// stopped on a data-dependent branch per boundary mispredicted about once
+/// per boundary. A step is a load, a compare and an index update that the
+/// next step's load depends on, so the `K` walks run in lockstep, one step
+/// of each per round, and their chains overlap; once one group is done,
+/// the others finish alone.
+fn walk<T: Ord, const K: usize>(
+    g: [&[T]; K],
     pivots: &[T],
     buckets: Range<usize>,
-    from: usize,
-    mut emit: impl FnMut(usize, usize),
+    from: [usize; K],
+    mut emit: impl FnMut(usize, usize, usize),
 ) {
     let rows = buckets.len() + 1;
     // Rows 1.. up to here have a pivot; the rest (at most the last
@@ -573,36 +576,75 @@ fn walk<T: Ord>(
     let searched = rows.min(pivots.len() + 1 - buckets.start);
     let pivots = &pivots[buckets.start..buckets.start + searched - 1];
     let mut i = from;
-    emit(0, i);
-    let mut r = 1;
-    while r < searched && i < g.len() {
-        let below = g[i] < pivots[r - 1];
-        i += usize::from(below);
-        emit(r, i);
-        r += usize::from(!below);
+    let mut r = [1; K];
+    for (k, &i) in i.iter().enumerate() {
+        emit(k, 0, i);
     }
-    // Every key is passed, or every pivot closed.
-    for r in r..rows {
-        emit(r, g.len());
+    let mut step = |k: usize, i: &mut usize, r: &mut usize| {
+        let below = g[k][*i] < pivots[*r - 1];
+        *i += usize::from(below);
+        emit(k, *r, *i);
+        *r += usize::from(!below);
+    };
+    while (0..K).all(|k| r[k] < searched && i[k] < g[k].len()) {
+        for k in 0..K {
+            step(k, &mut i[k], &mut r[k]);
+        }
+    }
+    for k in 0..K {
+        while r[k] < searched && i[k] < g[k].len() {
+            step(k, &mut i[k], &mut r[k]);
+        }
+    }
+    // Every key of a group is passed, or every pivot closed.
+    for k in 0..K {
+        for row in r[k]..rows {
+            emit(k, row, g[k].len());
+        }
     }
 }
+
+/// Groups one [`walk`] takes in lockstep. On the root of a 10M-key Zipf
+/// sort, one thread, its boundary walks took 0.11–0.12 s one group at a
+/// time, 0.07–0.08 s two at a time and 0.06–0.08 s four at a time.
+const WALK_LANES: usize = 4;
 
 /// One block's share of a boundary scan: the index of its first group,
 /// its groups, and its slab of the table.
 type ScanJob<'s, T> = (usize, &'s [&'s [T]], &'s mut [u32]);
 
-/// Run a scan job: [`walk`] each of its groups through the boundaries of
-/// `buckets` from offset `from(g)`, into its slab.
+/// Run a scan job: [`walk`] its groups, [`WALK_LANES`] at a time (the
+/// last few one at a time), through the boundaries of `buckets` from
+/// offset `from(g)`, into its slab.
 fn walk_block<T: Ord>(
     (first, groups, slab): ScanJob<'_, T>,
     pivots: &[T],
     buckets: Range<usize>,
     from: impl Fn(usize) -> usize,
 ) {
-    for (lane, g) in groups.iter().enumerate() {
-        walk(g, pivots, buckets.clone(), from(first + lane), |r, i| {
-            slab[r * BLOCK + lane] = i as u32;
-        });
+    for (pack, gs) in groups.chunks(WALK_LANES).enumerate() {
+        let lane = WALK_LANES * pack;
+        let mut emit = |k: usize, r: usize, i: usize| slab[r * BLOCK + lane + k] = i as u32;
+        match <[&[T]; WALK_LANES]>::try_from(gs) {
+            Ok(gs) => walk(
+                gs,
+                pivots,
+                buckets.clone(),
+                std::array::from_fn(|k| from(first + lane + k)),
+                &mut emit,
+            ),
+            Err(_) => {
+                for (k, &g) in gs.iter().enumerate() {
+                    walk(
+                        [g],
+                        pivots,
+                        buckets.clone(),
+                        [from(first + lane + k)],
+                        |_, r, i| emit(k, r, i),
+                    );
+                }
+            }
+        }
     }
 }
 
