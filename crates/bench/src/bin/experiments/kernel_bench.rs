@@ -2,7 +2,7 @@
 //! layer (DESIGN.md §10).
 //!
 //! Four kernels × four workload shapes, plus three merge cells shaped like
-//! the sorters' own merges and the radix sort's crossover:
+//! the sorters' own merges, the radix sort's crossover, and short sorts:
 //!
 //! * `run_formation` — Phase-1 style chunk sorting: `sort_unstable` per run
 //!   (the pre-kernel reference) vs [`tlmm_core::kernels::sort_kernel`]
@@ -20,6 +20,10 @@
 //! * `radix_crossover` — `sort_unstable` vs `radix_sort` on the bench's
 //!   keys cut into pieces of 256–4,096 (the cell's `n`), uniform and
 //!   Zipf(1.1): where `RADIX_MIN_LEN` should sit (DESIGN.md §10).
+//! * `short_sort` — `sort_unstable` vs `sort_kernel` on the bench's keys
+//!   cut into pieces of 16, 32 and 56 (the cell's `n`), uniform and
+//!   Zipf(1.1): the register sorting network of `simd::sort_short` in its
+//!   three size classes, 56 keys being SPMS's base cases and tiny buckets.
 //! * `bucketize` — `BucketPos` extraction over sorted chunks (no
 //!   before/after pair: the kernel layer doesn't change it; the median is
 //!   recorded to catch regressions).
@@ -73,6 +77,10 @@ const SPMS_LEAF_BUCKETS: (usize, usize) = (57, 1_000);
 
 /// Piece lengths of the `radix_crossover` cells, around `RADIX_MIN_LEN`.
 const CROSSOVER_LENS: [usize; 5] = [256, 512, 1_024, 2_048, 4_096];
+
+/// Piece lengths of the `short_sort` cells: one per register class of
+/// `simd::sort_short` (16, 32 and 64 keys), 56 being SPMS's pieces.
+const SHORT_LENS: [usize; 3] = [16, 32, 56];
 
 struct Timing {
     warmup: usize,
@@ -222,6 +230,56 @@ fn radix_crossover_cells(n: usize, timing: &Timing, cells: &mut Vec<Cell>) {
             });
         }
     }
+}
+
+/// `sort_unstable` against `sort_kernel` on `n` keys sorted in pieces of
+/// each of [`SHORT_LENS`]: a cell's `n` is the piece length, and its times
+/// are for all `n` keys. In smoke mode, first assert that `sort_kernel`
+/// gives `sort_unstable`'s output with SIMD dispatch on and off.
+fn short_sort_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<Cell>) {
+    for (name, w) in [
+        ("uniform", Workload::UniformU64),
+        ("zipf", Workload::Zipf(1.1)),
+    ] {
+        let input = generate(w, n, 0xF8);
+        for len in SHORT_LENS {
+            if smoke {
+                assert_short_sorts_agree(name, &input, len);
+            }
+            let (base, opt, speedup) = paired_medians_ms(
+                timing,
+                || input.clone(),
+                |mut v| v.chunks_mut(len).for_each(<[u64]>::sort_unstable),
+                |mut v| v.chunks_mut(len).for_each(sort_kernel),
+            );
+            cells.push(Cell {
+                kernel: "short_sort".into(),
+                workload: name.into(),
+                n: len,
+                baseline_ms: Some(base),
+                optimized_ms: opt,
+                speedup: Some(speedup),
+            });
+        }
+    }
+}
+
+/// Smoke-mode agreement: `input` sorted in `len`-key pieces by
+/// `sort_kernel` equals `sort_unstable`'s, with SIMD dispatch on and off.
+fn assert_short_sorts_agree(name: &str, input: &[u64], len: usize) {
+    let mut want = input.to_vec();
+    want.chunks_mut(len).for_each(<[u64]>::sort_unstable);
+    let prior = tlmm_core::kernels::simd::enabled();
+    for on in [false, true] {
+        tlmm_core::kernels::simd::set_enabled(on);
+        let mut got = input.to_vec();
+        got.chunks_mut(len).for_each(sort_kernel);
+        assert_eq!(
+            got, want,
+            "short sorts of {len} disagree on {name} (SIMD {on})"
+        );
+    }
+    tlmm_core::kernels::simd::set_enabled(prior);
 }
 
 fn kway_merge_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<Cell>) {
@@ -450,6 +508,7 @@ pub fn run(mut args: Args) -> Outcome {
     run_formation_cells(n, &timing, smoke, &mut cells);
     kway_merge_cells(n, &timing, smoke, &mut cells);
     radix_crossover_cells(n, &timing, &mut cells);
+    short_sort_cells(n, &timing, smoke, &mut cells);
     bucketize_cells(n, &timing, &mut cells);
     nmsort_cells(&nmsort_sizes, &timing, &mut cells);
 

@@ -12,9 +12,13 @@
 //!   bucket in cache. Used for Phase-1 run formation everywhere a chunk or
 //!   run is sorted in cache, and for the pieces of deep merges.
 //! * [`sort_kernel`] — the routing entry point: radix for key types at
-//!   run-formation sizes, `slice::sort_unstable` otherwise. All sorters
-//!   (`extsort`, `baseline`, `quicksort` base case, and through them
-//!   `nmsort`/`seqsort`) call this instead of `sort_unstable` directly.
+//!   run-formation sizes, [`simd::sort_short`] for inputs of at most 64
+//!   keys (SPMS's and SquareSort's base cases and tiny buckets),
+//!   `slice::sort_unstable` otherwise. All sorters (`extsort`, `baseline`,
+//!   `quicksort` base case, and through them `nmsort`/`seqsort`) call this
+//!   instead of `sort_unstable` directly. The short path runs inside the
+//!   `kernel.sort_unstable` flight span, whose name the frozen benchmark's
+//!   `kernels.sort_unstable_pct` reads.
 //! * [`reference`] — the pre-kernel implementations (branchy loser tree,
 //!   comparison-only run formation), kept as the differential oracle for
 //!   equivalence tests and as the "before" side of `kernel_bench`.
@@ -77,9 +81,11 @@ pub fn radix_kernel<T: SortElem>() -> Option<fn(&mut [T])> {
 }
 
 /// Sort `data` with the fastest available host kernel: MSD hybrid radix for
-/// [`RadixKey`] types at or above [`RADIX_MIN_LEN`], `sort_unstable`
-/// otherwise. Produces the identical permutation either way; callers charge
-/// the comparison-model compute cost themselves (see the module docs).
+/// [`RadixKey`] types at or above [`RADIX_MIN_LEN`], [`simd::sort_short`]
+/// (a sorting network in registers for `u64`) at or below
+/// [`simd::SHORT_MAX`], `sort_unstable` otherwise. Produces the identical
+/// permutation either way; callers charge the comparison-model compute
+/// cost themselves (see the module docs).
 #[inline]
 pub fn sort_kernel<T: SortElem>(data: &mut [T]) {
     let flight = tlmm_telemetry::flight::enabled();
@@ -96,10 +102,17 @@ pub fn sort_kernel<T: SortElem>(data: &mut [T]) {
             return;
         }
     }
+    // Short inputs sort in registers (`simd::sort_short`) inside this same
+    // span: its name is what the frozen benchmark's
+    // `kernels.sort_unstable_pct` reads, so it covers both paths.
     if flight {
         tlmm_telemetry::flight::span_event(true, "kernel.sort_unstable");
     }
-    data.sort_unstable();
+    if data.len() <= simd::SHORT_MAX {
+        simd::sort_short(data);
+    } else {
+        data.sort_unstable();
+    }
     if flight {
         tlmm_telemetry::flight::span_event(false, "kernel.sort_unstable");
     }

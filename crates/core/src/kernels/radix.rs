@@ -174,6 +174,9 @@ pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
     // `lo`; when at least half the input lives there, one partition pass
     // exact-counts the head and a comparison sort finishes the sparse
     // spill — two passes instead of scatter + skewed-bucket finishing.
+    // The split zero-fills and scans its HEAD_SPAN-entry table whatever
+    // the input's length, so a shorter head-heavy input (SPMS's sample
+    // merges: a few hundred Zipf keys) is sorted by comparison instead.
     if range >= HEAD_SPAN {
         let step = (n / HEAD_SAMPLES).max(1);
         let mut taken = 0usize;
@@ -185,7 +188,11 @@ pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
             }
         }
         if within * 2 >= taken {
-            dense_head_split(data, lo);
+            if n as u64 >= HEAD_SPAN {
+                dense_head_split(data, lo);
+            } else {
+                data.sort_unstable();
+            }
             return;
         }
     }
@@ -494,6 +501,27 @@ mod tests {
                 })
                 .collect(),
         );
+        // Head-heavy inputs on both sides of the split's length gate: the
+        // shorter ones are sorted by comparison, the rest split.
+        for n in [
+            64usize,
+            256,
+            399,
+            HEAD_SPAN as usize - 1,
+            HEAD_SPAN as usize,
+        ] {
+            check(
+                (0..n)
+                    .map(|i| {
+                        if i % 8 == 0 {
+                            rng.gen::<u64>()
+                        } else {
+                            rng.gen_range(0u64..64)
+                        }
+                    })
+                    .collect(),
+            );
+        }
     }
 
     #[test]

@@ -29,15 +29,21 @@ unsafe fn gt_u64(a: __m256i, b: __m256i) -> __m256i {
     _mm256_cmpgt_epi64(bias(a), bias(b))
 }
 
-/// Lane-wise unsigned (min, max).
+/// Lane-wise (min, max): one `vpcmpgtq`, then the lanes where `a > b`
+/// swap through one XOR difference (three bitwise operations, no
+/// blends). `FLIPPED` lanes hold keys whose sign bits were flipped once
+/// on load (the short sort's registers) and compare as `i64`; otherwise
+/// they compare as `u64`, which biases both operands first.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn minmax_u64(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
-    let a_gt = gt_u64(a, b);
-    (
-        _mm256_blendv_epi8(a, b, a_gt),
-        _mm256_blendv_epi8(b, a, a_gt),
-    )
+unsafe fn minmax<const FLIPPED: bool>(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
+    let a_gt = if FLIPPED {
+        _mm256_cmpgt_epi64(a, b)
+    } else {
+        gt_u64(a, b)
+    };
+    let swap = _mm256_and_si256(_mm256_xor_si256(a, b), a_gt);
+    (_mm256_xor_si256(a, swap), _mm256_xor_si256(b, swap))
 }
 
 fn debug_check_avx2() {
@@ -198,15 +204,15 @@ unsafe fn radix_scatter_impl(
 /// (half exchange, then adjacent-pair exchange).
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn bitonic4_clean(v: __m256i) -> __m256i {
+unsafe fn bitonic4_clean<const FLIPPED: bool>(v: __m256i) -> __m256i {
     // Step 1: compare lanes {0,1} with {2,3} (swap 128-bit halves).
     let t = _mm256_permute4x64_epi64(v, 0b01_00_11_10);
-    let (mn, mx) = minmax_u64(v, t);
+    let (mn, mx) = minmax::<FLIPPED>(v, t);
     // Keep mins in lanes 0,1 and maxes in lanes 2,3.
     let v = _mm256_blend_epi32(mn, mx, 0b1111_0000);
     // Step 2: compare adjacent lanes {0,2} with {1,3}.
     let t = _mm256_permute4x64_epi64(v, 0b10_11_00_01);
-    let (mn, mx) = minmax_u64(v, t);
+    let (mn, mx) = minmax::<FLIPPED>(v, t);
     // Keep mins in lanes 0,2 and maxes in lanes 1,3.
     _mm256_blend_epi32(mn, mx, 0b1100_1100)
 }
@@ -218,8 +224,8 @@ unsafe fn bitonic4_clean(v: __m256i) -> __m256i {
 #[target_feature(enable = "avx2")]
 unsafe fn bitonic_merge8(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
     let br = _mm256_permute4x64_epi64(b, 0b00_01_10_11);
-    let (lo, hi) = minmax_u64(a, br);
-    (bitonic4_clean(lo), bitonic4_clean(hi))
+    let (lo, hi) = minmax::<false>(a, br);
+    (bitonic4_clean::<false>(lo), bitonic4_clean::<false>(hi))
 }
 
 /// See [`super::merge_pair`]: merge sorted `a` and `b` into `out` with the
@@ -303,6 +309,245 @@ unsafe fn merge_pair_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
         }
         o += 1;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Short sorts: sorting networks in registers
+// ---------------------------------------------------------------------------
+
+/// See [`super::sort_short`]: sort up to [`super::SHORT_MAX`] keys in 4, 8
+/// or 16 registers — the smallest class of 16, 32 or 64 keys that holds
+/// them, padded with `u64::MAX`.
+pub fn sort_short_u64(data: &mut [u64]) {
+    debug_check_avx2();
+    assert!(
+        data.len() <= super::SHORT_MAX,
+        "sort_short_u64 takes at most 64 keys"
+    );
+    // SAFETY: dispatch gates on AVX2 detection before routing here; every
+    // class holds `data.len()` keys.
+    unsafe {
+        match data.len() {
+            0..=16 => sort_regs::<4>(data),
+            17..=32 => sort_regs::<8>(data),
+            _ => sort_regs::<16>(data),
+        }
+    }
+}
+
+/// Sort `data` (at most `4 * R` keys) in `R` registers: load with each
+/// sign bit flipped, so every compare-exchange is one signed `vpcmpgtq`
+/// and three bitwise operations; sort the `R`-key columns with a sorting
+/// network; transpose each 4×4 block so that column `c` becomes run `c`
+/// of `R` keys; merge runs pairwise, then the two halves; store the first
+/// `data.len()` keys.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn sort_regs<const R: usize>(data: &mut [u64]) {
+    let mut v = load_flipped::<R>(data);
+    match R {
+        4 => columns4(v.first_chunk_mut().expect("4 registers")),
+        8 => columns8(v.first_chunk_mut().expect("8 registers")),
+        _ => columns16(v.first_chunk_mut().expect("16 registers")),
+    }
+    let mut v = columns_to_runs(v);
+    merge_runs::<R>(&mut v);
+    store_flipped(data, &v);
+}
+
+/// Load `data` into `R` registers, sign bits flipped; lanes past the end
+/// hold the pad `u64::MAX`, flipped (`i64::MAX`).
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load_flipped<const R: usize>(data: &[u64]) -> [__m256i; R] {
+    let sign = _mm256_set1_epi64x(i64::MIN);
+    let pad = _mm256_set1_epi64x(i64::MAX);
+    let mut v = [pad; R];
+    for (r, reg) in v.iter_mut().enumerate() {
+        if 4 * r + 4 <= data.len() {
+            let keys = _mm256_loadu_si256(data.as_ptr().add(4 * r).cast());
+            *reg = _mm256_xor_si256(keys, sign);
+        } else if 4 * r < data.len() {
+            let key = |i: usize| data.get(4 * r + i).map_or(u64::MAX, |&k| k) as i64;
+            let keys = _mm256_setr_epi64x(key(0), key(1), key(2), key(3));
+            *reg = _mm256_xor_si256(keys, sign);
+        }
+    }
+    v
+}
+
+/// Store the registers' first `data.len()` keys to `data`, sign bits
+/// flipped back.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store_flipped<const R: usize>(data: &mut [u64], v: &[__m256i; R]) {
+    let sign = _mm256_set1_epi64x(i64::MIN);
+    for (r, &reg) in v.iter().enumerate() {
+        let keys = _mm256_xor_si256(reg, sign);
+        if 4 * r + 4 <= data.len() {
+            _mm256_storeu_si256(data.as_mut_ptr().add(4 * r).cast(), keys);
+        } else if 4 * r < data.len() {
+            let mut tail = [0u64; 4];
+            _mm256_storeu_si256(tail.as_mut_ptr().cast(), keys);
+            for (out, &key) in data[4 * r..].iter_mut().zip(&tail) {
+                *out = key;
+            }
+        }
+    }
+}
+
+/// Compare-exchange registers `a` and `b` of `v` lane-wise (min to `a`),
+/// for each `(a, b)` listed, in order.
+macro_rules! network {
+    ($v:ident; $(($a:literal, $b:literal)),* $(,)?) => {
+        $(
+            let (lo, hi) = minmax::<true>($v[$a], $v[$b]);
+            $v[$a] = lo;
+            $v[$b] = hi;
+        )*
+    };
+}
+
+/// Sort each lane across 4 registers: the optimal 5-comparator network.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn columns4(v: &mut [__m256i; 4]) {
+    network!(v; (0, 1), (2, 3), (0, 2), (1, 3), (1, 2));
+}
+
+/// Sort each lane across 8 registers: the optimal 19-comparator network
+/// of depth 6.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn columns8(v: &mut [__m256i; 8]) {
+    network!(v;
+        (0, 2), (1, 3), (4, 6), (5, 7),
+        (0, 4), (1, 5), (2, 6), (3, 7),
+        (0, 1), (2, 3), (4, 5), (6, 7),
+        (2, 4), (3, 5),
+        (1, 4), (3, 6),
+        (1, 2), (3, 4), (5, 6),
+    );
+}
+
+/// Sort each lane across 16 registers: Green's 60-comparator network of
+/// depth 10.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn columns16(v: &mut [__m256i; 16]) {
+    network!(v;
+        (0, 13), (1, 12), (2, 15), (3, 14), (4, 8), (5, 6), (7, 11), (9, 10),
+        (0, 5), (1, 7), (2, 9), (3, 4), (6, 13), (8, 14), (10, 15), (11, 12),
+        (0, 1), (2, 3), (4, 5), (6, 8), (7, 9), (10, 11), (12, 13), (14, 15),
+        (0, 2), (1, 3), (4, 10), (5, 11), (6, 7), (8, 9), (12, 14), (13, 15),
+        (1, 2), (3, 12), (4, 6), (5, 7), (8, 10), (9, 11), (13, 14),
+        (1, 4), (2, 6), (5, 8), (7, 10), (9, 13), (11, 14),
+        (2, 4), (3, 6), (9, 12), (11, 13),
+        (3, 5), (6, 8), (7, 9), (10, 12),
+        (3, 4), (5, 6), (7, 8), (9, 10), (11, 12),
+        (6, 7), (8, 9),
+    );
+}
+
+/// Turn `R` registers with sorted columns into 4 sorted runs of `R / 4`
+/// registers: transpose each 4×4 block of rows `4b..4b + 4`, whose
+/// register `c` then holds column `c`'s keys of those rows, and lay column
+/// `c`'s registers end to end as run `c`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn columns_to_runs<const R: usize>(v: [__m256i; R]) -> [__m256i; R] {
+    let blocks = R / 4;
+    let mut runs = v;
+    for b in 0..blocks {
+        let t = transpose4([v[4 * b], v[4 * b + 1], v[4 * b + 2], v[4 * b + 3]]);
+        for (c, reg) in t.into_iter().enumerate() {
+            runs[c * blocks + b] = reg;
+        }
+    }
+    runs
+}
+
+/// Merge 4 sorted runs of `K / 4` registers into one sorted sequence: the
+/// first two and the last two pairwise, then the two halves.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn merge_runs<const K: usize>(v: &mut [__m256i; K]) {
+    match K {
+        4 => {
+            bitonic_merge::<2>(v.first_chunk_mut().expect("2 + 2 registers"));
+            bitonic_merge::<2>(v.last_chunk_mut().expect("2 + 2 registers"));
+        }
+        8 => {
+            bitonic_merge::<4>(v.first_chunk_mut().expect("4 + 4 registers"));
+            bitonic_merge::<4>(v.last_chunk_mut().expect("4 + 4 registers"));
+        }
+        _ => {
+            bitonic_merge::<8>(v.first_chunk_mut().expect("8 + 8 registers"));
+            bitonic_merge::<8>(v.last_chunk_mut().expect("8 + 8 registers"));
+        }
+    }
+    bitonic_merge::<K>(v);
+}
+
+/// Merge the ascending halves of `v` (`K / 2` registers each, `K` a power
+/// of two) into one ascending sequence. Each key of the first half meets
+/// its mirror image in the second: the minima are the bitonic lower half,
+/// the maxima — kept in mirrored order, still bitonic — the upper half.
+/// Each half is then cleaned at register strides `K / 4, …, 1` and
+/// finally at lane strides 2 and 1.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn bitonic_merge<const K: usize>(v: &mut [__m256i; K]) {
+    let half = K / 2;
+    let mut w = *v;
+    for i in 0..half {
+        let mirror = _mm256_permute4x64_epi64(v[K - 1 - i], 0b00_01_10_11);
+        let (lo, hi) = minmax::<true>(v[i], mirror);
+        w[i] = lo;
+        w[half + i] = hi;
+    }
+    let mut stride = half / 2;
+    while stride > 0 {
+        for i in 0..K {
+            if i & stride == 0 {
+                let (lo, hi) = minmax::<true>(w[i], w[i + stride]);
+                w[i] = lo;
+                w[i + stride] = hi;
+            }
+        }
+        stride /= 2;
+    }
+    if K < 4 {
+        for (out, &reg) in v.iter_mut().zip(&w) {
+            *out = bitonic4_clean::<true>(reg);
+        }
+        return;
+    }
+    // From four registers up, the lane strides 2 and 1 become register
+    // strides: transpose each 4×4 block, compare-exchange its registers,
+    // transpose back — fewer shuffles than cleaning each register alone.
+    for b in 0..K / 4 {
+        let mut t = transpose4([w[4 * b], w[4 * b + 1], w[4 * b + 2], w[4 * b + 3]]);
+        network!(t; (0, 2), (1, 3), (0, 1), (2, 3));
+        v[4 * b..4 * b + 4].copy_from_slice(&transpose4(t));
+    }
+}
+
+/// Transpose a 4×4 block of `u64` lanes: register `c` of the result holds
+/// lane `c` of each input register, in order.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose4([r0, r1, r2, r3]: [__m256i; 4]) -> [__m256i; 4] {
+    let t0 = _mm256_unpacklo_epi64(r0, r1);
+    let t1 = _mm256_unpackhi_epi64(r0, r1);
+    let t2 = _mm256_unpacklo_epi64(r2, r3);
+    let t3 = _mm256_unpackhi_epi64(r2, r3);
+    [
+        _mm256_permute2x128_si256(t0, t2, 0x20),
+        _mm256_permute2x128_si256(t1, t3, 0x20),
+        _mm256_permute2x128_si256(t0, t2, 0x31),
+        _mm256_permute2x128_si256(t1, t3, 0x31),
+    ]
 }
 
 #[cfg(test)]
@@ -442,6 +687,36 @@ mod tests {
             let want_cmps = crate::kernels::simd::scalar::merge_pair(&a, &b, &mut want);
             assert_eq!(got, want, "la={la} lb={lb}");
             assert_eq!(got_cmps, want_cmps, "la={la} lb={lb}");
+        }
+    }
+
+    #[test]
+    fn sort_short_matches_sort_unstable_at_every_length() {
+        if !has_avx2() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(15);
+        for len in 0..=crate::kernels::simd::SHORT_MAX {
+            for round in 0..40 {
+                // Spread keys, few distinct, keys around the sign bit the
+                // load flips, and keys equal to the pad value.
+                let v: Vec<u64> = (0..len)
+                    .map(|_| match round % 4 {
+                        0 => rng.gen(),
+                        1 => rng.gen_range(0..4),
+                        2 => (1u64 << 63) - 2 + rng.gen_range(0..4),
+                        _ => u64::MAX - rng.gen_range(0..2),
+                    })
+                    .collect();
+                // Sentinels behind the slice: only `len` keys are written.
+                let mut got = v.clone();
+                got.extend([7, 7, 7, 7]);
+                sort_short_u64(&mut got[..len]);
+                let mut want = v;
+                want.sort_unstable();
+                want.extend([7, 7, 7, 7]);
+                assert_eq!(got, want, "len={len}");
+            }
         }
     }
 

@@ -1,16 +1,17 @@
 //! Runtime-dispatched vectorized kernels (AVX2 + portable scalar fallback).
 //!
 //! The hot inner loops of the kernel layer — bucket-boundary scans, the
-//! radix sort's histogram and scatter passes, and two-way run pre-merging —
-//! have a hand-vectorized x86-64 AVX2 form selected **once** at startup via
-//! `std::arch` feature detection. Every entry point in this module routes
-//! to the AVX2 form when (a) the host supports AVX2, (b) the element type
-//! is `u64` (the repo's benchmark key type), and (c) `TLMM_NO_SIMD=1` is
-//! not set; otherwise the portable scalar form in [`scalar`] runs. The
-//! scalar forms are the semantic definition: the AVX2 forms must be
-//! observationally identical (same outputs, same elements inspected), which
-//! the differential proptests in `tests/simd_differential.rs` assert across
-//! workload shapes and key types.
+//! radix sort's histogram and scatter passes, two-way run pre-merging and
+//! sorts of at most 64 keys — have a hand-vectorized x86-64 AVX2 form
+//! selected **once** at startup via `std::arch` feature detection. Every
+//! entry point in this module routes to the AVX2 form when (a) the host
+//! supports AVX2, (b) the element type is `u64` (the repo's benchmark key
+//! type), and (c) `TLMM_NO_SIMD=1` is not set; otherwise the portable
+//! scalar form in [`scalar`] runs. The scalar forms are the semantic
+//! definition: the AVX2 forms must be observationally identical (same
+//! outputs, same elements inspected), which the differential proptests in
+//! `tests/simd_differential.rs` assert across workload shapes and key
+//! types.
 //!
 //! **Cost-ledger invariant.** Dispatch never changes simulated charges:
 //! callers charge scan lengths and comparison counts from the *data* (or
@@ -175,6 +176,29 @@ pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) -> u64 {
         }
     }
     scalar::merge_pair(a, b, out)
+}
+
+/// Longest input [`sort_short`] sorts in registers.
+pub const SHORT_MAX: usize = 64;
+/// Shortest input [`sort_short`] sorts in registers: below it the smallest
+/// class (16 keys in 4 registers, ~40 ns a call) loses to `sort_unstable`
+/// (DESIGN.md §15).
+pub const SHORT_MIN: usize = 5;
+
+/// Sort `data` as [`scalar::sort_short`] (`sort_unstable`) does. The
+/// vector form sorts `u64` inputs of [`SHORT_MIN`]..=[`SHORT_MAX`] keys in
+/// registers with a sorting network and bitonic merges; for `u64`, equal
+/// keys are identical elements, so its output is the same slice.
+#[inline]
+pub fn sort_short<T: SortElem>(data: &mut [T]) {
+    #[cfg(target_arch = "x86_64")]
+    if (SHORT_MIN..=SHORT_MAX).contains(&data.len()) && enabled() {
+        let f: fn(&mut [u64]) = avx2::sort_short_u64;
+        if let Some(f) = <dyn Any>::downcast_ref::<fn(&mut [T])>(&f).copied() {
+            return f(data);
+        }
+    }
+    scalar::sort_short(data)
 }
 
 /// Comparisons the classic two-way merge loop performs on sorted runs `a`

@@ -3,7 +3,8 @@
 //!
 //! The scalar forms in `kernels::simd::scalar` are the semantic spec; the
 //! AVX2 forms must be observationally identical. Each property here runs a
-//! kernel twice — dispatch forced off, then forced on — and asserts equal
+//! kernel twice — dispatch forced off, then forced on (asserted to take the
+//! vector path whenever the host reports AVX2) — and asserts equal
 //! outputs, across all eight experiment workload shapes and the three
 //! `RadixKey` types (`u64`, `u32`, `i64`). On hosts without AVX2 the
 //! force-on is a no-op and the comparisons hold trivially; CI also runs the
@@ -16,7 +17,7 @@
 use proptest::prelude::*;
 use std::sync::Mutex;
 use tlmm_core::kernels::simd;
-use tlmm_core::kernels::{radix_sort, RadixKey};
+use tlmm_core::kernels::{radix_sort, sort_kernel, RadixKey};
 use tlmm_core::losertree::merge_into_slice;
 use tlmm_testkit::KERNEL_SHAPES as SHAPES;
 use tlmm_workloads::generate;
@@ -25,17 +26,93 @@ use tlmm_workloads::generate;
 /// and these tests run on the harness's thread pool.
 static DISPATCH: Mutex<()> = Mutex::new(());
 
+/// Does the host report AVX2, the vector path's one requirement?
+fn host_has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// Run `f` with SIMD forced off, then forced on (when the host allows),
-/// restoring the startup decision after; returns both results.
+/// restoring the startup decision after; returns both results. The "on"
+/// half is asserted to run vectorized whenever the host reports AVX2, so
+/// the comparison cannot silently pit the scalar path against itself.
 fn both_paths<R>(f: impl Fn() -> R) -> (R, R) {
     let _guard = tlmm_testkit::serial_guard(&DISPATCH);
     let initial = simd::enabled();
     simd::set_enabled(false);
     let off = f();
-    simd::set_enabled(true);
+    assert_eq!(
+        simd::set_enabled(true),
+        host_has_avx2(),
+        "the vector path must be on exactly when the host reports AVX2"
+    );
     let on = f();
+    assert_eq!(simd::enabled(), host_has_avx2(), "dispatch changed under f");
     simd::set_enabled(initial);
     (off, on)
+}
+
+/// `simd::sort_short` and `sort_kernel` with dispatch off and on, each
+/// equal to `sort_unstable`.
+fn check_short_sort(v: &[u64]) {
+    let (off, on) = both_paths(|| {
+        let mut short = v.to_vec();
+        simd::sort_short(&mut short);
+        let mut kernel = v.to_vec();
+        sort_kernel(&mut kernel);
+        (short, kernel)
+    });
+    let mut expect = v.to_vec();
+    expect.sort_unstable();
+    let expect = (expect.clone(), expect);
+    assert_eq!(off, expect, "scalar short sort mismatch on {v:?}");
+    assert_eq!(on, expect, "SIMD short sort mismatch on {v:?}");
+}
+
+#[test]
+fn short_sorts_agree_at_every_length() {
+    for len in 0..=simd::SHORT_MAX + 1 {
+        let ramp: Vec<u64> = (0..len as u64).collect();
+        let half = len as u64 / 2;
+        let fixed = [
+            vec![42; len],
+            ramp.clone(),
+            ramp.iter().rev().copied().collect(),
+            // The pad value itself, alone and among small keys.
+            vec![u64::MAX; len],
+            ramp.iter()
+                .map(|&i| if i % 3 == 0 { u64::MAX } else { i })
+                .collect(),
+            // Keys on both sides of the sign bit the vector path flips.
+            ramp.iter()
+                .map(|&i| (1u64 << 63).wrapping_add(i).wrapping_sub(half))
+                .collect(),
+            ramp.iter()
+                .rev()
+                .map(|&i| {
+                    if i % 2 == 0 {
+                        (1u64 << 63) + i
+                    } else {
+                        (1u64 << 63) - 1 - i
+                    }
+                })
+                .collect(),
+        ];
+        for v in &fixed {
+            check_short_sort(v);
+        }
+        for shape in SHAPES {
+            for seed in 0..4 {
+                check_short_sort(&generate(shape, len, seed));
+            }
+        }
+    }
 }
 
 fn check_sorted_scans<T: tlmm_core::SortElem + std::fmt::Debug>(sorted: &[T], pivot: &T) {
@@ -146,6 +223,22 @@ proptest! {
         let cost = simd::pair_merge_cost(&a, &b);
         prop_assert_eq!(&off, &(expect.clone(), cost));
         prop_assert_eq!(&on, &(expect, cost));
+    }
+
+    #[test]
+    fn short_sorts_agree_on_random_keys(
+        v in proptest::collection::vec(
+            (0u8..4, any::<u64>()).prop_map(|(kind, x)| match kind {
+                0 => x,
+                1 => x % 8,
+                // Around the sign bit, and at the pad value.
+                2 => (1u64 << 63) - 4 + x % 8,
+                _ => u64::MAX - x % 3,
+            }),
+            0..simd::SHORT_MAX + 2,
+        ),
+    ) {
+        check_short_sort(&v);
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl PhaseTrace {
 /// per 10M-key sort from every worker, and on a 2-vCPU VM a charge pair
 /// cost 110–115 ns on one thread against 846–910 ns on each of two
 /// contending threads. Per-thread charge shards are an open lead
-/// (DESIGN.md §5.1, ROADMAP item 3). The ledger is
+/// (DESIGN.md §5.1, ROADMAP item 11). The ledger is
 /// derived from the lane records: each phase's cost is added to a running
 /// total when it closes, so [`Self::snapshot`] costs O(lanes).
 #[derive(Debug, Default)]
