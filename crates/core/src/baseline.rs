@@ -10,11 +10,22 @@
 //! Cost accounting models what the SST simulation measures: an introsort's
 //! partitioning passes stream the run through DRAM once per level *above*
 //! the point where the subproblem fits the per-thread cache share, plus one
-//! final in-cache pass; the merge streams everything once more per round.
-//! The scratchpad is never touched — "GNU Sort" has zero scratchpad
-//! accesses in Table I by construction.
+//! final in-cache pass; the merge streams everything once more per round,
+//! as the out-of-place MCSTL merge does. The scratchpad is never touched —
+//! "GNU Sort" has zero scratchpad accesses in Table I by construction.
+//!
+//! The host does not copy that layout: each round's groups are merged over
+//! the runs they consume ([`crate::inplace`]), so the sort returns its
+//! input's own allocation and holds no second `n`-element array. The
+//! charges are those of the out-of-place rounds ([`Round::charge`]); the
+//! wave copies and the final block permutation are uncharged host work.
 
-use crate::extsort::{merge_rounds, RegionLevel};
+use crate::extsort::{RegionLevel, Round};
+use crate::inplace::InPlaceOutput;
+use crate::kernels::radix_kernel;
+use crate::losertree::single_key;
+use crate::par::scatter;
+use crate::pmerge::{merge_count, merge_piece, piece_cuts, sorts_pieces, PIECE_KEYS};
 use crate::{ceil_lg, SortElem, SortError};
 use tlmm_scratchpad::trace::with_lane;
 use tlmm_scratchpad::{Dir, FarArray, TwoLevel};
@@ -49,7 +60,7 @@ impl Default for BaselineConfig {
 /// Result of a [`baseline_sort`] run.
 #[derive(Debug)]
 pub struct BaselineReport<T> {
-    /// Sorted output (far memory).
+    /// Sorted output: the input's own far array.
     pub output: FarArray<T>,
     /// Initial sorted runs (= simulated threads).
     pub runs: usize,
@@ -126,30 +137,151 @@ pub fn baseline_sort<T: SortElem>(
     // ---- Multiway merge ---------------------------------------------------
     tl.checkpoint()?;
     tl.begin_phase("baseline.merge");
-    let mut scratch = tl.far_alloc::<T>(n);
     let fanout = cfg.fanout.unwrap_or_else(|| {
         ((tl.params().cache_bytes / (2 * tl.params().block_bytes)) as usize).clamp(2, 4096)
     });
-    let bounds: Vec<usize> = (0..=n_runs).map(|i| (i * run_elems).min(n)).collect();
-    let (in_scratch, rounds, _cmps) = merge_rounds(
-        tl,
-        RegionLevel::Far,
-        data.as_mut_slice_uncharged(),
-        scratch.as_mut_slice_uncharged(),
-        bounds,
-        fanout,
-        p,
-        cfg.threads,
-    );
+    let mut bounds: Vec<usize> = (0..=n_runs).map(|i| (i * run_elems).min(n)).collect();
+    let far = data.as_mut_slice_uncharged();
+    let mut rounds = 0u32;
+    while bounds.len() > 2 {
+        let round = Round::plan(bounds.len() - 1, fanout, p);
+        // Several groups fan out on the pool, each merged on its thread;
+        // one group (the usual single round) merges its waves on the pool.
+        let mut rest = &mut *far;
+        let groups: Vec<(&mut [T], usize)> = round
+            .groups
+            .iter()
+            .map(|&(lo, hi)| {
+                let len = bounds[hi] - bounds[lo];
+                let (group, tail) = std::mem::take(&mut rest).split_at_mut(len);
+                rest = tail;
+                (group, bounds[lo + 1] - bounds[lo])
+            })
+            .collect();
+        let cmps = crate::pool::map_indexed(cfg.threads, groups, |_, (group, run)| {
+            merge_in_place(group, run, round.ways, cfg.threads)
+        });
+        for (g, (&(lo, hi), cmps)) in round.groups.iter().zip(cmps).enumerate() {
+            round.charge::<T>(tl, RegionLevel::Far, g, bounds[hi] - bounds[lo], cmps);
+        }
+        bounds = round.merged_bounds(&bounds);
+        rounds += 1;
+    }
     tl.end_phase();
 
-    let output = if in_scratch { scratch } else { data };
     Ok(BaselineReport {
-        output,
+        output: data,
         runs: n_runs,
         partition_passes: passes,
         merge_rounds: rounds,
     })
+}
+
+/// Pieces a wave merges at most: a wave buffer of 16 pieces of 32Ki keys
+/// is 4 MiB of `u64`.
+const WAVE_PIECES: usize = 16;
+/// Least pieces a group is cut into, so that on a short group a wave is
+/// at most a sixteenth of it ...
+const MIN_PIECES: usize = 256;
+/// ... but no piece is cut shorter than this: a group of fewer than 16
+/// such pieces is one wave.
+const MIN_PIECE_KEYS: usize = 1 << 10;
+/// Output slots per run ([`InPlaceOutput::new`]), NMsort's: the overflow
+/// area stays under `2·runs − 1` slots, ~1/32 of the group.
+const SLOTS_PER_RUN: usize = 64;
+
+/// Merge `group`, sorted runs of `run` elements laid end to end (the last
+/// may be shorter), over itself. Returns the comparisons charged, the
+/// loser tree's count summed over the sampled charge split at `ways`
+/// parts ([`merge_count`]), the count an out-of-place `parallel_merge`
+/// of the runs returns.
+///
+/// The host merges in *waves*: the runs are cut into balanced pieces
+/// ([`piece_cuts`]), consecutive pieces form a wave of at most
+/// `WAVE_PIECES` pieces' worth of elements, a wave's pieces merge on the
+/// pool into one reused buffer, and then the wave's segment of every run
+/// is dead and the buffer is copied over dead slots
+/// ([`InPlaceOutput`]). The last wave moves every block home. A piece of
+/// one [`crate::kernels::RadixKey`] key longer than a wave is written with
+/// [`InPlaceOutput::fill`] instead of staged, so an input's heaviest key
+/// never sizes the buffer.
+fn merge_in_place<T: SortElem>(group: &mut [T], run: usize, ways: usize, threads: usize) -> u64 {
+    let m = group.len();
+    let n_runs = m.div_ceil(run);
+    let (cmps, sort, cuts, piece) = {
+        let runs: Vec<&[T]> = group.chunks(run).collect();
+        let cmps = merge_count(&runs, ways, threads);
+        if n_runs == 1 {
+            return cmps;
+        }
+        let piece = PIECE_KEYS.min(m.div_ceil(MIN_PIECES)).max(MIN_PIECE_KEYS);
+        let cuts = piece_cuts(&runs, m.div_ceil(piece), threads);
+        (cmps, sorts_pieces(&runs), cuts, piece)
+    };
+    let radix = radix_kernel::<T>().is_some();
+    let wave_keys = WAVE_PIECES * piece;
+    // Where piece `t` starts in run `k` (`t` = the piece count: the run's
+    // end), as an offset into the group.
+    let start = |k: usize, t: usize| k * run + t.checked_sub(1).map_or(0, |t| cuts[k][t]);
+    let n_pieces = cuts[0].len();
+    let sizes: Vec<usize> = (0..n_pieces)
+        .map(|t| (0..n_runs).map(|k| start(k, t + 1) - start(k, t)).sum())
+        .collect();
+    let mut out = InPlaceOutput::new(m, run, SLOTS_PER_RUN);
+    let mut buf = Vec::new();
+    let mut first = 0;
+    while first < n_pieces {
+        let mut end = first + 1;
+        let mut keys = sizes[first];
+        while end < n_pieces && keys + sizes[end] <= wave_keys {
+            keys += sizes[end];
+            end += 1;
+        }
+        let subs = |t: usize| -> Vec<&[T]> {
+            (0..n_runs)
+                .map(|k| &group[start(k, t)..start(k, t + 1)])
+                .collect()
+        };
+        // A piece longer than a wave is a wave alone; one of a single key
+        // is filled, not staged.
+        let key = if radix && keys > wave_keys {
+            let subs = subs(first);
+            let key = subs.iter().find_map(|s| s.first().copied());
+            key.filter(|_| single_key(&subs))
+        } else {
+            None
+        };
+        let segs: Vec<(usize, usize)> = (0..n_runs)
+            .map(|k| (start(k, first), start(k, end)))
+            .collect();
+        if let Some(key) = key {
+            out.consume(&segs);
+            out.fill(group, keys, key);
+        } else {
+            if buf.len() < keys {
+                // Exactly sized, and the old one freed first: nothing in
+                // it survives a wave.
+                buf = Vec::new();
+                buf.resize(keys, T::default());
+            }
+            let mut rest = &mut buf[..keys];
+            let items: Vec<(Vec<&[T]>, &mut [T])> = (first..end)
+                .map(|t| {
+                    let (dst, tail) = std::mem::take(&mut rest).split_at_mut(sizes[t]);
+                    rest = tail;
+                    (subs(t), dst)
+                })
+                .collect();
+            crate::pool::run_indexed(threads, items, |i, (subs, dst)| {
+                with_lane(i % ways.max(1), || merge_piece(&subs, dst, sort))
+            });
+            out.consume(&segs);
+            scatter(&buf[..keys], out.dests(group, keys), threads);
+        }
+        first = end;
+    }
+    out.finish(group);
+    cmps
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //!
 //! This is the engine behind Corollary 3 ("sorting x elements that fit in
 //! the scratchpad … using multi-way merge sort with a branching factor of
-//! Z/B") and behind the far-memory baseline. It sorts a region resident in
+//! Z/B"); the far-memory baseline shares its merge rounds' plan and
+//! charges ([`Round`]). It sorts a region resident in
 //! one memory (near or far) by
 //!
 //! 1. **Run formation** — stream cache-sized pieces in, sort them with an
@@ -188,10 +189,85 @@ pub fn external_sort<T: SortElem>(
     }
 }
 
+/// One round of a multiway mergesort's merge: groups of up to `fanout`
+/// adjacent runs, each merged into one run, and what each group's merge
+/// charges. [`merge_rounds`] executes it ping-pong; the baseline
+/// (`crate::baseline`) executes the same rounds in place, and both charge
+/// through [`Round::charge`].
+pub(crate) struct Round {
+    /// Group `g` merges runs `groups[g].0..groups[g].1`.
+    pub(crate) groups: Vec<(usize, usize)>,
+    /// Lanes each group's merge is spread over.
+    pub(crate) ways: usize,
+    lanes: usize,
+    base: usize,
+}
+
+impl Round {
+    /// The round over `runs` runs at `fanout`, charged to `lanes` lanes
+    /// from the calling thread's lane. When there are fewer groups than
+    /// lanes (late rounds), each group's merge is itself parallelized
+    /// across its lane share: a group merge charged to a single lane would
+    /// put the whole stream on one core's critical path, which is not how
+    /// a multithreaded multiway merge behaves.
+    pub(crate) fn plan(runs: usize, fanout: usize, lanes: usize) -> Self {
+        let fanout = fanout.max(2);
+        let lanes = lanes.max(1);
+        let groups: Vec<(usize, usize)> = (0..runs)
+            .step_by(fanout)
+            .map(|lo| (lo, (lo + fanout).min(runs)))
+            .collect();
+        Self {
+            ways: lanes.div_ceil(groups.len().max(1)),
+            groups,
+            lanes,
+            base: current_lane(),
+        }
+    }
+
+    /// Charge group `g`'s merge of `elems` elements and `cmps` comparisons:
+    /// one read and one write of every element at `level`, and the
+    /// comparisons, split evenly over the group's `ways` lanes.
+    pub(crate) fn charge<T>(
+        &self,
+        tl: &TwoLevel,
+        level: RegionLevel,
+        g: usize,
+        elems: usize,
+        cmps: u64,
+    ) {
+        let n_groups = self.groups.len();
+        for j in 0..self.ways {
+            let lane = self.base + (g + j * n_groups) % self.lanes;
+            let share = (j + 1) * elems / self.ways - j * elems / self.ways;
+            if share == 0 {
+                continue;
+            }
+            with_lane(lane, || {
+                charge_io::<T>(tl, level, Dir::Read, share);
+                charge_io::<T>(tl, level, Dir::Write, share);
+                tl.charge_compute(cmps * share as u64 / elems.max(1) as u64);
+            });
+        }
+    }
+
+    /// The run bounds after this round, given the bounds before it.
+    pub(crate) fn merged_bounds(&self, bounds: &[usize]) -> Vec<usize> {
+        self.groups
+            .iter()
+            .map(|&(lo, _)| bounds[lo])
+            .chain(bounds.last().copied())
+            .collect()
+    }
+}
+
 /// Repeatedly merge groups of up to `fanout` adjacent sorted runs (given by
 /// `bounds` offsets) between `data` and `scratch` until one run remains.
-/// Returns `(result_in_scratch, rounds, comparisons)`. Shared by
-/// [`external_sort`] and the far-memory baseline.
+/// Returns `(result_in_scratch, rounds, comparisons)`.
+///
+/// The near levels that use it (NMsort's Phase-1 chunk sort, SquareSort)
+/// hold their scratch region anyway, so merging there ping-pong costs no
+/// memory; an in-place round would only add a block permutation.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn merge_rounds<T: SortElem>(
     tl: &TwoLevel,
@@ -203,31 +279,19 @@ pub(crate) fn merge_rounds<T: SortElem>(
     lanes: usize,
     threads: usize,
 ) -> (bool, u32, u64) {
-    let n = data.len();
-    let fanout = fanout.max(2);
-    let lanes = lanes.max(1);
     let total_cmps = std::sync::atomic::AtomicU64::new(0);
     let mut src: &mut [T] = data;
     let mut dst: &mut [T] = scratch;
     let mut rounds = 0u32;
     while bounds.len() > 2 {
-        let groups: Vec<(usize, usize)> = bounds[..bounds.len() - 1]
-            .iter()
-            .step_by(fanout)
-            .enumerate()
-            .map(|(g, _)| {
-                let lo = g * fanout;
-                let hi = (lo + fanout).min(bounds.len() - 1);
-                (lo, hi)
-            })
-            .collect();
+        let round = Round::plan(bounds.len() - 1, fanout, lanes);
 
         // Split dst into one output slice per group (groups are adjacent).
-        let mut out_slices: Vec<&mut [T]> = Vec::with_capacity(groups.len());
+        let mut out_slices: Vec<&mut [T]> = Vec::with_capacity(round.groups.len());
         {
             let mut rest: &mut [T] = dst;
             let mut consumed = 0usize;
-            for &(lo, hi) in &groups {
+            for &(lo, hi) in &round.groups {
                 let len = bounds[hi] - bounds[lo];
                 let (a, b) = rest.split_at_mut(bounds[lo] - consumed + len);
                 // a contains [consumed .. bounds[hi]); keep only the tail
@@ -240,53 +304,28 @@ pub(crate) fn merge_rounds<T: SortElem>(
         }
 
         let src_ref: &[T] = src;
-        // When there are fewer groups than lanes (late rounds), each group's
-        // merge is itself parallelized across its lane share — a group merge
-        // charged to a single lane would put the whole stream on one core's
-        // critical path, which is not how a multithreaded multiway merge
-        // behaves.
-        let n_groups = groups.len().max(1);
-        let ways = lanes.div_ceil(n_groups);
-        let base = current_lane();
         let merge_group = |(g, ((lo, hi), out)): (usize, (&(usize, usize), &mut [T]))| {
             let runs: Vec<&[T]> = (*lo..*hi)
                 .map(|r| &src_ref[bounds[r]..bounds[r + 1]])
                 .collect();
-            let elems = out.len();
-            let cmps = crate::pmerge::parallel_merge(&runs, out, ways, threads);
-            // Charge IO and compute across this group's lane share.
-            for j in 0..ways {
-                let lane = base + (g + j * n_groups) % lanes;
-                let share_lo = j * elems / ways;
-                let share_hi = (j + 1) * elems / ways;
-                let share = share_hi - share_lo;
-                if share == 0 {
-                    continue;
-                }
-                with_lane(lane, || {
-                    charge_io::<T>(tl, level, Dir::Read, share);
-                    charge_io::<T>(tl, level, Dir::Write, share);
-                    tl.charge_compute(cmps * share as u64 / elems.max(1) as u64);
-                });
-            }
+            let cmps = crate::pmerge::parallel_merge(&runs, out, round.ways, threads);
+            round.charge::<T>(tl, level, g, out.len(), cmps);
             total_cmps.fetch_add(cmps, std::sync::atomic::Ordering::Relaxed);
         };
         if threads > 1 {
-            let items: Vec<(&(usize, usize), &mut [T])> = groups.iter().zip(out_slices).collect();
+            let items: Vec<(&(usize, usize), &mut [T])> =
+                round.groups.iter().zip(out_slices).collect();
             crate::pool::run_indexed(threads, items, |g, go| merge_group((g, go)));
         } else {
-            groups
+            round
+                .groups
                 .iter()
                 .zip(out_slices)
                 .enumerate()
                 .for_each(merge_group);
         }
 
-        bounds = groups
-            .iter()
-            .map(|&(lo, _)| bounds[lo])
-            .chain(std::iter::once(n))
-            .collect();
+        bounds = round.merged_bounds(&bounds);
         std::mem::swap(&mut src, &mut dst);
         rounds += 1;
     }

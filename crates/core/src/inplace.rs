@@ -1,13 +1,14 @@
-//! A sample sort's merged output, written over the sorted chunks it
-//! consumes: NMsort's Phase 2 and SPMS's root.
+//! A merge's output, written over the sorted chunks it consumes: NMsort's
+//! Phase 2, SPMS's root and each merge group of the baseline.
 //!
-//! Both leave one array holding sorted chunks (NMsort's Phase-1 chunks,
-//! SPMS's root groups) and then read every chunk front to back, one
-//! bucket range at a time: an NMsort batch, an SPMS wave. Once a range's
-//! segments are read, each chunk's prefix up to there is *dead*: no later
-//! range reads it again. [`InPlaceOutput`] lays the output over those dead
-//! prefixes, so either sort returns its input's own allocation instead of
-//! a second `n`-element array.
+//! Each leaves one array holding sorted chunks (NMsort's Phase-1 chunks,
+//! SPMS's root groups, a baseline group's runs) and then reads every chunk
+//! front to back, one key range at a time: an NMsort batch, an SPMS wave,
+//! a baseline wave of pieces. Once a range's segments are read, each
+//! chunk's prefix up to there is *dead*: no later range reads it again.
+//! [`InPlaceOutput`] lays the output over those dead prefixes, so each
+//! sort returns its input's own allocation instead of a second
+//! `n`-element array.
 //!
 //! The array is cut into equal *slots* of `block` elements (the last may be
 //! shorter), and the output into blocks of the same grid, so block `j`'s
@@ -525,6 +526,33 @@ mod tests {
         // Uniform keys spread every batch over all chunks.
         let used = drive(6 * 300 + 1, 300, 7, 120, spread);
         assert!(used < 2 * 7, "{used}");
+    }
+
+    #[test]
+    fn baseline_shaped_merge_stays_within_the_overflow_bound() {
+        // The baseline's single merge round, scaled down: 256 equal runs
+        // whose length is not a multiple of the slot (`new(n, run, 64)`
+        // gives slots of 16 here), the last run short or not, read in
+        // waves of about a sixteenth of the input. Uniform keys spread
+        // every wave over all runs; clustered keys read a few runs at a
+        // time.
+        let runs = 256;
+        for run in [37, 1_000] {
+            let block = InPlaceOutput::<u64>::new(runs * run, run, 64).block;
+            assert_eq!(block, 16);
+            assert_ne!(run % block, 0);
+            for n in [runs * run, runs * run - 5] {
+                let used = drive(n, run, block, n / 16, spread);
+                assert!(used < 2 * runs, "overflow {used} blocks over {runs} runs");
+                if cfg!(miri) {
+                    // Miri interprets every step: one shape is enough.
+                    return;
+                }
+                let clustered = |i: usize| (i / run) as u64 * 1_000 + spread(i) % 7;
+                let used = drive(n, run, block, n / 16, clustered);
+                assert!(used < 2 * runs, "overflow {used} blocks over {runs} runs");
+            }
+        }
     }
 
     /// Finish a hand-made layout: `loc[j]` stores block `j` (a slot, or

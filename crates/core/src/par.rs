@@ -211,6 +211,30 @@ pub(crate) fn charged_scatter<'d, T: SortElem>(
     );
 }
 
+/// Least elements [`scatter`] gives a worker thread: a shorter copy
+/// costs less than starting the thread.
+const SCATTER_MIN_STRIPE: usize = 1 << 16;
+
+/// Copy `src` into the slices of `dst` laid end to end (equal total
+/// lengths), in contiguous stripes of at least `SCATTER_MIN_STRIPE`
+/// elements on up to `threads` worker threads. Host work only: it charges
+/// nothing.
+pub(crate) fn scatter<'d, T: SortElem>(
+    src: &[T],
+    dst: impl IntoIterator<Item = &'d mut [T]>,
+    threads: usize,
+) {
+    let mut pieces = Pieces::new(dst);
+    let stripes = threads.min(src.len() / SCATTER_MIN_STRIPE).max(1);
+    let items: Vec<(Range<usize>, Vec<&mut [T]>)> = striped_ranges(src.len(), stripes)
+        .map(|r| (r.clone(), pieces.take(r.len())))
+        .collect();
+    crate::pool::run_indexed(threads, items, |_, (r, runs)| {
+        Pieces::new(runs).fill(&src[r])
+    });
+    assert!(pieces.is_spent(), "scatter: destination longer than source");
+}
+
 /// A destination in pieces, handed out front to back.
 pub(crate) struct Pieces<'d, T, I> {
     rest: I,

@@ -37,7 +37,7 @@ use tlmm_scratchpad::trace::with_lane;
 const SORT_MIN_FAN_IN: usize = 8;
 /// Keys per piece of the sort path: 256 KiB of `u64`, an L2-sized radix
 /// sort.
-const PIECE_KEYS: usize = 1 << 15;
+pub(crate) const PIECE_KEYS: usize = 1 << 15;
 /// Sample keys drawn per part or piece when choosing splitters.
 const OVERSAMPLE: usize = 16;
 
@@ -66,24 +66,12 @@ pub fn parallel_merge<T: SortElem>(
 ) -> u64 {
     let total: usize = segments.iter().map(|s| s.len()).sum();
     assert_eq!(out.len(), total, "output must fit the merge exactly");
-    let fan_in = segments.iter().filter(|s| !s.is_empty()).count();
-    if fan_in >= SORT_MIN_FAN_IN && radix_kernel::<T>().is_some() {
-        let parts = charge_parts(segments, ways, threads);
-        let cmps: u64 = crate::pool::map_indexed(threads, parts, |_, part| merge_cost(&part))
-            .into_iter()
-            .sum();
+    if sorts_pieces(segments) {
+        let cmps = merge_count(segments, ways, threads);
         let pieces = total.div_ceil(PIECE_KEYS);
         let cuts = split(segments, &splitters(segments, total, pieces, true), threads);
         crate::pool::run_indexed(threads, carve(cuts, out), |i, (subs, out)| {
-            with_lane(i % ways.max(1), || {
-                let mut rest = &mut *out;
-                for sub in subs {
-                    let (dst, next) = rest.split_at_mut(sub.len());
-                    dst.copy_from_slice(sub);
-                    rest = next;
-                }
-                sort_kernel(out);
-            })
+            with_lane(i % ways.max(1), || merge_piece(&subs, out, true))
         });
         return cmps;
     }
@@ -98,6 +86,56 @@ pub fn parallel_merge<T: SortElem>(
     crate::pool::map_indexed(threads, carve(parts, out), merge_part)
         .into_iter()
         .sum()
+}
+
+/// Whether a merge of `segments` executes by sorting pieces: a
+/// [`crate::kernels::RadixKey`] element type and at least
+/// `SORT_MIN_FAN_IN` non-empty segments.
+pub(crate) fn sorts_pieces<T: SortElem>(segments: &[&[T]]) -> bool {
+    radix_kernel::<T>().is_some()
+        && segments.iter().filter(|s| !s.is_empty()).count() >= SORT_MIN_FAN_IN
+}
+
+/// The comparisons a merge of `segments` is charged at `ways` parts: the
+/// loser tree's count, [`merge_cost`], summed over the sampled charge
+/// split ([`charge_parts`]). [`parallel_merge`] returns this count
+/// whichever path executes it.
+pub(crate) fn merge_count<T: SortElem>(segments: &[&[T]], ways: usize, threads: usize) -> u64 {
+    let parts = charge_parts(segments, ways, threads);
+    crate::pool::map_indexed(threads, parts, |_, part| merge_cost(&part))
+        .into_iter()
+        .sum()
+}
+
+/// The execution split of a merge of `segments` into about `pieces`
+/// pieces, from the jittered sample: `cuts[k][t]` is where piece `t` ends
+/// in segment `k`, so piece `t` takes `cuts[k][t - 1]..cuts[k][t]` of
+/// every segment (from 0 for the first piece), and each segment's last
+/// entry is its length.
+pub(crate) fn piece_cuts<T: SortElem>(
+    segments: &[&[T]],
+    pieces: usize,
+    threads: usize,
+) -> Vec<Vec<usize>> {
+    let total = segments.iter().map(|s| s.len()).sum();
+    cuts(segments, &splitters(segments, total, pieces, true), threads)
+}
+
+/// Merge one piece of an execution split, its sub-slices `subs`, into
+/// `out`: copied into place and sorted with [`sort_kernel`] when `sort`
+/// (the merge [`sorts_pieces`]), else merged by [`merge_into_slice`].
+pub(crate) fn merge_piece<T: SortElem>(subs: &[&[T]], out: &mut [T], sort: bool) {
+    if !sort {
+        merge_into_slice(subs, out);
+        return;
+    }
+    let mut rest = &mut *out;
+    for sub in subs {
+        let (dst, next) = rest.split_at_mut(sub.len());
+        dst.copy_from_slice(sub);
+        rest = next;
+    }
+    sort_kernel(out);
 }
 
 /// The parts a merge is charged over: one part, the whole merge, when
@@ -129,10 +167,14 @@ fn charge_parts<'a, T: SortElem>(
 /// Up to `count - 1` distinct splitters at evenly spaced ranks of a sample
 /// of ~[`OVERSAMPLE`]`·count` keys, drawn from each non-empty segment in
 /// proportion to its length at a fixed stride. Without `jitter` every
-/// segment's stride starts at its first key (the charge split's sample,
-/// see [`charge_parts`]); with it, segment `k` of `K` starts `k/K` of a
+/// segment's stride starts at its first key and the ranks are taken among
+/// the sample's distinct keys (the charge split's sample, see
+/// [`charge_parts`]). With it, segment `k` of `K` starts `k/K` of a
 /// stride in, so equal-length segments of one distribution sample
-/// interleaved quantiles and the splitters spread evenly.
+/// interleaved quantiles and the splitters spread evenly; and the ranks
+/// are taken among all sample keys, so a key that fills many sample
+/// places is one splitter, whose part holds its copies and little else,
+/// instead of dragging its neighbours' keys into one outsized part.
 fn splitters<T: Ord + Copy>(segments: &[&[T]], total: usize, count: usize, jitter: bool) -> Vec<T> {
     if count <= 1 || total == 0 {
         return Vec::new();
@@ -148,7 +190,9 @@ fn splitters<T: Ord + Copy>(segments: &[&[T]], total: usize, count: usize, jitte
         sample.extend(seg[first..].iter().step_by(step).copied());
     }
     sample.sort_unstable();
-    sample.dedup();
+    if !jitter {
+        sample.dedup();
+    }
     let mut splitters: Vec<T> = (1..count)
         .map(|t| sample[(t * sample.len() / count).min(sample.len() - 1)])
         .collect();
@@ -156,34 +200,43 @@ fn splitters<T: Ord + Copy>(segments: &[&[T]], total: usize, count: usize, jitte
     splitters
 }
 
-/// Cut every sorted segment at the ascending `splitters`: part `t` takes
-/// each segment's keys above splitter `t - 1` and up to splitter `t`, and
-/// the last part the keys above the last splitter. The parts are disjoint
-/// and ordered, so their merges laid end to end are the whole merge.
+/// Where every sorted segment is cut at the ascending `splitters`: part
+/// `t` takes each segment's keys above splitter `t - 1` and up to
+/// splitter `t`, and the last part the keys above the last splitter; a
+/// segment's entry `t` is where its share of part `t` ends. The parts are
+/// disjoint and ordered, so their merges laid end to end are the whole
+/// merge.
 ///
 /// Each segment is cut front to back on the pool, every cut found by
 /// [`gallop`] from the previous one, so a search reads memory next to the
 /// last instead of starting over in the middle of a large segment.
+fn cuts<T: SortElem>(segments: &[&[T]], splitters: &[T], threads: usize) -> Vec<Vec<usize>> {
+    let cut = |_, seg: &[T]| -> Vec<usize> {
+        let mut at = 0;
+        splitters
+            .iter()
+            .map(|s| {
+                at += gallop(&seg[at..], s);
+                at
+            })
+            .chain([seg.len()])
+            .collect()
+    };
+    crate::pool::map_indexed(threads, segments.to_vec(), cut)
+}
+
+/// The parts of [`cuts`], as each segment's sub-slices.
 fn split<'a, T: SortElem>(
     segments: &[&'a [T]],
     splitters: &[T],
     threads: usize,
 ) -> Vec<Vec<&'a [T]>> {
-    let cut = |_, seg: &'a [T]| -> Vec<&'a [T]> {
-        let mut rest = seg;
-        (0..=splitters.len())
-            .map(|t| {
-                let at = splitters.get(t).map_or(rest.len(), |s| gallop(rest, s));
-                let (sub, tail) = rest.split_at(at);
-                rest = tail;
-                sub
-            })
-            .collect()
-    };
     let mut parts = vec![Vec::with_capacity(segments.len()); splitters.len() + 1];
-    for subs in crate::pool::map_indexed(threads, segments.to_vec(), cut) {
-        for (part, sub) in parts.iter_mut().zip(subs) {
-            part.push(sub);
+    for (seg, ends) in segments.iter().zip(cuts(segments, splitters, threads)) {
+        let mut from = 0;
+        for (part, end) in parts.iter_mut().zip(ends) {
+            part.push(&seg[from..end]);
+            from = end;
         }
     }
     parts
@@ -398,6 +451,48 @@ mod tests {
             check_charge(&segs, ways, threads);
         }
         check_charge(&shaped_segments("zipf", 9, 4 * PIECE_KEYS / 9, 6), 8, 2);
+    }
+
+    #[test]
+    fn jittered_pieces_give_a_heavy_key_its_own_piece() {
+        // 64 sorted runs of Zipf-like keys: key 1 holds about a third of
+        // them, then each key k about 1/k² of that, then a long tail of
+        // distinct keys. A piece is either one key's copies or at most a
+        // few pieces' share, so no run of head keys sizes a piece.
+        let mut rng = StdRng::seed_from_u64(9);
+        let segs: Vec<Vec<u64>> = (0..64)
+            .map(|_| {
+                let mut seg: Vec<u64> = (0..4_000)
+                    .map(|_| match rng.gen_range(0..100) {
+                        0..=32 => 1,
+                        33..=49 => rng.gen_range(2..6),
+                        _ => rng.gen_range(6..1 << 40),
+                    })
+                    .collect();
+                seg.sort_unstable();
+                seg
+            })
+            .collect();
+        let refs: Vec<&[u64]> = segs.iter().map(|s| s.as_slice()).collect();
+        let total = 64 * 4_000;
+        let pieces = 64;
+        let cuts = piece_cuts(&refs, pieces, 2);
+        let mut biggest_mixed = 0;
+        for t in 0..cuts[0].len() {
+            let subs: Vec<&[u64]> = refs
+                .iter()
+                .zip(&cuts)
+                .map(|(seg, ends)| &seg[t.checked_sub(1).map_or(0, |t| ends[t])..ends[t]])
+                .collect();
+            let len: usize = subs.iter().map(|s| s.len()).sum();
+            if !crate::losertree::single_key(&subs) {
+                biggest_mixed = biggest_mixed.max(len);
+            }
+        }
+        assert!(
+            biggest_mixed <= 3 * total / pieces,
+            "a piece of several keys holds {biggest_mixed} of {total} keys"
+        );
     }
 
     #[test]

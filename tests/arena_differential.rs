@@ -84,3 +84,44 @@ fn every_engine_matches_slice_sort_on_every_shape_with_and_without_faults() {
         }
     }
 }
+
+/// The baseline's in-place merge on the shared-scratchpad discipline: on
+/// every shape, with and without a fault plan, at one and two threads and
+/// at a fan-in below and above the merge's sort path, it returns its
+/// input's own array sorted and leaves zero near bytes behind.
+#[test]
+fn baseline_merges_in_place_and_leaks_nothing_on_every_shape() {
+    let tl = TwoLevel::new(ScratchpadParams::new(64, 4.0, 1 << 20, 16 << 10).unwrap());
+    for (si, &shape) in SHAPES.iter().enumerate() {
+        let data = generate(shape, N, 0xBA5E ^ si as u64);
+        let mut expect = data.clone();
+        expect.sort_unstable();
+        for (lanes, threads) in [(4, 1), (64, 2)] {
+            for fault_seed in [None, Some(2000 + si as u64)] {
+                let ctx = format!(
+                    "{shape:?} × lanes {lanes} × threads {threads} × faults={fault_seed:?}"
+                );
+                if let Some(fs) = fault_seed {
+                    tl.install_fault_plan(FaultPlan::seeded(fs));
+                }
+                let input = tl.far_from_vec(data.clone());
+                let at = input.as_slice_uncharged().as_ptr();
+                let cfg = BaselineConfig {
+                    sim_lanes: lanes,
+                    threads,
+                    ..Default::default()
+                };
+                let r = baseline_sort(&tl, input, &cfg).expect("the baseline never fails");
+                assert_eq!(r.output.as_slice_uncharged(), expect.as_slice(), "{ctx}");
+                assert_eq!(
+                    r.output.as_slice_uncharged().as_ptr(),
+                    at,
+                    "{ctx}: output moved"
+                );
+                tl.clear_faults();
+                assert_eq!(tl.near_used_bytes(), 0, "{ctx}: leaked near bytes");
+                drop(tl.take_trace());
+            }
+        }
+    }
+}

@@ -201,3 +201,40 @@ fn deadline_between_phase2_batches_is_typed_and_leak_free() {
         assert_eq!(tl.near_used_bytes(), 0);
     }
 }
+
+/// A budget of exactly the run sorts' charges trips the baseline at its
+/// pre-merge checkpoint: the runs are sorted, no merge wave has touched
+/// the array, the error is the typed cancellation and nothing leaks. The
+/// next job on the same scratchpad sorts.
+#[test]
+fn baseline_cancelled_before_its_merge_is_typed_and_leak_free() {
+    let n = 60_000;
+    let tl = TwoLevel::new(cancel_params());
+    let clean = run_engine(&tl, Engine::Baseline, generate(Workload::UniformU64, n, 4))
+        .expect("clean run succeeds");
+    let trace = tl.take_trace();
+    let names: Vec<&str> = trace.phases.iter().map(|p| p.name.as_str()).collect();
+    assert_eq!(names, ["baseline.run_sort", "baseline.merge"]);
+    let run_sort = trace.phases[0].total().far_bytes();
+
+    let tl = TwoLevel::new(cancel_params());
+    tl.install_cancel(CancelToken::with_unit_budget(run_sort));
+    let err = run_engine(&tl, Engine::Baseline, generate(Workload::UniformU64, n, 4))
+        .expect_err("the budget runs out at the merge checkpoint");
+    tl.clear_cancel();
+    assert!(err.is_canceled(), "{err}");
+    assert_eq!(tl.near_used_bytes(), 0, "leaked near bytes");
+    let trace = tl.take_trace();
+    let last = trace.phases.last().expect("the run sorts ran");
+    assert_eq!(
+        last.name, "baseline.run_sort",
+        "tripped after {}",
+        last.name
+    );
+    assert_eq!(trace.total().far_bytes(), run_sort, "no merge charge");
+
+    let again = run_engine(&tl, Engine::Baseline, generate(Workload::UniformU64, n, 4))
+        .expect("follow-up job on the same arena succeeds");
+    assert_eq!(again, clean);
+    assert_eq!(tl.near_used_bytes(), 0);
+}

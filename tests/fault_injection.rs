@@ -318,6 +318,49 @@ fn ladder_exhaustion_is_typed_for_every_engine() {
     }
 }
 
+/// The baseline preflights nothing: it never stages, allocates near
+/// memory or issues a transfer, so an installed fault plan, even one that
+/// fails every roll, fires no fault and leaves its ledger and its in-place
+/// output equal to the clean run's, at one thread and at two.
+#[test]
+fn fault_plans_leave_the_baseline_ledger_unchanged() {
+    let n = 60_000;
+    let mut expect = generate(Workload::UniformU64, n, 12);
+    expect.sort_unstable();
+    let hostile = FaultPlan {
+        near_alloc_fail_permille: 1000,
+        transfer_fail_permille: 1000,
+        stage_fail_permille: 1000,
+        dma_abort_permille: 1000,
+        ..FaultPlan::none(17)
+    };
+    for threads in [1, 2] {
+        let run = |plan: Option<FaultPlan>| {
+            let tl = TwoLevel::new(sweep_params());
+            if let Some(plan) = plan {
+                tl.install_fault_plan(plan);
+            }
+            let input = tl.far_from_vec(generate(Workload::UniformU64, n, 12));
+            let at = input.as_slice_uncharged().as_ptr();
+            let cfg = BaselineConfig {
+                sim_lanes: 16,
+                threads,
+                ..Default::default()
+            };
+            let r = baseline_sort(&tl, input, &cfg).expect("the baseline has no fault ladder");
+            assert_eq!(r.output.as_slice_uncharged(), expect.as_slice());
+            assert_eq!(r.output.as_slice_uncharged().as_ptr(), at, "output moved");
+            assert_eq!(tl.faults_injected(), 0);
+            assert_eq!(tl.near_used_bytes(), 0);
+            tl.ledger().snapshot()
+        };
+        let clean = run(None);
+        for plan in [FaultPlan::seeded(3), FaultPlan::seeded(4), hostile.clone()] {
+            assert_eq!(run(Some(plan)), clean, "threads {threads}");
+        }
+    }
+}
+
 /// A plan with explicit `fail_nth` triggers is fully deterministic: two
 /// identical runs degrade identically, byte for byte.
 #[test]

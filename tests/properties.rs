@@ -106,6 +106,55 @@ fn oblivious_differential(
     }
 }
 
+/// Sort `keys` with the baseline at `lanes` simulated threads and
+/// `fanout` at 1, 2 and 4 host threads, SIMD on and off: each run must
+/// return its input's own array, sorted, and all six ledgers must agree.
+fn baseline_in_place<T: two_level_mem::core::SortElem + std::fmt::Debug>(
+    keys: Vec<T>,
+    lanes: usize,
+    fanout: Option<usize>,
+) {
+    let mut expect = keys.clone();
+    expect.sort_unstable();
+    let prior = simd::enabled();
+    let mut runs = Vec::new();
+    for vector in [true, false] {
+        simd::set_enabled(vector);
+        for threads in [1, 2, 4] {
+            let tl = TwoLevel::new(tiny_params());
+            let input = tl.far_from_vec(keys.clone());
+            let at = input.as_slice_uncharged().as_ptr();
+            let cfg = BaselineConfig {
+                sim_lanes: lanes,
+                threads,
+                fanout,
+                ..Default::default()
+            };
+            let r = baseline_sort(&tl, input, &cfg).unwrap();
+            let out = r.output.as_slice_uncharged();
+            let case = format!("lanes {lanes} fanout {fanout:?} threads {threads} simd {vector}");
+            runs.push((
+                case,
+                out == expect.as_slice(),
+                out.as_ptr() == at,
+                tl.ledger().snapshot(),
+            ));
+        }
+    }
+    simd::set_enabled(prior);
+    for (case, sorted, in_place, ledger) in &runs {
+        prop_assert!(*sorted, "{}: not sorted", case);
+        prop_assert!(*in_place, "{}: output moved", case);
+        prop_assert_eq!(
+            ledger,
+            &runs[0].3,
+            "{}: ledger differs from {}",
+            case,
+            runs[0].0
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -355,6 +404,33 @@ proptest! {
             ..Default::default()
         }).unwrap();
         prop_assert_eq!(r.output.as_slice_uncharged(), expect.as_slice());
+    }
+
+    /// The baseline merges over its own runs whatever the shape, the lane
+    /// count (fan-in below and above the merge's sort path at 8 runs, and
+    /// past the default fanout of 256 into a second round), a fanout of 2
+    /// (many rounds) and the key type: `u64`, `i64`, and a pair with no
+    /// radix key.
+    #[test]
+    fn baseline_sorts_in_place_across_shapes_lanes_and_threads(
+        w in shaped_workload(),
+        n in (0u8..4, 0usize..30_000).prop_map(|(edge, n)| if edge == 0 { n % 64 } else { n }),
+        seed in any::<u64>(),
+        lanes in 1usize..301,
+        two_way in any::<bool>(),
+        key_kind in 0u8..3,
+    ) {
+        let fanout = two_way.then_some(2);
+        let keys = generate(w, n, seed);
+        match key_kind {
+            0 => baseline_in_place(keys, lanes, fanout),
+            1 => baseline_in_place(keys.into_iter().map(|x| x as i64).collect(), lanes, fanout),
+            _ => baseline_in_place(
+                keys.into_iter().map(|x| (x % 1_000, x)).collect::<Vec<(u64, u64)>>(),
+                lanes,
+                fanout,
+            ),
+        }
     }
 
     // ---- Oblivious engines: differential vs `slice::sort` across the same
