@@ -219,3 +219,6 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod pinned;
