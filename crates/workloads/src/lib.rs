@@ -8,7 +8,8 @@
 
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::mem::MaybeUninit;
 
 /// The input distributions available to harnesses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,15 +38,66 @@ pub enum Workload {
 }
 
 /// Generate `n` elements of `w` with `seed`.
+///
+/// From 2Mi keys on, the work that does not depend on the random stream
+/// runs in one stripe per host core, each of at least 1Mi keys: the page
+/// faults, the index-only shapes and Zipf's inverse CDF. The stream itself
+/// is drawn once, in order, on the caller, so the output does not depend
+/// on the stripe count. Shorter inputs run on the caller alone.
 pub fn generate(w: Workload, n: usize, seed: u64) -> Vec<u64> {
+    fill(w, n, seed, stripes(n))
+}
+
+/// Least keys per stripe of a parallel fill. Inputs shorter than two
+/// stripes run inline and never query the host.
+const STRIPE_KEYS: usize = 1 << 20;
+
+/// `u64` keys per 4 KiB page.
+const PAGE_KEYS: usize = 512;
+
+/// `min(host cores, n / STRIPE_KEYS)`, and 1 below two stripes' worth.
+fn stripes(n: usize) -> usize {
+    let most = n / STRIPE_KEYS;
+    if most < 2 {
+        return 1;
+    }
+    std::thread::available_parallelism().map_or(1, |p| p.get().min(most))
+}
+
+/// The generator in three stages over `stripes` contiguous stripes of one
+/// `n`-key allocation:
+///
+/// 1. fault every page in on the stripes; the index-only shapes write
+///    their keys on the way;
+/// 2. draw the `StdRng` stream once, in order, on the caller (rejection
+///    sampling and swaps need the stream's order);
+/// 3. map each drawn word to its key on the stripes (Zipf's inverse CDF).
+fn fill(w: Workload, n: usize, seed: u64, stripes: usize) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut v = Vec::with_capacity(n);
+    let keys = &mut v.spare_capacity_mut()[..n];
     match w {
-        Workload::UniformU64 => (0..n).map(|_| rng.gen()).collect(),
-        Workload::UniformBounded(max) => (0..n).map(|_| rng.gen_range(0..max.max(1))).collect(),
-        Workload::Sorted => (0..n as u64).collect(),
-        Workload::Reverse => (0..n as u64).rev().collect(),
+        Workload::Sorted | Workload::NearlySorted(_) => index_fill(keys, stripes, |i| i as u64),
+        Workload::Reverse => index_fill(keys, stripes, |i| (n - 1 - i) as u64),
+        Workload::AllEqual => index_fill(keys, stripes, |_| 0xDEAD_BEEF),
+        Workload::Sawtooth(period) => {
+            let period = period.max(1);
+            index_fill(keys, stripes, |i| i as u64 % period)
+        }
+        Workload::UniformU64 | Workload::Zipf(_) => {
+            striped(keys, stripes, touch_pages);
+            draw_fill(keys, || rng.next_u64())
+        }
+        Workload::UniformBounded(max) | Workload::FewDistinct(max) => {
+            let max = max.max(1);
+            striped(keys, stripes, touch_pages);
+            draw_fill(keys, || rng.gen_range(0..max))
+        }
+    }
+    // SAFETY: every arm above wrote each of the first `n` slots.
+    unsafe { v.set_len(n) };
+    match w {
         Workload::NearlySorted(frac) => {
-            let mut v: Vec<u64> = (0..n as u64).collect();
             let swaps = ((n as f64) * frac.clamp(0.0, 1.0) / 2.0) as usize;
             for _ in 0..swaps {
                 if n < 2 {
@@ -56,21 +108,73 @@ pub fn generate(w: Workload, n: usize, seed: u64) -> Vec<u64> {
                 let j = (i + 1 + rng.gen_range(0..16)).min(n - 1);
                 v.swap(i, j);
             }
-            v
-        }
-        Workload::FewDistinct(k) => {
-            let k = k.max(1);
-            (0..n).map(|_| rng.gen_range(0..k)).collect()
         }
         Workload::Zipf(s) => {
             let zipf = ZipfSampler::new(n.max(2) as u64, s);
-            (0..n).map(|_| zipf.sample(&mut rng)).collect()
+            striped(&mut v, stripes, |_, part| {
+                for k in part {
+                    *k = zipf.sample_word(*k);
+                }
+            });
         }
-        Workload::AllEqual => vec![0xDEAD_BEEF; n],
-        Workload::Sawtooth(period) => {
-            let period = period.max(1);
-            (0..n as u64).map(|i| i % period).collect()
+        _ => {}
+    }
+    v
+}
+
+/// Run `f(offset, stripe)` on `stripes` contiguous stripes of `v`, the
+/// first on the caller and the others on scoped threads.
+fn striped<E: Send>(v: &mut [E], stripes: usize, f: impl Fn(usize, &mut [E]) + Sync) {
+    if stripes <= 1 {
+        return f(0, v);
+    }
+    let len = v.len().div_ceil(stripes).max(1);
+    let mut parts = v.chunks_mut(len).enumerate();
+    let first = parts.next();
+    let f = &f;
+    std::thread::scope(|s| {
+        for (i, part) in parts {
+            s.spawn(move || f(i * len, part));
         }
+        if let Some((_, part)) = first {
+            f(0, part);
+        }
+    });
+}
+
+/// Write key `key(i)` at every index `i`, on the stripes.
+fn index_fill(keys: &mut [MaybeUninit<u64>], stripes: usize, key: impl Fn(usize) -> u64 + Sync) {
+    striped(keys, stripes, |at, part| {
+        for (k, i) in part.iter_mut().zip(at..) {
+            k.write(key(i));
+        }
+    });
+}
+
+/// Write one word per page of `part` (and its last word), so the page
+/// faults happen on this stripe. The draw overwrites every word.
+fn touch_pages(_: usize, part: &mut [MaybeUninit<u64>]) {
+    for k in part.iter_mut().step_by(PAGE_KEYS) {
+        k.write(0);
+    }
+    if let Some(k) = part.last_mut() {
+        k.write(0);
+    }
+}
+
+/// Write `draw()` into every slot, in order.
+fn draw_fill(keys: &mut [MaybeUninit<u64>], mut draw: impl FnMut() -> u64) {
+    for k in keys {
+        k.write(draw());
+    }
+}
+
+/// An `RngCore` holding one pre-drawn word, which it yields once.
+struct OneDraw(Option<u64>);
+
+impl RngCore for OneDraw {
+    fn next_u64(&mut self) -> u64 {
+        self.0.take().expect("sampler drew a second word")
     }
 }
 
@@ -107,6 +211,15 @@ impl ZipfSampler {
             ((1.0 - self.s) * (target - 1.0) + 1.0).powf(1.0 / (1.0 - self.s))
         };
         (rank.max(1.0).min(self.n as f64)) as u64
+    }
+
+    /// The rank [`sample`](Self::sample) returns when the generator's next
+    /// word is `word`: it draws exactly one, asserted here.
+    fn sample_word(&self, word: u64) -> u64 {
+        let mut one = OneDraw(Some(word));
+        let rank = self.sample(&mut one);
+        assert!(one.0.is_none(), "sampler drew no word");
+        rank
     }
 }
 

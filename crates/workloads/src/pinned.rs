@@ -1,6 +1,7 @@
 //! Pinned output streams: a 64-bit digest of `generate(w, n, seed)` for
-//! every workload shape, computed before the generator was parallelised.
-//! A generator change that moves one key of one stream fails here.
+//! every workload shape, computed before the generator was parallelised,
+//! and the striped fill held equal to the one-stripe fill. A generator
+//! change that moves one key of one stream fails here.
 
 use super::*;
 use rand::RngCore;
@@ -132,6 +133,48 @@ fn every_stream_matches_its_pinned_digest() {
         }
     }
     assert!(wrong.is_empty(), "streams moved:\n{}", wrong.join("\n"));
+}
+
+#[test]
+fn every_stripe_count_fills_the_same_keys() {
+    // Lengths off every stripe and page (512-key) boundary.
+    for n in [0, 1, 3, 513, 4_099, 70_001] {
+        for (name, w) in SHAPES {
+            for seed in [0, 2401] {
+                let one = fill(w, n, seed, 1);
+                for stripes in 2..=5 {
+                    assert!(
+                        fill(w, n, seed, stripes) == one,
+                        "{name} n={n} seed={seed}: {stripes} stripes"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn short_inputs_stay_on_the_caller() {
+    for n in [0, 1, 2 * STRIPE_KEYS - 1] {
+        assert_eq!(stripes(n), 1, "n={n}");
+    }
+    assert!((1..=2).contains(&stripes(2 * STRIPE_KEYS)));
+}
+
+/// Paper-scale inputs on the host's stripe count against one stripe, and
+/// against digests pinned from the single-threaded generator. Slow in a
+/// debug build: `cargo test -p tlmm-workloads --release -- --ignored`.
+#[test]
+#[ignore]
+fn paper_scale_streams_match_on_every_stripe_count() {
+    for (w, n, want) in [
+        (Workload::Zipf(1.1), 10_000_000, 0xfa04c2cab0cb4795),
+        (Workload::UniformU64, 12_000_000, 0xe63da095f7a03506),
+    ] {
+        let host = generate(w, n, 1);
+        assert_eq!(digest(&host), want, "{w:?} on {} stripes", stripes(n));
+        assert!(fill(w, n, 1, 1) == host, "{w:?}: one stripe differs");
+    }
 }
 
 /// An `RngCore` that counts the words drawn from a seeded stream.
