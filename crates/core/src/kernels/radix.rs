@@ -142,6 +142,13 @@ pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
         data.sort_unstable();
         return;
     }
+    // A short head-heavy input ends in a comparison sort (the dense-head
+    // split below); when the strided sample alone shows that, the
+    // min/max pass is skipped.
+    if (n as u64) < HEAD_SPAN && sample_is_head_heavy(data) {
+        data.sort_unstable();
+        return;
+    }
 
     // Min/max of the transformed keys: the XOR's leading zeros are the
     // shared prefix no digit needs to inspect.
@@ -218,6 +225,28 @@ pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
         finish_bucket(&scratch[start..end], &mut data[start..end], shift);
         start = end;
     }
+}
+
+/// Whether the [`HEAD_SAMPLES`]-key strided sample of `data` alone proves
+/// what the min/max pass would decide for a head-heavy input: its key
+/// span of at least `max(4n, HEAD_SPAN)` rules out the counting path
+/// (which needs a range under `4n`) and reaches the dense-head check, and
+/// at least half the sample lies within [`HEAD_SPAN`] of its minimum.
+fn sample_is_head_heavy<T: RadixKey>(data: &[T]) -> bool {
+    let n = data.len();
+    let sample = || {
+        data.iter()
+            .step_by((n / HEAD_SAMPLES).max(1))
+            .map(|x| x.radix_key())
+    };
+    let (lo, hi) = sample().fold((u64::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k)));
+    if hi.saturating_sub(lo) < (4 * n as u64).max(HEAD_SPAN) {
+        return false;
+    }
+    let (taken, within) = sample().fold((0usize, 0usize), |(t, w), k| {
+        (t + 1, w + usize::from(k - lo < HEAD_SPAN))
+    });
+    within * 2 >= taken
 }
 
 /// Counting scatter of `src` into `dst` by the `width`-bit digit above bit
@@ -521,6 +550,35 @@ mod tests {
                     })
                     .collect(),
             );
+        }
+    }
+
+    #[test]
+    fn sample_head_check_keeps_counting_inputs_counting() {
+        let mut rng = StdRng::seed_from_u64(12);
+        for n in [64usize, 256, 1_000, HEAD_SPAN as usize - 1] {
+            // Counting-path inputs: a range under 4n, head-heavy or not.
+            let ranks: Vec<u64> = (0..n)
+                .map(|_| {
+                    let r: f64 = rng.gen();
+                    (1.0 / (1.0 - r).powf(0.8)).min(4.0 * n as f64 - 1.0) as u64
+                })
+                .collect();
+            assert!(!sample_is_head_heavy(&ranks), "n={n}");
+            let perm: Vec<u64> = (0..n as u64).rev().collect();
+            assert!(!sample_is_head_heavy(&perm), "n={n}");
+            // A head-heavy input whose tail spans far beyond 4n (every
+            // fifth key, so every stride samples both head and tail).
+            let skewed: Vec<u64> = (0..n)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        rng.gen::<u64>()
+                    } else {
+                        rng.gen_range(0u64..64)
+                    }
+                })
+                .collect();
+            assert!(sample_is_head_heavy(&skewed), "n={n}");
         }
     }
 
