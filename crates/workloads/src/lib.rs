@@ -94,7 +94,9 @@ fn fill(w: Workload, n: usize, seed: u64, stripes: usize) -> Vec<u64> {
             draw_fill(keys, || rng.gen_range(0..max))
         }
     }
-    // SAFETY: every arm above wrote each of the first `n` slots.
+    // SAFETY: `keys` is the vector's first `n` slots, and every arm above
+    // wrote each of them: the index fills cover every stripe, and the
+    // draws write every slot after the page touches.
     unsafe { v.set_len(n) };
     match w {
         Workload::NearlySorted(frac) => {

@@ -4,7 +4,6 @@
 //! change that moves one key of one stream fails here.
 
 use super::*;
-use rand::RngCore;
 
 /// One case per `Workload` variant (both Zipf branches: `s = 1` takes the
 /// logarithmic inverse, every other `s` the power one).
