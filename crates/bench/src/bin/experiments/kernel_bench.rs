@@ -24,6 +24,8 @@
 //!   cut into pieces of 16, 32 and 56 (the cell's `n`), uniform and
 //!   Zipf(1.1): the register sorting network of `simd::sort_short` in its
 //!   three size classes, 56 keys being SPMS's base cases and tiny buckets.
+//! * `mid_sort` — the same on pieces of 96, 160 and 255 keys: the merged
+//!   register sorts `simd::sort_short` runs above 64 keys (DESIGN.md §15).
 //! * `bucketize` — `BucketPos` extraction over sorted chunks (no
 //!   before/after pair: the kernel layer doesn't change it; the median is
 //!   recorded to catch regressions).
@@ -81,6 +83,11 @@ const CROSSOVER_LENS: [usize; 5] = [256, 512, 1_024, 2_048, 4_096];
 /// Piece lengths of the `short_sort` cells: one per register class of
 /// `simd::sort_short` (16, 32 and 64 keys), 56 being SPMS's pieces.
 const SHORT_LENS: [usize; 3] = [16, 32, 56];
+
+/// Piece lengths of the `mid_sort` cells: a 64-key class merged with a
+/// 32-key one, a 128-key class merged with a 32-key one, and a nearly
+/// full 256-key class.
+const MID_LENS: [usize; 3] = [96, 160, 255];
 
 struct Timing {
     warmup: usize,
@@ -233,16 +240,24 @@ fn radix_crossover_cells(n: usize, timing: &Timing, cells: &mut Vec<Cell>) {
 }
 
 /// `sort_unstable` against `sort_kernel` on `n` keys sorted in pieces of
-/// each of [`SHORT_LENS`]: a cell's `n` is the piece length, and its times
-/// are for all `n` keys. In smoke mode, first assert that `sort_kernel`
-/// gives `sort_unstable`'s output with SIMD dispatch on and off.
-fn short_sort_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<Cell>) {
+/// each of `lens`, as `kernel` cells: a cell's `n` is the piece length,
+/// and its times are for all `n` keys. In smoke mode, first assert that
+/// `sort_kernel` gives `sort_unstable`'s output with SIMD dispatch on and
+/// off.
+fn piece_sort_cells(
+    kernel: &str,
+    lens: &[usize],
+    n: usize,
+    timing: &Timing,
+    smoke: bool,
+    cells: &mut Vec<Cell>,
+) {
     for (name, w) in [
         ("uniform", Workload::UniformU64),
         ("zipf", Workload::Zipf(1.1)),
     ] {
         let input = generate(w, n, 0xF8);
-        for len in SHORT_LENS {
+        for &len in lens {
             if smoke {
                 assert_short_sorts_agree(name, &input, len);
             }
@@ -253,7 +268,7 @@ fn short_sort_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<Cell
                 |mut v| v.chunks_mut(len).for_each(sort_kernel),
             );
             cells.push(Cell {
-                kernel: "short_sort".into(),
+                kernel: kernel.into(),
                 workload: name.into(),
                 n: len,
                 baseline_ms: Some(base),
@@ -276,7 +291,7 @@ fn assert_short_sorts_agree(name: &str, input: &[u64], len: usize) {
         got.chunks_mut(len).for_each(sort_kernel);
         assert_eq!(
             got, want,
-            "short sorts of {len} disagree on {name} (SIMD {on})"
+            "piece sorts of {len} disagree on {name} (SIMD {on})"
         );
     }
     tlmm_core::kernels::simd::set_enabled(prior);
@@ -508,7 +523,8 @@ pub fn run(mut args: Args) -> Outcome {
     run_formation_cells(n, &timing, smoke, &mut cells);
     kway_merge_cells(n, &timing, smoke, &mut cells);
     radix_crossover_cells(n, &timing, &mut cells);
-    short_sort_cells(n, &timing, smoke, &mut cells);
+    piece_sort_cells("short_sort", &SHORT_LENS, n, &timing, smoke, &mut cells);
+    piece_sort_cells("mid_sort", &MID_LENS, n, &timing, smoke, &mut cells);
     bucketize_cells(n, &timing, &mut cells);
     nmsort_cells(&nmsort_sizes, &timing, &mut cells);
 

@@ -82,8 +82,9 @@ pub fn radix_kernel<T: SortElem>() -> Option<fn(&mut [T])> {
 
 /// Sort `data` with the fastest available host kernel: MSD hybrid radix for
 /// [`RadixKey`] types at or above [`RADIX_MIN_LEN`], [`simd::sort_short`]
-/// (a sorting network in registers for `u64`) at or below
-/// [`simd::SHORT_MAX`], `sort_unstable` otherwise. Produces the identical
+/// (for `u64`, sorting networks in registers, merged pairwise above
+/// [`simd::SHORT_MAX`] keys) at or below [`simd::MID_MAX`],
+/// `sort_unstable` otherwise. Produces the identical
 /// permutation either way; callers charge the comparison-model compute
 /// cost themselves (see the module docs).
 #[inline]
@@ -108,7 +109,7 @@ pub fn sort_kernel<T: SortElem>(data: &mut [T]) {
     if flight {
         tlmm_telemetry::flight::span_event(true, "kernel.sort_unstable");
     }
-    if data.len() <= simd::SHORT_MAX {
+    if data.len() <= simd::MID_MAX {
         simd::sort_short(data);
     } else {
         data.sort_unstable();

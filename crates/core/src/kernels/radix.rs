@@ -3,8 +3,8 @@
 //! Run formation is the compute-heaviest part of every sorter here: Phase 1
 //! of NMsort alone sorts the entire input in scratchpad-sized pieces. A
 //! comparison sort pays `Θ(n lg n)` branchy comparisons; this kernel pays
-//! one branch-free counting scatter plus a second one per bucket in cache
-//! — without touching the I/O-level analysis, which still charges the
+//! one branch-free counting scatter, then finishes each bucket in cache —
+//! without touching the I/O-level analysis, which still charges the
 //! comparison model's costs (see `kernels` module docs).
 //!
 //! Shape, chosen by microbenchmark on the dev host (DESIGN.md §10 records
@@ -21,21 +21,28 @@
 //!   to move at all. This is what fixed the zipf run-formation regression:
 //!   a scatter digit cannot separate a head-heavy distribution (the top
 //!   ranks share one bucket), but a per-value count is indifferent to skew;
-//! * **two scatter levels**. The first is one wide MSD scatter from `data`
-//!   into a scratch buffer, its digit width picked from `n` so buckets
-//!   average ~256 elements and capped at [`MAX_DIGIT_BITS`] to keep the
-//!   histogram cache-resident. The second runs per bucket while it is
-//!   cache-hot: a scatter of up to [`SECOND_DIGIT_BITS`] bits from the
-//!   scratch bucket straight back into its range of `data`, counted in a
-//!   stack histogram, then one insertion pass over the nearly sorted
-//!   bucket (sub-buckets hold ~1 key). There is no copy back of the whole
-//!   array and no allocation per bucket;
-//! * buckets the second scatter does not suit finish otherwise: insertion
-//!   sort up to [`INSERTION_MAX`] elements, count-and-reconstruct when the
-//!   bits left below the first digit span few values next to the bucket's
-//!   length, a recursive call from [`RECURSE_MIN`] (skew), and a plain copy
-//!   when the first scatter already consumed every differing key bit
-//!   (equal keys ⇒ identical elements for the primitive key types).
+//! * **one wide MSD scatter** from `data` into a scratch buffer, its digit
+//!   width picked from `n` and capped at [`MAX_DIGIT_BITS`] to keep the
+//!   histogram cache-resident; each bucket is then finished while it is
+//!   cache-hot, from the scratch buffer straight into its range of `data`.
+//!   There is no copy back of the whole array and no allocation per
+//!   bucket. Where [`simd::sorts_in_registers`] (`u64` keys, SIMD dispatch
+//!   on), buckets average ~32 keys ([`TARGET_LG_BUCKET`]) and every bucket
+//!   of [`simd::SHORT_MIN`]`..=`[`simd::MID_MAX`] keys is read into
+//!   registers and sorted into place by [`simd::sort_short_into`], the
+//!   fastest level of the host's hierarchy. Elsewhere buckets average ~256
+//!   keys ([`SCATTER_LG_BUCKET`]) and a second scatter of up to
+//!   [`SECOND_DIGIT_BITS`] bits, counted in a stack histogram, spreads
+//!   each into sub-buckets of ~1 key for one insertion pass; the register
+//!   path still reaches it for buckets over [`simd::MID_MAX`] keys, which
+//!   the digit cap leaves on inputs of more than ~2^17 keys;
+//! * buckets neither suits finish otherwise: insertion sort for the
+//!   shortest (below [`simd::SHORT_MIN`] keys, or up to [`INSERTION_MAX`]
+//!   without registers), count-and-reconstruct when the bits left below
+//!   the first digit span few values next to the bucket's length, a
+//!   recursive call from [`RECURSE_MIN`] (skew), and a plain copy when the
+//!   first scatter already consumed every differing key bit (equal keys ⇒
+//!   identical elements for the primitive key types).
 //!
 //! Earlier LSD (8-bit ping-pong passes) and recursive-MSD variants measured
 //! *slower* than `sort_unstable` on uniform `u64` on this host: multiple
@@ -46,6 +53,8 @@
 //! recursion: it reuses the first level's key range, so it needs no
 //! pre-pass, and its tables live on the stack.
 
+use super::simd;
+
 /// An element with a fixed-width integer sort key whose order is preserved
 /// by mapping into `u64` space.
 ///
@@ -55,7 +64,7 @@
 /// [`from_radix_key`](RadixKey::from_radix_key) — equal keys mean identical
 /// elements, which both the bucket-finishing step and the counting
 /// fast path (which *reconstructs* elements from key counts) rely on.
-pub trait RadixKey: Copy + Ord + 'static {
+pub trait RadixKey: crate::SortElem {
     /// Significant bits in the transformed key.
     const KEY_BITS: u32;
     /// Order-preserving map into unsigned key space.
@@ -104,14 +113,19 @@ impl RadixKey for i64 {
 }
 
 /// Buckets (and second-level sub-buckets) at or below this length finish
-/// with insertion sort. Crossover measured on the dev host.
+/// with insertion sort when they do not finish in registers. Crossover
+/// measured on the dev host.
 const INSERTION_MAX: usize = 24;
 /// Cap on the scatter's digit width: 2^12 buckets keep the histogram and
 /// offset tables (2 × 16 KiB of `u32`) cache-resident during the scatter.
 const MAX_DIGIT_BITS: u32 = 12;
-/// The first digit's width targets buckets of ~2^8 elements: 2 KiB of
-/// `u64`, finished in L1 by the second scatter.
-const TARGET_LG_BUCKET: u32 = 8;
+/// The first digit's width targets buckets of ~2^5 keys where they finish
+/// in registers ([`simd::sorts_in_registers`]): 256 bytes of `u64`, one
+/// 32-key register class.
+const TARGET_LG_BUCKET: u32 = 5;
+/// Elsewhere (SIMD dispatch off, or `u32`/`i64` keys) it targets buckets
+/// of ~2^8 elements: 2 KiB of `u64`, finished in L1 by the second scatter.
+const SCATTER_LG_BUCKET: u32 = 8;
 /// Cap on the second scatter's digit: its 2^8-entry histogram lives on the
 /// stack, and a bucket of ~2^8 keys spreads to ~1 key per sub-bucket.
 const SECOND_DIGIT_BITS: u32 = 8;
@@ -203,10 +217,16 @@ pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
             return;
         }
     }
+    let registers = simd::sorts_in_registers::<T>();
+    let target = if registers {
+        TARGET_LG_BUCKET
+    } else {
+        SCATTER_LG_BUCKET
+    };
     let bits = 64 - (lo ^ hi).leading_zeros();
     let lg_n = usize::BITS - (n - 1).leading_zeros();
     let width = lg_n
-        .saturating_sub(TARGET_LG_BUCKET)
+        .saturating_sub(target)
         .clamp(1, MAX_DIGIT_BITS)
         .min(bits);
     let shift = bits - width;
@@ -222,7 +242,12 @@ pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
     let mut start = 0usize;
     for &end in ends.iter() {
         let end = end as usize;
-        finish_bucket(&scratch[start..end], &mut data[start..end], shift);
+        finish_bucket(
+            &scratch[start..end],
+            &mut data[start..end],
+            shift,
+            registers,
+        );
         start = end;
     }
 }
@@ -266,7 +291,7 @@ fn scatter_by_digit<T: RadixKey>(
 ) -> usize {
     let mask = (1u64 << width) - 1;
     ends.fill(0);
-    if !super::simd::radix_histogram(src, shift, mask, ends) {
+    if !simd::radix_histogram(src, shift, mask, ends) {
         for &x in src.iter() {
             ends[((x.radix_key() >> shift) & mask) as usize] += 1;
         }
@@ -278,7 +303,7 @@ fn scatter_by_digit<T: RadixKey>(
         sum += h;
         widest = widest.max(h);
     }
-    if !super::simd::radix_scatter(src, shift, mask, ends, dst) {
+    if !simd::radix_scatter(src, shift, mask, ends, dst) {
         for &x in src.iter() {
             let b = ((x.radix_key() >> shift) & mask) as usize;
             dst[ends[b] as usize] = x;
@@ -290,19 +315,28 @@ fn scatter_by_digit<T: RadixKey>(
 
 /// Sort `src`, one first-level bucket whose keys agree above bit `shift`,
 /// into `dst`. A bucket of one key (`shift == 0`, or one element) is a
-/// copy; small buckets an insertion sort; buckets whose residual key span
-/// is small next to their length a count-and-reconstruct; genuinely
-/// skewed large buckets a recursive [`radix_sort`]. Everything else — the
-/// common case on spread keys — takes a second scatter of up to
+/// copy; buckets too short for the register sort (or, without
+/// `registers`, of at most [`INSERTION_MAX`] keys) an insertion sort;
+/// buckets whose residual key span is small next to their length a
+/// count-and-reconstruct. With `registers`, every other bucket of up to
+/// [`simd::MID_MAX`] keys — the common case on spread keys — is read from
+/// `src` into registers and sorted into `dst` by
+/// [`simd::sort_short_into`]. Genuinely skewed large buckets take a
+/// recursive [`radix_sort`]; what is left takes a second scatter of up to
 /// [`SECOND_DIGIT_BITS`] bits with a stack histogram, then one insertion
 /// pass over the nearly sorted result.
-fn finish_bucket<T: RadixKey>(src: &[T], dst: &mut [T], shift: u32) {
+fn finish_bucket<T: RadixKey>(src: &[T], dst: &mut [T], shift: u32, registers: bool) {
     let len = src.len();
+    let insertion_max = if registers {
+        simd::SHORT_MIN - 1
+    } else {
+        INSERTION_MAX
+    };
     if len <= 1 || shift == 0 {
         // shift == 0 means the scatter consumed every differing key bit:
         // the bucket holds one distinct key and is already in order.
         dst.copy_from_slice(src);
-    } else if len <= INSERTION_MAX {
+    } else if len <= insertion_max {
         dst.copy_from_slice(src);
         insertion_sort(dst);
     } else if shift < 22 && (1usize << shift) / 4 <= len {
@@ -312,6 +346,8 @@ fn finish_bucket<T: RadixKey>(src: &[T], dst: &mut [T], shift: u32) {
         // skewed (zipf head) bucket finishes in two cheap passes.
         let base = (src[0].radix_key() >> shift) << shift;
         reconstruct(dst, base, &key_counts(src, base, 1usize << shift));
+    } else if registers && len <= simd::MID_MAX {
+        simd::sort_short_into(src, dst);
     } else if len >= RECURSE_MIN {
         // Skew with a wide residual span: recurse — the nested min/max
         // pre-pass confines the next scatter to the bits this level left
@@ -621,18 +657,30 @@ mod tests {
         check(v);
     }
 
-    /// Lengths the second level must handle at either side of each of its
-    /// thresholds.
-    const EDGE_LENS: [usize; 9] = [
+    /// Lengths bucket finishing must handle at either side of each of its
+    /// thresholds: the register sort's bounds and class edges, the
+    /// insertion bound, the second scatter's and the recursion's.
+    const EDGE_LENS: [usize; 20] = [
+        simd::SHORT_MIN - 1,
+        simd::SHORT_MIN,
         INSERTION_MAX - 1,
         INSERTION_MAX,
         INSERTION_MAX + 1,
-        255,
-        256,
-        257,
+        simd::SHORT_MAX - 1,
+        simd::SHORT_MAX,
+        simd::SHORT_MAX + 1,
+        96,
+        97,
+        128,
+        129,
+        192,
+        193,
+        simd::MID_MAX,
+        simd::MID_MAX + 1,
         RECURSE_MIN - 1,
         RECURSE_MIN,
         RECURSE_MIN + 1,
+        255,
     ];
 
     /// `n` keys of one shape for the second-level property.

@@ -315,44 +315,117 @@ unsafe fn merge_pair_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
 // Short sorts: sorting networks in registers
 // ---------------------------------------------------------------------------
 
-/// See [`super::sort_short`]: sort up to [`super::SHORT_MAX`] keys in 4, 8
-/// or 16 registers — the smallest class of 16, 32 or 64 keys that holds
-/// them, padded with `u64::MAX`.
+/// See [`super::sort_short`]: sort up to [`super::MID_MAX`] keys in place.
 pub fn sort_short_u64(data: &mut [u64]) {
     debug_check_avx2();
     assert!(
-        data.len() <= super::SHORT_MAX,
-        "sort_short_u64 takes at most 64 keys"
+        data.len() <= super::MID_MAX,
+        "sort_short_u64 takes at most 256 keys"
     );
-    // SAFETY: dispatch gates on AVX2 detection before routing here; every
-    // class holds `data.len()` keys.
-    unsafe {
-        match data.len() {
-            0..=16 => sort_regs::<4>(data),
-            17..=32 => sort_regs::<8>(data),
-            _ => sort_regs::<16>(data),
-        }
+    // SAFETY: dispatch gates on AVX2 detection before routing here; the
+    // length is checked above.
+    unsafe { sort_short_impl(None, data) }
+}
+
+/// See [`super::sort_short_into`]: sort the up to [`super::MID_MAX`] keys
+/// of `src` into `dst`.
+pub fn sort_short_into_u64(src: &[u64], dst: &mut [u64]) {
+    debug_check_avx2();
+    assert_eq!(src.len(), dst.len(), "sort_short_into size mismatch");
+    assert!(
+        src.len() <= super::MID_MAX,
+        "sort_short_into_u64 takes at most 256 keys"
+    );
+    // SAFETY: dispatch gates on AVX2 detection before routing here; the
+    // lengths are checked above.
+    unsafe { sort_short_impl(Some(src), dst) }
+}
+
+/// Sort the keys of `src`, or of `dst` itself when `src` is `None`, into
+/// `dst` (at most [`super::MID_MAX`] keys), in registers. A class of 128
+/// or 256 keys pays for its padding only when at least three quarters
+/// full, so a shorter input above [`super::SHORT_MAX`] sorts its first 64
+/// or 128 keys in one class and the rest in their own, into a stack
+/// buffer, and one [`merge_pair`](super::merge_pair) network merges the
+/// two.
+#[target_feature(enable = "avx2")]
+unsafe fn sort_short_impl(src: Option<&[u64]>, dst: &mut [u64]) {
+    let n = dst.len();
+    let head = match n {
+        0..=64 | 97..=128 | 193.. => return sort_class(src, dst),
+        65..=96 => 64,
+        _ => 128,
+    };
+    let mut sorted = [0u64; 192];
+    let keys = src.unwrap_or(&*dst);
+    let (a, b) = sorted[..n].split_at_mut(head);
+    sort_class(Some(&keys[..head]), a);
+    sort_class(Some(&keys[head..]), b);
+    if b.len() < 4 {
+        super::scalar::merge_pair(a, b, dst);
+    } else {
+        merge_pair_impl(a, b, dst);
     }
 }
 
-/// Sort `data` (at most `4 * R` keys) in `R` registers: load with each
-/// sign bit flipped, so every compare-exchange is one signed `vpcmpgtq`
-/// and three bitwise operations; sort the `R`-key columns with a sorting
-/// network; transpose each 4×4 block so that column `c` becomes run `c`
-/// of `R` keys; merge runs pairwise, then the two halves; store the first
-/// `data.len()` keys.
+/// Sort at most [`super::MID_MAX`] keys (of `src`, or of `dst` when `src`
+/// is `None`) into `dst` in 4, 8, 16, 32 or 64 registers — the smallest
+/// class of 16, 32, 64, 128 or 256 keys that holds them, padded with
+/// `u64::MAX`.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn sort_regs<const R: usize>(data: &mut [u64]) {
-    let mut v = load_flipped::<R>(data);
+unsafe fn sort_class(src: Option<&[u64]>, dst: &mut [u64]) {
+    match dst.len() {
+        0..=16 => sort_regs::<4>(src, dst),
+        17..=32 => sort_regs::<8>(src, dst),
+        33..=64 => sort_regs::<16>(src, dst),
+        65..=128 => sort_regs::<32>(src, dst),
+        _ => sort_regs::<64>(src, dst),
+    }
+}
+
+/// Sort `dst.len()` keys (at most `4 * R`; read from `src`, or from `dst`
+/// when `src` is `None`) in `R` registers and store them to `dst`: load
+/// with each sign bit flipped, so every compare-exchange is one signed
+/// `vpcmpgtq` and three bitwise operations, sort, and store the first
+/// `dst.len()` keys with the sign bits flipped back.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn sort_regs<const R: usize>(src: Option<&[u64]>, dst: &mut [u64]) {
+    let mut v = load_flipped::<R>(src.unwrap_or(&*dst));
+    sort_flipped(&mut v);
+    store_flipped(dst, &v);
+}
+
+/// Sort the keys of `R` sign-flipped registers (`R` a power of two from 4
+/// to 64). Up to 16: sort the `R`-key columns with a sorting network,
+/// transpose each 4×4 block so that column `c` becomes run `c` of `R`
+/// keys, and merge runs pairwise, then the two halves. From 32 (more
+/// registers than AVX2 has, so the compiler spills): sort each block of
+/// 16 registers that way and merge the blocks pairwise by
+/// [`bitonic_merge`].
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn sort_flipped<const R: usize>(v: &mut [__m256i; R]) {
     match R {
         4 => columns4(v.first_chunk_mut().expect("4 registers")),
         8 => columns8(v.first_chunk_mut().expect("8 registers")),
-        _ => columns16(v.first_chunk_mut().expect("16 registers")),
+        16 => columns16(v.first_chunk_mut().expect("16 registers")),
+        _ => {
+            for block in v.chunks_exact_mut(16) {
+                sort_flipped::<16>(block.try_into().expect("16 registers"));
+            }
+            if R == 64 {
+                for half in v.chunks_exact_mut(32) {
+                    bitonic_merge::<32>(half.try_into().expect("32 registers"));
+                }
+            }
+            bitonic_merge::<R>(v);
+            return;
+        }
     }
-    let mut v = columns_to_runs(v);
-    merge_runs::<R>(&mut v);
-    store_flipped(data, &v);
+    *v = columns_to_runs(*v);
+    merge_runs::<R>(v);
 }
 
 /// Load `data` into `R` registers, sign bits flipped; lanes past the end
@@ -696,7 +769,7 @@ mod tests {
             return;
         }
         let mut rng = StdRng::seed_from_u64(15);
-        for len in 0..=crate::kernels::simd::SHORT_MAX {
+        for len in 0..=crate::kernels::simd::MID_MAX {
             for round in 0..40 {
                 // Spread keys, few distinct, keys around the sign bit the
                 // load flips, and keys equal to the pad value.
@@ -712,10 +785,14 @@ mod tests {
                 let mut got = v.clone();
                 got.extend([7, 7, 7, 7]);
                 sort_short_u64(&mut got[..len]);
-                let mut want = v;
+                let mut want = v.clone();
                 want.sort_unstable();
                 want.extend([7, 7, 7, 7]);
                 assert_eq!(got, want, "len={len}");
+                // The same from a source slice, which is left as it was.
+                let mut into = vec![7u64; len + 4];
+                sort_short_into_u64(&v, &mut into[..len]);
+                assert_eq!(into, want, "into, len={len}");
             }
         }
     }

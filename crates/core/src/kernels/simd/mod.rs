@@ -178,27 +178,61 @@ pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) -> u64 {
     scalar::merge_pair(a, b, out)
 }
 
-/// Longest input [`sort_short`] sorts in registers.
+/// Longest input [`sort_short`] sorts in one register class.
 pub const SHORT_MAX: usize = 64;
 /// Shortest input [`sort_short`] sorts in registers: below it the smallest
 /// class (16 keys in 4 registers, ~40 ns a call) loses to `sort_unstable`
 /// (DESIGN.md §15).
 pub const SHORT_MIN: usize = 5;
+/// Longest input [`sort_short`] sorts at all: four register classes of
+/// [`SHORT_MAX`] keys, merged pairwise.
+pub const MID_MAX: usize = 4 * SHORT_MAX;
 
 /// Sort `data` as [`scalar::sort_short`] (`sort_unstable`) does. The
-/// vector form sorts `u64` inputs of [`SHORT_MIN`]..=[`SHORT_MAX`] keys in
-/// registers with a sorting network and bitonic merges; for `u64`, equal
+/// vector form sorts `u64` inputs of [`SHORT_MIN`]..=[`MID_MAX`] keys in
+/// registers: up to [`SHORT_MAX`] keys with a sorting network and bitonic
+/// merges, longer inputs as two to four such sorts of [`SHORT_MAX`]-key
+/// pieces merged pairwise by the [`merge_pair`] network. For `u64`, equal
 /// keys are identical elements, so its output is the same slice.
 #[inline]
 pub fn sort_short<T: SortElem>(data: &mut [T]) {
     #[cfg(target_arch = "x86_64")]
-    if (SHORT_MIN..=SHORT_MAX).contains(&data.len()) && enabled() {
+    if (SHORT_MIN..=MID_MAX).contains(&data.len()) && enabled() {
         let f: fn(&mut [u64]) = avx2::sort_short_u64;
         if let Some(f) = <dyn Any>::downcast_ref::<fn(&mut [T])>(&f).copied() {
             return f(data);
         }
     }
     scalar::sort_short(data)
+}
+
+/// [`sort_short`] from `src` into `dst` (`src.len() == dst.len()`): the
+/// sorted keys of `src` are written to `dst` and `src` is left as it was.
+/// The vector form reads `src` straight into registers, so it costs no
+/// copy; the scalar form copies, then sorts.
+#[inline]
+pub fn sort_short_into<T: SortElem>(src: &[T], dst: &mut [T]) {
+    #[cfg(target_arch = "x86_64")]
+    if (SHORT_MIN..=MID_MAX).contains(&src.len()) && enabled() {
+        let f: fn(&[u64], &mut [u64]) = avx2::sort_short_into_u64;
+        if let Some(f) = <dyn Any>::downcast_ref::<fn(&[T], &mut [T])>(&f).copied() {
+            return f(src, dst);
+        }
+    }
+    scalar::sort_short_into(src, dst)
+}
+
+/// Whether [`sort_short`] and [`sort_short_into`] sort `T` in registers:
+/// SIMD dispatch is on and `T` is `u64`. The radix kernel sizes its
+/// buckets by this.
+#[inline]
+pub fn sorts_in_registers<T: SortElem>() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if enabled() {
+        let f: fn(&mut [u64]) = avx2::sort_short_u64;
+        return <dyn Any>::downcast_ref::<fn(&mut [T])>(&f).is_some();
+    }
+    false
 }
 
 /// Comparisons the classic two-way merge loop performs on sorted runs `a`

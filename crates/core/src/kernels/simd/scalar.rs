@@ -51,6 +51,13 @@ pub fn sort_short<T: Ord>(s: &mut [T]) {
     s.sort_unstable();
 }
 
+/// The same from `src` into `dst`: a copy, then `sort_unstable`.
+#[inline]
+pub fn sort_short_into<T: Ord + Copy>(src: &[T], dst: &mut [T]) {
+    dst.copy_from_slice(src);
+    dst.sort_unstable();
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

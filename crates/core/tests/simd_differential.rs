@@ -15,6 +15,8 @@
 //! test-local mutex — the rest of the suite never toggles it.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
 use tlmm_core::kernels::simd;
 use tlmm_core::kernels::{radix_sort, sort_kernel, RadixKey};
@@ -113,6 +115,70 @@ fn short_sorts_agree_at_every_length() {
             }
         }
     }
+}
+
+/// Keys whose first radix scatter, on the register path (`u64`, SIMD on:
+/// a digit of `⌈lg n⌉ − 5` bits), puts exactly `sizes[d % sizes.len()]`
+/// keys in bucket `d` of `2^width`, with the last bucket padded so that
+/// `n` gives that width. Bucket `d`'s keys hold `d` in their top `width`
+/// of `bits` bits and random bits below the digit, so the min/max
+/// prefix is empty, no counting or dense-head path applies and no bucket
+/// is a skew.
+fn bucket_sized_keys(width: u32, bits: u32, sizes: &[usize], seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let buckets = 1usize << width;
+    let mut counts: Vec<usize> = (0..buckets).map(|d| sizes[d % sizes.len()]).collect();
+    counts[0] = counts[0].max(1);
+    let n: usize = counts.iter().sum();
+    // ⌈lg n⌉ − 5 == width ⇔ 2^(width + 4) < n ≤ 2^(width + 5).
+    counts[buckets - 1] += ((1usize << (width + 4)) + 1).saturating_sub(n).max(1);
+    let n: usize = counts.iter().sum();
+    assert!(
+        n > 1 << (width + 4) && n <= 1 << (width + 5),
+        "width {width}: n = {n}"
+    );
+    let low = bits - width;
+    let mut keys: Vec<u64> = counts
+        .iter()
+        .enumerate()
+        .flat_map(|(d, &c)| vec![d as u64; c])
+        .map(|d| (d << low) | (rng.gen::<u64>() >> (64 - low)))
+        .collect();
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.gen_range(0..=i));
+    }
+    keys
+}
+
+/// `sort_kernel` on `v`, SIMD off and on, against `sort_unstable`.
+fn check_kernel_both_paths<T: tlmm_core::SortElem + std::fmt::Debug>(v: &[T]) {
+    let (off, on) = both_paths(|| {
+        let mut data = v.to_vec();
+        sort_kernel(&mut data);
+        data
+    });
+    let mut expect = v.to_vec();
+    expect.sort_unstable();
+    assert_eq!(
+        off,
+        expect,
+        "scalar sort_kernel mismatch at n = {}",
+        v.len()
+    );
+    assert_eq!(on, expect, "SIMD sort_kernel mismatch at n = {}", v.len());
+}
+
+/// `v` as `u64`, `u32` (low halves), sign-crossing `i64` (shifted by
+/// 2^63) and `(u64, u64)` pairs, each through [`check_kernel_both_paths`].
+fn check_kernel_all_types(v: &[u64]) {
+    check_kernel_both_paths(v);
+    check_kernel_both_paths(&v.iter().map(|&k| k as u32).collect::<Vec<_>>());
+    check_kernel_both_paths(
+        &v.iter()
+            .map(|&k| k.wrapping_sub(1 << 63) as i64)
+            .collect::<Vec<_>>(),
+    );
+    check_kernel_both_paths(&v.iter().map(|&k| (k % 7, k)).collect::<Vec<_>>());
 }
 
 fn check_sorted_scans<T: tlmm_core::SortElem + std::fmt::Debug>(sorted: &[T], pivot: &T) {
@@ -263,5 +329,49 @@ proptest! {
         });
         prop_assert_eq!(out_off, out_on);
         prop_assert_eq!(cmps_off, cmps_on);
+    }
+}
+
+proptest! {
+    // Each case sorts every length 0–300 in six shapes and four types.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn register_finishing_matches_sort_unstable(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Every length `sort_kernel` sends to the register sorts, their
+        // merged classes and the radix sort's low end.
+        for n in 0..=300usize {
+            let ramp: Vec<u64> = (0..n as u64).collect();
+            let shapes = [
+                vec![rng.gen::<u64>(); n],
+                ramp.clone(),
+                ramp.iter().rev().copied().collect(),
+                ramp.iter()
+                    .map(|&i| if rng.gen_bool(0.7) { u64::MAX } else { i })
+                    .collect(),
+                // Keys on both sides of 2^63, where the sign flip acts.
+                ramp.iter()
+                    .map(|_| (1u64 << 63).wrapping_add(rng.gen_range(0..64)).wrapping_sub(32))
+                    .collect(),
+                (0..n).map(|_| rng.gen()).collect::<Vec<u64>>(),
+            ];
+            for v in &shapes {
+                check_kernel_all_types(v);
+            }
+        }
+        // Radix inputs whose first-level buckets hold exactly 4, 5, 63, 64
+        // or 65 keys on the register path (and the class edges above).
+        for width in 4..=8u32 {
+            for sizes in [&[4usize, 5, 0, 63, 64, 65, 0, 0, 0, 0, 0, 0][..], &[96, 97, 0, 0, 128, 129, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]] {
+                let keys = bucket_sized_keys(width, 64, sizes, rng.gen());
+                check_kernel_both_paths(&keys);
+                let signed: Vec<i64> = keys.iter().map(|&k| (k ^ (1 << 63)) as i64).collect();
+                check_kernel_both_paths(&signed);
+                check_kernel_both_paths(&keys.iter().map(|&k| (k >> 7, k)).collect::<Vec<_>>());
+                let narrow = bucket_sized_keys(width, 32, sizes, rng.gen());
+                check_kernel_both_paths(&narrow.iter().map(|&k| k as u32).collect::<Vec<_>>());
+            }
+        }
     }
 }

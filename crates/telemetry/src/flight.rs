@@ -176,16 +176,19 @@ struct LaneRing {
 }
 
 impl LaneRing {
+    /// A ring of `capacity` cells from zeroed memory: no cell is written
+    /// here, so a ring's pages fault in as its events land instead of all
+    /// at once inside whichever traced phase first touches the lane.
     fn new(capacity: usize) -> Self {
+        // SAFETY: all-zero bytes are a valid `RingCell`: a zero `AtomicU64`
+        // stamp (claim `idx` stamps `idx + 1`, so 0 reads as never
+        // written) and a `FlightEvent` of zero integers whose `kind` is
+        // `EventKind`'s first variant, discriminant 0.
+        let cells = unsafe { Box::<[RingCell]>::new_zeroed_slice(capacity).assume_init() };
         LaneRing {
             head: AtomicU64::new(0),
             clock: AtomicU64::new(0),
-            cells: (0..capacity)
-                .map(|_| RingCell {
-                    stamp: AtomicU64::new(0),
-                    ev: UnsafeCell::new(FlightEvent::default()),
-                })
-                .collect(),
+            cells,
         }
     }
 
