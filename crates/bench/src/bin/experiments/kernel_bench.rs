@@ -2,7 +2,8 @@
 //! layer (DESIGN.md §10).
 //!
 //! Four kernels × four workload shapes, plus three merge cells shaped like
-//! the sorters' own merges, the radix sort's crossover, and short sorts:
+//! the sorters' own merges, the radix sort's crossover, and short and
+//! mid-size sorts:
 //!
 //! * `run_formation` — Phase-1 style chunk sorting: `sort_unstable` per run
 //!   (the pre-kernel reference) vs [`tlmm_core::kernels::sort_kernel`]

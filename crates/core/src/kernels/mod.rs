@@ -8,17 +8,18 @@
 //!
 //! * [`radix`] — an MSD hybrid radix sort over [`RadixKey`] element types
 //!   (order-preserving bit transforms for `u64`/`u32`/`i64`): min/max
-//!   prefix skip, one wide counting scatter, then a second scatter per
-//!   bucket in cache. Used for Phase-1 run formation everywhere a chunk or
-//!   run is sorted in cache, and for the pieces of deep merges.
-//! * [`sort_kernel`] — the routing entry point: radix for key types at
-//!   run-formation sizes, [`simd::sort_short`] for inputs of at most 64
-//!   keys (SPMS's and SquareSort's base cases and tiny buckets),
-//!   `slice::sort_unstable` otherwise. All sorters (`extsort`, `baseline`,
-//!   `quicksort` base case, and through them `nmsort`/`seqsort`) call this
-//!   instead of `sort_unstable` directly. The short path runs inside the
-//!   `kernel.sort_unstable` flight span, whose name the frozen benchmark's
-//!   `kernels.sort_unstable_pct` reads.
+//!   prefix skip, one wide counting scatter, then each bucket finished in
+//!   cache (in registers for `u64`). Used for Phase-1 run formation
+//!   everywhere a chunk or run is sorted in cache, and for the pieces of
+//!   deep merges.
+//! * [`sort_kernel`] — the routing entry point: radix for key types above
+//!   256 keys, [`simd::sort_short`] for inputs of at most 256 (register
+//!   sorts for `u64`: SPMS's and SquareSort's base cases and tiny
+//!   buckets), `slice::sort_unstable` otherwise. All sorters (`extsort`,
+//!   `baseline`, `quicksort` base case, and through them
+//!   `nmsort`/`seqsort`) call this instead of `sort_unstable` directly.
+//!   The short path runs inside the `kernel.sort_unstable` flight span,
+//!   whose name the frozen benchmark's `kernels.sort_unstable_pct` reads.
 //! * [`reference`] — the pre-kernel implementations (branchy loser tree,
 //!   comparison-only run formation), kept as the differential oracle for
 //!   equivalence tests and as the "before" side of `kernel_bench`.
@@ -55,10 +56,11 @@ pub use radix::{radix_sort, RadixKey};
 use crate::SortElem;
 use core::any::Any;
 
-/// Below this length a comparison sort beats the radix passes' fixed costs
-/// (histogramming + a scratch buffer); measured crossover on u64 is a few
-/// hundred elements.
-pub const RADIX_MIN_LEN: usize = 256;
+/// Below this length the radix passes' fixed costs (histogramming + a
+/// scratch buffer) lose: to [`simd::sort_short`]'s register sorts, which
+/// take `u64` inputs of up to [`simd::MID_MAX`] keys, and to a comparison
+/// sort, whose crossover against the radix sort is a few hundred keys.
+pub const RADIX_MIN_LEN: usize = simd::MID_MAX + 1;
 
 /// The radix kernel for `T`, if `T` is one of the [`RadixKey`] types —
 /// resolved with a safe `Any` downcast of the concrete `fn` pointer (no

@@ -2,7 +2,7 @@
 //!
 //! The hot inner loops of the kernel layer — bucket-boundary scans, the
 //! radix sort's histogram and scatter passes, two-way run pre-merging and
-//! sorts of at most 64 keys — have a hand-vectorized x86-64 AVX2 form
+//! sorts of at most 256 keys — have a hand-vectorized x86-64 AVX2 form
 //! selected **once** at startup via `std::arch` feature detection. Every
 //! entry point in this module routes to the AVX2 form when (a) the host
 //! supports AVX2, (b) the element type is `u64` (the repo's benchmark key
@@ -178,22 +178,24 @@ pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) -> u64 {
     scalar::merge_pair(a, b, out)
 }
 
-/// Longest input [`sort_short`] sorts in one register class.
+/// Longest input [`sort_short`] sorts within AVX2's 16 registers, in one
+/// sorting-network class.
 pub const SHORT_MAX: usize = 64;
 /// Shortest input [`sort_short`] sorts in registers: below it the smallest
 /// class (16 keys in 4 registers, ~40 ns a call) loses to `sort_unstable`
 /// (DESIGN.md §15).
 pub const SHORT_MIN: usize = 5;
-/// Longest input [`sort_short`] sorts at all: four register classes of
-/// [`SHORT_MAX`] keys, merged pairwise.
+/// Longest input [`sort_short`] sorts: its widest register class, four
+/// 16-register blocks of [`SHORT_MAX`] keys merged bitonically.
 pub const MID_MAX: usize = 4 * SHORT_MAX;
 
 /// Sort `data` as [`scalar::sort_short`] (`sort_unstable`) does. The
 /// vector form sorts `u64` inputs of [`SHORT_MIN`]..=[`MID_MAX`] keys in
 /// registers: up to [`SHORT_MAX`] keys with a sorting network and bitonic
-/// merges, longer inputs as two to four such sorts of [`SHORT_MAX`]-key
-/// pieces merged pairwise by the [`merge_pair`] network. For `u64`, equal
-/// keys are identical elements, so its output is the same slice.
+/// merges, longer inputs in 128- or 256-key classes that merge such
+/// blocks bitonically, or, just above a class boundary, as two classes
+/// merged by one [`merge_pair`] network pass (DESIGN.md §15). For `u64`,
+/// equal keys are identical elements, so its output is the same slice.
 #[inline]
 pub fn sort_short<T: SortElem>(data: &mut [T]) {
     #[cfg(target_arch = "x86_64")]

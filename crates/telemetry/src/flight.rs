@@ -73,7 +73,10 @@ pub enum ClockDomain {
 }
 
 /// Event discriminant. See module docs for per-kind field meanings.
+/// `repr(u8)` makes the first variant the all-zero byte, which lane rings
+/// allocated zeroed rely on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(u8)]
 pub enum EventKind {
     /// A named execution phase opened (`name`).
     PhaseBegin,
