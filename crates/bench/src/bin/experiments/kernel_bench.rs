@@ -260,7 +260,7 @@ fn piece_sort_cells(
         let input = generate(w, n, 0xF8);
         for &len in lens {
             if smoke {
-                assert_short_sorts_agree(name, &input, len);
+                assert_piece_sorts_agree(name, &input, len);
             }
             let (base, opt, speedup) = paired_medians_ms(
                 timing,
@@ -282,7 +282,7 @@ fn piece_sort_cells(
 
 /// Smoke-mode agreement: `input` sorted in `len`-key pieces by
 /// `sort_kernel` equals `sort_unstable`'s, with SIMD dispatch on and off.
-fn assert_short_sorts_agree(name: &str, input: &[u64], len: usize) {
+fn assert_piece_sorts_agree(name: &str, input: &[u64], len: usize) {
     let mut want = input.to_vec();
     want.chunks_mut(len).for_each(<[u64]>::sort_unstable);
     let prior = tlmm_core::kernels::simd::enabled();
