@@ -8,11 +8,11 @@
 //! * `run_formation` — Phase-1 style chunk sorting: `sort_unstable` per run
 //!   (the pre-kernel reference) vs [`tlmm_core::kernels::sort_kernel`]
 //!   (MSD hybrid radix for `u64`).
-//! * `kway_merge` — k-way merge of sorted runs: the branchless loser tree
-//!   over the pair pre-merge plan (`merge_with_loser_tree`) vs
-//!   `merge_into_slice` (the counted merge tree, or that same loser tree
-//!   for merges holding a duplicate-heavy run, so those cells guard the
-//!   routing), over 16 runs of each shape, plus a `phase2` cell shaped like NMsort's
+//! * `kway_merge` — k-way merge of sorted runs: a copy of the runs and a
+//!   stable `slice::sort` of the concatenation (the host's own
+//!   run-detecting merge) vs `merge_into_slice` (the charge, `merge_cost`,
+//!   plus the executor's merge tree, radix sort or concatenation), over 16
+//!   runs of each shape, plus a `phase2` cell shaped like NMsort's
 //!   Phase-2 merge parts (50 × 5k), an `spms_bucket` cell shaped like
 //!   SPMS's root bucket merges on Zipf keys (one bucket of ~3k runs
 //!   averaging one key, one single-key bucket) and an `spms_leaf_bucket`
@@ -53,7 +53,7 @@ use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln, run_sort, Engine, Overrides, SortSpec};
 use tlmm_core::kernels::reference::{form_runs_ref, merge_into_slice_ref};
 use tlmm_core::kernels::{radix_sort, sort_kernel};
-use tlmm_core::losertree::{merge_into_slice, merge_with_loser_tree};
+use tlmm_core::losertree::merge_into_slice;
 use tlmm_core::{bucketize, extsort::RegionLevel};
 use tlmm_model::ScratchpadParams;
 use tlmm_scratchpad::TwoLevel;
@@ -356,16 +356,17 @@ fn sorted_runs(mut data: Vec<u64>, run_len: usize) -> Vec<Vec<u64>> {
     data.chunks(run_len).map(<[u64]>::to_vec).collect()
 }
 
-/// Loser-tree kernel vs `merge_into_slice` on a list of merges, each a run
-/// set merged into its own output. In smoke mode, first assert that
-/// `merge_into_slice` emits the pre-kernel reference tree's output and
-/// comparison count, with SIMD dispatch on and off.
+/// Copy and stable sort vs `merge_into_slice` on a list of merges, each a
+/// run set merged into its own output. In smoke mode, first assert that
+/// `merge_into_slice` emits the reference tree's output and comparison
+/// count, with SIMD dispatch on and off.
 ///
-/// The timed baseline is the branchless loser tree, not the reference
-/// tree: the reference mispredicts at every tree level, and on a shared
-/// host its speed moves by up to a third between states lasting seconds
-/// while branch-light kernels move together, so a ratio against it
-/// flapped across the perf gate's tolerance (DESIGN.md §10).
+/// The timed baseline copies the runs end to end and sorts the copy with
+/// the standard library's stable sort, which finds the runs and merges
+/// them: host work of the same kind as the kernel's (copies, two-way
+/// merges, no tree of mispredicted branches), so on a shared host it
+/// speeds up and slows down with the kernel and the ratio holds still
+/// (DESIGN.md §10).
 fn kway_merge_cell(name: &str, merges: &[Vec<Vec<u64>>], timing: &Timing, smoke: bool) -> Cell {
     let merges: Vec<Vec<&[u64]>> = merges
         .iter()
@@ -379,18 +380,19 @@ fn kway_merge_cell(name: &str, merges: &[Vec<Vec<u64>>], timing: &Timing, smoke:
         }
     }
     let merges = &merges;
-    let merge_all = |merge: fn(&[&[u64]], &mut [u64]) -> u64| {
-        move |mut outs: Vec<Vec<u64>>| {
-            for (runs, out) in merges.iter().zip(&mut outs) {
-                merge(runs, out);
-            }
-        }
-    };
     let (base, opt, speedup) = paired_medians_ms(
         timing,
         outputs,
-        merge_all(merge_with_loser_tree),
-        merge_all(merge_into_slice),
+        |mut outs: Vec<Vec<u64>>| {
+            for (runs, out) in merges.iter().zip(&mut outs) {
+                copy_and_sort(runs, out);
+            }
+        },
+        |mut outs: Vec<Vec<u64>>| {
+            for (runs, out) in merges.iter().zip(&mut outs) {
+                merge_into_slice(runs, out);
+            }
+        },
     );
     Cell {
         kernel: "kway_merge".into(),
@@ -400,6 +402,17 @@ fn kway_merge_cell(name: &str, merges: &[Vec<Vec<u64>>], timing: &Timing, smoke:
         optimized_ms: opt,
         speedup: Some(speedup),
     }
+}
+
+/// The `kway_merge` baseline: `runs` copied into `out` end to end, then
+/// sorted stably.
+fn copy_and_sort(runs: &[&[u64]], out: &mut [u64]) {
+    let mut at = 0;
+    for r in runs {
+        out[at..at + r.len()].copy_from_slice(r);
+        at += r.len();
+    }
+    out.sort();
 }
 
 /// Smoke-mode agreement on one run set: the reference tree and

@@ -73,8 +73,8 @@ pub fn run(mut args: Args) -> Outcome {
     // Event volumes of one run: the transfer histograms count exactly the
     // contiguous charge calls (one record each is all the telemetry a
     // charge writes; its cost goes to the phase trace's lane record), the
-    // loser-tree counters flush once per merge, and the span store holds
-    // every phase span the run opened.
+    // radix kernel adds one to `core.kernels.radix_sorts` per sort, and the
+    // span store holds every phase span the run opened.
     let report = RunReport::collect("telemetry_overhead_probe");
     // Transfer histograms use the per-sample record path; everything else
     // (bucket-size distributions) goes through the batched record_iter.
@@ -93,8 +93,8 @@ pub fn run(mut args: Args) -> Outcome {
     let counter_adds = report
         .counters
         .iter()
-        .filter(|c| c.name.contains("losertree"))
-        .count() as u64;
+        .find(|c| c.name == "core.kernels.radix_sorts")
+        .map_or(0, |c| c.value);
     let span_count: u64 = report.spans.iter().map(|s| s.count() as u64).sum();
 
     eprintln!("[telemetry_overhead] microbenchmarking primitives...");

@@ -23,9 +23,9 @@
 use crate::extsort::{RegionLevel, Round};
 use crate::inplace::InPlaceOutput;
 use crate::kernels::radix_kernel;
-use crate::losertree::single_key;
+use crate::losertree::{merge_runs, single_key};
 use crate::par::scatter;
-use crate::pmerge::{merge_count, merge_piece, piece_cuts, sorts_pieces, PIECE_KEYS};
+use crate::pmerge::{merge_count, piece_cuts, PIECE_KEYS};
 use crate::{ceil_lg, SortElem, SortError};
 use tlmm_scratchpad::trace::with_lane;
 use tlmm_scratchpad::{Dir, FarArray, TwoLevel};
@@ -208,7 +208,7 @@ const SLOTS_PER_RUN: usize = 64;
 fn merge_in_place<T: SortElem>(group: &mut [T], run: usize, ways: usize, threads: usize) -> u64 {
     let m = group.len();
     let n_runs = m.div_ceil(run);
-    let (cmps, sort, cuts, piece) = {
+    let (cmps, cuts, piece) = {
         let runs: Vec<&[T]> = group.chunks(run).collect();
         let cmps = merge_count(&runs, ways, threads);
         if n_runs == 1 {
@@ -216,7 +216,7 @@ fn merge_in_place<T: SortElem>(group: &mut [T], run: usize, ways: usize, threads
         }
         let piece = PIECE_KEYS.min(m.div_ceil(MIN_PIECES)).max(MIN_PIECE_KEYS);
         let cuts = piece_cuts(&runs, m.div_ceil(piece), threads);
-        (cmps, sorts_pieces(&runs), cuts, piece)
+        (cmps, cuts, piece)
     };
     let radix = radix_kernel::<T>().is_some();
     let wave_keys = WAVE_PIECES * piece;
@@ -273,7 +273,7 @@ fn merge_in_place<T: SortElem>(group: &mut [T], run: usize, ways: usize, threads
                 })
                 .collect();
             crate::pool::run_indexed(threads, items, |i, (subs, dst)| {
-                with_lane(i % ways.max(1), || merge_piece(&subs, dst, sort))
+                with_lane(i % ways.max(1), || merge_runs(&subs, dst))
             });
             out.consume(&segs);
             scatter(&buf[..keys], out.dests(group, keys), threads);

@@ -8,9 +8,9 @@
 //!
 //! 1. **Run formation** — stream cache-sized pieces in, sort them with an
 //!    in-cache sort, stream them back; then
-//! 2. **Merge passes** — loser-tree merges of up to `fanout` runs at a time,
-//!    ping-ponging between the region and an equally sized scratch region,
-//!    until one run remains.
+//! 2. **Merge passes** — multiway merges of up to `fanout` runs at a time,
+//!    charged the loser tree's comparisons, ping-ponging between the
+//!    region and an equally sized scratch region, until one run remains.
 //!
 //! Every streamed byte is charged to the [`TwoLevel`] ledger at the correct
 //! block granularity for the level (`B` for far, `ρB` for near), and every

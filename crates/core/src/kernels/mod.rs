@@ -20,9 +20,9 @@
 //!   `nmsort`/`seqsort`) call this instead of `sort_unstable` directly.
 //!   The short path runs inside the `kernel.sort_unstable` flight span,
 //!   whose name the frozen benchmark's `kernels.sort_unstable_pct` reads.
-//! * [`reference`] — the pre-kernel implementations (branchy loser tree,
-//!   comparison-only run formation), kept as the differential oracle for
-//!   equivalence tests and as the "before" side of `kernel_bench`.
+//! * [`reference`] — the reference implementations (a branchy loser
+//!   tree that counts as it plays, comparison-only run formation), kept as
+//!   the differential oracles of the tests and `kernel_bench`'s smoke mode.
 //!
 //! **Cost-ledger invariant.** Kernel selection must never change simulated
 //! results: callers keep charging the comparison-model cost regardless of
@@ -32,20 +32,14 @@
 //! produces the identical permutation faster. A k-way merge is charged the
 //! loser tree's exact comparison count: a sum over tree nodes of two-way
 //! merge costs, at most (not exactly) `⌈lg k⌉` per merged element.
-//! Merges with no duplicate-heavy run execute on
-//! [`crate::losertree::merge_counted_tree`] instead, a bottom-up two-way
-//! merge on the loser tree's shape that counts each node as it merges it
-//! (each node on [`simd::merge_pair`], which returns the node's count;
-//! runs of a few keys are counted over their non-empty runs alone and
-//! sorted once), the same output and count faster; duplicate-heavy merges stay
-//! on the loser tree, whose guarded-store streaks make them nearly free
-//! while two-way merges do fixed work per element.
-//! [`crate::losertree::merge_cost`] computes the count from the runs
-//! alone: it is the oracle the tests hold both kernels to, and the charge
-//! of a deep merge of [`RadixKey`] elements, which
-//! [`crate::pmerge::parallel_merge`] executes by radix-sorting cache-sized
-//! pieces instead of merging (`⌈lg k⌉` two-way passes per key at 256
-//! runs). See DESIGN.md §10.
+//! [`crate::losertree::merge_cost`] computes it from the runs alone and is
+//! the only count; no merge kernel counts. The merge is executed by
+//! whatever the data's shape makes fastest — a concatenation, a copy and
+//! one sort, or an uncounted two-way merge tree on [`simd::merge_pair`] —
+//! and deep merges of [`RadixKey`] elements by radix-sorting cache-sized
+//! pieces ([`crate::pmerge::parallel_merge`]) instead of `⌈lg k⌉` two-way
+//! passes per key. [`reference::merge_cost_ref`], which plays the tree,
+//! is the count's oracle. See DESIGN.md §10.
 
 pub mod radix;
 pub mod reference;

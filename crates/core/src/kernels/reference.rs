@@ -1,15 +1,16 @@
-//! Pre-kernel reference implementations, kept verbatim as oracles.
+//! Reference implementations, kept as oracles.
 //!
-//! [`ReferenceLoserTree`] is the original branchy, `Option`-replay loser
-//! tree the crate shipped before the branchless rewrite in
-//! [`crate::losertree`]. It stays here so (a) equivalence tests can assert
-//! the rewrite emits the identical element sequence *and* the identical
-//! comparison count on arbitrary run sets, and (b) `kernel_bench` can
-//! measure the before→after wall-clock delta on the real code, not a
-//! synthetic stand-in.
+//! [`ReferenceLoserTree`] is a plain branchy loser tree that counts the
+//! comparisons it plays. It defines the count every merge is charged:
+//! [`merge_cost_ref`] plays it over the pair pre-merge plan, and the tests
+//! hold [`crate::losertree::merge_cost`], which computes the count
+//! without playing any tree, to it. [`merge_into_slice_ref`] and
+//! [`form_runs_ref`] are the output oracles `kernel_bench`'s smoke mode
+//! checks the kernels against.
 
-/// The original loser tree: `Option<T>` heads re-read from the runs on
-/// every match, branchy three-way compare in the replay loop.
+/// A loser tree: `Option<T>` heads re-read from the runs on every match,
+/// a branchy three-way compare in the replay loop, and one count per
+/// comparison of two live heads.
 pub struct ReferenceLoserTree<'a, T> {
     runs: Vec<&'a [T]>,
     pos: Vec<usize>,
@@ -106,9 +107,9 @@ impl<T: Ord + Copy> Iterator for ReferenceLoserTree<'_, T> {
     }
 }
 
-/// Reference k-way merge into an exactly-sized slice; returns comparisons.
-/// Mirrors `losertree::merge_into_slice` minus the 0/1-run fast paths so
-/// benchmarks compare the tree loops, not the memcpy shortcuts.
+/// Reference k-way merge into an exactly-sized slice by playing
+/// [`ReferenceLoserTree`] over the runs themselves (no pair plan);
+/// returns its comparisons.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from the total run length.
@@ -131,6 +132,49 @@ pub fn merge_into_slice_ref<T: Ord + Copy>(runs: &[&[T]], out: &mut [T]) -> u64 
     }
 }
 
+/// The comparisons [`crate::losertree::merge_cost`] charges, by playing
+/// them: each pair of the pair pre-merge plan merged by a classic counted
+/// two-way loop, then [`ReferenceLoserTree`] played to the end over the
+/// plan's leaves. Shares the plan, and no counting code, with
+/// `merge_cost`.
+pub fn merge_cost_ref<T: Ord + Copy>(runs: &[&[T]]) -> u64 {
+    let mut cmps = 0;
+    let leaves: Vec<Vec<T>> = crate::losertree::premerge_plan(runs)
+        .map(|r| match runs[r] {
+            [a, b] => {
+                let (merged, c) = counted_merge(a, b);
+                cmps += c;
+                merged
+            }
+            ref one => one.concat(),
+        })
+        .collect();
+    let mut tree = ReferenceLoserTree::new(leaves.iter().map(Vec::as_slice).collect());
+    while tree.next_element().is_some() {}
+    cmps + tree.comparisons()
+}
+
+/// The classic two-way merge of sorted `a` and `b`, ties taking `a`
+/// first, and the comparisons it plays: one per element emitted before a
+/// run is used up.
+fn counted_merge<T: Ord + Copy>(a: &[T], b: &[T]) -> (Vec<T>, u64) {
+    let (mut i, mut j, mut cmps) = (0, 0, 0);
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    while i < a.len() && j < b.len() {
+        cmps += 1;
+        if a[i] <= b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    (out, cmps)
+}
+
 /// Reference run formation: `sort_unstable` on every run — the "before"
 /// side of the `kernel_bench` run-formation cell.
 pub fn form_runs_ref<T: Ord>(data: &mut [T], run_elems: usize) {
@@ -151,6 +195,16 @@ mod tests {
         let cmps = merge_into_slice_ref(&refs, &mut out);
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5, 8, 9]);
         assert!(cmps > 0);
+    }
+
+    #[test]
+    fn reference_count_plays_the_pairs_then_the_tree() {
+        // Four runs pair up: (0,1) plays 3, (2,3) plays 2, and the tree
+        // over the two merged pairs plays 6 before the first runs dry.
+        let runs = [vec![1u64, 4], vec![2, 5], vec![0, 3], vec![9]];
+        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
+        assert_eq!(merge_cost_ref(&refs), 3 + 2 + 6);
+        assert_eq!(merge_cost_ref::<u64>(&[]), 0);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! types.
 //!
 //! **Cost-ledger invariant.** Dispatch never changes simulated charges:
-//! callers charge scan lengths and comparison counts from the *data* (or
-//! from the analytic two-way merge model, see [`pair_merge_cost`]), not
-//! from which kernel executed. `CostSnapshot` ledgers are byte-identical
+//! callers charge scan lengths from the *data*, and merges the comparison
+//! count `losertree::merge_cost` computes from the runs (its two-way
+//! term is [`pair_merge_cost`]); [`merge_pair`] counts nothing. `CostSnapshot` ledgers are byte-identical
 //! with SIMD forced off — asserted in-binary by `parallel_bench` and by the
 //! golden-ledger replay tests. See DESIGN.md §15.
 
@@ -159,19 +159,17 @@ pub fn radix_scatter<T: super::RadixKey>(
 }
 
 /// Merge two sorted runs into `out` (`out.len() == a.len() + b.len()`),
-/// ties taking `a` first, and return the comparisons the classic merge
-/// loop plays, [`pair_merge_cost`]. The vector form runs a 4-wide bitonic
-/// merge network and makes that one search; for the key types it routes
-/// (`u64`), equal keys are identical elements, so its output sequence
-/// matches the scalar merge exactly. The scalar form reads the count off
-/// its loop. Either way the count comes from the data, so ledgers stay
-/// dispatch-independent.
+/// ties taking `a` first. The vector form runs a 4-wide bitonic merge
+/// network; for the key types it routes (`u64`), equal keys are identical
+/// elements, so its output sequence matches the scalar merge exactly. It
+/// counts nothing: a merge's charge comes from the runs
+/// ([`pair_merge_cost`], `losertree::merge_cost`).
 #[inline]
-pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) -> u64 {
+pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) {
     #[cfg(target_arch = "x86_64")]
     if enabled() {
-        let f: fn(&[u64], &[u64], &mut [u64]) -> u64 = avx2::merge_pair_u64;
-        if let Some(f) = <dyn Any>::downcast_ref::<fn(&[T], &[T], &mut [T]) -> u64>(&f).copied() {
+        let f: fn(&[u64], &[u64], &mut [u64]) = avx2::merge_pair_u64;
+        if let Some(f) = <dyn Any>::downcast_ref::<fn(&[T], &[T], &mut [T])>(&f).copied() {
             return f(a, b, out);
         }
     }
@@ -241,8 +239,8 @@ pub fn sorts_in_registers<T: SortElem>() -> bool {
 /// and `b`: the loop compares once per emitted element until one run
 /// exhausts, so the count is `a.len() + |{x ∈ b : x < a.last()}|` when `a`
 /// exhausts first (ties prefer `a`, so `a` exhausts first on equal lasts)
-/// and symmetrically otherwise. Exact — not a bound — which is what lets
-/// both merge kernels charge the same simulated compute.
+/// and symmetrically otherwise. Exact — not a bound — so the charged
+/// compute is the loop's, whichever kernel executes the merge.
 pub fn pair_merge_cost<T: Ord>(a: &[T], b: &[T]) -> u64 {
     if a.is_empty() || b.is_empty() {
         return 0;
@@ -297,12 +295,6 @@ mod tests {
                 }
             }
             assert_eq!(pair_merge_cost(&a, &b), cmps, "a={a:?} b={b:?}");
-            let mut out = vec![0u64; la + lb];
-            assert_eq!(
-                scalar::merge_pair(&a, &b, &mut out),
-                cmps,
-                "a={a:?} b={b:?}"
-            );
         }
     }
 

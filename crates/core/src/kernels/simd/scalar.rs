@@ -25,10 +25,7 @@ pub fn count_le<T: Ord>(s: &[T], pivot: &T) -> usize {
 
 /// Classic two-way merge of sorted runs `a` and `b` into `out`
 /// (`out.len() == a.len() + b.len()`), ties taking `a` first (stable).
-/// Returns the comparisons the loop plays: one per emitted element until a
-/// run is used up, i.e. the output index at which that happens — the
-/// count [`super::pair_merge_cost`] computes by search.
-pub fn merge_pair<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) -> u64 {
+pub fn merge_pair<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
     debug_assert_eq!(out.len(), a.len() + b.len(), "merge_pair size mismatch");
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -38,11 +35,9 @@ pub fn merge_pair<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) -> u64 {
         j += usize::from(!take_a);
     }
     // One run is used up; the other's tail follows in order.
-    let played = i + j;
     let (a_tail, b_tail) = (&a[i..], &b[j..]);
-    out[played..played + a_tail.len()].copy_from_slice(a_tail);
-    out[played + a_tail.len()..].copy_from_slice(b_tail);
-    played as u64
+    out[i + j..i + j + a_tail.len()].copy_from_slice(a_tail);
+    out[i + j + a_tail.len()..].copy_from_slice(b_tail);
 }
 
 /// The definition of a short sort: `sort_unstable`.

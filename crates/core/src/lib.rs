@@ -12,17 +12,20 @@
 //! * [`baseline`] — a GNU-parallel-class multiway mergesort that only uses
 //!   far memory: the paper's comparison point ("GNU sort" in Table I).
 //! * [`extsort`] — the external multiway mergesort engine both sorts build
-//!   on (run formation + loser-tree merge passes with exact transfer
-//!   accounting), usable against either memory level.
+//!   on (run formation + multiway merge passes charged the loser tree's
+//!   comparisons, with exact transfer accounting), usable against either
+//!   memory level.
 //! * [`oblivious`] — the cache-*oblivious* opponents: SPMS
 //!   (Cole–Ramachandran sample–partition–merge) and SquareSort
 //!   (Koucký–Matějka √n-block recursion), whose control flow never reads a
 //!   machine parameter; the residency adapter charges their passes to the
 //!   correct level.
-//! * [`losertree`] — tournament-tree k-way merging (branchless kernel).
+//! * [`losertree`] — k-way merging: every merge's charge, the loser tree's
+//!   comparison count computed from the runs ([`losertree::merge_cost`]),
+//!   and the uncounted host merge that executes it.
 //! * [`kernels`] — the host wall-clock kernel layer: MSD hybrid radix run
-//!   formation for [`kernels::RadixKey`] types and the pre-kernel reference
-//!   implementations used as differential oracles and bench baselines.
+//!   formation for [`kernels::RadixKey`] types, SIMD kernels, and the
+//!   reference implementations the tests and benches use as oracles.
 //! * [`sample`] — random pivot sampling (§III-A).
 //! * [`bucketize`] — bucket-boundary extraction in sorted chunks (the
 //!   multithreaded `BucketPos` computation of §IV-D).

@@ -1,356 +1,53 @@
-//! Loser-tree (tournament) k-way merging.
+//! The charge of a k-way merge, and the host merge that executes it.
 //!
-//! The cost model of every merge in this crate: the external mergesort's
-//! merge passes, NMsort's Phase-2 multiway merge of sorted chunk segments,
-//! and the baseline's final merge. A loser tree merges `k` sorted runs with
-//! at most `⌈lg k⌉` comparisons per emitted element (fewer once a subtree
-//! runs dry) — the constant the multiway merge sort analysis (Theorem 1)
-//! assumes. Every merge is charged the tree's exact count,
-//! [`merge_cost`], whichever kernel executes it: [`merge_into_slice`]
-//! sends merges holding a duplicate-heavy run to the loser tree and the
-//! rest to a counted merge tree ([`merge_counted_tree`]), a bottom-up
-//! two-way merge on the loser tree's own shape that counts each node's
-//! comparisons as it merges. Runs averaging a few keys are not merged at
-//! all: their non-empty runs are copied out, the tree is counted over them
-//! alone (`leaf_cost`), and one sort orders them. A deep merge of
-//! radix-key elements skips both: [`crate::pmerge`] charges it
-//! [`merge_cost`] and sorts cache-sized pieces of it instead.
+//! Every merge in this crate — the external mergesort's merge passes,
+//! NMsort's Phase-2 multiway merge of sorted chunk segments, the
+//! baseline's merge rounds and SPMS's bucket merges — is charged the
+//! comparisons a loser tree plays merging its runs: at most `⌈lg k⌉` per
+//! emitted element (fewer once a subtree runs dry), the constant the
+//! multiway merge sort analysis (Theorem 1) assumes. The tree is played
+//! over the pair pre-merge plan: adjacent runs of at most
+//! [`PREMERGE_MAX`] keys are two-way merged first, and the tree's leaves
+//! are those pairs and the remaining runs.
 //!
-//! **Kernel engineering** (see `kernels` module docs and DESIGN.md §10):
-//! this is the branchless rewrite. Each internal node stores the loser's
-//! *key and leaf id side by side* (parallel `node_keys`/`node_meta`
-//! arrays), so one replay step issues two independent L1 loads instead of
-//! the reference implementation's chained `tree[node] → heads[loser]`
-//! indirection — the replay path's serial dependency is the comparison
-//! chain itself, nothing else. Winner/loser selection is straight-line
-//! conditional-move code built from non-short-circuit `&`/`|` predicates;
-//! the only data-dependent branch left is the comparison. Exhausted runs
-//! are handled sentinel-style via an alive bit folded into each node's
-//! meta word rather than per-match `Option` checks.
+//! [`merge_cost`] is that count, computed from the runs alone and never
+//! by playing the tree: by binary searches, by a closed form when every
+//! run holds one key value, or by a scan of the non-empty runs when they
+//! average a few keys. It is the only count; the tests hold it to
+//! [`crate::kernels::reference::merge_cost_ref`], which plays the
+//! reference tree.
 //!
-//! The replay's *store policy* is adaptive: conditional-move stores when
-//! match outcomes are near coin flips (uniform keys — nothing to predict),
-//! a predictable guarded store when outcomes are biased (duplicate-heavy
-//! inputs, where skipping the no-op store keeps the key chain out of
-//! store-to-load forwarding). The policy is retuned every [`ADAPT_BLOCK`]
-//! elements from the observed winner-flip rate; both policies leave
-//! identical tree state and comparison counts. The original branchy
-//! implementation survives as [`crate::kernels::reference`], and the
-//! equivalence tests assert both emit the identical element sequence and
-//! comparison count.
+//! The merge kernels only execute. One executor (`merge_runs`) writes a
+//! merge's output without counting and chooses by the data's shape: a
+//! copy and one sort for runs of a few keys, a concatenation for one key
+//! value, a copy and a radix sort for a deep merge of
+//! [`crate::kernels::RadixKey`] elements, and an uncounted bottom-up
+//! two-way merge tree otherwise. Every path keeps equal keys in run
+//! order. [`merge_into_slice`] runs it and returns [`merge_cost`];
+//! [`crate::pmerge`]'s pieces and the baseline's waves call it directly.
+//! See DESIGN.md §10.
 
+use crate::kernels::{radix_kernel, sort_kernel};
 use std::ops::Range;
 
-/// Low 31 bits of a node's meta word: the leaf index. Bit 31 is the alive
-/// flag.
-const LEAF_MASK: u32 = 0x7FFF_FFFF;
-const ALIVE_BIT: u32 = 1 << 31;
-
-/// Elements between replay-mode retunes. Long enough to amortize the
-/// decision, short enough to catch phase changes in the input.
-const ADAPT_BLOCK: u32 = 8192;
-
-/// Policy flips tolerated before the adaptive store policy is pinned.
-/// Duplicate-heavy inputs with long equal-key runs sit right at the
-/// `opp_wins` thresholds and would otherwise thrash the policy every
-/// block, paying the mispredict cost of *both* forms; once the flip count
-/// reaches this plateau the guarded form is pinned for the tree's
-/// remaining life (it degrades gracefully on near-even outcomes, the
-/// branchless form does not on biased ones).
-const PIN_FLIPS: u32 = 4;
-
-/// Runs at or below this length are eligible for pair pre-merging in
-/// [`merge_into_slice`]: adjacent short runs are two-way merged (a
-/// vectorizable streaming kernel) before the loser tree builds, halving
-/// `k` where it is cheap. Long runs skip it — the pair buffer would
-/// rival the tree's own working set.
+/// Runs at or below this length are paired by the pre-merge plan: the
+/// charged tree two-way merges adjacent short runs before its leaves
+/// play, halving `k` where it is cheap. Longer runs are leaves of their
+/// own.
 pub const PREMERGE_MAX: usize = 1 << 16;
 
-/// A loser tree over `k` in-memory sorted runs.
-///
-/// The tree stores, at each internal node, the *loser* of the match played
-/// there; the overall winner sits above the root. Replaying a leaf after
-/// emitting its head costs one root-to-leaf path of comparisons.
-pub struct LoserTree<'a, T> {
-    runs: Vec<&'a [T]>,
-    /// Next unread position in each run.
-    pos: Vec<usize>,
-    /// Key of the loser parked at each internal node (`[1..k_pad]`; slot 0
-    /// unused). Dead losers hold an arbitrary filler guarded by the alive
-    /// bit in [`Self::node_meta`]. Empty when every run is empty.
-    node_keys: Vec<T>,
-    /// Loser leaf index (low 31 bits) and alive flag (bit 31) per internal
-    /// node, parallel to `node_keys`.
-    node_meta: Vec<u32>,
-    /// The overall winner: its head element and leaf index. `None` once
-    /// every run is exhausted (or the tree was built over no elements).
-    root: Option<(T, u32)>,
-    /// Count of live leaves — lets merge loops detect the last-run tail in
-    /// O(1) and switch to a bulk copy.
-    live: usize,
-    /// Number of leaves (next power of two ≥ k).
-    k_pad: usize,
-    /// Comparisons performed so far.
-    comparisons: u64,
-    /// Replay store policy for the current block: `true` = guard the loser
-    /// store behind `if opp_wins` (fast when the winner is biased, i.e.
-    /// duplicate-heavy inputs where the branch predicts), `false` = fully
-    /// branchless conditional moves (fast when match outcomes are coin
-    /// flips, i.e. uniform keys). Retuned every [`ADAPT_BLOCK`] elements
-    /// from the observed `opp_wins` rate; both policies leave identical
-    /// tree state and comparison counts, so switching is free.
-    guarded_store: bool,
-    /// Elements left before the next retune.
-    block_left: u32,
-    /// Replay steps and `opp_wins` outcomes observed in this block.
-    block_steps: u64,
-    block_opp_wins: u64,
-    /// Retunes whose decision flipped the policy (see [`PIN_FLIPS`]).
-    policy_flips: u32,
-    /// Oscillation plateau reached: the policy is pinned guarded and no
-    /// longer retuned. Wall-clock heuristic only — the emitted sequence
-    /// and comparison count are policy-independent.
-    policy_pinned: bool,
-}
-
-impl<'a, T: Ord + Copy> LoserTree<'a, T> {
-    /// Build a tree over `runs`. Empty runs are allowed.
-    pub fn new(runs: Vec<&'a [T]>) -> Self {
-        let k = runs.len().max(1);
-        let k_pad = k.next_power_of_two();
-        let pos = vec![0; runs.len()];
-        let live = runs.iter().filter(|r| !r.is_empty()).count();
-        let mut lt = Self {
-            runs,
-            pos,
-            node_keys: Vec::new(),
-            node_meta: Vec::new(),
-            root: None,
-            live,
-            k_pad,
-            comparisons: 0,
-            guarded_store: false,
-            block_left: ADAPT_BLOCK,
-            block_steps: 0,
-            block_opp_wins: 0,
-            policy_flips: 0,
-            policy_pinned: false,
-        };
-        lt.rebuild();
-        lt
-    }
-
-    /// Full rebuild: play every match bottom-up. With no elements at all
-    /// the tree starts (and stays) exhausted.
-    fn rebuild(&mut self) {
-        // Any element works as the dead-slot filler; the alive bit guards
-        // every read.
-        let Some(fill) = self.runs.iter().find_map(|r| r.first().copied()) else {
-            return;
-        };
-        let mut winners: Vec<(T, u32)> = vec![(fill, 0); 2 * self.k_pad];
-        for leaf in 0..self.k_pad {
-            winners[self.k_pad + leaf] = match self.runs.get(leaf).and_then(|r| r.first()) {
-                Some(&h) => (h, leaf as u32 | ALIVE_BIT),
-                None => (fill, leaf as u32),
-            };
-        }
-        self.node_keys = vec![fill; self.k_pad];
-        self.node_meta = vec![0; self.k_pad];
-        for node in (1..self.k_pad).rev() {
-            let (w, l) = Self::play(
-                winners[2 * node],
-                winners[2 * node + 1],
-                &mut self.comparisons,
-            );
-            winners[node] = w;
-            self.node_keys[node] = l.0;
-            self.node_meta[node] = l.1;
-        }
-        let (rk, rm) = winners[1];
-        self.root = (rm & ALIVE_BIT != 0).then_some((rk, rm & LEAF_MASK));
-    }
-
-    /// Play a match between two `(key, meta)` entries: the live entry with
-    /// the smaller key wins (ties to the lower leaf index, making the merge
-    /// stable across runs). Exhausted entries always lose; a comparison is
-    /// charged only when both are live.
-    #[inline]
-    fn play(a: (T, u32), b: (T, u32), cmps: &mut u64) -> ((T, u32), (T, u32)) {
-        let (aa, ba) = (a.1 & ALIVE_BIT != 0, b.1 & ALIVE_BIT != 0);
-        if aa & ba {
-            *cmps += 1;
-        }
-        let a_wins = if aa & ba {
-            (a.0 < b.0) | ((a.0 == b.0) & (a.1 & LEAF_MASK < b.1 & LEAF_MASK))
-        } else if aa | ba {
-            aa
-        } else {
-            a.1 & LEAF_MASK < b.1 & LEAF_MASK
-        };
-        if a_wins {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
-    /// Pop the globally smallest remaining element.
-    pub fn next_element(&mut self) -> Option<T> {
-        // The mode branch is block-stable and predicts perfectly; each
-        // monomorphized body keeps its replay loop free of the other
-        // policy's code.
-        let out = if self.guarded_store {
-            self.advance::<true>()
-        } else {
-            self.advance::<false>()
-        };
-        self.block_left -= 1;
-        if self.block_left == 0 {
-            self.retune();
-        }
-        out
-    }
-
-    /// Emit one element with the given store policy. Both policies compute
-    /// the same winner predicate and leave identical tree state — only the
-    /// microarchitectural shape differs (see [`Self::guarded_store`]).
-    #[inline]
-    fn advance<const GUARDED: bool>(&mut self) -> Option<T> {
-        let (val, w) = self.root?;
-        let w = w as usize;
-        // Advance leaf w; the winner always indexes a real run.
-        let p = self.pos[w] + 1;
-        self.pos[w] = p;
-        let (mut cur_key, mut cur_meta) = match self.runs[w].get(p) {
-            Some(&next) => (next, w as u32 | ALIVE_BIT),
-            None => {
-                self.live -= 1;
-                // `val` doubles as the dead-leaf filler; the cleared alive
-                // bit guards it.
-                (val, w as u32)
-            }
-        };
-        // Replay the path from w's leaf to the root. Each step loads the
-        // parked loser's key and meta from parallel arrays (two independent
-        // L1 loads), then selects the winner with a straight-line
-        // non-short-circuit `&`/`|` predicate — flag-setting compares, no
-        // data-dependent branch.
-        let mut node = (self.k_pad + w) >> 1;
-        let mut cmps = 0u64;
-        let mut steps = 0u64;
-        let mut opp_won = 0u64;
-        while node != 0 {
-            let ok = self.node_keys[node];
-            let om = self.node_meta[node];
-            let (ca, oa) = (cur_meta & ALIVE_BIT != 0, om & ALIVE_BIT != 0);
-            cmps += (ca & oa) as u64;
-            // `opp` wins when it is alive and (cur is dead, or opp's key is
-            // strictly smaller, or the keys tie and opp has the lower leaf
-            // index).
-            let opp_wins = oa
-                & (!ca
-                    | (ok < cur_key)
-                    | ((ok == cur_key) & (om & LEAF_MASK < cur_meta & LEAF_MASK)));
-            steps += 1;
-            opp_won += opp_wins as u64;
-            if GUARDED {
-                // Parked loser lost again ⇒ the node already holds the right
-                // entry; the guard predicts well exactly when outcomes are
-                // biased.
-                if opp_wins {
-                    self.node_keys[node] = cur_key;
-                    self.node_meta[node] = cur_meta;
-                    cur_key = ok;
-                    cur_meta = om;
-                }
-            } else {
-                // Unconditional conditional-move form: no branch to
-                // mispredict when outcomes are coin flips.
-                let lose_key = if opp_wins { cur_key } else { ok };
-                let lose_meta = if opp_wins { cur_meta } else { om };
-                self.node_keys[node] = lose_key;
-                self.node_meta[node] = lose_meta;
-                cur_key = if opp_wins { ok } else { cur_key };
-                cur_meta = if opp_wins { om } else { cur_meta };
-            }
-            node >>= 1;
-        }
-        self.comparisons += cmps;
-        self.block_steps += steps;
-        self.block_opp_wins += opp_won;
-        self.root = (cur_meta & ALIVE_BIT != 0).then_some((cur_key, cur_meta & LEAF_MASK));
-        Some(val)
-    }
-
-    /// Pick the next block's store policy from this block's `opp_wins`
-    /// rate: outcomes outside [1/4, 3/4] are predictable enough that the
-    /// guarded store wins; near-even outcomes favor the branchless form.
-    ///
-    /// Inputs whose flip rate hovers at the thresholds (long equal-key
-    /// runs alternating with mixed regions) would re-decide every block;
-    /// after [`PIN_FLIPS`] flips the guarded policy is pinned instead.
-    fn retune(&mut self) {
-        if !self.policy_pinned {
-            let (s, w) = (self.block_steps, self.block_opp_wins);
-            let want = 4 * w <= s || 4 * w >= 3 * s;
-            if want != self.guarded_store {
-                self.policy_flips += 1;
-                if self.policy_flips >= PIN_FLIPS {
-                    self.policy_pinned = true;
-                    self.guarded_store = true;
-                } else {
-                    self.guarded_store = want;
-                }
-            }
-        }
-        self.block_left = ADAPT_BLOCK;
-        self.block_steps = 0;
-        self.block_opp_wins = 0;
-    }
-
-    /// Total comparisons performed (for compute charging).
-    pub fn comparisons(&self) -> u64 {
-        self.comparisons
-    }
-
-    /// Remaining (unread) elements across all runs.
-    pub fn remaining(&self) -> usize {
-        self.runs
-            .iter()
-            .zip(&self.pos)
-            .map(|(r, &p)| r.len() - p)
-            .sum()
-    }
-}
-
-impl<T: Ord + Copy> Iterator for LoserTree<'_, T> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.next_element()
-    }
-}
-
-impl<T> Drop for LoserTree<'_, T> {
-    fn drop(&mut self) {
-        // Comparisons are accumulated locally (one add per comparison would
-        // dominate the merge inner loop) and flushed to the global telemetry
-        // counter once per tree.
-        if self.comparisons > 0 {
-            tlmm_telemetry::counter!("core.losertree.comparisons").add(self.comparisons);
-        }
-    }
-}
+/// Non-empty runs from which a merge of [`crate::kernels::RadixKey`]
+/// elements is executed by copying and sorting rather than by a merge
+/// tree: at this fan-in the tree makes `⌈lg k⌉ ≥ 3` two-way passes over
+/// every key, while a copy is one pass and the radix sort runs in cache
+/// ([`crate::pmerge`] cuts deep merges into cache-sized pieces).
+pub(crate) const SORT_MIN_FAN_IN: usize = 8;
 
 /// Plateau probe for the pair pre-merge: `true` when sampled positions of
 /// the sorted run sit inside equal-key plateaus at least [`PLATEAU_GAP`]
-/// long. Such runs feed the loser tree long winner streaks that its
-/// guarded store policy turns into near-free replay steps, while a two-way
-/// merge does fixed work per element regardless — so duplicate-heavy runs
-/// skip pre-merging, and a merge holding one stays on the loser tree.
-/// The decision reads only the data, so it is identical across SIMD
-/// dispatch and thread counts, and the charged comparison total is
-/// unchanged either way (see [`merge_cost`]).
+/// long. Such a run is a leaf of its own in the charged tree. The
+/// decision reads only the data, so the charge is identical across SIMD
+/// dispatch and thread counts.
 fn duplicate_heavy<T: Ord>(r: &[T]) -> bool {
     if r.len() < PROBE_MIN {
         return false;
@@ -365,31 +62,26 @@ fn duplicate_heavy<T: Ord>(r: &[T]) -> bool {
     hits * 2 >= PROBES
 }
 
-/// Plateau length at which the loser tree's guarded-store streaks beat
-/// the two-way merge's fixed per-element work (see [`duplicate_heavy`]).
+/// Plateau length [`duplicate_heavy`] probes for.
 const PLATEAU_GAP: usize = 32;
 
 /// Positions [`duplicate_heavy`] probes for a plateau.
 const PROBES: usize = 4;
 
-/// The pair pre-merge plan: the loser tree's leaves in order, as run-index
-/// ranges — each either one run or two adjacent runs merged first. With
-/// four or more runs, adjacent runs no longer than [`PREMERGE_MAX`] and
-/// not [`duplicate_heavy`] are paired left to right; otherwise every leaf
-/// is one run. Both merge kernels execute this plan and [`merge_cost`]
-/// charges it.
-fn premerge_plan<'r, T: Ord>(
-    runs: &'r [&'r [T]],
-) -> impl Iterator<Item = Range<usize>> + Clone + 'r {
-    pair_plan(runs, |r| r.len() <= PREMERGE_MAX && !duplicate_heavy(r))
-}
+/// Runs shorter than this are never [`duplicate_heavy`] (its probes need
+/// `PROBES` plateau gaps), so a merge of them pairs every adjacent run.
+const PROBE_MIN: usize = PLATEAU_GAP * PROBES;
 
-/// [`premerge_plan`] with the test for a pairable run given: a caller that
-/// has already probed every run for plateaus passes the length test alone.
-fn pair_plan<'r, T: Ord>(
+/// The pair pre-merge plan: the charged loser tree's leaves in order, as
+/// run-index ranges — each either one run or two adjacent runs merged
+/// first. With four or more runs, adjacent runs no longer than
+/// [`PREMERGE_MAX`] and not [`duplicate_heavy`] are paired left to right;
+/// otherwise every leaf is one run. [`merge_cost`] charges it and
+/// [`crate::kernels::reference::merge_cost_ref`] plays it.
+pub(crate) fn premerge_plan<'r, T: Ord>(
     runs: &'r [&'r [T]],
-    pairable: impl Fn(&[T]) -> bool + Clone + 'r,
 ) -> impl Iterator<Item = Range<usize>> + Clone + 'r {
+    let pairable = |r: &[T]| r.len() <= PREMERGE_MAX && !duplicate_heavy(r);
     let pairs = runs.len() >= 4;
     let mut i = 0;
     std::iter::from_fn(move || {
@@ -403,14 +95,15 @@ fn pair_plan<'r, T: Ord>(
     })
 }
 
-/// Fold `runs` up the loser tree's shape: the leaves of `plan` (a
-/// [`premerge_plan`] of `runs`), padded with empty leaves to a power of
-/// two, so the node of height `h` at index `i` covers leaves
-/// `[i·2^h, (i+1)·2^h)`. `leaf(r, at)` makes the node of run `r`, which
-/// starts at offset `at` of the merged output; `join(left, right, h)`
-/// makes a node of height `h` from its two children, with `h = 0` for a
-/// planned pair. A node whose right half is all padding is its left child,
-/// carried up without a join. Returns the root, or `None` without runs.
+/// Fold `runs` up a tree over the leaves of `plan` (a partition of the
+/// runs into single runs and adjacent pairs, in order), padded with empty
+/// leaves to a power of two, so the node of height `h` at index `i`
+/// covers leaves `[i·2^h, (i+1)·2^h)`. `leaf(r, at)` makes the node of run
+/// `r`, which starts at offset `at` of the merged output; `join(left,
+/// right, h)` makes a node of height `h` from its two children, with
+/// `h = 0` for a planned pair. A node whose right half is all padding is
+/// its left child, carried up without a join. Returns the root, or `None`
+/// without runs.
 fn fold_plan<T: Ord, N: Copy>(
     runs: &[&[T]],
     plan: impl Iterator<Item = Range<usize>>,
@@ -450,20 +143,25 @@ fn fold_plan<T: Ord, N: Copy>(
     Some(root)
 }
 
-/// Comparisons the loser tree plays merging `runs` over the pair
-/// pre-merge plan — the pairs ([`crate::kernels::simd::pair_merge_cost`]
-/// each) plus the tree over the plan's leaves (`node_cost` per node) —
-/// computed from the runs alone. Every kernel of [`merge_into_slice`]
-/// returns exactly this count, and the tests hold them to it. It is also a
-/// charge on its own: a deep merge of radix-key elements
-/// ([`crate::pmerge::parallel_merge`]) is charged this count per part and
-/// executed by sorting, without playing any tree. With two runs it is
-/// `pair_merge_cost`.
+/// The comparisons a loser tree plays merging `runs` over the pair
+/// pre-merge plan: the planned pairs
+/// ([`crate::kernels::simd::pair_merge_cost`] each) plus the tree over
+/// the plan's leaves, computed from the runs alone. With two runs it is
+/// `pair_merge_cost`. This is every merge's charge: [`merge_into_slice`]
+/// returns it, and [`crate::pmerge::parallel_merge`] sums it over its
+/// parts.
 ///
-/// Runs averaging fewer than 8 keys (`SORT_MEAN_RUN`) are counted over their
-/// non-empty runs alone (`leaf_cost`, on a copy of them laid end to
-/// end); longer ones by `O(k lg k)` binary searches (`search_cost`).
+/// Three ways to the one count, by the runs' shape:
+/// - every non-empty run holds the same key value: a closed form in
+///   `O(k)` adds (`single_key_cost`);
+/// - runs averaging fewer than 8 keys (`SORT_MEAN_RUN`): a scan of the
+///   non-empty runs alone (`leaf_cost`, on a copy of them laid end to
+///   end);
+/// - otherwise `O(k lg k)` binary searches (`search_cost`).
 pub fn merge_cost<T: Ord + Copy>(runs: &[&[T]]) -> u64 {
+    if single_key(runs) {
+        return single_key_cost(runs);
+    }
     let total: usize = runs.iter().map(|r| r.len()).sum();
     if runs.len() >= 2 && total < SORT_MEAN_RUN * runs.len() {
         let mut keys = Vec::with_capacity(total);
@@ -552,51 +250,64 @@ fn node_cost<T: Ord>(runs: &[&[T]], left: CostNode<T>, right: CostNode<T>) -> u6
 }
 
 /// Merge `runs` into the exactly-sized slice `out`, returning the
-/// comparisons to charge: the loser tree's count, [`merge_cost`],
-/// whichever path runs.
-///
-/// Two shapes need no kernel at all. A merge of empty runs writes nothing
-/// and costs nothing. A merge whose non-empty runs all hold one key value
-/// is the runs concatenated in run order — the order every kernel gives
-/// ties — and its charge has a closed form (`single_key_cost`); SPMS's
-/// duplicate-heavy buckets are mostly of these two shapes.
+/// comparisons to charge: [`merge_cost`].
 ///
 /// Runs averaging fewer than 8 keys (`SORT_MEAN_RUN`), from SPMS's sample
 /// merges to a sparse part of a deep merge, are copied out, counted over
-/// their non-empty runs and sorted once (`count_and_sort`), whatever their
-/// keys. Otherwise two kernels, one result. A merge holding a duplicate-heavy
-/// run (the plateau probe) runs the loser tree, whose guarded-store
-/// streaks make it nearly free while a two-way merge does fixed work per
-/// element. Every other merge, from SPMS's larger buckets to NMsort's
-/// Phase-2 parts, runs [`merge_counted_tree`], which counts as it
-/// merges. Both kernels keep run order on ties (lower run index first),
-/// so the emitted sequence is the same, and both count the same tree.
+/// their non-empty runs in the copy (`leaf_cost`, the count
+/// [`merge_cost`] takes on such runs, so no key is copied twice) and
+/// sorted once. Any other merge is executed by `merge_runs` and charged
+/// [`merge_cost`].
 ///
 /// # Panics
 /// Panics if `out.len()` differs from the total run length.
 pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
     let total: usize = runs.iter().map(|r| r.len()).sum();
     assert_eq!(out.len(), total, "output slice must fit the merge exactly");
-    match runs.len() {
-        0 => 0,
-        1 => {
-            out.copy_from_slice(runs[0]);
-            0
-        }
-        _ if total == 0 => 0,
-        k if total < SORT_MEAN_RUN * k => count_and_sort(runs, out),
-        _ if single_key(runs) => {
-            let mut rest: &mut [T] = out;
-            for r in runs {
-                let (dst, next) = rest.split_at_mut(r.len());
-                dst.copy_from_slice(r);
-                rest = next;
-            }
-            single_key_cost(runs)
-        }
-        _ if runs.iter().any(|r| duplicate_heavy(r)) => merge_with_loser_tree(runs, out),
-        // No run is duplicate-heavy, so the plan pairs by length alone.
-        _ => counted_tree(runs, out, pair_plan(runs, |r| r.len() <= PREMERGE_MAX)),
+    if runs.len() >= 2 && total < SORT_MEAN_RUN * runs.len() {
+        return count_and_sort(runs, out);
+    }
+    merge_runs(runs, out);
+    merge_cost(runs)
+}
+
+/// Merge `runs` into `out`, exactly their total length, counting nothing:
+/// the executor of every merge, whose charge is [`merge_cost`]. It
+/// chooses by the data's shape:
+/// - every non-empty run holds one key value: the runs concatenated;
+/// - runs averaging fewer than 8 keys (`SORT_MEAN_RUN`): a copy, then one
+///   sort (`sort_merged`);
+/// - a [`crate::kernels::RadixKey`] type with at least `SORT_MIN_FAN_IN`
+///   non-empty runs: a copy, then [`sort_kernel`];
+/// - anything else: an uncounted two-way merge tree (`merge_tree`).
+///
+/// Each keeps equal keys in run order: the concatenation and the tree by
+/// construction, a stable sort for other types, and for radix keys equal
+/// keys are identical elements, so any order of them is the same output.
+pub(crate) fn merge_runs<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) {
+    debug_assert_eq!(out.len(), runs.iter().map(|r| r.len()).sum::<usize>());
+    if single_key(runs) {
+        concat(runs, out);
+    } else if out.len() < SORT_MEAN_RUN * runs.len() {
+        concat(runs, out);
+        sort_merged(out);
+    } else if radix_kernel::<T>().is_some()
+        && runs.iter().filter(|r| !r.is_empty()).count() >= SORT_MIN_FAN_IN
+    {
+        concat(runs, out);
+        sort_kernel(out);
+    } else {
+        merge_tree(runs, out);
+    }
+}
+
+/// Copy `runs` into `out` end to end, in run order.
+fn concat<T: Copy>(runs: &[&[T]], out: &mut [T]) {
+    let mut rest = out;
+    for r in runs {
+        let (dst, next) = rest.split_at_mut(r.len());
+        dst.copy_from_slice(r);
+        rest = next;
     }
 }
 
@@ -614,7 +325,7 @@ pub(crate) fn single_key<T: Ord>(runs: &[&[T]]) -> bool {
 /// in `O(k)` adds: a pair or tree node whose sides are both non-empty
 /// plays `|left|` (ties go left, so the left side exhausts first with no
 /// right key ordered before it), and any other node plays nothing.
-pub(crate) fn single_key_cost<T: Ord>(runs: &[&[T]]) -> u64 {
+fn single_key_cost<T: Ord>(runs: &[&[T]]) -> u64 {
     let mut cost = 0u64;
     fold_plan(
         runs,
@@ -630,72 +341,15 @@ pub(crate) fn single_key_cost<T: Ord>(runs: &[&[T]]) -> u64 {
     cost
 }
 
-/// The loser-tree kernel of [`merge_into_slice`]: pair-merge the plan's
-/// paired runs into one buffer, then play the tree over the plan's leaves.
-/// Returns the comparisons both steps performed. Once a single run
-/// remains, its tail is bulk-copied instead of replayed. Public so tests
-/// and benches can run one kernel on any shape.
-///
-/// # Panics
-/// Panics if `out.len()` differs from the total run length.
-pub fn merge_with_loser_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    assert_eq!(out.len(), total, "output slice must fit the merge exactly");
-    let leaves: Vec<Range<usize>> = premerge_plan(runs).collect();
-    let merged_len = |r: &Range<usize>| runs[r.clone()].iter().map(|x| x.len()).sum::<usize>();
-    let paired_total: usize = leaves.iter().filter(|r| r.len() == 2).map(merged_len).sum();
-    let mut cmps = 0u64;
-    let mut buf: Vec<T> = vec![T::default(); paired_total];
-    let mut rest: &mut [T] = &mut buf;
-    for r in leaves.iter().filter(|r| r.len() == 2) {
-        let (a, b) = (runs[r.start], runs[r.start + 1]);
-        let (dst, next) = rest.split_at_mut(a.len() + b.len());
-        cmps += crate::kernels::simd::merge_pair(a, b, dst);
-        rest = next;
-    }
-    let mut off = 0usize;
-    let tree_runs: Vec<&[T]> = leaves
-        .iter()
-        .map(|r| {
-            if r.len() == 2 {
-                let len = merged_len(r);
-                off += len;
-                &buf[off - len..off]
-            } else {
-                runs[r.start]
-            }
-        })
-        .collect();
-    let mut lt = LoserTree::new(tree_runs);
-    let mut emitted = 0usize;
-    while emitted < out.len() {
-        // Once a single run remains, stream its tail with one bulk copy
-        // instead of lg(k) tree replays per element. The check is O(1) via
-        // the live-leaf counter.
-        if lt.live == 1 {
-            let r = lt.root.expect("live leaf must be the winner").1 as usize;
-            let tail = &lt.runs[r][lt.pos[r]..];
-            out[emitted..].copy_from_slice(tail);
-            lt.pos[r] = lt.runs[r].len();
-            lt.root = None;
-            lt.live = 0;
-            break;
-        }
-        out[emitted] = lt.next_element().expect("run length accounting broken");
-        emitted += 1;
-    }
-    cmps + lt.comparisons()
-}
-
-/// Where a counted-tree node's keys are: still in one input run, or in
-/// one of the two merge buffers (`0` is the output, `1` the scratch).
+/// Where a merge-tree node's keys are: still in one input run, or in one
+/// of the two merge buffers (`0` is the output, `1` the scratch).
 #[derive(Clone, Copy)]
 enum Held<'r, T> {
     Run(&'r [T]),
     Buf(usize),
 }
 
-/// A counted-tree node: `len` keys bound for `out[at..at + len]`.
+/// A merge-tree node: `len` keys bound for `out[at..at + len]`.
 #[derive(Clone, Copy)]
 struct Node<'r, T> {
     at: usize,
@@ -717,61 +371,26 @@ impl<'r, T> Node<'r, T> {
     }
 }
 
-/// The counted merge tree of [`merge_into_slice`]: a bottom-up two-way
-/// merge on the loser tree's own shape (`fold_plan`), returning the
-/// loser tree's comparison count, [`merge_cost`], without playing it.
-///
-/// A loser-tree node's comparisons are those of a two-way merge of its
-/// two sides, ties going left, so each node here merges its children's
-/// merged keys with [`crate::kernels::simd::merge_pair`], which returns
-/// that count. Empty runs keep their leaves, and a node with an empty side
-/// is its other child, carried up unmerged — the padding that makes the
-/// loser tree a power of two wide — so the tree, and every node's count,
-/// is the loser tree's. Nodes ping-pong between `out` and one scratch
-/// buffer by height, the root's height writing `out`; a node still in an
-/// input run is read in place, and a carried node whose next merge writes
-/// the buffer it sits in moves to the other one first.
-///
-/// Runs averaging fewer than [`SORT_MEAN_RUN`] keys, where merging node
-/// by node is mostly per-node overhead, are not merged: the same tree is
-/// counted over the non-empty runs copied into `out` (`count_and_sort`),
-/// and one sort orders them. Public so tests and benches can run one
-/// kernel on any shape.
-///
-/// # Panics
-/// Panics if `out.len()` differs from the total run length.
-pub fn merge_counted_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    assert_eq!(out.len(), total, "output slice must fit the merge exactly");
-    counted_tree(runs, out, premerge_plan(runs))
-}
-
-/// [`merge_counted_tree`] over `plan`, a [`premerge_plan`] of `runs`.
-fn counted_tree<T: crate::SortElem>(
-    runs: &[&[T]],
-    out: &mut [T],
-    plan: impl Iterator<Item = Range<usize>> + Clone,
-) -> u64 {
+/// The uncounted merge tree of `merge_runs`: a bottom-up two-way merge
+/// ([`crate::kernels::simd::merge_pair`], ties going left) over the
+/// non-empty runs, a complete binary tree padded to a power of two
+/// (`fold_plan` with every run a leaf). Nodes ping-pong between `out` and
+/// one scratch buffer by height, the root's height writing `out`; a node
+/// still in an input run is read in place, and a carried node whose next
+/// merge writes the buffer it sits in moves to the other one first.
+fn merge_tree<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) {
+    let runs: Vec<&[T]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
     let total = out.len();
-    if total < SORT_MEAN_RUN * runs.len() {
-        return count_and_sort(runs, out);
-    }
-    let root_height = plan.clone().count().next_power_of_two().trailing_zeros();
+    let root_height = runs.len().next_power_of_two().trailing_zeros();
     // Allocated by the first join that writes it or moves a node into it.
     let mut scratch: Vec<T> = Vec::new();
-    let mut cmps = 0u64;
     let leaf = |r: usize, at: usize| Node {
         at,
         len: runs[r].len(),
         held: Held::Run(runs[r]),
     };
-    let root = fold_plan(runs, plan, leaf, |l, r, h| {
-        if r.len == 0 {
-            return l;
-        }
-        if l.len == 0 {
-            return r;
-        }
+    let plan = (0..runs.len()).map(|r| r..r + 1);
+    let root = fold_plan(&runs, plan, leaf, |l, r, h| {
         let d = ((root_height - h) % 2) as usize;
         let moved = |c: Node<T>| matches!(c.held, Held::Buf(b) if b == d);
         if scratch.is_empty() && (d == 1 || moved(l) || moved(r)) {
@@ -785,11 +404,7 @@ fn counted_tree<T: crate::SortElem>(
         for c in [l, r].into_iter().filter(|&c| moved(c)) {
             src[c.at..c.at + c.len].copy_from_slice(&dst[c.at..c.at + c.len]);
         }
-        cmps += crate::kernels::simd::merge_pair(
-            l.keys(src),
-            r.keys(src),
-            &mut dst[l.at..r.at + r.len],
-        );
+        crate::kernels::simd::merge_pair(l.keys(src), r.keys(src), &mut dst[l.at..r.at + r.len]);
         Node {
             at: l.at,
             len: l.len + r.len,
@@ -801,22 +416,21 @@ fn counted_tree<T: crate::SortElem>(
         Some(Held::Buf(1)) => out.copy_from_slice(&scratch),
         _ => {}
     }
-    cmps
 }
 
 /// Mean run length below which a merge is counted over its non-empty runs
 /// ([`leaf_cost`]) and sorted instead of merged, by [`merge_into_slice`],
-/// [`merge_counted_tree`] and SPMS's bucket merges, and below which
-/// [`merge_cost`] counts the same way. With runs of about one key, a
-/// merge per node costs a mispredicted loop exit and two tail copies per
-/// key or so; a scan per node and one sort cost less, about a fifth of
-/// SPMS's wall time on Zipf keys against merging every node (DESIGN.md
-/// §10). On uniform `u64` sorting still won at 32 keys per run and lost
-/// from a few hundred, so 8 keeps well clear of the crossover. A
-/// data-shape constant: the count is the same either way.
+/// `merge_runs` and SPMS's bucket merges, and below which [`merge_cost`]
+/// counts the same way. With runs of about one key, a merge per node
+/// costs a mispredicted loop exit and two tail copies per key or so; a
+/// scan per node and one sort cost less, about a fifth of SPMS's wall
+/// time on Zipf keys against merging every node (DESIGN.md §10). On
+/// uniform `u64` sorting still won at 32 keys per run and lost from a few
+/// hundred, so 8 keeps well clear of the crossover. A data-shape
+/// constant: the count is the same either way.
 pub(crate) const SORT_MEAN_RUN: usize = 8;
 
-/// [`merge_counted_tree`] for runs of a few keys: copy the non-empty runs
+/// [`merge_into_slice`] for runs of a few keys: copy the non-empty runs
 /// into `out` in run order, one [`Leaf`] each, count the tree over the
 /// leaves ([`leaf_cost`], or `search_cost` when a run is long enough for
 /// the plan to leave it unpaired), then sort `out` ([`sort_merged`]),
@@ -845,12 +459,12 @@ fn count_and_sort<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
 }
 
 /// Sort the concatenated runs of a merge into its output order: stably
-/// in general, which keeps equal keys in run order as every kernel does;
-/// with the host sort kernel for [`crate::kernels::RadixKey`] types, whose
-/// equal keys are identical, so any order of them is the same output.
+/// in general, which keeps equal keys in run order; with the host sort
+/// kernel for [`crate::kernels::RadixKey`] types, whose equal keys are
+/// identical, so any order of them is the same output.
 pub(crate) fn sort_merged<T: crate::SortElem>(out: &mut [T]) {
-    if crate::kernels::radix_kernel::<T>().is_some() {
-        crate::kernels::sort_kernel(out);
+    if radix_kernel::<T>().is_some() {
+        sort_kernel(out);
     } else {
         out.sort();
     }
@@ -881,10 +495,6 @@ impl<T> Leaf<T> {
         }
     }
 }
-
-/// Runs shorter than this are never [`duplicate_heavy`] (its probes need
-/// `PROBES` plateau gaps), so a merge of them pairs every adjacent run.
-const PROBE_MIN: usize = PLATEAU_GAP * PROBES;
 
 /// [`merge_cost`] from a merge's non-empty runs alone: `keys` holds them
 /// end to end and `leaves` describes them in order. With `single_key`
@@ -992,24 +602,29 @@ fn join<T: Ord + Copy>(keys: &[T], left: &mut Sub<T>, right: Sub<T>, single_key:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::reference::ReferenceLoserTree;
+    use crate::kernels::reference::merge_cost_ref;
 
-    /// Both kernels and `merge_into_slice` emit the sorted union, and all
-    /// three count the loser tree's comparisons, `merge_cost`.
+    /// `merge_into_slice` emits the sorted union and charges
+    /// `merge_cost`, which is the played reference count, with SIMD
+    /// dispatch on and off; the executor alone emits the same.
     fn check_merge(runs: Vec<Vec<u64>>) {
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
         let mut expect: Vec<u64> = runs.concat();
         expect.sort_unstable();
-        let mut out = vec![0; expect.len()];
-        let cmps = merge_into_slice(&refs, &mut out);
-        assert_eq!(out, expect);
-        let mut lt_out = vec![0; expect.len()];
-        assert_eq!(merge_with_loser_tree(&refs, &mut lt_out), cmps);
-        assert_eq!(lt_out, expect);
-        let mut ct_out = vec![0; expect.len()];
-        assert_eq!(merge_counted_tree(&refs, &mut ct_out), cmps);
-        assert_eq!(ct_out, expect);
-        assert_eq!(merge_cost(&refs), cmps);
+        let cost = merge_cost_ref(&refs);
+        assert_eq!(merge_cost(&refs), cost);
+        let prior = crate::kernels::simd::enabled();
+        for vector in [true, false] {
+            crate::kernels::simd::set_enabled(vector);
+            let mut out = vec![0; expect.len()];
+            let cmps = merge_into_slice(&refs, &mut out);
+            let mut exec = vec![0; expect.len()];
+            merge_runs(&refs, &mut exec);
+            crate::kernels::simd::set_enabled(prior);
+            assert_eq!(cmps, cost, "SIMD {vector}");
+            assert_eq!(out, expect, "SIMD {vector}");
+            assert_eq!(exec, expect, "SIMD {vector}");
+        }
     }
 
     #[test]
@@ -1044,6 +659,8 @@ mod tests {
 
     #[test]
     fn non_power_of_two_runs() {
+        // Up to 13 runs of 50: the merge tree below SORT_MIN_FAN_IN runs,
+        // the copy and radix sort from it.
         for k in [3usize, 5, 6, 7, 9, 13] {
             let runs: Vec<Vec<u64>> = (0..k)
                 .map(|i| (0..50).map(|j| (j * k + i) as u64).collect())
@@ -1066,30 +683,6 @@ mod tests {
         // lg 16 = 4 comparisons per element, plus lower-order build cost.
         assert!(cmps <= n * 4 + 64, "cmps={cmps}, n={n}");
         assert!(cmps >= n / 2, "merging must pay for most elements: {cmps}");
-    }
-
-    #[test]
-    fn loser_tree_is_stable_across_equal_heads() {
-        // With equal elements, lower run index wins — verify by tagging.
-        let a = [(1u64, 0u64), (2, 0)];
-        let b = [(1u64, 1u64), (2, 1)];
-        let mut lt = LoserTree::new(vec![&a[..], &b[..]]);
-        let order: Vec<_> = std::iter::from_fn(|| lt.next_element()).collect();
-        assert_eq!(order, vec![(1, 0), (1, 1), (2, 0), (2, 1)]);
-    }
-
-    #[test]
-    fn remaining_counts_down() {
-        let a = [1u64, 3];
-        let b = [2u64];
-        let mut lt = LoserTree::new(vec![&a[..], &b[..]]);
-        assert_eq!(lt.remaining(), 3);
-        lt.next_element();
-        assert_eq!(lt.remaining(), 2);
-        lt.next_element();
-        lt.next_element();
-        assert_eq!(lt.remaining(), 0);
-        assert_eq!(lt.next_element(), None);
     }
 
     #[test]
@@ -1116,10 +709,11 @@ mod tests {
     }
 
     #[test]
-    fn counted_tree_keeps_run_order_on_ties() {
+    fn merges_keep_run_order_on_ties() {
         // Key-only equality and ordering make ties observable through the
-        // run tag: both kernels must emit equal keys in run order, whether
-        // the counted tree merges (runs of 64 keys) or sorts (runs of 0-2).
+        // run tag: the executor must emit equal keys in run order, whether
+        // it merges by tree (7 and 12 runs of 64 keys, some plateaus),
+        // sorts (runs of 0-2) or concatenates (one key).
         #[derive(Clone, Copy, Default, Debug)]
         struct E(u64, u16);
         impl PartialEq for E {
@@ -1138,9 +732,11 @@ mod tests {
                 Some(self.cmp(o))
             }
         }
-        let long: Vec<Vec<E>> = (0..7u16)
-            .map(|r| (0..64u64).map(|i| E(i / (r as u64 + 1), r)).collect())
-            .collect();
+        let long = |k: u16| -> Vec<Vec<E>> {
+            (0..k)
+                .map(|r| (0..64u64).map(|i| E(i / (r as u64 + 1), r)).collect())
+                .collect()
+        };
         let tiny: Vec<Vec<E>> = (0..300u16)
             .map(|r| {
                 (0..r % 3)
@@ -1152,26 +748,29 @@ mod tests {
                 run
             })
             .collect();
-        for runs in [long, tiny] {
+        let one: Vec<Vec<E>> = (0..9u16).map(|r| vec![E(3, r); 20]).collect();
+        for runs in [long(7), long(12), tiny, one] {
             let refs: Vec<&[E]> = runs.iter().map(|r| r.as_slice()).collect();
             let total = refs.iter().map(|r| r.len()).sum();
-            let mut lt_out = vec![E::default(); total];
-            let cmps = merge_with_loser_tree(&refs, &mut lt_out);
-            let mut ct_out = vec![E::default(); total];
-            assert_eq!(merge_counted_tree(&refs, &mut ct_out), cmps);
+            let mut out = vec![E::default(); total];
+            let cmps = merge_into_slice(&refs, &mut out);
+            assert_eq!(cmps, merge_cost_ref(&refs));
+            assert_eq!(cmps, merge_cost(&refs));
             let tagged = |v: &[E]| v.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>();
-            assert_eq!(tagged(&ct_out), tagged(&lt_out));
-            assert!(lt_out
-                .windows(2)
-                .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)));
-            assert_eq!(merge_cost(&refs), cmps);
+            let mut expect = tagged(&runs.concat());
+            expect.sort();
+            assert_eq!(tagged(&out), expect);
+            let mut exec = vec![E::default(); total];
+            merge_runs(&refs, &mut exec);
+            assert_eq!(tagged(&exec), expect);
         }
     }
 
     #[test]
-    fn single_key_cost_matches_merge_cost_up_to_k_4096() {
+    fn single_key_cost_matches_search_and_the_tree_up_to_k_4096() {
         // Runs of 0-3 copies of one key, empty runs at both ends, every k
-        // from 1 to 4,096 (powers of two and the rest).
+        // from 1 to 4,096 (powers of two and the rest); the played tree
+        // at a few of them.
         let key = [9u64; 3];
         for k in 1..=4_096usize {
             let runs: Vec<&[u64]> = (0..k)
@@ -1181,20 +780,26 @@ mod tests {
                     _ => &key[..(i * 7 + k) % 4],
                 })
                 .collect();
-            assert_eq!(single_key_cost(&runs), merge_cost(&runs), "k={k}");
+            assert_eq!(single_key_cost(&runs), search_cost(&runs), "k={k}");
+            assert_eq!(merge_cost(&runs), search_cost(&runs), "k={k}");
+            if k.is_power_of_two() || k % 997 == 0 {
+                assert_eq!(merge_cost(&runs), merge_cost_ref(&runs), "k={k}");
+            }
         }
         // Plateau runs long enough to stay out of the pair plan.
         let long = [9u64; 200];
         let runs = [&long[..], &key[..2], &key[..0], &long[..], &key[..1]];
-        assert_eq!(single_key_cost(&runs), merge_cost(&runs));
+        assert_eq!(single_key_cost(&runs), search_cost(&runs));
+        assert_eq!(merge_cost(&runs), merge_cost_ref(&runs));
     }
 
-    /// The loser tree's count over `runs` three ways that share no code:
-    /// [`leaf_cost`] over the non-empty runs, `search_cost` by binary
-    /// searches, and the reference tree played to the end. Returns
-    /// whether the leaf count applied (no run of [`PROBE_MIN`] keys).
-    /// Also holds `merge_cost`, and `merge_into_slice`'s count and output,
-    /// to them with SIMD dispatch on and off.
+    /// The loser tree's count over `runs` three ways that share no
+    /// counting code: [`leaf_cost`] over the non-empty runs, `search_cost`
+    /// by binary searches, and the reference tree played over the plan
+    /// ([`merge_cost_ref`]). Returns whether the leaf count applied (no
+    /// run of [`PROBE_MIN`] keys). Also holds `merge_cost`, and
+    /// `merge_into_slice`'s count and output, to them with SIMD dispatch
+    /// on and off.
     fn check_leaf_count<T: crate::SortElem + std::fmt::Debug>(runs: &[Vec<T>]) -> bool {
         let refs: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
         let keys: Vec<T> = runs.concat();
@@ -1205,14 +810,12 @@ mod tests {
             .collect();
         let single = keys.iter().all(|k| k == &keys[0]);
         let searched = search_cost(&refs);
+        assert_eq!(merge_cost_ref(&refs), searched, "search against the tree");
         let counted = leaf_cost(&keys, &leaves, false);
         let long = runs.iter().any(|r| r.len() >= PROBE_MIN);
         assert_eq!(counted.is_none(), long, "the leaf count declines long runs");
         if let Some(counted) = counted {
             assert_eq!(counted, searched, "leaf count against search");
-            let mut played = ReferenceLoserTree::new(refs.clone());
-            while played.next_element().is_some() {}
-            assert_eq!(counted, played.comparisons(), "leaf count against the tree");
             if single {
                 assert_eq!(leaf_cost(&keys, &leaves, true), Some(counted));
             }
@@ -1231,7 +834,6 @@ mod tests {
         }
         !long
     }
-
     /// `k` runs of `len(i)` keys each from `key(i, j)`, each run sorted.
     fn runs_of<T: Ord>(
         k: usize,
@@ -1345,121 +947,5 @@ mod tests {
         let a = [1u64];
         let mut out = [0u64; 3];
         merge_into_slice(&[&a[..]], &mut out);
-    }
-
-    #[test]
-    fn iterator_interface() {
-        let a = [1u64, 4];
-        let b = [2u64, 3];
-        let lt = LoserTree::new(vec![&a[..], &b[..]]);
-        let v: Vec<u64> = lt.collect();
-        assert_eq!(v, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn matches_reference_tree_sequence_and_comparisons() {
-        // The branchless rewrite must be observationally identical to the
-        // original branchy tree: same emitted sequence, same comparison
-        // count, on run sets with duplicates and empty runs.
-        let runs: Vec<Vec<u64>> = vec![
-            (0..500).map(|i| i * 3).collect(),
-            vec![],
-            (0..200).map(|i| i * 7 + 1).collect(),
-            vec![42; 100],
-            vec![],
-            (0..900).map(|i| i / 2).collect(),
-        ];
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut new_lt = LoserTree::new(refs.clone());
-        let mut old_lt = ReferenceLoserTree::new(refs);
-        loop {
-            let (a, b) = (new_lt.next_element(), old_lt.next_element());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(new_lt.comparisons(), old_lt.comparisons());
-    }
-
-    #[test]
-    fn adaptive_store_policy_switches_and_stays_equivalent() {
-        // Duplicate-heavy runs long enough to cross several ADAPT_BLOCK
-        // boundaries: the tree must flip to the guarded-store policy and
-        // still match the reference element-for-element, comparison-for-
-        // comparison.
-        let runs: Vec<Vec<u64>> = (0..5)
-            .map(|i| (0..30_000u64).map(|j| (j / 512) * 8 + i).collect())
-            .collect();
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut new_lt = LoserTree::new(refs.clone());
-        let mut old_lt = ReferenceLoserTree::new(refs);
-        let mut switched = false;
-        loop {
-            switched |= new_lt.guarded_store;
-            let (a, b) = (new_lt.next_element(), old_lt.next_element());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert!(switched, "biased input must engage the guarded store");
-        assert_eq!(new_lt.comparisons(), old_lt.comparisons());
-    }
-
-    #[test]
-    fn oscillating_input_pins_guarded_policy() {
-        // Alternate duplicate-heavy regions (guarded wins) with uniform
-        // regions (branchless wins), each spanning a couple of
-        // ADAPT_BLOCKs of *emitted* elements: the retune decision flips at
-        // every region edge. After PIN_FLIPS flips the policy must pin
-        // guarded and stop thrashing — while staying observationally
-        // identical to the reference.
-        let region = 2 * ADAPT_BLOCK as u64; // emitted elements per region
-        let k = 4u64;
-        let per_run_region = region / k;
-        let runs: Vec<Vec<u64>> = (0..k)
-            .map(|r| {
-                let mut v = Vec::new();
-                let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r + 1);
-                for block in 0..12u64 {
-                    let base = block * 1_000_000;
-                    let start = v.len();
-                    for _ in 0..per_run_region {
-                        if block % 2 == 0 {
-                            v.push(base); // all-equal region: heavily biased
-                        } else {
-                            // Pseudorandom region: match outcomes are coin
-                            // flips (round-robin interleaving would be
-                            // predictable and favor guarded too).
-                            state = state
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(1442695040888963407);
-                            v.push(base + (state >> 45));
-                        }
-                    }
-                    v[start..].sort_unstable();
-                }
-                v
-            })
-            .collect();
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut new_lt = LoserTree::new(refs.clone());
-        let mut old_lt = ReferenceLoserTree::new(refs);
-        loop {
-            let (a, b) = (new_lt.next_element(), old_lt.next_element());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(new_lt.comparisons(), old_lt.comparisons());
-        assert!(
-            new_lt.policy_flips >= PIN_FLIPS,
-            "regions must flip the policy (flips = {})",
-            new_lt.policy_flips
-        );
-        assert!(new_lt.policy_pinned, "plateau must pin the policy");
-        assert!(new_lt.guarded_store, "pinned policy is the guarded store");
     }
 }

@@ -34,7 +34,7 @@ use super::{ceil_sqrt, Ctx, ObliviousConfig, ObliviousReport};
 use crate::extsort::RegionLevel;
 use crate::inplace::InPlaceOutput;
 use crate::losertree::{
-    leaf_cost, merge_into_slice, single_key, single_key_cost, sort_merged, Leaf, SORT_MEAN_RUN,
+    leaf_cost, merge_cost, merge_into_slice, single_key, sort_merged, Leaf, SORT_MEAN_RUN,
 };
 use crate::par::{
     charge_compute_striped, charge_copy, charge_io_striped, charged_copy, CopyKind, Pieces,
@@ -503,7 +503,7 @@ impl Buckets<'_, '_> {
                             None
                         };
                         let cmps = match key {
-                            Some(_) => single_key_cost(&segs),
+                            Some(_) => merge_cost(&segs),
                             None => merge_into_slice(&segs, out),
                         };
                         (cmps, key)

@@ -11,13 +11,13 @@
 //! degrade balance, never correctness.
 //!
 //! The parts fix the charge: a merge costs the sum over its parts of the
-//! loser tree's count. How the host produces the output is separate. A
-//! merge of few segments, or of a type without a radix key, merges each
-//! part on the counted kernels of [`merge_into_slice`]. A deep merge of
-//! [`crate::kernels::RadixKey`] elements is charged by search
-//! ([`merge_cost`] per part) and executed as cache-sized sorts: a second
-//! split cuts it into pieces of ~32Ki keys, and each piece is
-//! copied into place and radix-sorted.
+//! loser tree's count, [`merge_cost`]. How the host produces the output is
+//! separate. A merge of few segments, or of a type without a radix key,
+//! runs [`merge_into_slice`] per part. A deep merge of
+//! [`crate::kernels::RadixKey`] elements is charged [`merge_cost`] per
+//! part and executed in cache-sized pieces: a second split cuts it into
+//! pieces of ~32Ki keys, and the merge executor (`losertree::merge_runs`)
+//! writes each piece, copying and radix-sorting it.
 //!
 //! **Known imbalance.** The charge split's sample takes every segment's
 //! keys at the same quantiles, so on sorted segments of one distribution
@@ -25,16 +25,11 @@
 //! the charged counts, so it is left for a change that re-blesses the
 //! ledger goldens. The piece split samples with jitter and is balanced.
 
-use crate::kernels::{radix_kernel, sort_kernel};
-use crate::losertree::{merge_cost, merge_into_slice};
+use crate::kernels::radix_kernel;
+use crate::losertree::{merge_cost, merge_into_slice, merge_runs, SORT_MIN_FAN_IN};
 use crate::SortElem;
 use tlmm_scratchpad::trace::with_lane;
 
-/// Non-empty segments from which a merge of [`crate::kernels::RadixKey`]
-/// elements is executed by sorting pieces rather than by merge trees: at
-/// this fan-in the counted tree plays `⌈lg k⌉ ≥ 3` two-way passes per key,
-/// while a piece is copied once and radix-sorted in cache.
-const SORT_MIN_FAN_IN: usize = 8;
 /// Keys per piece of the sort path: 256 KiB of `u64`, an L2-sized radix
 /// sort.
 pub(crate) const PIECE_KEYS: usize = 1 << 15;
@@ -51,10 +46,9 @@ const OVERSAMPLE: usize = 16;
 /// types with at least `SORT_MIN_FAN_IN` (8) non-empty segments they define
 /// nothing else: the count is [`merge_cost`] per part, computed on the
 /// pool, and the output comes from a second, finer split into pieces of
-/// ~`PIECE_KEYS` (32Ki) keys, each copied into place and sorted with
-/// [`sort_kernel`]. Equal keys are identical elements for those types, so
-/// the output is the merge's own. Any other merge runs
-/// [`merge_into_slice`] per part, which merges and counts at once.
+/// ~`PIECE_KEYS` (32Ki) keys, each written by the merge executor
+/// (`losertree::merge_runs`), which copies it into place and sorts it.
+/// Any other merge runs [`merge_into_slice`] per part.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from the total segment length.
@@ -71,7 +65,7 @@ pub fn parallel_merge<T: SortElem>(
         let pieces = total.div_ceil(PIECE_KEYS);
         let cuts = split(segments, &splitters(segments, total, pieces, true), threads);
         crate::pool::run_indexed(threads, carve(cuts, out), |i, (subs, out)| {
-            with_lane(i % ways.max(1), || merge_piece(&subs, out, true))
+            with_lane(i % ways.max(1), || merge_runs(&subs, out))
         });
         return cmps;
     }
@@ -91,7 +85,7 @@ pub fn parallel_merge<T: SortElem>(
 /// Whether a merge of `segments` executes by sorting pieces: a
 /// [`crate::kernels::RadixKey`] element type and at least
 /// `SORT_MIN_FAN_IN` non-empty segments.
-pub(crate) fn sorts_pieces<T: SortElem>(segments: &[&[T]]) -> bool {
+fn sorts_pieces<T: SortElem>(segments: &[&[T]]) -> bool {
     radix_kernel::<T>().is_some()
         && segments.iter().filter(|s| !s.is_empty()).count() >= SORT_MIN_FAN_IN
 }
@@ -119,23 +113,6 @@ pub(crate) fn piece_cuts<T: SortElem>(
 ) -> Vec<Vec<usize>> {
     let total = segments.iter().map(|s| s.len()).sum();
     cuts(segments, &splitters(segments, total, pieces, true), threads)
-}
-
-/// Merge one piece of an execution split, its sub-slices `subs`, into
-/// `out`: copied into place and sorted with [`sort_kernel`] when `sort`
-/// (the merge [`sorts_pieces`]), else merged by [`merge_into_slice`].
-pub(crate) fn merge_piece<T: SortElem>(subs: &[&[T]], out: &mut [T], sort: bool) {
-    if !sort {
-        merge_into_slice(subs, out);
-        return;
-    }
-    let mut rest = &mut *out;
-    for sub in subs {
-        let (dst, next) = rest.split_at_mut(sub.len());
-        dst.copy_from_slice(sub);
-        rest = next;
-    }
-    sort_kernel(out);
 }
 
 /// The parts a merge is charged over: one part, the whole merge, when
@@ -378,9 +355,9 @@ mod tests {
             .collect()
     }
 
-    /// `parallel_merge` charges the sum of `merge_into_slice` over its
-    /// sampled parts and outputs the sorted concatenation, whichever path
-    /// executes it.
+    /// `parallel_merge` charges the sum of `merge_into_slice`, which is
+    /// `merge_cost`, over its sampled parts and outputs the sorted
+    /// concatenation, whichever path executes it.
     fn check_charge<T: SortElem + std::fmt::Debug>(
         segments: &[Vec<T>],
         ways: usize,

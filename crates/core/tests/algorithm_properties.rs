@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use tlmm_core::baseline::{baseline_sort, BaselineConfig};
 use tlmm_core::extsort::{external_sort, ExtSortConfig, RegionLevel};
-use tlmm_core::losertree::{merge_into_slice, LoserTree};
+use tlmm_core::losertree::merge_into_slice;
 use tlmm_core::nmsort::{nmsort, ChunkSorter, NmSortConfig};
 use tlmm_core::pmerge::parallel_merge;
 use tlmm_core::quicksort::external_quicksort;
@@ -48,16 +48,6 @@ proptest! {
         let mut b = vec![0u64; total];
         parallel_merge(&refs, &mut b, ways, 1);
         prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn loser_tree_iterator_is_sorted_and_complete(runs in arb_runs()) {
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let total: usize = runs.iter().map(|r| r.len()).sum();
-        let lt = LoserTree::new(refs);
-        let out: Vec<u64> = lt.collect();
-        prop_assert_eq!(out.len(), total);
-        prop_assert!(out.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -5,28 +5,24 @@
 //!   on every workload shape the experiments use — uniform, sorted,
 //!   reverse, nearly-sorted, few-distinct, Zipf, all-equal, sawtooth —
 //!   and for every [`RadixKey`] type (`u64`, `u32`, `i64` with negatives).
-//! * The branchless [`LoserTree`] must be observationally identical to the
-//!   pre-rewrite [`ReferenceLoserTree`]: same emitted sequence *and* same
-//!   comparison count, on randomized run sets including empty runs.
-//! * `merge_cost` must equal the comparisons both merge kernels count, and
-//!   the counted merge tree must emit the loser tree's output with SIMD
-//!   dispatch on and off, on run sets shaped like every merge the sorters
-//!   issue, from thousands of runs of 0–2 keys to runs past the pair
-//!   pre-merge limit. `merge_into_slice`'s
-//!   tree-free fast paths (all runs empty, one key value) must emit the
-//!   loser tree's exact sequence — payloads included — and charge its
-//!   count. NMsort's in-place Phase 1 must sort under the DMA pipeline's
-//!   fault ladders.
+//! * `merge_cost` must equal the reference count, [`merge_cost_ref`]: the
+//!   pair pre-merge plan's pairs merged by a counted two-way loop, then
+//!   `ReferenceLoserTree` played over the plan's leaves. It shares no
+//!   counting code with `merge_cost`. `merge_into_slice` must charge that
+//!   count and emit the sorted union with SIMD dispatch on and off, on run
+//!   sets shaped like every merge the sorters issue, from thousands of
+//!   runs of 0–2 keys to runs past the pair pre-merge limit. Every
+//!   executor path — all runs empty, one key value, plateau runs, eight or
+//!   more runs — must keep equal keys in run order, payloads included.
+//!   NMsort's in-place Phase 1 must sort under the DMA pipeline's fault
+//!   ladders.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tlmm_core::kernels::reference::{merge_into_slice_ref, ReferenceLoserTree};
+use tlmm_core::kernels::reference::{merge_cost_ref, merge_into_slice_ref};
 use tlmm_core::kernels::{radix_sort, simd, sort_kernel, RadixKey};
-use tlmm_core::losertree::{
-    merge_cost, merge_counted_tree, merge_into_slice, merge_with_loser_tree, LoserTree,
-    PREMERGE_MAX,
-};
+use tlmm_core::losertree::{merge_cost, merge_into_slice, PREMERGE_MAX};
 use tlmm_core::nmsort::{nmsort, NmSortConfig};
 use tlmm_model::ScratchpadParams;
 use tlmm_scratchpad::{FaultOp, FaultPlan, TwoLevel};
@@ -103,7 +99,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn merge_cost_and_both_kernels_agree_with_the_loser_tree(
+    fn merge_cost_matches_the_played_tree_and_is_charged(
         seed in any::<u64>(),
         k_max in 0usize..4,
         len_max in 0usize..4,
@@ -116,21 +112,16 @@ proptest! {
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
         let mut expect: Vec<u64> = runs.concat();
         expect.sort_unstable();
-        let mut lt_out = vec![0u64; expect.len()];
-        let counted = merge_with_loser_tree(&refs, &mut lt_out);
-        prop_assert_eq!(&lt_out, &expect);
-        prop_assert_eq!(merge_cost(&refs), counted);
+        let played = merge_cost_ref(&refs);
         let prior = simd::enabled();
         for vector in [true, false] {
             simd::set_enabled(vector);
-            let mut ct_out = vec![0u64; expect.len()];
-            let ct = merge_counted_tree(&refs, &mut ct_out);
+            let cost = merge_cost(&refs);
             let mut out = vec![0u64; expect.len()];
             let charged = merge_into_slice(&refs, &mut out);
             simd::set_enabled(prior);
-            prop_assert_eq!(ct, counted, "counted tree, SIMD {}", vector);
-            prop_assert_eq!(&ct_out, &expect, "counted tree, SIMD {}", vector);
-            prop_assert_eq!(charged, counted, "merge_into_slice, SIMD {}", vector);
+            prop_assert_eq!(cost, played, "merge_cost, SIMD {}", vector);
+            prop_assert_eq!(charged, played, "merge_into_slice, SIMD {}", vector);
             prop_assert_eq!(&out, &expect, "merge_into_slice, SIMD {}", vector);
         }
     }
@@ -166,23 +157,6 @@ proptest! {
         expect.sort_unstable();
         sort_kernel(&mut a);
         prop_assert_eq!(a, expect);
-    }
-
-    #[test]
-    fn loser_tree_matches_reference_sequence_and_comparisons(
-        runs in arb_runs(),
-    ) {
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut new_lt = LoserTree::new(refs.clone());
-        let mut old_lt = ReferenceLoserTree::new(refs);
-        loop {
-            let (a, b) = (new_lt.next_element(), old_lt.next_element());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(new_lt.comparisons(), old_lt.comparisons());
     }
 
     #[test]
@@ -226,28 +200,26 @@ impl Ord for Keyed {
     }
 }
 
-/// `merge_into_slice` and the counted merge tree against the loser-tree
-/// kernel on `runs`: the same elements with the same payloads in the same
-/// order, and the same count, which is also `merge_cost`.
-fn assert_matches_loser_tree(runs: &[Vec<Keyed>]) {
+/// `merge_into_slice` on `runs`: the elements of the runs stably sorted
+/// by key, so equal keys come in run order with their payloads, and the
+/// charge is the played reference count, which is also `merge_cost`.
+fn assert_merges_in_run_order(runs: &[Vec<Keyed>]) {
     let refs: Vec<&[Keyed]> = runs.iter().map(Vec::as_slice).collect();
-    let total = runs.iter().map(Vec::len).sum();
-    let mut expect = vec![Keyed::default(); total];
-    let counted = merge_with_loser_tree(&refs, &mut expect);
-    assert_eq!(merge_cost(&refs), counted);
+    let mut expect = runs.concat();
+    expect.sort();
+    let played = merge_cost_ref(&refs);
+    assert_eq!(merge_cost(&refs), played);
     let pairs = |v: &[Keyed]| v.iter().map(|x| (x.key, x.payload)).collect::<Vec<_>>();
-    for kernel in [merge_into_slice, merge_counted_tree] {
-        let mut out = vec![Keyed::default(); total];
-        assert_eq!(kernel(&refs, &mut out), counted);
-        assert_eq!(pairs(&out), pairs(&expect));
-    }
+    let mut out = vec![Keyed::default(); expect.len()];
+    assert_eq!(merge_into_slice(&refs, &mut out), played);
+    assert_eq!(pairs(&out), pairs(&expect));
 }
 
 #[test]
 fn all_empty_merges_cost_nothing_up_to_k_4096() {
     for k in [2usize, 3, 64, 1_000, 4_096] {
         let runs = vec![Vec::<Keyed>::new(); k];
-        assert_matches_loser_tree(&runs);
+        assert_merges_in_run_order(&runs);
         let refs: Vec<&[Keyed]> = runs.iter().map(Vec::as_slice).collect();
         assert_eq!(merge_into_slice(&refs, &mut []), 0, "k={k}");
     }
@@ -256,9 +228,9 @@ fn all_empty_merges_cost_nothing_up_to_k_4096() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Single-key run sets with empty runs in between, up to k = 4096, and
-    /// near misses where one key differs (no fast path).
+    /// near misses where one key differs (no concatenation).
     #[test]
-    fn single_key_merges_match_the_loser_tree(
+    fn single_key_merges_keep_run_order(
         seed in any::<u64>(),
         k_max in 0usize..3,
         near_miss in any::<bool>(),
@@ -291,7 +263,35 @@ proptest! {
                 run.insert(0, odd);
             }
         }
-        assert_matches_loser_tree(&runs);
+        assert_merges_in_run_order(&runs);
+    }
+
+    /// Merges that used to take a loser tree: runs with equal-key plateaus
+    /// long enough to stay out of the pair plan, among shorter runs, at
+    /// fan-ins from 2 to past 8.
+    #[test]
+    fn plateau_and_wide_merges_keep_run_order(
+        seed in any::<u64>(),
+        k in 2usize..24,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let runs: Vec<Vec<Keyed>> = (0..k)
+            .map(|r| {
+                let (len, plateau) = match rng.gen_range(0..4) {
+                    0 => (0, 1),
+                    1 => (rng.gen_range(1..40), 1),
+                    _ => (rng.gen_range(128..1_500), rng.gen_range(32..400)),
+                };
+                let base = rng.gen_range(0..8u32);
+                (0..len)
+                    .map(|i| Keyed {
+                        key: base + (i / plateau) as u32,
+                        payload: (r * 2_048 + i) as u32,
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_merges_in_run_order(&runs);
     }
 }
 

@@ -178,7 +178,7 @@ pub struct BucketCount {
 /// Point-in-time value of a named counter.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CounterSnapshot {
-    /// Registry name, e.g. `core.losertree.comparisons`.
+    /// Registry name, e.g. `core.kernels.radix_sorts`.
     pub name: String,
     /// Total at snapshot time.
     pub value: u64,
@@ -321,7 +321,7 @@ pub fn registry() -> &'static Registry {
 
 /// Fetch (and cache at the call site) the counter named `$name`.
 ///
-/// `counter!("core.losertree.comparisons").add(batch);`
+/// `counter!("core.kernels.radix_sorts").incr();`
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
