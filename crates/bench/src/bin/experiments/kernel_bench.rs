@@ -363,10 +363,9 @@ fn sorted_runs(mut data: Vec<u64>, run_len: usize) -> Vec<Vec<u64>> {
 ///
 /// The timed baseline copies the runs end to end and sorts the copy with
 /// the standard library's stable sort, which finds the runs and merges
-/// them: host work of the same kind as the kernel's (copies, two-way
-/// merges, no tree of mispredicted branches), so on a shared host it
-/// speeds up and slows down with the kernel and the ratio holds still
-/// (DESIGN.md §10).
+/// them: host work of the same kind as the kernel's (a copy, then merges
+/// or a sort of the same keys, no tree that replays per key), so host
+/// states move both sides together (DESIGN.md §10).
 fn kway_merge_cell(name: &str, merges: &[Vec<Vec<u64>>], timing: &Timing, smoke: bool) -> Cell {
     let merges: Vec<Vec<&[u64]>> = merges
         .iter()
