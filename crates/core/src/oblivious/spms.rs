@@ -876,8 +876,9 @@ mod tests {
     #[test]
     fn parallel_and_sequential_charge_identically() {
         use tlmm_workloads::{generate, Workload};
-        // Uniform keys merge on the counted tree, Zipf keys on it and on
-        // the single-key path, all-equal keys on the single-key path only.
+        // Uniform keys take the merge executor's general paths, Zipf keys
+        // those and the single-key path, all-equal keys the single-key
+        // path only.
         for w in [
             Workload::UniformU64,
             Workload::Zipf(1.1),
