@@ -38,12 +38,17 @@ pub struct SweepInfo {
 }
 
 /// A whole `BENCH_*.json` file. Serializes as one flat object:
-/// `git_sha, mode, warmup_iters, measured_iters`, the [`SweepInfo`] fields
-/// when present, then `cells`.
+/// `git_sha, mode`, `simd_tier` when known, `warmup_iters,
+/// measured_iters`, the [`SweepInfo`] fields when present, then `cells`.
 #[derive(Debug, Clone)]
 pub struct BenchFile {
     pub git_sha: String,
     pub mode: String,
+    /// The SIMD tier the kernels ran at (`scalar`, `avx2` or `avx512`;
+    /// `tlmm_core::kernels::simd::Tier::name`), so that records from
+    /// different hosts say which kernels they timed. Records written
+    /// before the field existed lack it.
+    pub simd_tier: Option<String>,
     pub warmup_iters: usize,
     pub measured_iters: usize,
     pub sweep: Option<SweepInfo>,
@@ -55,9 +60,14 @@ impl Serialize for BenchFile {
         let mut m = vec![
             ("git_sha".to_string(), self.git_sha.to_value()),
             ("mode".to_string(), self.mode.to_value()),
+        ];
+        if let Some(tier) = &self.simd_tier {
+            m.push(("simd_tier".to_string(), tier.to_value()));
+        }
+        m.extend([
             ("warmup_iters".to_string(), self.warmup_iters.to_value()),
             ("measured_iters".to_string(), self.measured_iters.to_value()),
-        ];
+        ]);
         if let Some(Value::Map(sweep)) = self.sweep.as_ref().map(Serialize::to_value) {
             m.extend(sweep);
         }
@@ -77,6 +87,10 @@ impl Deserialize for BenchFile {
         Ok(BenchFile {
             git_sha: field(v, "git_sha")?,
             mode: field(v, "mode")?,
+            simd_tier: match v.get("simd_tier") {
+                Some(tier) => Some(String::from_value(tier)?),
+                None => None,
+            },
             warmup_iters: field(v, "warmup_iters")?,
             measured_iters: field(v, "measured_iters")?,
             sweep: match v.get("host_cores") {

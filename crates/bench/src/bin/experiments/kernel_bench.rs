@@ -17,7 +17,12 @@
 //!   SPMS's root bucket merges on Zipf keys (one bucket of ~3k runs
 //!   averaging one key, one single-key bucket) and an `spms_leaf_bucket`
 //!   cell shaped like its bucket merges one level down (1,000 merges of
-//!   57 runs averaging one key).
+//!   57 runs averaging one key). Full mode adds `dma_100m`'s two merge
+//!   shapes: `dma_p1` (a Phase-1 chunk merge, 7 × 294,912) and `dma_p2`
+//!   (a Phase-2 batch, 50 × 40,000).
+//! * `merge_pair` — `simd::scalar::merge_pair` vs `simd::merge_pair` on
+//!   2 × 16Ki uniform keys, one cell per vector tier the host has (the
+//!   cell's workload names the tier).
 //! * `radix_crossover` — `sort_unstable` vs `radix_sort` on the bench's
 //!   keys cut into pieces of 256–4,096 (the cell's `n`), uniform and
 //!   Zipf(1.1): where `RADIX_MIN_LEN` should sit (DESIGN.md §10).
@@ -52,6 +57,7 @@ use tlmm_bench::bench_file::{median, BenchFile, Cell};
 use tlmm_bench::cli::{Args, Outcome};
 use tlmm_bench::{artifact, outln, run_sort, Engine, Overrides, SortSpec};
 use tlmm_core::kernels::reference::{form_runs_ref, merge_into_slice_ref};
+use tlmm_core::kernels::simd::{self, Tier};
 use tlmm_core::kernels::{radix_sort, sort_kernel};
 use tlmm_core::losertree::merge_into_slice;
 use tlmm_core::{bucketize, extsort::RegionLevel};
@@ -70,6 +76,12 @@ const RUN_ELEMS: usize = 32_768;
 const KWAY: usize = 16;
 /// Runs × keys per run of the k-way `phase2` cell, in both modes.
 const PHASE2_RUNS: (usize, usize) = (50, 5_000);
+/// Runs × keys per run of the full-mode `dma_p1` and `dma_p2` cells:
+/// `dma_100m`'s two merge shapes, a Phase-1 chunk merge of 7 formed runs
+/// and a Phase-2 batch of 50 chunk segments.
+const DMA_MERGES: [(&str, usize, usize); 2] = [("dma_p1", 7, 294_912), ("dma_p2", 50, 40_000)];
+/// Keys per side of the `merge_pair` cells.
+const PAIR_KEYS: usize = 1 << 14;
 /// Runs per bucket of the `spms_bucket` cell, in both modes: SPMS's
 /// fan-in at the root of a 10M-key sort (`⌈√10⁷⌉` groups).
 const SPMS_BUCKET_RUNS: usize = 3_163;
@@ -285,9 +297,9 @@ fn piece_sort_cells(
 fn assert_piece_sorts_agree(name: &str, input: &[u64], len: usize) {
     let mut want = input.to_vec();
     want.chunks_mut(len).for_each(<[u64]>::sort_unstable);
-    let prior = tlmm_core::kernels::simd::enabled();
+    let prior = simd::enabled();
     for on in [false, true] {
-        tlmm_core::kernels::simd::set_enabled(on);
+        simd::set_enabled(on);
         let mut got = input.to_vec();
         got.chunks_mut(len).for_each(sort_kernel);
         assert_eq!(
@@ -295,13 +307,19 @@ fn assert_piece_sorts_agree(name: &str, input: &[u64], len: usize) {
             "piece sorts of {len} disagree on {name} (SIMD {on})"
         );
     }
-    tlmm_core::kernels::simd::set_enabled(prior);
+    simd::set_enabled(prior);
 }
 
 fn kway_merge_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<Cell>) {
     for (name, w) in shapes() {
         let runs = sorted_runs(generate(w, n, 0xF1), n.div_ceil(KWAY));
         cells.push(kway_merge_cell(name, &[runs], timing, smoke));
+    }
+    if !smoke {
+        for (name, k, len) in DMA_MERGES {
+            let runs = sorted_runs(generate(Workload::UniformU64, k * len, 0xF9), len);
+            cells.push(kway_merge_cell(name, &[runs], timing, smoke));
+        }
     }
     // NMsort's Phase-2 shape on the benchmark's 100M-key run: each of the
     // 8 merge parts of a batch holds 50 chunk segments of ~5k keys.
@@ -427,13 +445,45 @@ fn assert_kernels_agree(name: &str, runs: &[&[u64]]) {
     assert_eq!(ca, cb, "merge comparison counts diverge on {name}");
     // And the SIMD merge paths must be invisible: same output, same
     // comparison ledger, with vector dispatch forced off.
-    let prior = tlmm_core::kernels::simd::enabled();
-    tlmm_core::kernels::simd::set_enabled(false);
+    let prior = simd::enabled();
+    simd::set_enabled(false);
     let mut c = vec![0u64; n];
     let cc = merge_into_slice(runs, &mut c);
-    tlmm_core::kernels::simd::set_enabled(prior);
+    simd::set_enabled(prior);
     assert_eq!(b, c, "merge output changed with SIMD disabled on {name}");
     assert_eq!(cb, cc, "merge counts changed with SIMD disabled on {name}");
+}
+
+/// `scalar::merge_pair` against `simd::merge_pair` on two sorted runs of
+/// [`PAIR_KEYS`] uniform keys, one cell per vector tier the host has,
+/// named after the tier.
+fn merge_pair_cells(timing: &Timing, cells: &mut Vec<Cell>) {
+    let runs = sorted_runs(
+        generate(Workload::UniformU64, 2 * PAIR_KEYS, 0xFA),
+        PAIR_KEYS,
+    );
+    let (a, b) = (&runs[0], &runs[1]);
+    let prior = simd::tier();
+    for tier in [Tier::Avx2, Tier::Avx512] {
+        if simd::set_tier(tier) != tier {
+            continue;
+        }
+        let (base, opt, speedup) = paired_medians_ms(
+            timing,
+            || vec![0u64; 2 * PAIR_KEYS],
+            |mut out| simd::scalar::merge_pair(a, b, &mut out),
+            |mut out| simd::merge_pair(a, b, &mut out),
+        );
+        cells.push(Cell {
+            kernel: "merge_pair".into(),
+            workload: tier.name().into(),
+            n: 2 * PAIR_KEYS,
+            baseline_ms: Some(base),
+            optimized_ms: opt,
+            speedup: Some(speedup),
+        });
+    }
+    simd::set_tier(prior);
 }
 
 fn bucketize_cells(n: usize, timing: &Timing, cells: &mut Vec<Cell>) {
@@ -535,6 +585,7 @@ pub fn run(mut args: Args) -> Outcome {
     let mut cells = Vec::new();
     run_formation_cells(n, &timing, smoke, &mut cells);
     kway_merge_cells(n, &timing, smoke, &mut cells);
+    merge_pair_cells(&timing, &mut cells);
     radix_crossover_cells(n, &timing, &mut cells);
     piece_sort_cells("short_sort", &SHORT_LENS, n, &timing, smoke, &mut cells);
     piece_sort_cells("mid_sort", &MID_LENS, n, &timing, smoke, &mut cells);
@@ -578,9 +629,11 @@ pub fn run(mut args: Args) -> Outcome {
         );
     }
 
+    let tier = simd::tier().name();
     let file = BenchFile {
         git_sha: artifact::git_sha(),
         mode: mode.into(),
+        simd_tier: Some(tier.into()),
         warmup_iters: timing.warmup,
         measured_iters: timing.measure,
         sweep: None,
@@ -595,6 +648,7 @@ pub fn run(mut args: Args) -> Outcome {
 
     let report = RunReport::collect("kernel_bench")
         .meta("mode", mode)
+        .meta("simd_tier", tier)
         .meta("n", n.to_string());
     artifact::emit("kernel_bench", &text, report)?;
     Ok(())

@@ -403,9 +403,11 @@ pub fn run(mut args: Args) -> Outcome {
         outln!(text, "assert: {a}");
     }
 
+    let tier = tlmm_core::kernels::simd::tier().name();
     let file = BenchFile {
         git_sha: artifact::git_sha(),
         mode: mode.into(),
+        simd_tier: Some(tier.into()),
         warmup_iters: WARMUP,
         measured_iters: iters,
         sweep: Some(SweepInfo {
@@ -423,6 +425,7 @@ pub fn run(mut args: Args) -> Outcome {
 
     let report = RunReport::collect("parallel_bench")
         .meta("mode", mode)
+        .meta("simd_tier", tier)
         .meta("host_cores", host.to_string());
     artifact::emit("parallel_bench", &text, report)?;
     Ok(())

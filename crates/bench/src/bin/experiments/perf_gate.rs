@@ -97,6 +97,13 @@ pub fn run(mut args: Args) -> Outcome {
         committed.git_sha,
         tolerance * 100.0
     );
+    let tier = |f: &BenchFile| f.simd_tier.clone().unwrap_or_else(|| "unrecorded".into());
+    outln!(
+        text,
+        "SIMD tier: {} (fresh) vs {} (committed)",
+        tier(&fresh),
+        tier(&committed)
+    );
     outln!(
         text,
         "{:<14} {:<13} {:>9} {:>10} {:>9} {:>8}  {}",

@@ -38,8 +38,10 @@
 //! one sort, or an uncounted two-way merge tree on [`simd::merge_pair`] —
 //! and deep merges of [`RadixKey`] elements by radix-sorting cache-sized
 //! pieces ([`crate::pmerge::parallel_merge`]) instead of `⌈lg k⌉` two-way
-//! passes per key. [`reference::merge_cost_ref`], which plays the tree,
-//! is the count's oracle. See DESIGN.md §10.
+//! passes per key. Where the tree stops paying depends on fan-in, mean
+//! run length and the SIMD tier `merge_pair` runs at (scalar, AVX2 or
+//! AVX-512, [`simd::Tier`]). [`reference::merge_cost_ref`], which plays
+//! the tree, is the count's oracle. See DESIGN.md §10 and §15.
 
 pub mod radix;
 pub mod reference;

@@ -228,84 +228,279 @@ unsafe fn bitonic_merge8(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
     (bitonic4_clean::<false>(lo), bitonic4_clean::<false>(hi))
 }
 
-/// See [`super::merge_pair`]: merge sorted `a` and `b` into `out` with the
-/// 4-wide bitonic network, streaming 4 outputs per step.
+/// The 4-lane network: [`bitonic_merge8`] on `ymm` registers.
+pub(super) struct Ymm;
+
+impl Network for Ymm {
+    type V = __m256i;
+    const W: usize = 4;
+
+    #[inline(always)]
+    unsafe fn load(p: *const u64) -> __m256i {
+        _mm256_loadu_si256(p.cast())
+    }
+
+    #[inline(always)]
+    unsafe fn store(p: *mut u64, v: __m256i) {
+        _mm256_storeu_si256(p.cast(), v)
+    }
+
+    #[inline(always)]
+    unsafe fn merge(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
+        bitonic_merge8(a, b)
+    }
+}
+
+/// See [`super::merge_pair`]: merge sorted `a` and `b` into `out` on the
+/// 4-lane network, as four co-ranked streams from
+/// [`super::STREAM_SPLIT_MIN`] keys, else as one.
 pub fn merge_pair_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
     debug_check_avx2();
     assert_eq!(out.len(), a.len() + b.len(), "merge_pair size mismatch");
-    if a.len() < 4 || b.len() < 4 {
-        return super::scalar::merge_pair(a, b, out);
+    // SAFETY: dispatch gates on AVX2 detection before routing here; the
+    // lengths are checked above.
+    unsafe {
+        if out.len() >= super::STREAM_SPLIT_MIN {
+            merge_streams(a, b, out)
+        } else {
+            one_stream(a, b, out)
+        }
     }
-    // SAFETY: dispatch gates on AVX2 detection before routing here; length
-    // preconditions checked above.
-    unsafe { merge_pair_impl(a, b, out) }
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn merge_pair_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
-    // Stream-merge invariant (the classic SIMD two-way merge): hold 8
-    // elements in registers, emit the low 4, keep the high 4, refill from
-    // whichever run's next element is smaller. Every register element
-    // originates below its run's read head, so the emitted low half is
-    // bounded by both heads — the output is globally sorted.
-    let mut va = _mm256_loadu_si256(a.as_ptr().cast());
-    let mut vb = _mm256_loadu_si256(b.as_ptr().cast());
-    let (mut ia, mut ib, mut o) = (4usize, 4usize, 0usize);
-    loop {
-        let (lo, hi) = bitonic_merge8(va, vb);
-        _mm256_storeu_si256(out.as_mut_ptr().add(o).cast(), lo);
-        o += 4;
-        vb = hi;
-        // Refill from the run whose head is smaller — loading from the
-        // *other* run would emit elements ahead of the smaller unread head.
-        // If the smaller-head run cannot supply a full block, leave the
-        // register loop and finish scalar.
-        let a_head_smaller = match (ia < a.len(), ib < b.len()) {
-            (true, true) => a[ia] <= b[ib],
-            (true, false) => true,
-            (false, true) => false,
-            (false, false) => break,
-        };
-        if a_head_smaller {
-            if ia + 4 > a.len() {
-                break;
-            }
-            va = _mm256_loadu_si256(a.as_ptr().add(ia).cast());
-            ia += 4;
+unsafe fn merge_streams(a: &[u64], b: &[u64], out: &mut [u64]) {
+    co_ranked::<Ymm, 4>(a, b, out, one_stream)
+}
+
+/// Merge `a` and `b` into `out` as one 4-lane stream, or by the scalar
+/// merge when a side holds fewer than 4 keys.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn one_stream(a: &[u64], b: &[u64], out: &mut [u64]) {
+    if a.len() < Ymm::W || b.len() < Ymm::W {
+        super::scalar::merge_pair(a, b, out)
+    } else {
+        Stream::<Ymm>::start(a, b, out).finish()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Merge streams: the two-way merge on any network width
+// ---------------------------------------------------------------------------
+
+/// A bitonic merge network on registers of `W` `u64` lanes (at most 8),
+/// the engine of a merge [`Stream`]. The methods are `#[inline(always)]`
+/// so that they compile inside the caller's `#[target_feature]` body.
+pub(super) trait Network {
+    type V: Copy;
+    const W: usize;
+    /// Load `W` keys from `p`.
+    unsafe fn load(p: *const u64) -> Self::V;
+    /// Store `W` keys to `p`.
+    unsafe fn store(p: *mut u64, v: Self::V);
+    /// Merge two ascending registers into the ascending low and high
+    /// halves of their keys.
+    unsafe fn merge(a: Self::V, b: Self::V) -> (Self::V, Self::V);
+}
+
+/// The stable merge's co-rank of output position `mid` (ties taking
+/// `a`): the `i` for which the first `mid` outputs are `a[..i]` and
+/// `b[..mid - i]`, by binary search. `a[i]` precedes `b[mid - i - 1]`
+/// exactly when `i` is too small, and that holds for a prefix of the
+/// candidates.
+pub(super) fn co_rank(a: &[u64], b: &[u64], mid: usize) -> usize {
+    let (mut lo, mut hi) = (mid.saturating_sub(b.len()), mid.min(a.len()));
+    while lo < hi {
+        let i = lo + (hi - lo) / 2;
+        if a[i] <= b[mid - i - 1] {
+            lo = i + 1;
         } else {
-            if ib + 4 > b.len() {
-                break;
-            }
-            va = _mm256_loadu_si256(b.as_ptr().add(ib).cast());
-            ib += 4;
+            hi = i;
         }
     }
-    // Fewer than 4 elements remain in at least one run: spill the held
-    // register and finish with a scalar 3-way merge of (held, a-tail,
-    // b-tail).
-    let mut held = [0u64; 4];
-    _mm256_storeu_si256(held.as_mut_ptr().cast(), vb);
-    let (mut h, mut i, mut j) = (0usize, ia, ib);
-    while o < out.len() {
-        // Smallest of the three heads; `held` is sorted ascending.
-        let hv = if h < 4 { Some(held[h]) } else { None };
-        let av = if i < a.len() { Some(a[i]) } else { None };
-        let bv = if j < b.len() { Some(b[j]) } else { None };
-        let take_h = hv.is_some()
-            && av.is_none_or(|x| hv.expect("checked") <= x)
-            && bv.is_none_or(|x| hv.expect("checked") <= x);
-        if take_h {
-            out[o] = held[h];
-            h += 1;
-        } else if av.is_some() && bv.is_none_or(|x| av.expect("checked") <= x) {
+    lo
+}
+
+/// Merge `a` and `b` into `out` as `S` independent streams on network
+/// `N`: stream `s` writes outputs `s·n/S..(s+1)·n/S`, from the runs cut
+/// at those outputs' co-ranks. The streams advance in lockstep, so each
+/// one's network latency hides behind the others', while every run of
+/// every stream holds a full block past its head; each then finishes
+/// alone. When a stream's side is too short to fill a register, every
+/// stream's merge goes to `one` instead.
+#[inline(always)]
+pub(super) unsafe fn co_ranked<N: Network, const S: usize>(
+    a: &[u64],
+    b: &[u64],
+    out: &mut [u64],
+    one: unsafe fn(&[u64], &[u64], &mut [u64]),
+) {
+    let n = out.len();
+    // Stream s starts at output s·n/S, a[cut[s]] and b[s·n/S - cut[s]].
+    let start = |s: usize| s * n / S;
+    let cut: [usize; S] = core::array::from_fn(|s| co_rank(a, b, start(s)));
+    let bounds = |s: usize| {
+        let (o0, a0) = (start(s), cut[s]);
+        let (o1, a1) = if s + 1 < S {
+            (start(s + 1), cut[s + 1])
+        } else {
+            (n, a.len())
+        };
+        (a0..a1, o0 - a0..o1 - a1, o0..o1)
+    };
+    if (0..S).any(|s| {
+        let (ra, rb, _) = bounds(s);
+        ra.len() < N::W || rb.len() < N::W
+    }) {
+        for s in 0..S {
+            let (ra, rb, ro) = bounds(s);
+            one(&a[ra], &b[rb], &mut out[ro]);
+        }
+        return;
+    }
+    let mut rest = out;
+    let mut streams: [Stream<N>; S] = core::array::from_fn(|s| {
+        let (ra, rb, ro) = bounds(s);
+        let (o, tail) = core::mem::take(&mut rest).split_at_mut(ro.len());
+        rest = tail;
+        Stream::start(&a[ra], &b[rb], o)
+    });
+    while streams.iter().all(Stream::full) {
+        for st in &mut streams {
+            st.step();
+        }
+    }
+    for st in streams {
+        st.finish();
+    }
+}
+
+/// One two-way merge in flight (the classic SIMD stream merge): `next`
+/// and `held` are two ascending registers of keys not yet written, `ia`
+/// and `ib` the runs' read heads and `o` the output's write head. Every
+/// register key was read before its run's head, so the low half of their
+/// merge precedes every unread key and is written out; the high half is
+/// held, and the run with the smaller head supplies the next block —
+/// loading from the other run would write keys ahead of that unread head.
+struct Stream<'s, N: Network> {
+    a: &'s [u64],
+    b: &'s [u64],
+    out: &'s mut [u64],
+    ia: usize,
+    ib: usize,
+    o: usize,
+    next: N::V,
+    held: N::V,
+}
+
+impl<'s, N: Network> Stream<'s, N> {
+    /// A stream over `a` and `b`, each at least `W` keys long, writing
+    /// `out`.
+    #[inline(always)]
+    unsafe fn start(a: &'s [u64], b: &'s [u64], out: &'s mut [u64]) -> Self {
+        debug_assert!(a.len() >= N::W && b.len() >= N::W && N::W <= 8);
+        Stream {
+            next: N::load(a.as_ptr()),
+            held: N::load(b.as_ptr()),
+            a,
+            b,
+            out,
+            ia: N::W,
+            ib: N::W,
+            o: 0,
+        }
+    }
+
+    /// Both runs hold a full block past their heads, so [`Self::step`]
+    /// may refill from either.
+    #[inline(always)]
+    fn full(&self) -> bool {
+        self.ia + N::W <= self.a.len() && self.ib + N::W <= self.b.len()
+    }
+
+    /// Merge the registers, write the low half and hold the high one.
+    /// The output has room: `2W` keys are in registers and none is
+    /// written yet.
+    #[inline(always)]
+    unsafe fn emit(&mut self) {
+        let (lo, hi) = N::merge(self.next, self.held);
+        N::store(self.out.as_mut_ptr().add(self.o), lo);
+        self.o += N::W;
+        self.held = hi;
+    }
+
+    /// [`Self::emit`], then refill from the run with the smaller head
+    /// without a branch: the block's address is a select on the two heads
+    /// and each head advances by `W` times its side of the compare.
+    /// Requires [`Self::full`].
+    #[inline(always)]
+    unsafe fn step(&mut self) {
+        self.emit();
+        let pa = self.a.as_ptr().add(self.ia);
+        let pb = self.b.as_ptr().add(self.ib);
+        let take_a = *pa <= *pb;
+        self.next = N::load(std::hint::select_unpredictable(take_a, pa, pb));
+        self.ia += usize::from(take_a) * N::W;
+        self.ib += usize::from(!take_a) * N::W;
+    }
+
+    /// Run the stream to the end of its output: refill while the run with
+    /// the smaller head supplies a full block, then spill the held
+    /// register and finish with [`merge_tail`].
+    #[inline(always)]
+    unsafe fn finish(mut self) {
+        loop {
+            self.emit();
+            let take_a = match (self.ia < self.a.len(), self.ib < self.b.len()) {
+                (true, true) => self.a[self.ia] <= self.b[self.ib],
+                (true, false) => true,
+                (false, true) => false,
+                (false, false) => break,
+            };
+            let (run, head) = if take_a {
+                (self.a, &mut self.ia)
+            } else {
+                (self.b, &mut self.ib)
+            };
+            if *head + N::W > run.len() {
+                break;
+            }
+            self.next = N::load(run.as_ptr().add(*head));
+            *head += N::W;
+        }
+        let mut held = [0u64; 8];
+        N::store(held.as_mut_ptr(), self.held);
+        merge_tail(
+            &held[..N::W],
+            &self.a[self.ia..],
+            &self.b[self.ib..],
+            &mut self.out[self.o..],
+        );
+    }
+}
+
+/// The end of a stream: merge the spilled, ascending `held` keys with the
+/// rest of both runs, one key at a time until `held` is used up, then
+/// the runs' rests by the scalar merge, which copies the longer one's
+/// tail once the shorter is done. For `u64` equal keys are identical, so
+/// which of them goes first does not matter.
+fn merge_tail(held: &[u64], a: &[u64], b: &[u64], out: &mut [u64]) {
+    let (mut h, mut i, mut j, mut o) = (0, 0, 0, 0);
+    while h < held.len() {
+        let x = held[h];
+        if i < a.len() && a[i] < x && (j == b.len() || a[i] <= b[j]) {
             out[o] = a[i];
             i += 1;
-        } else {
+        } else if j < b.len() && b[j] < x {
             out[o] = b[j];
             j += 1;
+        } else {
+            out[o] = x;
+            h += 1;
         }
         o += 1;
     }
+    super::scalar::merge_pair(&a[i..], &b[j..], &mut out[o..]);
 }
 
 // ---------------------------------------------------------------------------
@@ -343,8 +538,7 @@ pub fn sort_short_into_u64(src: &[u64], dst: &mut [u64]) {
 /// or 256 keys pays for its padding only when at least three quarters
 /// full, so a shorter input above [`super::SHORT_MAX`] sorts its first 64
 /// or 128 keys in one class and the rest in their own, into a stack
-/// buffer, and one [`merge_pair`](super::merge_pair) network merges the
-/// two.
+/// buffer, and one 4-lane merge stream ([`one_stream`]) merges the two.
 #[target_feature(enable = "avx2")]
 unsafe fn sort_short_impl(src: Option<&[u64]>, dst: &mut [u64]) {
     let n = dst.len();
@@ -358,11 +552,7 @@ unsafe fn sort_short_impl(src: Option<&[u64]>, dst: &mut [u64]) {
     let (a, b) = sorted[..n].split_at_mut(head);
     sort_class(Some(&keys[..head]), a);
     sort_class(Some(&keys[head..]), b);
-    if b.len() < 4 {
-        super::scalar::merge_pair(a, b, dst);
-    } else {
-        merge_pair_impl(a, b, dst);
-    }
+    one_stream(a, b, dst);
 }
 
 /// Sort at most [`super::MID_MAX`] keys (of `src`, or of `dst` when `src`

@@ -1,76 +1,132 @@
-//! Runtime-dispatched vectorized kernels (AVX2 + portable scalar fallback).
+//! Runtime-dispatched vectorized kernels (AVX2, AVX-512, and a portable
+//! scalar fallback).
 //!
 //! The hot inner loops of the kernel layer — bucket-boundary scans, the
-//! radix sort's histogram and scatter passes, two-way run pre-merging and
-//! sorts of at most 256 keys — have a hand-vectorized x86-64 AVX2 form
-//! selected **once** at startup via `std::arch` feature detection. Every
-//! entry point in this module routes to the AVX2 form when (a) the host
-//! supports AVX2, (b) the element type is `u64` (the repo's benchmark key
-//! type), and (c) `TLMM_NO_SIMD=1` is not set; otherwise the portable
-//! scalar form in [`scalar`] runs. The scalar forms are the semantic
-//! definition: the AVX2 forms must be observationally identical (same
-//! outputs, same elements inspected), which the differential proptests in
-//! `tests/simd_differential.rs` assert across workload shapes and key
-//! types.
+//! radix sort's histogram and scatter passes, two-way run merging and
+//! sorts of at most 256 keys — have hand-vectorized x86-64 forms, and the
+//! [`Tier`] they run at is picked **once** at startup via `std::arch`
+//! feature detection: [`Tier::Avx512`] where the host reports `avx512f`
+//! (and AVX2), [`Tier::Avx2`] where it reports AVX2, [`Tier::Scalar`]
+//! otherwise or when `TLMM_NO_SIMD=1` is set. Every entry point routes
+//! to a vector form only for `u64` elements (the repo's benchmark key
+//! type); other types take the portable scalar form in [`scalar`]. Only
+//! [`merge_pair`] has an AVX-512 form; at that tier every other entry
+//! point runs its AVX2 form.
+//!
+//! The scalar forms are the semantic definition: the vector forms must
+//! give the same outputs, which the differential tests in
+//! `tests/simd_differential.rs` assert at every tier the host has,
+//! across workload shapes and key types. The scans also inspect the same
+//! elements as their scalar forms. [`merge_pair`] does not: its vector
+//! forms cut the merge at co-ranks found by binary search and merge the
+//! pieces as interleaved streams, so they read different elements in a
+//! different order to the same output.
 //!
 //! **Cost-ledger invariant.** Dispatch never changes simulated charges:
 //! callers charge scan lengths from the *data*, and merges the comparison
 //! count `losertree::merge_cost` computes from the runs (its two-way
-//! term is [`pair_merge_cost`]); [`merge_pair`] counts nothing. `CostSnapshot` ledgers are byte-identical
-//! with SIMD forced off — asserted in-binary by `parallel_bench` and by the
-//! golden-ledger replay tests. See DESIGN.md §15.
+//! term is [`pair_merge_cost`]); [`merge_pair`] counts nothing.
+//! `CostSnapshot` ledgers are byte-identical at every tier — asserted
+//! in-binary by `parallel_bench` and by the golden-ledger replay tests.
+//! See DESIGN.md §15.
 
 pub mod scalar;
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
+#[cfg(target_arch = "x86_64")]
+pub mod avx512;
 
 use crate::SortElem;
 #[cfg(target_arch = "x86_64")]
 use core::any::Any;
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Tri-state dispatch flag: 0 = undecided, 1 = scalar, 2 = AVX2.
+/// The instruction-set tier the vector kernels run at, ordered from the
+/// least to the most capable.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// The portable forms in [`scalar`].
+    Scalar = 1,
+    /// 4-lane `ymm` forms of every kernel.
+    Avx2 = 2,
+    /// [`merge_pair`] on an 8-lane `zmm` network; every other kernel as
+    /// at [`Tier::Avx2`].
+    Avx512 = 3,
+}
+
+impl Tier {
+    /// Every tier, least capable first.
+    pub const ALL: [Tier; 3] = [Tier::Scalar, Tier::Avx2, Tier::Avx512];
+
+    /// The tier's name as records carry it: `scalar`, `avx2` or `avx512`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
+        }
+    }
+}
+
+/// The active tier, as its discriminant; 0 while undecided.
 static STATE: AtomicU8 = AtomicU8::new(0);
 
-const SCALAR: u8 = 1;
-const VECTOR: u8 = 2;
-
-fn host_supports_avx2() -> bool {
+/// The most capable tier the host supports.
+pub fn host_tier() -> Tier {
     #[cfg(target_arch = "x86_64")]
     {
-        is_x86_feature_detected!("avx2")
+        if !is_x86_feature_detected!("avx2") {
+            Tier::Scalar
+        } else if is_x86_feature_detected!("avx512f") {
+            Tier::Avx512
+        } else {
+            Tier::Avx2
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        false
+        Tier::Scalar
     }
 }
 
-/// Is the vectorized path active? Decided once from host feature detection
-/// and the `TLMM_NO_SIMD` environment variable; later calls are one relaxed
-/// atomic load.
+/// The tier the kernels run at. Decided once from host feature detection
+/// and the `TLMM_NO_SIMD` environment variable; later calls are one
+/// relaxed atomic load.
 #[inline]
-pub fn enabled() -> bool {
+pub fn tier() -> Tier {
     match STATE.load(Ordering::Relaxed) {
         0 => {
             let off = std::env::var_os("TLMM_NO_SIMD").is_some_and(|v| v != "0");
-            let on = !off && host_supports_avx2();
-            STATE.store(if on { VECTOR } else { SCALAR }, Ordering::Relaxed);
-            on
+            let tier = if off { Tier::Scalar } else { host_tier() };
+            STATE.store(tier as u8, Ordering::Relaxed);
+            tier
         }
-        SCALAR => false,
-        _ => true,
+        1 => Tier::Scalar,
+        2 => Tier::Avx2,
+        _ => Tier::Avx512,
     }
 }
 
-/// Force the dispatch decision (used by benches and differential tests to
-/// compare both paths in one process). Enabling on a host without AVX2 is
-/// a no-op; returns the resulting state.
+/// Force the tier (used by benches and differential tests to compare the
+/// tiers in one process), capped at [`host_tier`]; returns the resulting
+/// tier.
+pub fn set_tier(want: Tier) -> Tier {
+    let tier = want.min(host_tier());
+    STATE.store(tier as u8, Ordering::Relaxed);
+    tier
+}
+
+/// Is a vectorized tier active?
+#[inline]
+pub fn enabled() -> bool {
+    tier() != Tier::Scalar
+}
+
+/// Force vector dispatch on (at [`host_tier`]) or off. Enabling on a
+/// host without AVX2 is a no-op; returns whether a vector tier is active.
 pub fn set_enabled(on: bool) -> bool {
-    let on = on && host_supports_avx2();
-    STATE.store(if on { VECTOR } else { SCALAR }, Ordering::Relaxed);
-    on
+    set_tier(if on { Tier::Avx512 } else { Tier::Scalar }) != Tier::Scalar
 }
 
 // Each dispatcher below routes its `u64`-specialized AVX2 kernel to the
@@ -159,22 +215,51 @@ pub fn radix_scatter<T: super::RadixKey>(
 }
 
 /// Merge two sorted runs into `out` (`out.len() == a.len() + b.len()`),
-/// ties taking `a` first. The vector form runs a 4-wide bitonic merge
-/// network; for the key types it routes (`u64`), equal keys are identical
-/// elements, so its output sequence matches the scalar merge exactly. It
-/// counts nothing: a merge's charge comes from the runs
-/// ([`pair_merge_cost`], `losertree::merge_cost`).
+/// ties taking `a` first. The vector forms cut a merge of at least
+/// [`STREAM_SPLIT_MIN`] keys at co-ranks (ties taking `a`) and merge the
+/// pieces as interleaved streams of a bitonic merge network: two streams
+/// of 8 lanes at [`Tier::Avx512`], four of 4 lanes at [`Tier::Avx2`]
+/// (DESIGN.md §15); a shorter
+/// merge, or a side too short to fill a register, takes one 4-lane
+/// stream, and a side under 4 keys the scalar merge. For the key types
+/// they route (`u64`), equal keys are identical elements, so the output
+/// sequence matches the scalar merge exactly. It counts nothing: a
+/// merge's charge comes from the runs ([`pair_merge_cost`],
+/// `losertree::merge_cost`).
 #[inline]
 pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) {
     #[cfg(target_arch = "x86_64")]
-    if enabled() {
-        let f: fn(&[u64], &[u64], &mut [u64]) = avx2::merge_pair_u64;
+    {
+        let f: fn(&[u64], &[u64], &mut [u64]) = match tier() {
+            Tier::Scalar => scalar::merge_pair,
+            Tier::Avx2 => avx2::merge_pair_u64,
+            Tier::Avx512 => avx512::merge_pair_u64,
+        };
         if let Some(f) = <dyn Any>::downcast_ref::<fn(&[T], &[T], &mut [T])>(&f).copied() {
             return f(a, b, out);
         }
     }
     scalar::merge_pair(a, b, out)
 }
+
+/// The tier [`merge_pair`] runs at on `T`: the active [`tier`] for `u64`,
+/// [`Tier::Scalar`] for every other type.
+#[inline]
+pub fn merge_tier<T: SortElem>() -> Tier {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let f: fn(&[u64], &[u64], &mut [u64]) = scalar::merge_pair;
+        if <dyn Any>::downcast_ref::<fn(&[T], &[T], &mut [T])>(&f).is_some() {
+            return tier();
+        }
+    }
+    Tier::Scalar
+}
+
+/// Shortest merge [`merge_pair`]'s vector forms cut into two streams at
+/// its co-rank. Below it one stream runs: the co-rank search and a
+/// second stream's start and tail cost more than the overlap saves.
+pub const STREAM_SPLIT_MIN: usize = 64;
 
 /// Longest input [`sort_short`] sorts within AVX2's 16 registers, in one
 /// sorting-network class.
@@ -318,12 +403,18 @@ mod tests {
 
     #[test]
     fn dispatch_state_reports_and_toggles() {
-        let initial = enabled();
+        let initial = tier();
         // Force-off always succeeds; force-on succeeds only with host AVX2.
         assert!(!set_enabled(false));
         assert!(!enabled());
         let on = set_enabled(true);
         assert_eq!(on, enabled());
-        set_enabled(initial);
+        assert_eq!(tier(), if on { host_tier() } else { Tier::Scalar });
+        // A tier above the host's is capped at it.
+        for want in Tier::ALL {
+            assert_eq!(set_tier(want), want.min(host_tier()));
+            assert_eq!(tier(), want.min(host_tier()));
+        }
+        set_tier(initial);
     }
 }

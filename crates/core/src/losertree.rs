@@ -27,7 +27,9 @@
 //! [`crate::pmerge`]'s pieces and the baseline's waves call it directly.
 //! See DESIGN.md §10.
 
+use crate::kernels::simd::{self, Tier};
 use crate::kernels::{radix_kernel, sort_kernel};
+use crate::pmerge::{pieces, PIECE_KEYS};
 use std::ops::Range;
 
 /// Runs at or below this length are paired by the pre-merge plan: the
@@ -37,11 +39,45 @@ use std::ops::Range;
 pub const PREMERGE_MAX: usize = 1 << 16;
 
 /// Non-empty runs from which a merge of [`crate::kernels::RadixKey`]
-/// elements is executed by copying and sorting rather than by a merge
-/// tree: at this fan-in the tree makes `⌈lg k⌉ ≥ 3` two-way passes over
-/// every key, while a copy is one pass and the radix sort runs in cache
-/// ([`crate::pmerge`] cuts deep merges into cache-sized pieces).
+/// elements may be executed by copying and sorting rather than by the
+/// merge tree: below it the tree makes at most `⌈lg k⌉ = 2` two-way
+/// passes over every key, which wins on every tier (DESIGN.md §10).
 pub(crate) const SORT_MIN_FAN_IN: usize = 8;
+
+/// Mean run length from which the merge tree still beats a copy and a
+/// radix sort at fan-ins from [`SORT_MIN_FAN_IN`] up to
+/// [`tree_fan_in_below`]: on shorter runs the tree's passes gain less
+/// than the in-cache sort, and duplicate-heavy keys (SPMS's Zipf
+/// buckets), which the radix sort takes faster, tip the balance.
+const TREE_MIN_MEAN_RUN: usize = 512;
+
+/// The fan-in below which the merge tree beats a copy and a radix sort
+/// on runs of at least [`TREE_MIN_MEAN_RUN`] keys, for the merge kernel
+/// `merge_pair` runs on `T`: at `Scalar` each of the tree's `⌈lg k⌉`
+/// passes costs ~4 ns/key, at `Avx2` ~1.5–1.9 and at `Avx512` ~1.0,
+/// against ~6–9 ns/key for a copy and a radix sort of uniform keys. On
+/// keys of a narrow span or few values the radix sort runs 2–3× faster,
+/// and 16 runs of them already merge slower than they sort at
+/// `Avx512` (DESIGN.md §10), so both vector tiers stop at 16.
+fn tree_fan_in_below<T: crate::SortElem>() -> usize {
+    match simd::merge_tier::<T>() {
+        Tier::Scalar => SORT_MIN_FAN_IN,
+        Tier::Avx2 | Tier::Avx512 => 16,
+    }
+}
+
+/// Whether `merge_runs` executes a merge of `runs` (`total` keys) by
+/// copying them and sorting the copy with [`sort_kernel`]: a
+/// [`crate::kernels::RadixKey`] type, at least [`SORT_MIN_FAN_IN`]
+/// non-empty runs, and a fan-in or mean run length at which the merge
+/// tree's passes cost more than the sort.
+pub(crate) fn sorts_merge<T: crate::SortElem>(runs: &[&[T]], total: usize) -> bool {
+    if radix_kernel::<T>().is_none() {
+        return false;
+    }
+    let k = runs.iter().filter(|r| !r.is_empty()).count();
+    k >= SORT_MIN_FAN_IN && (k >= tree_fan_in_below::<T>() || total < TREE_MIN_MEAN_RUN * k)
+}
 
 /// Plateau probe for the pair pre-merge: `true` when sampled positions of
 /// the sorted run sit inside equal-key plateaus at least [`PLATEAU_GAP`]
@@ -277,23 +313,45 @@ pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64
 /// - every non-empty run holds one key value: the runs concatenated;
 /// - runs averaging fewer than 8 keys (`SORT_MEAN_RUN`): a copy, then one
 ///   sort (`sort_merged`);
-/// - a [`crate::kernels::RadixKey`] type with at least `SORT_MIN_FAN_IN`
-///   non-empty runs: a copy, then [`sort_kernel`];
+/// - where [`sorts_merge`] holds (a [`crate::kernels::RadixKey`] type, at
+///   least `SORT_MIN_FAN_IN` non-empty runs, and a fan-in or mean run
+///   length at which the tree loses): a copy, then [`sort_kernel`];
 /// - anything else: an uncounted two-way merge tree (`merge_tree`).
+///
+/// A merge of radix keys that would be sorted and holds more than
+/// `SORT_WHOLE_MAX` keys is cut into pieces of ~[`PIECE_KEYS`] first
+/// ([`crate::pmerge::pieces`]), each executed by [`merge_piece`], so that
+/// no radix sort runs out of L2.
 ///
 /// Each keeps equal keys in run order: the concatenation and the tree by
 /// construction, a stable sort for other types, and for radix keys equal
 /// keys are identical elements, so any order of them is the same output.
 pub(crate) fn merge_runs<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) {
+    let total = out.len();
+    let sorts =
+        !single_key(runs) && (total < SORT_MEAN_RUN * runs.len() || sorts_merge(runs, total));
+    if sorts && total > SORT_WHOLE_MAX && radix_kernel::<T>().is_some() {
+        for (subs, out) in pieces(runs, out, 1) {
+            merge_piece(&subs, out);
+        }
+    } else {
+        merge_piece(runs, out);
+    }
+}
+
+/// Longest merge `merge_runs` sorts whole: 2 MiB of `u64`, an L2-sized
+/// radix sort. Below it the cut into pieces costs more than it saves.
+const SORT_WHOLE_MAX: usize = 8 * PIECE_KEYS;
+
+/// [`merge_runs`] without the cut into pieces: the executor of one piece.
+pub(crate) fn merge_piece<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) {
     debug_assert_eq!(out.len(), runs.iter().map(|r| r.len()).sum::<usize>());
     if single_key(runs) {
         concat(runs, out);
     } else if out.len() < SORT_MEAN_RUN * runs.len() {
         concat(runs, out);
         sort_merged(out);
-    } else if radix_kernel::<T>().is_some()
-        && runs.iter().filter(|r| !r.is_empty()).count() >= SORT_MIN_FAN_IN
-    {
+    } else if sorts_merge(runs, out.len()) {
         concat(runs, out);
         sort_kernel(out);
     } else {

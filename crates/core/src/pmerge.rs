@@ -26,7 +26,7 @@
 //! ledger goldens. The piece split samples with jitter and is balanced.
 
 use crate::kernels::radix_kernel;
-use crate::losertree::{merge_cost, merge_into_slice, merge_runs, SORT_MIN_FAN_IN};
+use crate::losertree::{merge_cost, merge_into_slice, merge_piece, SORT_MIN_FAN_IN};
 use crate::SortElem;
 use tlmm_scratchpad::trace::with_lane;
 
@@ -62,10 +62,8 @@ pub fn parallel_merge<T: SortElem>(
     assert_eq!(out.len(), total, "output must fit the merge exactly");
     if sorts_pieces(segments) {
         let cmps = merge_count(segments, ways, threads);
-        let pieces = total.div_ceil(PIECE_KEYS);
-        let cuts = split(segments, &splitters(segments, total, pieces, true), threads);
-        crate::pool::run_indexed(threads, carve(cuts, out), |i, (subs, out)| {
-            with_lane(i % ways.max(1), || merge_runs(&subs, out))
+        crate::pool::run_indexed(threads, pieces(segments, out, threads), |i, (subs, out)| {
+            with_lane(i % ways.max(1), || merge_piece(&subs, out))
         });
         return cmps;
     }
@@ -99,6 +97,22 @@ pub(crate) fn merge_count<T: SortElem>(segments: &[&[T]], ways: usize, threads: 
     crate::pool::map_indexed(threads, parts, |_, part| merge_cost(&part))
         .into_iter()
         .sum()
+}
+
+/// The merge of `segments` into `out` cut at jittered splitters into
+/// about `out.len() / PIECE_KEYS` pieces, each paired with its own slice
+/// of `out`, in order; the cuts are searched on `threads` workers.
+pub(crate) fn pieces<'a, 'o, T: SortElem>(
+    segments: &[&'a [T]],
+    out: &'o mut [T],
+    threads: usize,
+) -> Vec<(Vec<&'a [T]>, &'o mut [T])> {
+    let total = out.len();
+    let count = total.div_ceil(PIECE_KEYS);
+    carve(
+        split(segments, &splitters(segments, total, count, true), threads),
+        out,
+    )
 }
 
 /// The execution split of a merge of `segments` into about `pieces`

@@ -21,7 +21,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tlmm_core::kernels::reference::{merge_cost_ref, merge_into_slice_ref};
-use tlmm_core::kernels::{radix_sort, simd, sort_kernel, RadixKey};
+use tlmm_core::kernels::simd::{self, Tier};
+use tlmm_core::kernels::{radix_sort, sort_kernel, RadixKey};
 use tlmm_core::losertree::{merge_cost, merge_into_slice, PREMERGE_MAX};
 use tlmm_core::nmsort::{nmsort, NmSortConfig};
 use tlmm_model::ScratchpadParams;
@@ -113,16 +114,16 @@ proptest! {
         let mut expect: Vec<u64> = runs.concat();
         expect.sort_unstable();
         let played = merge_cost_ref(&refs);
-        let prior = simd::enabled();
-        for vector in [true, false] {
-            simd::set_enabled(vector);
+        let prior = simd::tier();
+        for tier in Tier::ALL.into_iter().filter(|&t| t <= simd::host_tier()) {
+            simd::set_tier(tier);
             let cost = merge_cost(&refs);
             let mut out = vec![0u64; expect.len()];
             let charged = merge_into_slice(&refs, &mut out);
-            simd::set_enabled(prior);
-            prop_assert_eq!(cost, played, "merge_cost, SIMD {}", vector);
-            prop_assert_eq!(charged, played, "merge_into_slice, SIMD {}", vector);
-            prop_assert_eq!(&out, &expect, "merge_into_slice, SIMD {}", vector);
+            simd::set_tier(prior);
+            prop_assert_eq!(cost, played, "merge_cost, {}", tier.name());
+            prop_assert_eq!(charged, played, "merge_into_slice, {}", tier.name());
+            prop_assert_eq!(&out, &expect, "merge_into_slice, {}", tier.name());
         }
     }
 
@@ -292,6 +293,71 @@ proptest! {
             })
             .collect();
         assert_merges_in_run_order(&runs);
+    }
+}
+
+/// Merges of more radix keys than one cache-sized piece (32Ki keys) that
+/// the executor sorts rather than merges — many runs, or a mean run too
+/// short for the merge tree — and, above 256Ki keys, are cut into pieces
+/// first. At every tier
+/// they emit a stable sort of the runs and charge the played count, for
+/// each radix key type.
+#[test]
+fn many_run_merges_above_a_piece_match_a_stable_sort() {
+    let mut rng = StdRng::seed_from_u64(0x91EC);
+    for (k, mean) in [
+        (70, 600),
+        (218, 300),
+        (12, 4_000),
+        (200, 200),
+        (64, 4_500),
+        (600, 480),
+    ] {
+        for range in [u64::MAX, 100] {
+            let runs: Vec<Vec<u64>> = (0..k)
+                .map(|_| {
+                    let len = rng.gen_range(mean / 2..=mean * 3 / 2);
+                    let mut run: Vec<u64> = (0..len).map(|_| rng.gen_range(0..range)).collect();
+                    run.sort_unstable();
+                    run
+                })
+                .collect();
+            assert!(runs.iter().map(Vec::len).sum::<usize>() > 1 << 15);
+            check_merge_every_tier(&runs);
+            let as_u32 = |k: &u64| *k as u32;
+            let narrow: Vec<Vec<u32>> = runs
+                .iter()
+                .map(|r| {
+                    let mut r: Vec<u32> = r.iter().map(as_u32).collect();
+                    r.sort_unstable();
+                    r
+                })
+                .collect();
+            check_merge_every_tier(&narrow);
+            let signed: Vec<Vec<i64>> = runs
+                .iter()
+                .map(|r| r.iter().map(|&k| k.wrapping_sub(1 << 63) as i64).collect())
+                .collect();
+            check_merge_every_tier(&signed);
+        }
+    }
+}
+
+/// `merge_into_slice` on `runs` at every tier the host has: a stable sort
+/// of the runs, charged the played reference count.
+fn check_merge_every_tier<T: tlmm_core::SortElem + std::fmt::Debug>(runs: &[Vec<T>]) {
+    let refs: Vec<&[T]> = runs.iter().map(Vec::as_slice).collect();
+    let mut expect = runs.concat();
+    expect.sort();
+    let played = merge_cost_ref(&refs);
+    let prior = simd::tier();
+    for tier in Tier::ALL.into_iter().filter(|&t| t <= simd::host_tier()) {
+        simd::set_tier(tier);
+        let mut out = vec![T::default(); expect.len()];
+        let charged = merge_into_slice(&refs, &mut out);
+        simd::set_tier(prior);
+        assert_eq!(charged, played, "{} runs, {}", runs.len(), tier.name());
+        assert!(out == expect, "{} runs, {}", runs.len(), tier.name());
     }
 }
 

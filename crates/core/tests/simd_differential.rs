@@ -2,68 +2,96 @@
 //! scalar definition, on the same inputs, in the same process.
 //!
 //! The scalar forms in `kernels::simd::scalar` are the semantic spec; the
-//! AVX2 forms must be observationally identical. Each property here runs a
-//! kernel twice — dispatch forced off, then forced on (asserted to take the
-//! vector path whenever the host reports AVX2) — and asserts equal
-//! outputs, across all eight experiment workload shapes and the three
-//! `RadixKey` types (`u64`, `u32`, `i64`). On hosts without AVX2 the
-//! force-on is a no-op and the comparisons hold trivially; CI also runs the
-//! whole kernel suite under `TLMM_NO_SIMD=1` so the scalar-only binary
-//! stays exercised.
+//! vector forms must give the same outputs. Each property here runs a
+//! kernel once at every tier the host has — scalar, AVX2 and AVX-512,
+//! each asserted to run whenever CPUID reports it — and asserts that
+//! every tier's output equals the definition, across all eight experiment
+//! workload shapes and the three `RadixKey` types (`u64`, `u32`, `i64`).
+//! On a host without a tier its run is skipped, and
+//! `tiers_exercised` prints which tiers ran (visible with
+//! `--nocapture`); CI also runs the whole kernel suite under
+//! `TLMM_NO_SIMD=1` so the scalar-only binary stays exercised.
 //!
-//! The dispatch flag is process-global, so every toggle happens under one
-//! test-local mutex — the rest of the suite never toggles it.
+//! The dispatch tier is process-global, so every switch happens under
+//! one test-local mutex — the rest of the suite never switches it.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
-use tlmm_core::kernels::simd;
+use tlmm_core::kernels::reference::merge_cost_ref;
+use tlmm_core::kernels::simd::{self, Tier};
 use tlmm_core::kernels::{radix_sort, sort_kernel, RadixKey};
 use tlmm_core::losertree::merge_into_slice;
 use tlmm_testkit::KERNEL_SHAPES as SHAPES;
 use tlmm_workloads::generate;
 
-/// Serializes dispatch toggles: the SIMD on/off state is process-global
-/// and these tests run on the harness's thread pool.
+/// Serializes dispatch switches: the tier is process-global and these
+/// tests run on the harness's thread pool.
 static DISPATCH: Mutex<()> = Mutex::new(());
 
-/// Does the host report AVX2, the vector path's one requirement?
-fn host_has_avx2() -> bool {
+/// The tiers CPUID reports, read here independently of the dispatcher:
+/// scalar always, AVX2 with `avx2`, AVX-512 with `avx2` and `avx512f`.
+fn host_tiers() -> Vec<Tier> {
+    let mut tiers = vec![Tier::Scalar];
     #[cfg(target_arch = "x86_64")]
-    {
-        std::is_x86_feature_detected!("avx2")
+    if std::is_x86_feature_detected!("avx2") {
+        tiers.push(Tier::Avx2);
+        if std::is_x86_feature_detected!("avx512f") {
+            tiers.push(Tier::Avx512);
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
+    tiers
 }
 
-/// Run `f` with SIMD forced off, then forced on (when the host allows),
-/// restoring the startup decision after; returns both results. The "on"
-/// half is asserted to run vectorized whenever the host reports AVX2, so
-/// the comparison cannot silently pit the scalar path against itself.
-fn both_paths<R>(f: impl Fn() -> R) -> (R, R) {
+/// Run `f` at every tier of [`host_tiers`], restoring the startup
+/// decision after; returns each tier's result. Each tier is asserted to
+/// be the one dispatch runs, so a comparison cannot silently pit the
+/// scalar path against itself.
+fn every_tier<R>(f: impl Fn() -> R) -> Vec<(Tier, R)> {
     let _guard = tlmm_testkit::serial_guard(&DISPATCH);
-    let initial = simd::enabled();
-    simd::set_enabled(false);
-    let off = f();
-    assert_eq!(
-        simd::set_enabled(true),
-        host_has_avx2(),
-        "the vector path must be on exactly when the host reports AVX2"
-    );
-    let on = f();
-    assert_eq!(simd::enabled(), host_has_avx2(), "dispatch changed under f");
-    simd::set_enabled(initial);
-    (off, on)
+    let initial = simd::tier();
+    let results = host_tiers()
+        .into_iter()
+        .map(|tier| {
+            assert_eq!(simd::set_tier(tier), tier, "CPUID reports {tier:?}");
+            let r = f();
+            assert_eq!(simd::tier(), tier, "dispatch changed under f");
+            (tier, r)
+        })
+        .collect();
+    simd::set_tier(initial);
+    results
 }
 
-/// `simd::sort_short` and `sort_kernel` with dispatch off and on, each
-/// equal to `sort_unstable`.
+/// Assert that every tier's result in `results` equals `expect`.
+fn assert_every_tier<R: PartialEq + std::fmt::Debug>(
+    results: Vec<(Tier, R)>,
+    expect: &R,
+    what: &str,
+) {
+    for (tier, got) in results {
+        assert_eq!(&got, expect, "{what}: {} differs", tier.name());
+    }
+}
+
+#[test]
+fn tiers_exercised() {
+    let ran: Vec<&str> = every_tier(simd::tier)
+        .into_iter()
+        .map(|(tier, active)| {
+            assert_eq!(tier, active);
+            tier.name()
+        })
+        .collect();
+    assert_eq!(simd::host_tier(), *host_tiers().last().expect("scalar"));
+    println!("simd_differential: tiers exercised: {}", ran.join(", "));
+}
+
+/// `simd::sort_short` and `sort_kernel` at every tier, each equal to
+/// `sort_unstable`.
 fn check_short_sort(v: &[u64]) {
-    let (off, on) = both_paths(|| {
+    let results = every_tier(|| {
         let mut short = v.to_vec();
         simd::sort_short(&mut short);
         let mut kernel = v.to_vec();
@@ -73,8 +101,7 @@ fn check_short_sort(v: &[u64]) {
     let mut expect = v.to_vec();
     expect.sort_unstable();
     let expect = (expect.clone(), expect);
-    assert_eq!(off, expect, "scalar short sort mismatch on {v:?}");
-    assert_eq!(on, expect, "SIMD short sort mismatch on {v:?}");
+    assert_every_tier(results, &expect, &format!("short sort of {v:?}"));
 }
 
 #[test]
@@ -150,60 +177,52 @@ fn bucket_sized_keys(width: u32, bits: u32, sizes: &[usize], seed: u64) -> Vec<u
     keys
 }
 
-/// `sort_kernel` on `v`, SIMD off and on, against `sort_unstable`.
-fn check_kernel_both_paths<T: tlmm_core::SortElem + std::fmt::Debug>(v: &[T]) {
-    let (off, on) = both_paths(|| {
+/// `sort_kernel` on `v`, at every tier, against `sort_unstable`.
+fn check_kernel_every_tier<T: tlmm_core::SortElem + std::fmt::Debug>(v: &[T]) {
+    let results = every_tier(|| {
         let mut data = v.to_vec();
         sort_kernel(&mut data);
         data
     });
     let mut expect = v.to_vec();
     expect.sort_unstable();
-    assert_eq!(
-        off,
-        expect,
-        "scalar sort_kernel mismatch at n = {}",
-        v.len()
-    );
-    assert_eq!(on, expect, "SIMD sort_kernel mismatch at n = {}", v.len());
+    assert_every_tier(results, &expect, &format!("sort_kernel at n = {}", v.len()));
 }
 
 /// `v` as `u64`, `u32` (low halves), sign-crossing `i64` (shifted by
-/// 2^63) and `(u64, u64)` pairs, each through [`check_kernel_both_paths`].
+/// 2^63) and `(u64, u64)` pairs, each through [`check_kernel_every_tier`].
 fn check_kernel_all_types(v: &[u64]) {
-    check_kernel_both_paths(v);
-    check_kernel_both_paths(&v.iter().map(|&k| k as u32).collect::<Vec<_>>());
-    check_kernel_both_paths(
+    check_kernel_every_tier(v);
+    check_kernel_every_tier(&v.iter().map(|&k| k as u32).collect::<Vec<_>>());
+    check_kernel_every_tier(
         &v.iter()
             .map(|&k| k.wrapping_sub(1 << 63) as i64)
             .collect::<Vec<_>>(),
     );
-    check_kernel_both_paths(&v.iter().map(|&k| (k % 7, k)).collect::<Vec<_>>());
+    check_kernel_every_tier(&v.iter().map(|&k| (k % 7, k)).collect::<Vec<_>>());
 }
 
 fn check_sorted_scans<T: tlmm_core::SortElem + std::fmt::Debug>(sorted: &[T], pivot: &T) {
-    let (off, on) = both_paths(|| {
+    let results = every_tier(|| {
         (
             simd::partition_point_le(sorted, pivot),
             simd::count_le(sorted, pivot),
         )
     });
-    assert_eq!(off, on, "scan kernels diverged at pivot {pivot:?}");
-    // Both equal the `partition_point` definition.
+    // Every tier equals the `partition_point` definition.
     let want = sorted.partition_point(|x| x <= pivot);
-    assert_eq!(off, (want, want));
+    assert_every_tier(results, &(want, want), &format!("scans at pivot {pivot:?}"));
 }
 
-fn check_radix_both_paths<T: RadixKey + std::fmt::Debug>(v: &[T]) {
-    let (off, on) = both_paths(|| {
+fn check_radix_every_tier<T: RadixKey + std::fmt::Debug>(v: &[T]) {
+    let results = every_tier(|| {
         let mut data = v.to_vec();
         radix_sort(&mut data);
         data
     });
     let mut expect = v.to_vec();
     expect.sort_unstable();
-    assert_eq!(off, expect, "scalar radix_sort mismatch");
-    assert_eq!(on, expect, "SIMD radix_sort mismatch");
+    assert_every_tier(results, &expect, "radix_sort");
 }
 
 proptest! {
@@ -255,16 +274,16 @@ proptest! {
     ) {
         // End-to-end through the histogram + scatter integration points.
         let v = generate(SHAPES[shape_idx], n, seed);
-        check_radix_both_paths(&v);
+        check_radix_every_tier(&v);
     }
 
     #[test]
     fn radix_passes_agree_for_all_key_types(
         v in proptest::collection::vec(any::<u64>(), 0..3_000),
     ) {
-        check_radix_both_paths(&v);
-        check_radix_both_paths(&v.iter().map(|&x| x as u32).collect::<Vec<u32>>());
-        check_radix_both_paths(&v.iter().map(|&x| x as i64).collect::<Vec<i64>>());
+        check_radix_every_tier(&v);
+        check_radix_every_tier(&v.iter().map(|&x| x as u32).collect::<Vec<u32>>());
+        check_radix_every_tier(&v.iter().map(|&x| x as i64).collect::<Vec<i64>>());
     }
 
     #[test]
@@ -279,15 +298,7 @@ proptest! {
         let (mut a, mut b) = (v[..cut].to_vec(), v[cut..].to_vec());
         a.sort_unstable();
         b.sort_unstable();
-        let (off, on) = both_paths(|| {
-            let mut out = vec![0u64; v.len()];
-            simd::merge_pair(&a, &b, &mut out);
-            out
-        });
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        prop_assert_eq!(&off, &expect);
-        prop_assert_eq!(&on, &expect);
+        check_merge_pair(&a, &b);
     }
 
     #[test]
@@ -316,18 +327,165 @@ proptest! {
             0..14,
         ),
     ) {
-        // The k-way merge executes through the dispatched pair kernel but
-        // charges a count computed from the runs, so both the output and
-        // the comparison ledger must be dispatch-independent.
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let total: usize = runs.iter().map(|r| r.len()).sum();
-        let ((out_off, cmps_off), (out_on, cmps_on)) = both_paths(|| {
-            let mut out = vec![0u64; total];
-            let cmps = merge_into_slice(&refs, &mut out);
-            (out, cmps)
-        });
-        prop_assert_eq!(out_off, out_on);
-        prop_assert_eq!(cmps_off, cmps_on);
+        check_merge_into_slice(&runs);
+    }
+}
+
+/// `simd::merge_pair` on sorted `a` and `b` at every tier, against
+/// `scalar::merge_pair` and a stable sort of the concatenation.
+fn check_merge_pair(a: &[u64], b: &[u64]) {
+    let results = every_tier(|| {
+        let mut out = vec![0u64; a.len() + b.len()];
+        simd::merge_pair(a, b, &mut out);
+        out
+    });
+    let mut expect = vec![0u64; a.len() + b.len()];
+    simd::scalar::merge_pair(a, b, &mut expect);
+    let mut sorted = [a, b].concat();
+    sorted.sort();
+    assert_eq!(expect, sorted, "the scalar definition");
+    assert_every_tier(
+        results,
+        &expect,
+        &format!("merge_pair of {} + {} keys", a.len(), b.len()),
+    );
+}
+
+/// `merge_into_slice` on `runs` at every tier: a stable sort of the runs
+/// and the played reference count, which no tier may change.
+fn check_merge_into_slice(runs: &[Vec<u64>]) {
+    // The k-way merge executes through the dispatched pair kernel, the
+    // tree-or-sort choice follows the tier, and the charge is computed
+    // from the runs, so the output and the count are tier-independent.
+    let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
+    let mut expect = runs.concat();
+    expect.sort();
+    let played = merge_cost_ref(&refs);
+    let results = every_tier(|| {
+        let mut out = vec![0u64; expect.len()];
+        let cmps = merge_into_slice(&refs, &mut out);
+        (out, cmps)
+    });
+    let lens: Vec<usize> = runs.iter().map(Vec::len).collect();
+    assert_every_tier(
+        results,
+        &(expect, played),
+        &format!("merge of runs {lens:?}"),
+    );
+}
+
+/// Sorted runs of `len` random keys below `range`, from `rng`.
+fn sorted_run(rng: &mut StdRng, len: usize, range: u64) -> Vec<u64> {
+    let mut v: Vec<u64> = (0..len).map(|_| rng.gen_range(0..range)).collect();
+    v.sort_unstable();
+    v
+}
+
+/// Side lengths around every threshold of the merge kernels: 0–3 (the
+/// scalar merge), 4–9 (one 4-lane stream; 8 fills an AVX-512 register),
+/// and around `STREAM_SPLIT_MIN`, where the co-rank cut starts and can
+/// leave a half with a side under a register.
+fn edge_lengths() -> Vec<usize> {
+    let split = simd::STREAM_SPLIT_MIN;
+    let mut lens: Vec<usize> = (0..=9).collect();
+    lens.extend([
+        15,
+        16,
+        17,
+        31,
+        32,
+        33,
+        split / 2 - 1,
+        split / 2,
+        split / 2 + 1,
+    ]);
+    lens.extend([split - 9, split - 8, split - 1, split, split + 1, 100, 257]);
+    lens.sort_unstable();
+    lens.dedup();
+    lens
+}
+
+#[test]
+fn merge_pair_agrees_at_every_edge_length() {
+    let mut rng = StdRng::seed_from_u64(0xED6E);
+    let lens = edge_lengths();
+    for &la in &lens {
+        for &lb in &lens {
+            // Spread keys, and keys from a small range, whose ties put
+            // co-rank cuts inside runs of one value.
+            for range in [u64::MAX, 4] {
+                let a = sorted_run(&mut rng, la, range);
+                let b = sorted_run(&mut rng, lb, range);
+                check_merge_pair(&a, &b);
+            }
+        }
+    }
+}
+
+#[test]
+fn merge_pair_agrees_on_adversarial_shapes() {
+    let split = simd::STREAM_SPLIT_MIN;
+    let ramp = |from: u64, len: usize| -> Vec<u64> { (from..from + len as u64).collect() };
+    let mut cases: Vec<(Vec<u64>, Vec<u64>)> = Vec::new();
+    for len in [3, 8, 40, split, 3 * split + 1, 5_000] {
+        // One side used up early: disjoint ranges, in both orders, and a
+        // side whose keys all fall inside one block of the other.
+        cases.push((ramp(0, len), ramp(len as u64, len + 7)));
+        cases.push((ramp(len as u64 + 7, len), ramp(0, len + 7)));
+        cases.push((ramp(0, len), vec![len as u64 / 2; 5]));
+        cases.push((vec![len as u64 / 2; 9], ramp(0, len)));
+        // Co-rank cuts inside a run of one key value: all-equal sides,
+        // and one plateau spanning the midpoint of the output.
+        cases.push((vec![5; len], vec![5; len + 3]));
+        let mut a = ramp(0, len);
+        a.extend(vec![len as u64; 2 * len]);
+        let mut b = vec![len as u64; len];
+        b.extend(ramp(len as u64 + 1, len));
+        cases.push((a, b));
+        // Keys straddling 1 << 63, where a biased signed compare and the
+        // unsigned one must agree, and 0 next to u64::MAX.
+        let mid = 1u64 << 63;
+        let around: Vec<u64> = (0..len as u64).map(|i| mid - len as u64 + 2 * i).collect();
+        let odd: Vec<u64> = around.iter().map(|k| k + 1).collect();
+        cases.push((around, odd));
+        let mut lo_hi = vec![0; len / 2];
+        lo_hi.extend(vec![u64::MAX; len - len / 2]);
+        cases.push((lo_hi.clone(), vec![0, 1, u64::MAX - 1, u64::MAX]));
+        cases.push((lo_hi.clone(), lo_hi));
+        // Odd output lengths above the split threshold.
+        cases.push((
+            ramp(0, len).iter().map(|k| 3 * k).collect(),
+            ramp(0, len + 1),
+        ));
+    }
+    for (a, b) in cases {
+        check_merge_pair(&a, &b);
+        check_merge_pair(&b, &a);
+    }
+}
+
+#[test]
+fn merge_into_slice_agrees_around_the_tree_rule() {
+    // Fan-ins and mean run lengths on both sides of the executor's
+    // tree-or-sort rule at every tier, and past the piece size.
+    let mut rng = StdRng::seed_from_u64(0x7EE);
+    for (k, mean) in [
+        (7, 511),
+        (8, 511),
+        (8, 512),
+        (15, 600),
+        (16, 600),
+        (63, 520),
+        (64, 520),
+        (9, 4_000),
+        (70, 600),
+    ] {
+        for range in [u64::MAX, 64] {
+            let runs: Vec<Vec<u64>> = (0..k)
+                .map(|r| sorted_run(&mut rng, mean + r % 3, range))
+                .collect();
+            check_merge_into_slice(&runs);
+        }
     }
 }
 
@@ -367,12 +525,12 @@ proptest! {
         for width in 4..=8u32 {
             for sizes in [edges, classes] {
                 let keys = bucket_sized_keys(width, 64, sizes, rng.gen());
-                check_kernel_both_paths(&keys);
+                check_kernel_every_tier(&keys);
                 let signed: Vec<i64> = keys.iter().map(|&k| (k ^ (1 << 63)) as i64).collect();
-                check_kernel_both_paths(&signed);
-                check_kernel_both_paths(&keys.iter().map(|&k| (k >> 7, k)).collect::<Vec<_>>());
+                check_kernel_every_tier(&signed);
+                check_kernel_every_tier(&keys.iter().map(|&k| (k >> 7, k)).collect::<Vec<_>>());
                 let narrow = bucket_sized_keys(width, 32, sizes, rng.gen());
-                check_kernel_both_paths(&narrow.iter().map(|&k| k as u32).collect::<Vec<_>>());
+                check_kernel_every_tier(&narrow.iter().map(|&k| k as u32).collect::<Vec<_>>());
             }
         }
     }
