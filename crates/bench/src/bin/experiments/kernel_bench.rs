@@ -297,17 +297,19 @@ fn piece_sort_cells(
 fn assert_piece_sorts_agree(name: &str, input: &[u64], len: usize) {
     let mut want = input.to_vec();
     want.chunks_mut(len).for_each(<[u64]>::sort_unstable);
-    let prior = simd::enabled();
-    for on in [false, true] {
-        simd::set_enabled(on);
+    let prior = simd::tier();
+    for tier in [Tier::Scalar, simd::host_tier()] {
+        simd::set_tier(tier);
         let mut got = input.to_vec();
         got.chunks_mut(len).for_each(sort_kernel);
         assert_eq!(
-            got, want,
-            "piece sorts of {len} disagree on {name} (SIMD {on})"
+            got,
+            want,
+            "piece sorts of {len} disagree on {name} ({})",
+            tier.name()
         );
     }
-    simd::set_enabled(prior);
+    simd::set_tier(prior);
 }
 
 fn kway_merge_cells(n: usize, timing: &Timing, smoke: bool, cells: &mut Vec<Cell>) {
@@ -445,11 +447,11 @@ fn assert_kernels_agree(name: &str, runs: &[&[u64]]) {
     assert_eq!(ca, cb, "merge comparison counts diverge on {name}");
     // And the SIMD merge paths must be invisible: same output, same
     // comparison ledger, with vector dispatch forced off.
-    let prior = simd::enabled();
-    simd::set_enabled(false);
+    let prior = simd::tier();
+    simd::set_tier(Tier::Scalar);
     let mut c = vec![0u64; n];
     let cc = merge_into_slice(runs, &mut c);
-    simd::set_enabled(prior);
+    simd::set_tier(prior);
     assert_eq!(b, c, "merge output changed with SIMD disabled on {name}");
     assert_eq!(cb, cc, "merge counts changed with SIMD disabled on {name}");
 }

@@ -116,10 +116,10 @@ fn run_group(engine: Engine, n: usize, iters: usize, asserted: &mut Vec<String>)
 
     // SIMD dispatch must not touch the ledger either: one more 1-thread
     // run with the vector path forced off.
-    let prior = simd::enabled();
-    simd::set_enabled(false);
+    let prior = simd::tier();
+    simd::set_tier(simd::Tier::Scalar);
     let off = run_sort(&spec(engine, n, 1), Overrides::default()).expect("SIMD-off run failed");
-    simd::set_enabled(prior);
+    simd::set_tier(prior);
     let off_json = serde::json::to_string(&off.ledger).expect("ledger serializes");
     assert_eq!(
         Some(&off_json),

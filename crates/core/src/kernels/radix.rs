@@ -26,7 +26,7 @@
 //!   histogram cache-resident; each bucket is then finished while it is
 //!   cache-hot, from the scratch buffer straight into its range of `data`.
 //!   There is no copy back of the whole array and no allocation per
-//!   bucket. Where [`simd::sorts_in_registers`] (`u64` keys, SIMD dispatch
+//!   bucket. Where [`simd::vectorizes`] (`u64` keys, SIMD dispatch
 //!   on), buckets average ~32 keys ([`TARGET_LG_BUCKET`]) and every bucket
 //!   of [`simd::SHORT_MIN`]`..=`[`simd::MID_MAX`] keys is read into
 //!   registers and sorted into place by [`simd::sort_short_into`], the
@@ -120,7 +120,7 @@ const INSERTION_MAX: usize = 24;
 /// offset tables (2 × 16 KiB of `u32`) cache-resident during the scatter.
 const MAX_DIGIT_BITS: u32 = 12;
 /// The first digit's width targets buckets of ~2^5 keys where they finish
-/// in registers ([`simd::sorts_in_registers`]): 256 bytes of `u64`, one
+/// in registers ([`simd::vectorizes`]): 256 bytes of `u64`, one
 /// 32-key register class.
 const TARGET_LG_BUCKET: u32 = 5;
 /// Elsewhere (SIMD dispatch off, or `u32`/`i64` keys) it targets buckets
@@ -217,7 +217,7 @@ pub fn radix_sort<T: RadixKey>(data: &mut [T]) {
             return;
         }
     }
-    let registers = simd::sorts_in_registers::<T>();
+    let registers = simd::vectorizes::<T>();
     let target = if registers {
         TARGET_LG_BUCKET
     } else {
@@ -733,9 +733,7 @@ mod tests {
         ) {
             let n = [64, 255, 256, 9_216, 39_062, 294_912][n];
             let keys = second_level_keys(shape, n, seed);
-            let prior = super::super::simd::enabled();
-            for vector in [true, false] {
-                super::super::simd::set_enabled(vector);
+            let sorted = super::super::simd::every_tier(|| {
                 let mut v = keys.clone();
                 radix_sort(&mut v);
                 let mut expect = keys.clone();
@@ -750,10 +748,12 @@ mod tests {
                 let mut w_expect = w.clone();
                 radix_sort(&mut w);
                 w_expect.sort_unstable();
-                super::super::simd::set_enabled(prior);
-                prop_assert!(v == expect, "u64 n={} shape={} SIMD {}", n, shape, vector);
-                prop_assert!(s == s_expect, "i64 n={} shape={} SIMD {}", n, shape, vector);
-                prop_assert!(w == w_expect, "u32 n={} shape={} SIMD {}", n, shape, vector);
+                [v == expect, s == s_expect, w == w_expect]
+            });
+            for (tier, [u64_ok, i64_ok, u32_ok]) in sorted {
+                prop_assert!(u64_ok, "u64 n={} shape={} {:?}", n, shape, tier);
+                prop_assert!(i64_ok, "i64 n={} shape={} {:?}", n, shape, tier);
+                prop_assert!(u32_ok, "u32 n={} shape={} {:?}", n, shape, tier);
             }
         }
     }

@@ -270,13 +270,13 @@ pub fn merge_pair_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
 
 #[target_feature(enable = "avx2")]
 unsafe fn merge_streams(a: &[u64], b: &[u64], out: &mut [u64]) {
-    co_ranked::<Ymm, 4>(a, b, out, one_stream)
+    co_ranked::<Ymm, 4>(a, b, out)
 }
 
 /// Merge `a` and `b` into `out` as one 4-lane stream, or by the scalar
 /// merge when a side holds fewer than 4 keys.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn one_stream(a: &[u64], b: &[u64], out: &mut [u64]) {
+unsafe fn one_stream(a: &[u64], b: &[u64], out: &mut [u64]) {
     if a.len() < Ymm::W || b.len() < Ymm::W {
         super::scalar::merge_pair(a, b, out)
     } else {
@@ -327,14 +327,9 @@ pub(super) fn co_rank(a: &[u64], b: &[u64], mid: usize) -> usize {
 /// one's network latency hides behind the others', while every run of
 /// every stream holds a full block past its head; each then finishes
 /// alone. When a stream's side is too short to fill a register, every
-/// stream's merge goes to `one` instead.
+/// stream's merge goes to [`one_stream`] instead.
 #[inline(always)]
-pub(super) unsafe fn co_ranked<N: Network, const S: usize>(
-    a: &[u64],
-    b: &[u64],
-    out: &mut [u64],
-    one: unsafe fn(&[u64], &[u64], &mut [u64]),
-) {
+pub(super) unsafe fn co_ranked<N: Network, const S: usize>(a: &[u64], b: &[u64], out: &mut [u64]) {
     let n = out.len();
     // Stream s starts at output s·n/S, a[cut[s]] and b[s·n/S - cut[s]].
     let start = |s: usize| s * n / S;
@@ -354,7 +349,7 @@ pub(super) unsafe fn co_ranked<N: Network, const S: usize>(
     }) {
         for s in 0..S {
             let (ra, rb, ro) = bounds(s);
-            one(&a[ra], &b[rb], &mut out[ro]);
+            one_stream(&a[ra], &b[rb], &mut out[ro]);
         }
         return;
     }

@@ -18,7 +18,7 @@
 
 #![allow(unsafe_code)]
 
-use super::avx2::{co_ranked, one_stream, Network};
+use super::avx2::{co_ranked, Network};
 use core::arch::x86_64::*;
 
 /// The 8-lane network: [`bitonic_merge16`] on `zmm` registers.
@@ -62,14 +62,7 @@ pub fn merge_pair_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
 
 #[target_feature(enable = "avx512f,avx2")]
 unsafe fn merge_streams(a: &[u64], b: &[u64], out: &mut [u64]) {
-    co_ranked::<Zmm, 2>(a, b, out, short_side)
-}
-
-/// A half of the co-rank cut with a side under 8 keys: one 4-lane
-/// stream, or the scalar merge under 4.
-#[target_feature(enable = "avx512f,avx2")]
-unsafe fn short_side(a: &[u64], b: &[u64], out: &mut [u64]) {
-    one_stream(a, b, out)
+    co_ranked::<Zmm, 2>(a, b, out)
 }
 
 /// Merge two ascending 8-lane registers into the ascending low and high

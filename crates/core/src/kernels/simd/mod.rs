@@ -123,12 +123,6 @@ pub fn enabled() -> bool {
     tier() != Tier::Scalar
 }
 
-/// Force vector dispatch on (at [`host_tier`]) or off. Enabling on a
-/// host without AVX2 is a no-op; returns whether a vector tier is active.
-pub fn set_enabled(on: bool) -> bool {
-    set_tier(if on { Tier::Avx512 } else { Tier::Scalar }) != Tier::Scalar
-}
-
 // Each dispatcher below routes its `u64`-specialized AVX2 kernel to the
 // generic call site by naming the `u64` `fn` item and `Any`-downcasting the
 // pointer to the `T`-typed signature — `Some` exactly when `T == u64` (the
@@ -242,20 +236,6 @@ pub fn merge_pair<T: SortElem>(a: &[T], b: &[T], out: &mut [T]) {
     scalar::merge_pair(a, b, out)
 }
 
-/// The tier [`merge_pair`] runs at on `T`: the active [`tier`] for `u64`,
-/// [`Tier::Scalar`] for every other type.
-#[inline]
-pub fn merge_tier<T: SortElem>() -> Tier {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let f: fn(&[u64], &[u64], &mut [u64]) = scalar::merge_pair;
-        if <dyn Any>::downcast_ref::<fn(&[T], &[T], &mut [T])>(&f).is_some() {
-            return tier();
-        }
-    }
-    Tier::Scalar
-}
-
 /// Shortest merge [`merge_pair`]'s vector forms cut into two streams at
 /// its co-rank. Below it one stream runs: the co-rank search and a
 /// second stream's start and tail cost more than the overlap saves.
@@ -307,11 +287,13 @@ pub fn sort_short_into<T: SortElem>(src: &[T], dst: &mut [T]) {
     scalar::sort_short_into(src, dst)
 }
 
-/// Whether [`sort_short`] and [`sort_short_into`] sort `T` in registers:
-/// SIMD dispatch is on and `T` is `u64`. The radix kernel sizes its
-/// buckets by this.
+/// Whether the entry points here run a vector form on `T`: SIMD dispatch
+/// is on and `T` is `u64`. Then [`sort_short`] and [`sort_short_into`]
+/// sort `T` in registers, by which the radix kernel sizes its buckets,
+/// and [`merge_pair`] merges it on a network, by which the merge
+/// executor chooses between its tree and a sort.
 #[inline]
-pub fn sorts_in_registers<T: SortElem>() -> bool {
+pub fn vectorizes<T: SortElem>() -> bool {
     #[cfg(target_arch = "x86_64")]
     if enabled() {
         let f: fn(&mut [u64]) = avx2::sort_short_u64;
@@ -337,6 +319,32 @@ pub fn pair_merge_cost<T: Ord>(a: &[T], b: &[T]) -> u64 {
     } else {
         b.len() as u64 + a.partition_point(|x| x <= b_last) as u64
     }
+}
+
+/// Serializes the unit tests' tier switches: the tier is process-global
+/// and the tests run on the harness's thread pool.
+#[cfg(test)]
+static DISPATCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Run `f` at every tier the host has, under [`DISPATCH`], restoring the
+/// tier after; returns each tier's result. Each tier is asserted to be
+/// the one dispatch runs after `f`, so no other test switched it.
+#[cfg(test)]
+pub(crate) fn every_tier<R>(mut f: impl FnMut() -> R) -> Vec<(Tier, R)> {
+    let _guard = tlmm_testkit::serial_guard(&DISPATCH);
+    let initial = tier();
+    let results = Tier::ALL
+        .into_iter()
+        .filter(|&t| t <= host_tier())
+        .map(|t| {
+            assert_eq!(set_tier(t), t);
+            let r = f();
+            assert_eq!(tier(), t, "dispatch changed under f");
+            (t, r)
+        })
+        .collect();
+    set_tier(initial);
+    results
 }
 
 #[cfg(test)]
@@ -403,17 +411,13 @@ mod tests {
 
     #[test]
     fn dispatch_state_reports_and_toggles() {
+        let _guard = tlmm_testkit::serial_guard(&DISPATCH);
         let initial = tier();
-        // Force-off always succeeds; force-on succeeds only with host AVX2.
-        assert!(!set_enabled(false));
-        assert!(!enabled());
-        let on = set_enabled(true);
-        assert_eq!(on, enabled());
-        assert_eq!(tier(), if on { host_tier() } else { Tier::Scalar });
-        // A tier above the host's is capped at it.
+        // A tier above the host's is capped at it; scalar always holds.
         for want in Tier::ALL {
             assert_eq!(set_tier(want), want.min(host_tier()));
             assert_eq!(tier(), want.min(host_tier()));
+            assert_eq!(enabled(), tier() != Tier::Scalar);
         }
         set_tier(initial);
     }

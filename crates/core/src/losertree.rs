@@ -27,8 +27,7 @@
 //! [`crate::pmerge`]'s pieces and the baseline's waves call it directly.
 //! See DESIGN.md §10.
 
-use crate::kernels::simd::{self, Tier};
-use crate::kernels::{radix_kernel, sort_kernel};
+use crate::kernels::{radix_kernel, simd, sort_kernel};
 use crate::pmerge::{pieces, PIECE_KEYS};
 use std::ops::Range;
 
@@ -40,31 +39,25 @@ pub const PREMERGE_MAX: usize = 1 << 16;
 
 /// Non-empty runs from which a merge of [`crate::kernels::RadixKey`]
 /// elements may be executed by copying and sorting rather than by the
-/// merge tree: below it the tree makes at most `⌈lg k⌉ = 2` two-way
+/// merge tree: below it the tree makes at most `⌈lg 7⌉ = 3` two-way
 /// passes over every key, which wins on every tier (DESIGN.md §10).
 pub(crate) const SORT_MIN_FAN_IN: usize = 8;
 
-/// Mean run length from which the merge tree still beats a copy and a
-/// radix sort at fan-ins from [`SORT_MIN_FAN_IN`] up to
-/// [`tree_fan_in_below`]: on shorter runs the tree's passes gain less
+/// Mean run length from which the vector merge tree still beats a copy
+/// and a radix sort at fan-ins from [`SORT_MIN_FAN_IN`] up to
+/// [`VECTOR_TREE_FAN_IN`]: on shorter runs the tree's passes gain less
 /// than the in-cache sort, and duplicate-heavy keys (SPMS's Zipf
 /// buckets), which the radix sort takes faster, tip the balance.
 const TREE_MIN_MEAN_RUN: usize = 512;
 
 /// The fan-in below which the merge tree beats a copy and a radix sort
-/// on runs of at least [`TREE_MIN_MEAN_RUN`] keys, for the merge kernel
-/// `merge_pair` runs on `T`: at `Scalar` each of the tree's `⌈lg k⌉`
-/// passes costs ~4 ns/key, at `Avx2` ~1.5–1.9 and at `Avx512` ~1.0,
-/// against ~6–9 ns/key for a copy and a radix sort of uniform keys. On
-/// keys of a narrow span or few values the radix sort runs 2–3× faster,
-/// and 16 runs of them already merge slower than they sort at
-/// `Avx512` (DESIGN.md §10), so both vector tiers stop at 16.
-fn tree_fan_in_below<T: crate::SortElem>() -> usize {
-    match simd::merge_tier::<T>() {
-        Tier::Scalar => SORT_MIN_FAN_IN,
-        Tier::Avx2 | Tier::Avx512 => 16,
-    }
-}
+/// on runs of at least [`TREE_MIN_MEAN_RUN`] keys where `merge_pair`
+/// runs vectorized ([`simd::vectorizes`]): each of the tree's `⌈lg k⌉`
+/// passes costs ~1.0–1.9 ns/key there, ~4 scalar, against ~6–9 for a
+/// copy and a radix sort of uniform keys. On keys of a narrow span or
+/// few values the radix sort runs 2–3× faster, and 16 runs of them
+/// already merge slower than they sort at `avx512` (DESIGN.md §10).
+const VECTOR_TREE_FAN_IN: usize = 16;
 
 /// Whether `merge_runs` executes a merge of `runs` (`total` keys) by
 /// copying them and sorting the copy with [`sort_kernel`]: a
@@ -76,7 +69,12 @@ pub(crate) fn sorts_merge<T: crate::SortElem>(runs: &[&[T]], total: usize) -> bo
         return false;
     }
     let k = runs.iter().filter(|r| !r.is_empty()).count();
-    k >= SORT_MIN_FAN_IN && (k >= tree_fan_in_below::<T>() || total < TREE_MIN_MEAN_RUN * k)
+    let tree_below = if simd::vectorizes::<T>() {
+        VECTOR_TREE_FAN_IN
+    } else {
+        SORT_MIN_FAN_IN
+    };
+    k >= SORT_MIN_FAN_IN && (k >= tree_below || total < TREE_MIN_MEAN_RUN * k)
 }
 
 /// Plateau probe for the pair pre-merge: `true` when sampled positions of
@@ -327,35 +325,43 @@ pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64
 /// construction, a stable sort for other types, and for radix keys equal
 /// keys are identical elements, so any order of them is the same output.
 pub(crate) fn merge_runs<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) {
-    let total = out.len();
-    let sorts =
-        !single_key(runs) && (total < SORT_MEAN_RUN * runs.len() || sorts_merge(runs, total));
-    if sorts && total > SORT_WHOLE_MAX && radix_kernel::<T>().is_some() {
-        for (subs, out) in pieces(runs, out, 1) {
-            merge_piece(&subs, out);
-        }
-    } else {
-        merge_piece(runs, out);
-    }
+    execute(runs, out, true);
+}
+
+/// [`merge_runs`] on one piece of a cut merge, which is not cut again:
+/// a piece's splitters can fall on its last key, so a second cut need
+/// not shrink it.
+pub(crate) fn merge_piece<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) {
+    execute(runs, out, false);
 }
 
 /// Longest merge `merge_runs` sorts whole: 2 MiB of `u64`, an L2-sized
 /// radix sort. Below it the cut into pieces costs more than it saves.
 const SORT_WHOLE_MAX: usize = 8 * PIECE_KEYS;
 
-/// [`merge_runs`] without the cut into pieces: the executor of one piece.
-pub(crate) fn merge_piece<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) {
+/// The executor's one decision, for [`merge_runs`] and [`merge_piece`]:
+/// a sort longer than `SORT_WHOLE_MAX` radix keys is cut into pieces
+/// when `may_cut` holds.
+fn execute<T: crate::SortElem>(runs: &[&[T]], out: &mut [T], may_cut: bool) {
     debug_assert_eq!(out.len(), runs.iter().map(|r| r.len()).sum::<usize>());
+    let total = out.len();
     if single_key(runs) {
-        concat(runs, out);
-    } else if out.len() < SORT_MEAN_RUN * runs.len() {
+        return concat(runs, out);
+    }
+    let few = total < SORT_MEAN_RUN * runs.len();
+    if !few && !sorts_merge(runs, total) {
+        return merge_tree(runs, out);
+    }
+    if may_cut && total > SORT_WHOLE_MAX && radix_kernel::<T>().is_some() {
+        for (subs, out) in pieces(runs, out, 1) {
+            merge_piece(&subs, out);
+        }
+    } else if few {
         concat(runs, out);
         sort_merged(out);
-    } else if sorts_merge(runs, out.len()) {
+    } else {
         concat(runs, out);
         sort_kernel(out);
-    } else {
-        merge_tree(runs, out);
     }
 }
 
@@ -663,25 +669,25 @@ mod tests {
     use crate::kernels::reference::merge_cost_ref;
 
     /// `merge_into_slice` emits the sorted union and charges
-    /// `merge_cost`, which is the played reference count, with SIMD
-    /// dispatch on and off; the executor alone emits the same.
+    /// `merge_cost`, which is the played reference count, at every SIMD
+    /// tier; the executor alone emits the same.
     fn check_merge(runs: Vec<Vec<u64>>) {
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
         let mut expect: Vec<u64> = runs.concat();
         expect.sort_unstable();
         let cost = merge_cost_ref(&refs);
         assert_eq!(merge_cost(&refs), cost);
-        let prior = crate::kernels::simd::enabled();
-        for vector in [true, false] {
-            crate::kernels::simd::set_enabled(vector);
+        let merged = simd::every_tier(|| {
             let mut out = vec![0; expect.len()];
             let cmps = merge_into_slice(&refs, &mut out);
             let mut exec = vec![0; expect.len()];
             merge_runs(&refs, &mut exec);
-            crate::kernels::simd::set_enabled(prior);
-            assert_eq!(cmps, cost, "SIMD {vector}");
-            assert_eq!(out, expect, "SIMD {vector}");
-            assert_eq!(exec, expect, "SIMD {vector}");
+            (cmps, out, exec)
+        });
+        for (tier, (cmps, out, exec)) in merged {
+            assert_eq!(cmps, cost, "{tier:?}");
+            assert_eq!(out, expect, "{tier:?}");
+            assert_eq!(exec, expect, "{tier:?}");
         }
     }
 
@@ -881,14 +887,14 @@ mod tests {
         assert_eq!(merge_cost(&refs), searched, "merge_cost");
         let mut expect = keys.clone();
         expect.sort();
-        let prior = crate::kernels::simd::enabled();
-        for vector in [true, false] {
-            crate::kernels::simd::set_enabled(vector);
+        let merged = simd::every_tier(|| {
             let mut out = vec![T::default(); keys.len()];
             let cmps = merge_into_slice(&refs, &mut out);
-            crate::kernels::simd::set_enabled(prior);
-            assert_eq!(cmps, searched, "merge_into_slice, SIMD {vector}");
-            assert_eq!(out, expect, "merge_into_slice, SIMD {vector}");
+            (cmps, out)
+        });
+        for (tier, (cmps, out)) in merged {
+            assert_eq!(cmps, searched, "merge_into_slice, {tier:?}");
+            assert_eq!(out, expect, "merge_into_slice, {tier:?}");
         }
         !long
     }

@@ -16,8 +16,9 @@
 //! runs [`merge_into_slice`] per part. A deep merge of
 //! [`crate::kernels::RadixKey`] elements is charged [`merge_cost`] per
 //! part and executed in cache-sized pieces: a second split cuts it into
-//! pieces of ~32Ki keys, and the merge executor (`losertree::merge_runs`)
-//! writes each piece, copying and radix-sorting it.
+//! pieces of ~32Ki keys, and the merge executor (`losertree::merge_piece`)
+//! writes each piece, by a copy and a radix sort or, for a few long runs
+//! of keys that `merge_pair` vectorizes, by its merge tree.
 //!
 //! **Known imbalance.** The charge split's sample takes every segment's
 //! keys at the same quantiles, so on sorted segments of one distribution
@@ -47,7 +48,8 @@ const OVERSAMPLE: usize = 16;
 /// nothing else: the count is [`merge_cost`] per part, computed on the
 /// pool, and the output comes from a second, finer split into pieces of
 /// ~`PIECE_KEYS` (32Ki) keys, each written by the merge executor
-/// (`losertree::merge_runs`), which copies it into place and sorts it.
+/// (`losertree::merge_piece`), which sorts a copy of it or runs its merge
+/// tree, as it decides for any merge.
 /// Any other merge runs [`merge_into_slice`] per part.
 ///
 /// # Panics

@@ -9,7 +9,7 @@
 //!   pair pre-merge plan's pairs merged by a counted two-way loop, then
 //!   `ReferenceLoserTree` played over the plan's leaves. It shares no
 //!   counting code with `merge_cost`. `merge_into_slice` must charge that
-//!   count and emit the sorted union with SIMD dispatch on and off, on run
+//!   count and emit the sorted union at every SIMD tier the host has, on run
 //!   sets shaped like every merge the sorters issue, from thousands of
 //!   runs of 0–2 keys to runs past the pair pre-merge limit. Every
 //!   executor path — all runs empty, one key value, plateau runs, eight or
@@ -20,6 +20,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Mutex;
 use tlmm_core::kernels::reference::{merge_cost_ref, merge_into_slice_ref};
 use tlmm_core::kernels::simd::{self, Tier};
 use tlmm_core::kernels::{radix_sort, sort_kernel, RadixKey};
@@ -29,6 +30,30 @@ use tlmm_model::ScratchpadParams;
 use tlmm_scratchpad::{FaultOp, FaultPlan, TwoLevel};
 use tlmm_testkit::KERNEL_SHAPES as SHAPES;
 use tlmm_workloads::generate;
+
+/// Serializes dispatch switches: the tier is process-global and these
+/// tests run on the harness's thread pool.
+static DISPATCH: Mutex<()> = Mutex::new(());
+
+/// Run `f` at every tier the host has, under [`DISPATCH`], restoring the
+/// tier after; returns each tier's result. Each tier is asserted to be
+/// the one dispatch runs after `f`, so no other test switched it.
+fn every_tier<R>(mut f: impl FnMut() -> R) -> Vec<(Tier, R)> {
+    let _guard = tlmm_testkit::serial_guard(&DISPATCH);
+    let initial = simd::tier();
+    let results = Tier::ALL
+        .into_iter()
+        .filter(|&t| t <= simd::host_tier())
+        .map(|tier| {
+            assert_eq!(simd::set_tier(tier), tier);
+            let r = f();
+            assert_eq!(simd::tier(), tier, "dispatch changed under f");
+            (tier, r)
+        })
+        .collect();
+    simd::set_tier(initial);
+    results
+}
 
 fn check_radix<T: RadixKey + std::fmt::Debug>(mut v: Vec<T>) {
     let mut expect = v.clone();
@@ -114,13 +139,12 @@ proptest! {
         let mut expect: Vec<u64> = runs.concat();
         expect.sort_unstable();
         let played = merge_cost_ref(&refs);
-        let prior = simd::tier();
-        for tier in Tier::ALL.into_iter().filter(|&t| t <= simd::host_tier()) {
-            simd::set_tier(tier);
-            let cost = merge_cost(&refs);
+        let merged = every_tier(|| {
             let mut out = vec![0u64; expect.len()];
             let charged = merge_into_slice(&refs, &mut out);
-            simd::set_tier(prior);
+            (merge_cost(&refs), charged, out)
+        });
+        for (tier, (cost, charged, out)) in merged {
             prop_assert_eq!(cost, played, "merge_cost, {}", tier.name());
             prop_assert_eq!(charged, played, "merge_into_slice, {}", tier.name());
             prop_assert_eq!(&out, &expect, "merge_into_slice, {}", tier.name());
@@ -350,12 +374,11 @@ fn check_merge_every_tier<T: tlmm_core::SortElem + std::fmt::Debug>(runs: &[Vec<
     let mut expect = runs.concat();
     expect.sort();
     let played = merge_cost_ref(&refs);
-    let prior = simd::tier();
-    for tier in Tier::ALL.into_iter().filter(|&t| t <= simd::host_tier()) {
-        simd::set_tier(tier);
+    let merged = every_tier(|| {
         let mut out = vec![T::default(); expect.len()];
-        let charged = merge_into_slice(&refs, &mut out);
-        simd::set_tier(prior);
+        (merge_into_slice(&refs, &mut out), out)
+    });
+    for (tier, (charged, out)) in merged {
         assert_eq!(charged, played, "{} runs, {}", runs.len(), tier.name());
         assert!(out == expect, "{} runs, {}", runs.len(), tier.name());
     }

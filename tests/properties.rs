@@ -25,6 +25,16 @@ fn opt_fault_seed() -> impl Strategy<Value = Option<u64>> {
     (any::<bool>(), any::<u64>()).prop_map(|(fire, seed)| fire.then_some(seed))
 }
 
+/// The SIMD tier a case with `vector` set runs at: the host's best, or
+/// scalar.
+fn vector_tier(vector: bool) -> simd::Tier {
+    if vector {
+        simd::host_tier()
+    } else {
+        simd::Tier::Scalar
+    }
+}
+
 /// One clean oblivious run; returns the sorted output and the far bytes it
 /// was charged.
 fn run_oblivious<T: two_level_mem::core::SortElem>(
@@ -116,10 +126,10 @@ fn baseline_in_place<T: two_level_mem::core::SortElem + std::fmt::Debug>(
 ) {
     let mut expect = keys.clone();
     expect.sort_unstable();
-    let prior = simd::enabled();
+    let prior = simd::tier();
     let mut runs = Vec::new();
     for vector in [true, false] {
-        simd::set_enabled(vector);
+        simd::set_tier(vector_tier(vector));
         for threads in [1, 2, 4] {
             let tl = TwoLevel::new(tiny_params());
             let input = tl.far_from_vec(keys.clone());
@@ -141,7 +151,7 @@ fn baseline_in_place<T: two_level_mem::core::SortElem + std::fmt::Debug>(
             ));
         }
     }
-    simd::set_enabled(prior);
+    simd::set_tier(prior);
     for (case, sorted, in_place, ledger) in &runs {
         prop_assert!(*sorted, "{}: not sorted", case);
         prop_assert!(*in_place, "{}: output moved", case);
@@ -325,10 +335,10 @@ proptest! {
             use_dma,
             ..Default::default()
         };
-        let prior = simd::enabled();
-        simd::set_enabled(vector);
+        let prior = simd::tier();
+        simd::set_tier(vector_tier(vector));
         let r = nmsort(&tl, input, &cfg).unwrap();
-        simd::set_enabled(prior);
+        simd::set_tier(prior);
         prop_assert_eq!(r.output.as_slice_uncharged(), expect.as_slice());
         prop_assert_eq!(r.output.as_slice_uncharged().as_ptr(), at);
     }
@@ -477,8 +487,8 @@ proptest! {
     ) {
         let v = generate(w, n, seed);
         let expect = sorted_copy(&v);
-        let prior = simd::enabled();
-        simd::set_enabled(vector);
+        let prior = simd::tier();
+        simd::set_tier(vector_tier(vector));
         let run = |threads: usize, fault_seed: Option<u64>| {
             let tl = TwoLevel::new(tiny_params());
             if let Some(fs) = fault_seed {
@@ -496,7 +506,7 @@ proptest! {
             Some(_) => [1, 2, 4].into_iter().map(|t| run(t, fault_seed)).collect(),
             None => Vec::new(),
         };
-        simd::set_enabled(prior);
+        simd::set_tier(prior);
         for (i, (sorted, in_place, ledger)) in clean.iter().chain(&faulted).enumerate() {
             let threads = [1, 2, 4][i % 3];
             prop_assert!(*sorted, "{:?} n {} threads {}: not sorted", w, n, threads);
@@ -545,9 +555,9 @@ proptest! {
 /// mode, with the SIMD kernels on and off.
 #[test]
 fn nmsort_oversized_buckets_sort_in_place() {
-    let prior = simd::enabled();
+    let prior = simd::tier();
     for vector in [true, false] {
-        simd::set_enabled(vector);
+        simd::set_tier(vector_tier(vector));
         for w in [Workload::Zipf(1.1), Workload::FewDistinct(3)] {
             for use_dma in [false, true] {
                 let v = generate(w, 120_000, 5);
@@ -569,5 +579,5 @@ fn nmsort_oversized_buckets_sort_in_place() {
             }
         }
     }
-    simd::set_enabled(prior);
+    simd::set_tier(prior);
 }
